@@ -25,7 +25,7 @@ from .errors import (
     EmptyFrames,
     TooFewFrames,
 )
-from .network import LayerSpec, Network, init_network, predict, train
+from .network import init_mlp, predict, train
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -301,7 +301,7 @@ def svm_dual_objective(kmat, y, alpha):
     return float(np.sum(alpha) - 0.5 * ay @ kmat @ ay)
 
 
-def svm_fit(features, labels, c=10.0, gamma=0.01, seed=0, tol=1e-3):
+def svm_fit(features, labels, c=10.0, gamma=0.01, tol=1e-3):
     """One-vs-rest RBF SVMs, one SMO solve per class."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
@@ -353,11 +353,7 @@ def dnn_classifier_fit(features, labels, cfg, hidden=(300, 300, 100)):
     """Softmax network with sigmoid hidden layers over frame features."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels, dtype=int)
-    n_classes = int(labels.max()) + 1
-    dims = [x.shape[1], *hidden]
-    specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
-    specs.append(LayerSpec(dims[-1], n_classes, "softmax"))
-    net = init_network(specs, seed=cfg.seed)
+    net = init_mlp(x.shape[1], hidden, int(labels.max()) + 1, seed=cfg.seed)
     return train(net, x, labels, cfg)
 
 

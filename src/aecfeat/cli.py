@@ -1,10 +1,10 @@
 """Command-line entry points.
 
 Every subcommand reads a JSON config mirroring RunConfig (--config), takes
---seed and --out overrides, and exits non-zero with a stage-named message
-on failure. Stages communicate through files in the output directory:
-model artifacts (*.aecf), extracted features (features_*.npz), and
-report.json.
+--seed and --out overrides, and exits with code 2 and a stage-named message
+on failure. Each staged subcommand loads its inputs from the output
+directory (*.aecf models, features_*.npz), calls the pipeline stage that
+`run` calls, and saves what the stage returns there.
 """
 
 import argparse
@@ -16,18 +16,14 @@ import numpy as np
 
 from . import pipeline as pl
 from .audio import read_wav, synth_rir
-from .classifiers import classify_segment
-from .errors import AecError, StageError
-from .frontend import apply_norm, fit_norm_stats, make_frontend_features, splice
+from .errors import StageError
+from .frontend import FeatureMatrix
 from .manifest import load_manifest, save_manifest
-from .network import train
-from .pipeline import RunConfig, cross_validate, default_svm_grid, svm_cv_eval_fn
+from .pipeline import RunConfig
 from .prepare import prepare_conditions, prepare_source
-from .report import EvalReport, render_report, render_table
-from .serialize import load_model, save_model
+from .report import render_report, render_table
+from .serialize import load_model
 from .synthetic import generate_dataset, generate_noise_wav
-from .transfer import adapt, append_adaptation, build_filter, extract, strip_output
-from .transforms import DctSpec, pca_fit
 
 
 def _load_cfg(args):
@@ -42,44 +38,41 @@ def _load_cfg(args):
     return cfg
 
 
-def _segment_feature_file(cfg, manifest_entries, stats, name):
-    """Extract filter features for the given entries and save one npz."""
-    filt = load_model(os.path.join(cfg.out_dir, "filter.aecf"))
-    arrays, labels, conditions, splits = {}, [], [], []
-    for i, e in enumerate(manifest_entries):
-        seg = read_wav(e.wav_path, label=e.label)
-        fm = make_frontend_features(seg, cfg.frontend)
-        fm.split = e.split
-        fm = splice(apply_norm(fm, stats), cfg.frontend.splice_context)
-        arrays[f"seg{i:05d}"] = extract(filt, fm).values
-        labels.append(e.label)
-        conditions.append(e.condition)
-        splits.append(e.split)
-    path = os.path.join(cfg.out_dir, name)
-    np.savez(path, __labels__=np.array(labels), __conditions__=np.array(conditions),
-             __splits__=np.array(splits), **arrays)
+def _load(cfg, name):
+    return load_model(pl.artifact_path(cfg, name + ".aecf"))
+
+
+def _load_transform(cfg):
+    return None if cfg.transform == "none" else _load(cfg, "transform")
+
+
+def _save_features(cfg, split, entries, taps):
+    path = pl.artifact_path(cfg, f"features_{split}.npz")
+    np.savez(path, __labels__=np.array([e.label for e in entries]),
+             __conditions__=np.array([e.condition for e in entries]),
+             __splits__=np.array([e.split for e in entries]),
+             **{f"seg{i:05d}": t.values for i, t in enumerate(taps)})
     return path
 
 
-def _load_feature_file(path):
-    data = np.load(path, allow_pickle=False)
-    labels = data["__labels__"].tolist()
-    conditions = data["__conditions__"].tolist()
-    splits = data["__splits__"].tolist()
-    mats = [data[f"seg{i:05d}"] for i in range(len(labels))]
-    return mats, labels, conditions, splits
+def _load_features(cfg, split):
+    """(taps, labels, conditions) from features_<split>.npz."""
+    path = pl.artifact_path(cfg, f"features_{split}.npz")
+    with np.load(path, allow_pickle=False) as data:
+        taps = [FeatureMatrix(data[f"seg{i:05d}"], mode="filter_tap", split=s)
+                for i, s in enumerate(data["__splits__"].tolist())]
+        return (taps, data["__labels__"].tolist(),
+                data["__conditions__"].tolist())
 
 
-def cmd_synth_data(args):
-    cfg = _load_cfg(args)
+def cmd_synth_data(args, cfg):
     manifest = generate_dataset(os.path.join(cfg.out_dir, "data"), seed=cfg.seed)
     noise = generate_noise_wav(os.path.join(cfg.out_dir, "data"), seed=cfg.seed + 1)
     print(os.path.join(cfg.out_dir, "data", "manifest.csv"))
     print(noise)
 
 
-def cmd_prepare_source(args):
-    cfg = _load_cfg(args)
+def cmd_prepare_source(args, cfg):
     manifest = load_manifest(args.manifest)
     rir = None
     if args.rir_wav:
@@ -95,8 +88,7 @@ def cmd_prepare_source(args):
     print(path)
 
 
-def cmd_prepare_conditions(args):
-    cfg = _load_cfg(args)
+def cmd_prepare_conditions(args, cfg):
     manifest = load_manifest(args.manifest)
     out = prepare_conditions(manifest, args.noise, os.path.join(cfg.out_dir, "cond"),
                              snrs=tuple(args.snr), seed=cfg.seed)
@@ -105,132 +97,70 @@ def cmd_prepare_conditions(args):
     print(path)
 
 
-def cmd_run(args):
-    cfg = _load_cfg(args)
-    manifest = load_manifest(args.manifest)
-    report, paths = pl.run_pipeline(cfg, manifest)
+def cmd_run(args, cfg):
+    report, paths = pl.run_pipeline(cfg, load_manifest(args.manifest))
     print(render_report(report))
     print(paths["report_json"])
 
 
-def cmd_train_source(args):
-    cfg = _load_cfg(args)
+def cmd_train_source(args, cfg):
     manifest = load_manifest(args.manifest)
-    source_entries = manifest.select(domain="source").entries
-    train_entries = manifest.select(domain="target", split="train").entries
-    source_mats = pl._segment_features(source_entries, cfg)
-    train_mats = pl._segment_features(train_entries, cfg)
-    stats = fit_norm_stats(source_mats + train_mats,
-                           source_tags=("source", "target_train"))
-    save_model(os.path.join(cfg.out_dir, "norm_stats.aecf"), stats)
-    source_sp = pl._norm_and_splice(source_mats, stats, cfg)
-    classes = sorted({e.label for e in source_entries})
-    model, _ = pl._train_source_network(cfg, source_sp,
-                                        [e.label for e in source_entries],
-                                        classes, stats)
-    save_model(os.path.join(cfg.out_dir, "source_model.aecf"), model)
-    print(os.path.join(cfg.out_dir, "source_model.aecf"))
+    source_entries = pl.select(manifest, "source")
+    source_mats = pl.frontend_features(cfg, source_entries)
+    train_mats = pl.frontend_features(cfg, pl.select(manifest, "target", "train"))
+    stats = pl.store(cfg, "norm_stats", pl.fit_norm(source_mats, train_mats))
+    if cfg.variant == "B":  # the source network is a variant A/C artifact
+        print(pl.artifact_path(cfg, "norm_stats.aecf"))
+        return
+    pl.store(cfg, "source_model",
+             pl.train_source(cfg, source_entries, source_mats, stats))
+    print(pl.artifact_path(cfg, "source_model.aecf"))
 
 
-def cmd_adapt(args):
-    cfg = _load_cfg(args)
-    manifest = load_manifest(args.manifest)
-    stats = load_model(os.path.join(cfg.out_dir, "norm_stats.aecf"))
-    entries = manifest.select(domain="target", split="train").entries
-    mats = pl._segment_features(entries, cfg)
-    sp = pl._norm_and_splice(mats, stats, cfg)
-    classes = sorted({e.label for e in entries})
-    label_to_idx = {c: i for i, c in enumerate(classes)}
-    x = np.vstack([m.values for m in sp])
-    y = np.array([label_to_idx[e.label] for e, m in zip(entries, sp)
-                  for _ in range(m.rows)])
-    norm_fp = cfg.frontend.fingerprint() + ":" + stats.fingerprint()
-    if cfg.variant in ("A", "C"):
-        source_model = load_model(os.path.join(cfg.out_dir, "source_model.aecf"))
-        trunk = strip_output(source_model.network)
-        composite = append_adaptation(trunk, cfg.tl1_dim, cfg.tl2_dim,
-                                      len(classes), seed=cfg.seed)
-        composite, _ = adapt(composite, x, y, cfg.target_train)
-    else:
-        from .network import LayerSpec, init_network
-        dims = [cfg.frontend.dims, *cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim]
-        specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
-        specs.append(LayerSpec(dims[-1], len(classes), "softmax"))
-        composite, _ = train(init_network(specs, seed=cfg.seed), x, y,
-                             cfg.target_train)
-    save_model(os.path.join(cfg.out_dir, "composite.aecf"), composite)
-    filt = build_filter(composite, cfg.variant, fingerprint=norm_fp)
-    save_model(os.path.join(cfg.out_dir, "filter.aecf"), filt)
-    print(os.path.join(cfg.out_dir, "filter.aecf"))
+def cmd_adapt(args, cfg):
+    entries = pl.select(load_manifest(args.manifest), "target", "train")
+    source_model = None if cfg.variant == "B" else _load(cfg, "source_model")
+    composite, filt = pl.adapt_filter(cfg, entries,
+                                      pl.frontend_features(cfg, entries),
+                                      _load(cfg, "norm_stats"), source_model)
+    pl.store(cfg, "composite", composite)
+    pl.store(cfg, "filter", filt)
+    print(pl.artifact_path(cfg, "filter.aecf"))
 
 
-def cmd_extract(args):
-    cfg = _load_cfg(args)
-    manifest = load_manifest(args.manifest)
-    stats = load_model(os.path.join(cfg.out_dir, "norm_stats.aecf"))
-    entries = manifest.select(domain="target", split=args.split).entries
-    path = _segment_feature_file(cfg, entries, stats,
-                                 f"features_{args.split}.npz")
-    print(path)
+def cmd_extract(args, cfg):
+    entries = pl.select(load_manifest(args.manifest), "target", args.split)
+    taps = pl.extract_taps(cfg, pl.frontend_features(cfg, entries),
+                           _load(cfg, "norm_stats"), _load(cfg, "filter"))
+    print(_save_features(cfg, args.split, entries, taps))
 
 
-def cmd_fit_transform(args):
-    cfg = _load_cfg(args)
-    mats, _, _, splits = _load_feature_file(
-        os.path.join(cfg.out_dir, "features_train.npz"))
-    assert all(s == "train" for s in splits)
-    if cfg.transform == "none":
+def cmd_fit_transform(args, cfg):
+    transform = pl.fit_transform(cfg, _load_features(cfg, "train")[0])
+    if transform is None:
         print("no transform configured")
         return
-    if cfg.transform == "dct":
-        model = DctSpec(n_points=mats[0].shape[1], n_keep=cfg.transform_dim)
-    else:
-        model = pca_fit(np.vstack(mats), out_dim=cfg.transform_dim)
-    save_model(os.path.join(cfg.out_dir, "transform.aecf"), model)
-    print(os.path.join(cfg.out_dir, "transform.aecf"))
+    pl.store(cfg, "transform", transform)
+    print(pl.artifact_path(cfg, "transform.aecf"))
 
 
-def _reduced(cfg, mats):
-    if cfg.transform == "none":
-        return mats
-    model = load_model(os.path.join(cfg.out_dir, "transform.aecf"))
-    return [pl._apply_transform(cfg.transform, model, m) for m in mats]
+def cmd_fit_classifier(args, cfg):
+    taps, labels, _ = _load_features(cfg, "train")
+    pl.store(cfg, "classifier",
+             pl.fit_classifier(cfg, _load_transform(cfg), taps, labels))
+    print(pl.artifact_path(cfg, "classifier.aecf"))
 
 
-def cmd_fit_classifier(args):
-    cfg = _load_cfg(args)
-    mats, labels, _, splits = _load_feature_file(
-        os.path.join(cfg.out_dir, "features_train.npz"))
-    assert all(s == "train" for s in splits)
-    mats = _reduced(cfg, mats)
-    classes = sorted(set(labels))
-    label_to_idx = {c: i for i, c in enumerate(classes)}
-    fms = [m if hasattr(m, "values") else pl.FeatureMatrix(m, mode="filter_tap")
-           for m in mats]
-    clf, _ = pl._fit_backend(cfg, fms, labels, label_to_idx)
-    save_model(os.path.join(cfg.out_dir, "classifier.aecf"), clf)
-    print(os.path.join(cfg.out_dir, "classifier.aecf"))
-
-
-def cmd_evaluate(args):
-    cfg = _load_cfg(args)
-    mats, labels, conditions, _ = _load_feature_file(
-        os.path.join(cfg.out_dir, "features_eval.npz"))
-    mats = _reduced(cfg, mats)
-    clf = load_model(os.path.join(cfg.out_dir, "classifier.aecf"))
-    kind = {"gmm": "log_lik", "svm": "decision_value", "dnn": "softmax"}[cfg.classifier]
-    classes = sorted(set(labels))
-    fms = [m if hasattr(m, "values") else pl.FeatureMatrix(m, mode="filter_tap")
-           for m in mats]
-    report = pl._evaluate(cfg, clf, kind, fms, labels, conditions, classes,
-                          cfg.fingerprint())
-    with open(os.path.join(cfg.out_dir, "report.json"), "w", encoding="utf-8") as f:
-        f.write(report.to_json())
+def cmd_evaluate(args, cfg):
+    taps, labels, conditions = _load_features(cfg, "eval")
+    classes = sorted(set(_load_features(cfg, "train")[1]))
+    report = pl.evaluate(cfg, _load_transform(cfg), _load(cfg, "classifier"),
+                         taps, labels, conditions, classes)
+    pl.write_report(cfg, report)
     print(render_report(report))
 
 
-def cmd_report(args):
-    cfg = _load_cfg(args)
+def cmd_report(args, cfg):
     path = args.report or os.path.join(cfg.out_dir, "report.json")
     with open(path, encoding="utf-8") as f:
         d = json.load(f)
@@ -239,17 +169,10 @@ def cmd_report(args):
     print(render_table(rows, d["conditions"]))
 
 
-def cmd_cross_validate(args):
-    cfg = _load_cfg(args)
-    mats, labels, _, splits = _load_feature_file(
-        os.path.join(cfg.out_dir, "features_train.npz"))
-    assert all(s == "train" for s in splits)
-    mats = [m.values if hasattr(m, "values") else m for m in _reduced(cfg, mats)]
-    grid = default_svm_grid(mats[0].shape[1])
-    best, table = cross_validate(mats, labels, grid,
-                                 svm_cv_eval_fn(seed=cfg.seed,
-                                                frame_step=cfg.svm_frame_step),
-                                 k=args.k, seed=cfg.seed)
+def cmd_cross_validate(args, cfg):
+    taps, labels, _ = _load_features(cfg, "train")
+    best, table = pl.select_svm_params(cfg, _load_transform(cfg), taps, labels,
+                                       k=args.k)
     print(json.dumps({"best": best, "fold_accuracies": table}, indent=2))
 
 
@@ -262,70 +185,54 @@ def build_parser():
     p.add_argument("--out", default=None, help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("synth-data", help="generate the synthetic benchmark corpus")
-    s.set_defaults(fn=cmd_synth_data)
+    def add(name, fn, help, manifest=True):
+        s = sub.add_parser(name, help=help)
+        if manifest:
+            s.add_argument("manifest")
+        s.set_defaults(fn=fn)
+        return s
 
-    s = sub.add_parser("prepare-source", help="normalize source classes to a length budget")
-    s.add_argument("manifest")
+    add("synth-data", cmd_synth_data, "generate the synthetic benchmark corpus",
+        manifest=False)
+    s = add("prepare-source", cmd_prepare_source,
+            "normalize source classes to a length budget")
     s.add_argument("--target-seconds", type=float, default=800.0)
     s.add_argument("--rir-wav", default=None)
     s.add_argument("--rt60", type=float, default=0.7)
     s.add_argument("--rir-length", type=float, default=0.5,
                    help="synthetic impulse-response length [s]")
-    s.set_defaults(fn=cmd_prepare_source)
-
-    s = sub.add_parser("prepare-conditions", help="create noisy eval conditions")
-    s.add_argument("manifest")
+    s = add("prepare-conditions", cmd_prepare_conditions,
+            "create noisy eval conditions")
     s.add_argument("--noise", nargs="+", required=True)
     s.add_argument("--snr", nargs="+", type=float, default=[5, 10, 15])
-    s.set_defaults(fn=cmd_prepare_conditions)
-
-    s = sub.add_parser("run", help="run every stage end to end")
-    s.add_argument("manifest")
-    s.set_defaults(fn=cmd_run)
-
-    s = sub.add_parser("train-source", help="fit norm stats and the source network")
-    s.add_argument("manifest")
-    s.set_defaults(fn=cmd_train_source)
-
-    s = sub.add_parser("adapt", help="surgery + target adaptation, builds the filter")
-    s.add_argument("manifest")
-    s.set_defaults(fn=cmd_adapt)
-
-    s = sub.add_parser("extract", help="tap filter features for a manifest split")
-    s.add_argument("manifest")
+    add("run", cmd_run, "run every stage end to end")
+    add("train-source", cmd_train_source,
+        "fit norm stats and, for variants A/C, the source network")
+    add("adapt", cmd_adapt, "surgery + target adaptation, builds the filter")
+    s = add("extract", cmd_extract, "tap filter features for a manifest split")
     s.add_argument("--split", choices=["train", "eval"], default="train")
-    s.set_defaults(fn=cmd_extract)
-
-    s = sub.add_parser("fit-transform", help="fit DCT/PCA on training features")
-    s.set_defaults(fn=cmd_fit_transform)
-
-    s = sub.add_parser("fit-classifier", help="fit the back-end classifier")
-    s.set_defaults(fn=cmd_fit_classifier)
-
-    s = sub.add_parser("evaluate", help="score eval features per condition")
-    s.set_defaults(fn=cmd_evaluate)
-
-    s = sub.add_parser("report", help="render a saved report.json")
+    add("fit-transform", cmd_fit_transform, "fit DCT/PCA on training features",
+        manifest=False)
+    add("fit-classifier", cmd_fit_classifier, "fit the back-end classifier",
+        manifest=False)
+    add("evaluate", cmd_evaluate, "score eval features per condition",
+        manifest=False)
+    s = add("report", cmd_report, "render a saved report.json", manifest=False)
     s.add_argument("--report", default=None)
-    s.set_defaults(fn=cmd_report)
-
-    s = sub.add_parser("cross-validate", help="5-fold SVM hyperparameter search")
+    s = add("cross-validate", cmd_cross_validate,
+            "5-fold SVM hyperparameter search", manifest=False)
     s.add_argument("--k", type=int, default=5)
-    s.set_defaults(fn=cmd_cross_validate)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        args.fn(args)
+        with pl._stage(args.command):
+            args.fn(args, _load_cfg(args))
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except AecError as e:
-        print(f"error [{args.command}]: {e}", file=sys.stderr)
-        return 1
     return 0
 
 

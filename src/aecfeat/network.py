@@ -122,6 +122,15 @@ def init_network(specs, seed=0):
     return Network(layers, rng_seed=seed)
 
 
+def init_mlp(in_dim, hidden, n_classes, seed=0):
+    """Sigmoid hidden layers of the given widths under a softmax head,
+    initialized by `init_network`."""
+    dims = [in_dim, *hidden]
+    specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
+    specs.append(LayerSpec(dims[-1], n_classes, "softmax"))
+    return init_network(specs, seed=seed)
+
+
 def _sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0

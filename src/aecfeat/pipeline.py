@@ -1,7 +1,8 @@
-"""End-to-end orchestration: frontend -> normalization -> source training ->
-transfer surgery -> adaptation -> filter tap -> transform -> classifier ->
-per-condition evaluation, with every artifact stamped by the config
-fingerprint and seed."""
+"""Pipeline stages, one function each: frontend -> normalization -> source
+training -> surgery and adaptation -> filter tap -> transform ->
+classifier -> per-condition evaluation. `run_pipeline` chains them and the
+staged CLI calls them one at a time; every artifact is stamped by the
+config fingerprint and seed."""
 
 import hashlib
 import json
@@ -14,36 +15,17 @@ from typing import List, Optional
 import numpy as np
 
 from .audio import read_wav
-from .classifiers import (
-    classify_segment,
-    dnn_classifier_fit,
-    dnn_score_matrix,
-    gmm_fit,
-    gmm_score_matrix,
-    svm_fit,
-    svm_score_matrix,
-)
+from .classifiers import (classify_segment, dnn_classifier_fit,
+                          dnn_score_matrix, gmm_fit, gmm_score_matrix,
+                          svm_fit, svm_score_matrix)
 from .errors import FingerprintMismatch, StageError, TooFewSamples
-from .frontend import (
-    FeatureMatrix,
-    FrontendConfig,
-    apply_norm,
-    fit_norm_stats,
-    make_frontend_features,
-    splice,
-)
-from .manifest import Manifest
-from .network import LayerSpec, Network, TrainConfig, init_network, train
+from .frontend import (FeatureMatrix, FrontendConfig, apply_norm,
+                       fit_norm_stats, make_frontend_features, splice)
+from .network import TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
-from .serialize import save_model
-from .transfer import (
-    SourceModel,
-    adapt,
-    append_adaptation,
-    build_filter,
-    extract,
-    strip_output,
-)
+from .serialize import load_model, save_model
+from .transfer import (SourceModel, adapt, append_adaptation, build_filter,
+                       extract, strip_output)
 from .transforms import DctSpec, dct_apply, pca_apply, pca_fit
 
 logger = logging.getLogger(__name__)
@@ -115,7 +97,34 @@ def _stage(name):
         raise StageError(name, e) from e
 
 
-def _segment_features(entries, cfg):
+def select(manifest, domain, split=None):
+    return manifest.select(domain=domain, split=split).entries
+
+
+def artifact_path(cfg, name):
+    return os.path.join(cfg.out_dir, name)
+
+
+def store(cfg, name, model):
+    """Save `model` as <out_dir>/<name>.aecf, stamped with the config
+    fingerprint and seed, and return it as stored: every stage consumes
+    the float32 parameters the file holds, never the in-memory float64
+    ones, so the `.aecf` files reproduce the run that wrote them."""
+    path = artifact_path(cfg, name + ".aecf")
+    save_model(path, model, {"config_fingerprint": cfg.fingerprint(),
+                             "seed": cfg.seed})
+    return load_model(path)
+
+
+def write_report(cfg, report):
+    """Write report.json and report.txt to the output directory."""
+    with open(artifact_path(cfg, "report.json"), "w", encoding="utf-8") as f:
+        f.write(report.to_json())
+    with open(artifact_path(cfg, "report.txt"), "w", encoding="utf-8") as f:
+        f.write(render_report(report) + "\n")
+
+
+def frontend_features(cfg, entries):
     """Unspliced frontend features per manifest entry."""
     out = []
     for e in entries:
@@ -126,201 +135,142 @@ def _segment_features(entries, cfg):
     return out
 
 
+def fit_norm(source_mats, train_mats):
+    """Stage 1: z-score statistics pooled over source and target-train
+    frames only, never eval."""
+    return fit_norm_stats(source_mats + train_mats,
+                          source_tags=("source", "target_train"))
+
+
+def _norm_fingerprint(cfg, stats):
+    return cfg.frontend.fingerprint() + ":" + stats.fingerprint()
+
+
 def _norm_and_splice(mats, stats, cfg):
     return [splice(apply_norm(fm, stats), cfg.frontend.splice_context)
             for fm in mats]
 
 
-def _pool(mats):
-    return np.vstack([m.values for m in mats])
-
-
-def _train_source_network(cfg, source_mats, source_labels, classes, stats):
+def _pooled(mats, labels):
+    """All frames stacked, the index of each frame's label in the sorted
+    label set, and that set."""
+    classes = sorted(set(labels))
     label_to_idx = {c: i for i, c in enumerate(classes)}
-    x = _pool(source_mats)
-    y = np.array([label_to_idx[l] for l, m in zip(source_labels, source_mats)
+    x = np.vstack([m.values for m in mats])
+    y = np.array([label_to_idx[l] for l, m in zip(labels, mats)
                   for _ in range(m.rows)])
-    dims = [cfg.frontend.dims, *cfg.sl_widths]
-    specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
-    specs.append(LayerSpec(dims[-1], len(classes), "softmax"))
-    net = init_network(specs, seed=cfg.seed)
-    net, report = train(net, x, y, cfg.source_train)
-    fp = cfg.frontend.fingerprint() + ":" + stats.fingerprint()
-    return SourceModel(net, classes=classes, fingerprint=fp), report
+    return x, y, classes
 
 
-def _apply_transform(transform_kind, model, fm):
-    if transform_kind == "none" or model is None:
-        return fm
-    if transform_kind == "dct":
-        return dct_apply(model, fm)
-    return pca_apply(model, fm)
+def train_source(cfg, source_entries, source_mats, stats):
+    """Stage 2 (variants A/C): the source network, stamped with the
+    frontend and normalization fingerprint."""
+    if not source_entries:
+        raise TooFewSamples("variants A/C require source-domain entries")
+    x, y, classes = _pooled(_norm_and_splice(source_mats, stats, cfg),
+                            [e.label for e in source_entries])
+    net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
+    net, _ = train(net, x, y, cfg.source_train)
+    return SourceModel(net, classes=classes,
+                       fingerprint=_norm_fingerprint(cfg, stats))
 
 
-def run_pipeline(cfg, manifest):
-    """Execute every stage on one manifest (source + target entries) and
-    return (EvalReport, artifact paths)."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    paths = {}
-    fp = cfg.fingerprint()
-    extra = {"config_fingerprint": fp, "seed": cfg.seed}
-
-    with _stage("load-manifest"):
-        source_entries = manifest.select(domain="source").entries
-        target_train_entries = manifest.select(domain="target", split="train").entries
-        target_eval_entries = manifest.select(domain="target", split="eval").entries
-        if not target_train_entries:
-            raise TooFewSamples("no target training entries")
-        target_classes = sorted({e.label for e in target_train_entries})
-        label_to_idx = {c: i for i, c in enumerate(target_classes)}
-
-    with _stage("frontend"):
-        source_mats = _segment_features(source_entries, cfg)
-        train_mats = _segment_features(target_train_entries, cfg)
-        eval_mats = _segment_features(target_eval_entries, cfg)
-
-    with _stage("norm-stats"):
-        # pooled over source and target-train frames only, never eval
-        stats = fit_norm_stats(source_mats + train_mats,
-                               source_tags=("source", "target_train"))
-        paths["norm_stats"] = os.path.join(cfg.out_dir, "norm_stats.aecf")
-        save_model(paths["norm_stats"], stats, extra)
-        norm_fp = cfg.frontend.fingerprint() + ":" + stats.fingerprint()
-
-    with _stage("normalize"):
-        source_sp = _norm_and_splice(source_mats, stats, cfg)
-        train_sp = _norm_and_splice(train_mats, stats, cfg)
-        eval_sp = _norm_and_splice(eval_mats, stats, cfg)
-        train_x = _pool(train_sp)
-        train_y = np.array([label_to_idx[e.label]
-                            for e, m in zip(target_train_entries, train_sp)
-                            for _ in range(m.rows)])
-
+def adapt_filter(cfg, train_entries, train_mats, stats, source_model=None):
+    """Stage 3: surgery and adaptation on target-train data (variants A/C),
+    or the same five-layer stack trained on target data only (B). Returns
+    (composite, filter)."""
+    if not train_entries:
+        raise TooFewSamples("no target training entries")
+    norm_fp = _norm_fingerprint(cfg, stats)
+    if cfg.variant in ("A", "C") and source_model.fingerprint != norm_fp:
+        raise FingerprintMismatch("source model was trained with "
+                                  "different frontend/normalization")
+    x, y, classes = _pooled(_norm_and_splice(train_mats, stats, cfg),
+                            [e.label for e in train_entries])
     if cfg.variant in ("A", "C"):
-        with _stage("train-source"):
-            if not source_entries:
-                raise TooFewSamples("variants A/C require source-domain entries")
-            source_classes = sorted({e.label for e in source_entries})
-            source_labels = [e.label for e in source_entries]
-            source_model, _ = _train_source_network(
-                cfg, source_sp, source_labels, source_classes, stats)
-            paths["source_model"] = os.path.join(cfg.out_dir, "source_model.aecf")
-            save_model(paths["source_model"], source_model, extra)
-        with _stage("surgery"):
-            if source_model.fingerprint != norm_fp:
-                raise FingerprintMismatch("source model was trained with "
-                                          "different frontend/normalization")
-            trunk = strip_output(source_model.network)
-            composite = append_adaptation(trunk, cfg.tl1_dim, cfg.tl2_dim,
-                                          len(target_classes), seed=cfg.seed)
-        with _stage("adapt"):
-            composite, _ = adapt(composite, train_x, train_y, cfg.target_train)
-    else:  # variant B: the same stack trained on target data only
-        with _stage("train-target-only"):
-            logger.info("variant B: skipping source training, "
-                        "training all five layers on target data")
-            dims = [cfg.frontend.dims, *cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim]
-            specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
-            specs.append(LayerSpec(dims[-1], len(target_classes), "softmax"))
-            composite = init_network(specs, seed=cfg.seed)
-            composite, _ = train(composite, train_x, train_y, cfg.target_train)
-
-    with _stage("build-filter"):
-        paths["composite"] = os.path.join(cfg.out_dir, "composite.aecf")
-        save_model(paths["composite"], composite, extra)
-        filt = build_filter(composite, cfg.variant, fingerprint=norm_fp)
-        paths["filter"] = os.path.join(cfg.out_dir, "filter.aecf")
-        save_model(paths["filter"], filt, extra)
-
-    with _stage("extract"):
-        for fm in train_sp + eval_sp:
-            if fm.norm_fingerprint != stats.fingerprint():
-                raise FingerprintMismatch("features were normalized with "
-                                          "different statistics")
-        train_feats = [extract(filt, fm) for fm in train_sp]
-        eval_feats = [extract(filt, fm) for fm in eval_sp]
-
-    with _stage("fit-transform"):
-        transform_model = None
-        if cfg.transform == "dct":
-            transform_model = DctSpec(n_points=filt.tap_dim,
-                                      n_keep=cfg.transform_dim)
-        elif cfg.transform == "pca":
-            assert all(m.split == "train" for m in train_feats)
-            pooled = FeatureMatrix(_pool(train_feats), mode="filter_tap")
-            transform_model = pca_fit(pooled, out_dim=cfg.transform_dim)
-        if transform_model is not None:
-            paths["transform"] = os.path.join(cfg.out_dir, "transform.aecf")
-            save_model(paths["transform"], transform_model, extra)
-        train_red = [_apply_transform(cfg.transform, transform_model, m)
-                     for m in train_feats]
-        eval_red = [_apply_transform(cfg.transform, transform_model, m)
-                    for m in eval_feats]
-
-    with _stage("fit-classifier"):
-        assert all(m.split == "train" for m in train_red)
-        clf, score_kind = _fit_backend(cfg, train_red,
-                                       [e.label for e in target_train_entries],
-                                       label_to_idx)
-        paths["classifier"] = os.path.join(cfg.out_dir, "classifier.aecf")
-        save_model(paths["classifier"], clf, extra)
-
-    with _stage("evaluate"):
-        report = _evaluate(cfg, clf, score_kind, eval_red,
-                           [e.label for e in target_eval_entries],
-                           [e.condition for e in target_eval_entries],
-                           target_classes, fp)
-        paths["report_json"] = os.path.join(cfg.out_dir, "report.json")
-        with open(paths["report_json"], "w", encoding="utf-8") as f:
-            f.write(report.to_json())
-        paths["report_txt"] = os.path.join(cfg.out_dir, "report.txt")
-        with open(paths["report_txt"], "w", encoding="utf-8") as f:
-            f.write(render_report(report) + "\n")
-    return report, paths
+        trunk = strip_output(source_model.network)
+        composite = append_adaptation(trunk, cfg.tl1_dim, cfg.tl2_dim,
+                                      len(classes), seed=cfg.seed)
+        composite, _ = adapt(composite, x, y, cfg.target_train)
+    else:
+        logger.info("variant B: skipping source training, "
+                    "training all five layers on target data")
+        composite = init_mlp(cfg.frontend.dims,
+                             (*cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim),
+                             len(classes), seed=cfg.seed)
+        composite, _ = train(composite, x, y, cfg.target_train)
+    return composite, build_filter(composite, cfg.variant, fingerprint=norm_fp)
 
 
-def _fit_backend(cfg, train_red, seg_labels, label_to_idx):
-    x = _pool(train_red)
-    y = np.array([label_to_idx[l] for l, m in zip(seg_labels, train_red)
-                  for _ in range(m.rows)])
+def extract_taps(cfg, mats, stats, filt):
+    """Stage 4: filter taps for every frame of each segment."""
+    if filt.fingerprint != _norm_fingerprint(cfg, stats):
+        raise FingerprintMismatch("filter was built with different "
+                                  "frontend/normalization")
+    return [extract(filt, fm) for fm in _norm_and_splice(mats, stats, cfg)]
+
+
+def _require_train(taps):
+    if any(m.split != "train" for m in taps):
+        raise ValueError("training features include non-train segments")
+
+
+def fit_transform(cfg, train_taps):
+    """Stage 5: the DCT or PCA model, or None for transform 'none'."""
+    _require_train(train_taps)
+    if cfg.transform == "dct":
+        return DctSpec(n_points=train_taps[0].dims, n_keep=cfg.transform_dim)
+    if cfg.transform == "pca":
+        pooled = FeatureMatrix(np.vstack([m.values for m in train_taps]),
+                               mode="filter_tap")
+        return pca_fit(pooled, out_dim=cfg.transform_dim)
+    return None
+
+
+def _reduce(transform, taps):
+    if transform is None:
+        return taps
+    apply = dct_apply if isinstance(transform, DctSpec) else pca_apply
+    return [apply(transform, m) for m in taps]
+
+
+def fit_classifier(cfg, transform, train_taps, labels):
+    """Stage 6: the back-end classifier on transformed training taps."""
+    _require_train(train_taps)
+    x, y, classes = _pooled(_reduce(transform, train_taps), labels)
     if cfg.classifier == "gmm":
-        per_class = {label: x[y == idx]
-                     for label, idx in label_to_idx.items()}
-        model = gmm_fit(per_class, k=cfg.gmm_k, seed=cfg.seed)
-        return model, "log_lik"
+        per_class = {label: x[y == idx] for idx, label in enumerate(classes)}
+        return gmm_fit(per_class, k=cfg.gmm_k, seed=cfg.seed)
     if cfg.classifier == "svm":
         step = max(1, cfg.svm_frame_step)
         gamma = cfg.svm_gamma if cfg.svm_gamma is not None else 1.0 / x.shape[1]
-        model = svm_fit(x[::step], y[::step], c=cfg.svm_c, gamma=gamma,
-                        seed=cfg.seed)
-        return model, "decision_value"
+        return svm_fit(x[::step], y[::step], c=cfg.svm_c, gamma=gamma)
     model, _ = dnn_classifier_fit(x, y, cfg.target_train, hidden=cfg.dnn_hidden)
-    return model, "softmax"
+    return model
 
 
-def _score_frames(clf, kind, values):
-    if kind == "log_lik":
-        return gmm_score_matrix(clf, values)
-    if kind == "decision_value":
-        return svm_score_matrix(clf, values)
-    return dnn_score_matrix(clf, values)
-
-
-def _evaluate(cfg, clf, score_kind, eval_red, seg_labels, seg_conditions,
-              classes, fp):
-    conditions = sorted(set(seg_conditions)) or ["clean"]
+def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
+    """Stage 7: per-condition segment accuracy and confusion counts.
+    `classes` is the sorted training label set, the classifier's classes."""
+    # (score kind for classify_segment, per-frame scorer); built per call,
+    # so a scorer rebound on this module is the one used
+    score_kind, score_frames = {
+        "gmm": ("log_lik", gmm_score_matrix),
+        "svm": ("decision_value", svm_score_matrix),
+        "dnn": ("softmax", dnn_score_matrix)}[cfg.classifier]
+    cond_names = sorted(set(conditions)) or ["clean"]
+    class_order = classes
     if score_kind == "log_lik":
         class_order = clf.classes
     elif score_kind == "decision_value":
         # svm classes are the integer label indices in sorted order
         class_order = [classes[i] for i in clf.classes]
-    else:
-        class_order = classes
 
-    per_cc = {c: {cls: [0, 0] for cls in classes} for c in conditions}
-    confusion = {c: [[0] * len(classes) for _ in classes] for c in conditions}
-    for label, condition, fm in zip(seg_labels, seg_conditions, eval_red):
-        scores = _score_frames(clf, score_kind, fm.values)
+    per_cc = {c: {cls: [0, 0] for cls in classes} for c in cond_names}
+    confusion = {c: [[0] * len(classes) for _ in classes] for c in cond_names}
+    for label, condition, fm in zip(labels, conditions,
+                                    _reduce(transform, eval_taps)):
+        scores = score_frames(clf, fm.values)
         decision = classify_segment(scores, score_kind,
                                     log_domain=cfg.accumulate_log_domain)
         pred_label = class_order[decision.winner]
@@ -329,9 +279,73 @@ def _evaluate(cfg, clf, score_kind, eval_red, seg_labels, seg_conditions,
         if pred_label == label:
             stats[0] += 1
         confusion[condition][classes.index(label)][classes.index(pred_label)] += 1
-    return EvalReport(conditions=conditions, classes=list(classes),
+    return EvalReport(conditions=cond_names, classes=list(classes),
                       per_condition_class=per_cc, confusion=confusion,
-                      config_fingerprint=fp, variant=cfg.variant)
+                      config_fingerprint=cfg.fingerprint(), variant=cfg.variant)
+
+
+def run_pipeline(cfg, manifest):
+    """Execute every stage on one manifest (source + target entries) and
+    return (EvalReport, artifact paths). Each stage consumes the artifacts
+    earlier stages stored, exactly as the staged subcommands do."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+
+    with _stage("load-manifest"):
+        source_entries = select(manifest, "source")
+        train_entries = select(manifest, "target", "train")
+        eval_entries = select(manifest, "target", "eval")
+        if not train_entries:
+            raise TooFewSamples("no target training entries")
+        train_labels = [e.label for e in train_entries]
+
+    with _stage("frontend"):
+        source_mats = frontend_features(cfg, source_entries)
+        train_mats = frontend_features(cfg, train_entries)
+        eval_mats = frontend_features(cfg, eval_entries)
+
+    with _stage("norm-stats"):
+        stats = store(cfg, "norm_stats", fit_norm(source_mats, train_mats))
+    names = ["norm_stats"]
+
+    source_model = None
+    if cfg.variant in ("A", "C"):
+        with _stage("train-source"):
+            source_model = store(cfg, "source_model", train_source(
+                cfg, source_entries, source_mats, stats))
+        names.append("source_model")
+
+    with _stage("adapt"):
+        composite, filt = adapt_filter(cfg, train_entries, train_mats, stats,
+                                       source_model)
+        store(cfg, "composite", composite)
+        filt = store(cfg, "filter", filt)
+    names += ["composite", "filter"]
+
+    with _stage("extract"):
+        train_taps = extract_taps(cfg, train_mats, stats, filt)
+        eval_taps = extract_taps(cfg, eval_mats, stats, filt)
+
+    with _stage("fit-transform"):
+        transform = fit_transform(cfg, train_taps)
+        if transform is not None:
+            transform = store(cfg, "transform", transform)
+            names.append("transform")
+
+    with _stage("fit-classifier"):
+        clf = store(cfg, "classifier",
+                    fit_classifier(cfg, transform, train_taps, train_labels))
+    names.append("classifier")
+
+    with _stage("evaluate"):
+        report = evaluate(cfg, transform, clf, eval_taps,
+                          [e.label for e in eval_entries],
+                          [e.condition for e in eval_entries],
+                          sorted(set(train_labels)))
+        write_report(cfg, report)
+    paths = {n: artifact_path(cfg, n + ".aecf") for n in names}
+    paths.update(report_json=artifact_path(cfg, "report.json"),
+                 report_txt=artifact_path(cfg, "report.txt"))
+    return report, paths
 
 
 def cross_validate(items, labels, grid, eval_fn, k=5, seed=0):
@@ -375,7 +389,7 @@ def cross_validate(items, labels, grid, eval_fn, k=5, seed=0):
     return grid[best], fold_table
 
 
-def svm_cv_eval_fn(c_and_gamma_key=("c", "gamma"), seed=0, frame_step=1):
+def svm_cv_eval_fn(frame_step=1):
     """eval_fn for cross_validate: fits one-vs-rest SVMs on the frames of
     the training segments and scores segment accuracy on the rest."""
 
@@ -383,8 +397,7 @@ def svm_cv_eval_fn(c_and_gamma_key=("c", "gamma"), seed=0, frame_step=1):
         x = np.vstack([m[::frame_step] for m in train_items])
         y = np.concatenate([[l] * len(m[::frame_step])
                             for m, l in zip(train_items, train_labels)])
-        model = svm_fit(x, y, c=params[c_and_gamma_key[0]],
-                        gamma=params[c_and_gamma_key[1]], seed=seed)
+        model = svm_fit(x, y, c=params["c"], gamma=params["gamma"])
         correct = 0
         for m, l in zip(val_items, val_labels):
             scores = svm_score_matrix(model, m)
@@ -399,3 +412,13 @@ def default_svm_grid(feature_dim):
     """C in {1, 10, 100} x gamma in {0.1, 1, 10}/dim."""
     return [{"c": c, "gamma": g / feature_dim}
             for c in (1.0, 10.0, 100.0) for g in (0.1, 1.0, 10.0)]
+
+
+def select_svm_params(cfg, transform, train_taps, labels, k=5):
+    """k-fold search of the default SVM grid on transformed training taps;
+    returns (best params, per-grid-point fold accuracies)."""
+    _require_train(train_taps)
+    mats = [m.values for m in _reduce(transform, train_taps)]
+    return cross_validate(mats, labels, default_svm_grid(mats[0].shape[1]),
+                          svm_cv_eval_fn(frame_step=cfg.svm_frame_step),
+                          k=k, seed=cfg.seed)

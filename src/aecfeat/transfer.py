@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimMismatch, NoHead, UnknownVariant
 from .frontend import FeatureMatrix
-from .network import Layer, LayerSpec, Network, init_network, forward, train
+from .network import Layer, Network, init_mlp, train
 
 VARIANTS = ("A", "B", "C")
 
@@ -77,14 +77,8 @@ def append_adaptation(trunk, tl1_dim, tl2_dim, n_target_classes, seed=0):
         raise ValueError("dims must be positive")
     frozen = [Layer(l.w.copy(), l.b.copy(), l.activation, frozen=True)
               for l in trunk.layers]
-    new = init_network(
-        [
-            LayerSpec(trunk.out_dim, tl1_dim, "sigmoid"),
-            LayerSpec(tl1_dim, tl2_dim, "sigmoid"),
-            LayerSpec(tl2_dim, n_target_classes, "softmax"),
-        ],
-        seed=seed,
-    )
+    new = init_mlp(trunk.out_dim, (tl1_dim, tl2_dim), n_target_classes,
+                   seed=seed)
     return Network(frozen + new.layers, rng_seed=seed)
 
 

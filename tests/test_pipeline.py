@@ -7,7 +7,7 @@ import pytest
 from aecfeat.audio import AudioSegment, read_wav, write_wav
 from aecfeat.errors import StageError, TooFewSamples
 from aecfeat.frontend import FrontendConfig
-from aecfeat.manifest import Manifest, ManifestEntry, load_manifest
+from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import TrainConfig
 from aecfeat.pipeline import RunConfig, cross_validate, run_pipeline
 from aecfeat.prepare import prepare_conditions, prepare_source
@@ -221,6 +221,35 @@ def tiny_corpus(tmp_path_factory):
     return root, manifest
 
 
+@pytest.fixture(scope="module")
+def one_eval_class_corpus(tmp_path_factory):
+    """Three target classes, but the eval split holds only tgt00."""
+    root = tmp_path_factory.mktemp("corpus3")
+    full = generate_dataset(
+        root, n_source_classes=3, n_target_classes=3,
+        source_segments_per_class=2, target_train_per_class=3,
+        target_eval_per_class=2, segment_s=0.5, seed=0)
+    manifest = Manifest([e for e in full.entries
+                         if e.split == "train" or e.label == "tgt00"])
+    save_manifest(manifest, root / "manifest.csv")
+    return root, manifest
+
+
+STAGED_CHAIN = (["train-source", "MANIFEST"], ["adapt", "MANIFEST"],
+                ["extract", "MANIFEST", "--split", "train"],
+                ["extract", "MANIFEST", "--split", "eval"],
+                ["fit-transform"], ["fit-classifier"], ["evaluate"])
+
+
+def run_staged(cfg, manifest_path, cfg_path, chain=STAGED_CHAIN):
+    """Run CLI subcommands in order; returns the exit codes."""
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    base = ["--config", str(cfg_path), "--out", cfg.out_dir]
+    return [cli.main(base + [str(manifest_path) if a == "MANIFEST" else a
+                             for a in argv])
+            for argv in chain]
+
+
 class TestRunPipeline:
     def test_artifacts_and_report(self, tiny_corpus, tmp_path):
         _, manifest = tiny_corpus
@@ -299,3 +328,48 @@ class TestCli:
                        str(tmp_path / "nope.csv")])
         assert rc != 0
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corpus,variant", [
+        ("tiny_corpus", "C"), ("tiny_corpus", "B"),
+        ("one_eval_class_corpus", "C")])
+    def test_staged_chain_matches_run(self, corpus, variant, request, tmp_path):
+        root, manifest = request.getfixturevalue(corpus)
+        _, paths = run_pipeline(tiny_config(tmp_path / "run", variant=variant),
+                                manifest)
+        staged = tmp_path / "staged"
+        codes = run_staged(tiny_config(staged, variant=variant),
+                           root / "manifest.csv", tmp_path / "cfg.json")
+        assert codes == [0] * len(STAGED_CHAIN)
+        assert ((staged / "report.json").read_text()
+                == open(paths["report_json"]).read())
+        names = ["norm_stats", "composite", "filter", "transform", "classifier"]
+        if variant == "C":
+            names.append("source_model")
+        else:
+            assert not (staged / "source_model.aecf").exists()
+        for name in names:
+            assert ((staged / f"{name}.aecf").read_bytes()
+                    == open(paths[name], "rb").read()), name
+
+    def test_staged_window_mismatch_is_rejected(self, tiny_corpus, tmp_path,
+                                                capsys):
+        root, _ = tiny_corpus
+        cfg = tiny_config(tmp_path / "out")
+        man = root / "manifest.csv"
+        assert run_staged(cfg, man, tmp_path / "cfg.json",
+                          chain=[["train-source", "MANIFEST"]]) == [0]
+        cfg.frontend = FrontendConfig(window="rectangular")
+        assert run_staged(cfg, man, tmp_path / "cfg.json",
+                          chain=[["adapt", "MANIFEST"]]) == [2]
+        err = capsys.readouterr().err
+        assert "stage 'adapt'" in err
+        assert "different frontend/normalization" in err
+
+    def test_adapt_without_upstream_artifacts(self, tiny_corpus, tmp_path,
+                                              capsys):
+        root, _ = tiny_corpus
+        rc = cli.main(["--out", str(tmp_path / "empty"), "adapt",
+                       str(root / "manifest.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "adapt" in err and "Traceback" not in err
