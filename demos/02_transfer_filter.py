@@ -57,7 +57,7 @@ acc = np.mean(np.argmax(predict(comp, xt), axis=1) == yt)
 print(f"adapted network: {rep.final_epoch} epochs, target accuracy {acc:.2f}")
 
 # 4. filter variants tap the last appended layer
-fm = FeatureMatrix(xt[:5], mode="dft_mag")
+fm = FeatureMatrix(xt[:5])
 feat_c = extract(build_filter(comp, "C"), fm).values   # pre-activation tap
 feat_a = extract(build_filter(comp, "A"), fm).values   # post-sigmoid tap
 print("variant C (linear tap) range:",

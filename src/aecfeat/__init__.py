@@ -19,16 +19,13 @@ from .classifiers import (
     classify_segment,
     dnn_classifier_fit,
     gmm_fit,
-    gmm_frame_scores,
     svm_fit,
-    svm_frame_scores,
 )
 from .frontend import (
     FeatureMatrix,
     FrontendConfig,
     NormStats,
     apply_norm,
-    dft_magnitude,
     fit_norm_stats,
     frame_signal,
     make_frontend_features,

@@ -13,7 +13,7 @@ argmax; ties go to the lowest class index.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 from scipy.special import logsumexp
@@ -66,22 +66,7 @@ def _gmm_log_prob(x, weights, means, variances):
             - 0.5 * mahal)
 
 
-def _kmeans_centers(x, k, rng, iters=10):
-    centers = x[rng.choice(len(x), size=k, replace=False)].copy()
-    for _ in range(iters):
-        d2 = (np.sum(x * x, axis=1)[:, None]
-              + np.sum(centers * centers, axis=1)[None, :]
-              - 2.0 * x @ centers.T)
-        assign = np.argmin(d2, axis=1)
-        for j in range(k):
-            sel = assign == j
-            if np.any(sel):
-                centers[j] = x[sel].mean(axis=0)
-    return centers
-
-
-def _fit_one_gmm(x, k, rng, max_iter=200, rel_tol=1e-6, floor_frac=1e-3,
-                 init="random"):
+def _fit_one_gmm(x, k, rng, max_iter=200, rel_tol=1e-6, floor_frac=1e-3):
     n, d = x.shape
     if n < k:
         raise TooFewFrames(
@@ -89,10 +74,7 @@ def _fit_one_gmm(x, k, rng, max_iter=200, rel_tol=1e-6, floor_frac=1e-3,
         )
     global_var = np.maximum(x.var(axis=0), 1e-12)
     floor = floor_frac * global_var
-    if init == "kmeans":
-        means = _kmeans_centers(x, k, rng)
-    else:
-        means = x[rng.choice(n, size=k, replace=False)].copy()
+    means = x[rng.choice(n, size=k, replace=False)].copy()
     variances = np.tile(np.maximum(global_var, floor), (k, 1))
     weights = np.full(k, 1.0 / k)
     history = []
@@ -116,8 +98,7 @@ def _fit_one_gmm(x, k, rng, max_iter=200, rel_tol=1e-6, floor_frac=1e-3,
     return GmmClassModel(weights, means, variances, history)
 
 
-def gmm_fit(features_per_class, k=512, seed=0, max_iter=200, rel_tol=1e-6,
-            init="random"):
+def gmm_fit(features_per_class, k=512, seed=0, max_iter=200, rel_tol=1e-6):
     """Fit one diagonal-covariance GMM per class by EM.
 
     Means start from a seeded random frame sample, variances from the
@@ -134,7 +115,7 @@ def gmm_fit(features_per_class, k=512, seed=0, max_iter=200, rel_tol=1e-6,
         if x.shape[0] == 0:
             raise EmptyClass(f"class {label!r} has no frames")
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        per_class[label] = _fit_one_gmm(x, k, rng, max_iter, rel_tol, init=init)
+        per_class[label] = _fit_one_gmm(x, k, rng, max_iter, rel_tol)
     return GmmModel(classes=classes, per_class=per_class)
 
 
@@ -148,11 +129,6 @@ def gmm_score_matrix(model, values):
         m = model.per_class[label]
         cols.append(logsumexp(_gmm_log_prob(x, m.weights, m.means, m.variances), axis=1))
     return np.column_stack(cols)
-
-
-def gmm_frame_scores(model, frame):
-    """Per-class log-likelihood of a single frame."""
-    return gmm_score_matrix(model, np.atleast_2d(frame))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +300,8 @@ def svm_fit(features, labels, c=10.0, gamma=0.01, tol=1e-3):
 
 def svm_score_matrix(model, values):
     """(rows, classes) decision values of every one-vs-rest machine."""
+    if not model.machines:
+        raise EmptyClass("model has no fitted machines")
     x = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if x.shape[1] != model.dims:
         raise DimMismatch(f"frame dims {x.shape[1]} != model dims {model.dims}")
@@ -336,13 +314,6 @@ def svm_score_matrix(model, values):
         else:
             cols.append(np.full(x.shape[0], m.bias))
     return np.column_stack(cols)
-
-
-def svm_frame_scores(model, frame):
-    """Per-class decision values for a single frame."""
-    if not model.machines:
-        raise EmptyClass("model has no fitted machines")
-    return svm_score_matrix(model, np.atleast_2d(frame))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +344,11 @@ class SegmentDecision:
     n_frames: int
 
 
-def classify_segment(frame_scores, kind, log_domain=True):
+def classify_segment(frame_scores, kind):
     """Accumulate per-frame scores over a segment and pick the argmax class.
 
-    kind 'log_lik' and 'decision_value' sum the scores directly. kind
-    'softmax' sums log posteriors by default; with log_domain=False,
-    'softmax' and 'log_lik' accumulate raw probabilities instead. Ties go
-    to the lowest class index.
+    kind 'log_lik' and 'decision_value' sum the scores directly; kind
+    'softmax' sums log posteriors. Ties go to the lowest class index.
     """
     scores = np.atleast_2d(np.asarray(frame_scores, dtype=np.float64))
     if scores.shape[0] < 1 or scores.size == 0:
@@ -387,11 +356,7 @@ def classify_segment(frame_scores, kind, log_domain=True):
     if kind not in ("log_lik", "decision_value", "softmax"):
         raise ValueError(f"unknown score kind {kind!r}")
     if kind == "softmax":
-        per_frame = np.log(np.clip(scores, 1e-300, None)) if log_domain else scores
-    elif kind == "log_lik" and not log_domain:
-        per_frame = np.exp(scores)
-    else:
-        per_frame = scores
-    acc = per_frame.sum(axis=0)
+        scores = np.log(np.clip(scores, 1e-300, None))
+    acc = scores.sum(axis=0)
     return SegmentDecision(scores=acc, winner=int(np.argmax(acc)),
                            n_frames=scores.shape[0])

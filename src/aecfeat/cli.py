@@ -56,11 +56,14 @@ def _save_features(cfg, split, entries, taps):
 
 
 def _load_features(cfg, split):
-    """(taps, labels, conditions) from features_<split>.npz."""
+    """(taps, labels, conditions) from features_<split>.npz. Features enter
+    the program here, so this is where non-finite values are rejected."""
     path = pl.artifact_path(cfg, f"features_{split}.npz")
     with np.load(path, allow_pickle=False) as data:
-        taps = [FeatureMatrix(data[f"seg{i:05d}"], mode="filter_tap", split=s)
+        taps = [FeatureMatrix(data[f"seg{i:05d}"], split=s)
                 for i, s in enumerate(data["__splits__"].tolist())]
+        if not all(np.isfinite(t.values).all() for t in taps):
+            raise ValueError(f"{path} contains non-finite feature values")
         return (taps, data["__labels__"].tolist(),
                 data["__conditions__"].tolist())
 

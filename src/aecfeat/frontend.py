@@ -1,8 +1,9 @@
 """Frame-level input features: framing/windowing, DFT-based representations,
 temporal splicing, and z-score normalization.
 
-A 1024-sample frame gives a 512-point one-sided magnitude spectrum (bins
-0..511 of the 1024-point DFT). Available per-frame representations:
+Frames are fixed at FRAME_LEN = 1024 samples (the hop and window are
+configurable); a frame gives a 512-point one-sided magnitude spectrum
+(bins 0..511 of the 1024-point DFT). Available per-frame representations:
 
     dft_mag        512 dims   magnitude of bins 0..511
     waveform      1024 dims   the windowed samples themselves
@@ -11,8 +12,8 @@ A 1024-sample frame gives a 512-point one-sided magnitude spectrum (bins
 """
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,20 +32,20 @@ MODE_DIMS = {
     "concat": 2560,
 }
 
+FRAME_LEN = 1024
 STD_FLOOR = 1e-8
 
 
 @dataclass
 class FrontendConfig:
-    frame_len: int = 1024
     hop: int = 512
     window: str = "hamming"  # or "rectangular"
     input_mode: str = "dft_mag"
     splice_context: int = 1
 
     def __post_init__(self):
-        if not (self.frame_len >= self.hop >= 1):
-            raise ValueError("need frame_len >= hop >= 1")
+        if not (1 <= self.hop <= FRAME_LEN):
+            raise ValueError(f"need 1 <= hop <= {FRAME_LEN}")
         if self.window not in ("hamming", "rectangular"):
             raise ValueError(f"unknown window {self.window!r}")
         if self.input_mode not in MODE_DIMS:
@@ -61,28 +62,22 @@ class FrontendConfig:
         return self.frame_dims * self.splice_context
 
     def fingerprint(self):
-        text = (f"{self.frame_len},{self.hop},{self.window},"
+        text = (f"{FRAME_LEN},{self.hop},{self.window},"
                 f"{self.input_mode},{self.splice_context}")
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass
 class FeatureMatrix:
-    """Frames x dims matrix with provenance metadata."""
+    """Frames x dims matrix tagged with the manifest split it came from."""
 
     values: np.ndarray
-    mode: str
-    normalized: bool = False
-    splice_context: int = 1
-    split: Optional[str] = None  # "train" / "eval" provenance tag
-    norm_fingerprint: Optional[str] = None
+    split: Optional[str] = None  # "train" / "eval"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise DimMismatch(f"feature matrix must be 2-D, got {self.values.ndim}-D")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature matrix contains non-finite values")
 
     @property
     def rows(self):
@@ -117,40 +112,30 @@ class NormStats:
 
 def _window(cfg):
     if cfg.window == "hamming":
-        return np.hamming(cfg.frame_len)
-    return np.ones(cfg.frame_len)
+        return np.hamming(FRAME_LEN)
+    return np.ones(FRAME_LEN)
 
 
 def frame_signal(segment, cfg):
     """Slice a segment into overlapping windowed frames.
 
-    Returns an (n_frames, frame_len) array with
-    n_frames = floor((len - frame_len)/hop) + 1.
+    Returns an (n_frames, FRAME_LEN) array with
+    n_frames = floor((len - FRAME_LEN)/hop) + 1.
     """
     n = len(segment)
-    if n < cfg.frame_len:
-        raise SegmentTooShort(
-            f"segment has {n} samples, need at least {cfg.frame_len}"
-        )
-    n_frames = (n - cfg.frame_len) // cfg.hop + 1
-    idx = cfg.hop * np.arange(n_frames)[:, None] + np.arange(cfg.frame_len)[None, :]
+    if n < FRAME_LEN:
+        raise SegmentTooShort(f"segment has {n} samples, need at least {FRAME_LEN}")
+    n_frames = (n - FRAME_LEN) // cfg.hop + 1
+    idx = cfg.hop * np.arange(n_frames)[:, None] + np.arange(FRAME_LEN)[None, :]
     return segment.samples[idx] * _window(cfg)[None, :]
 
 
 def dft_half_spectrum(frames):
     """Complex bins 0..511 of the 1024-point DFT, per frame."""
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    if frames.shape[1] != 1024:
-        raise BadFrameLength(f"frame length must be 1024, got {frames.shape[1]}")
+    if frames.shape[1] != FRAME_LEN:
+        raise BadFrameLength(f"frame length must be {FRAME_LEN}, got {frames.shape[1]}")
     return np.fft.rfft(frames, axis=1)[:, :512]
-
-
-def dft_magnitude(frame):
-    """512-point magnitude spectrum of a single 1024-sample windowed frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 1 or frame.shape[0] != 1024:
-        raise BadFrameLength(f"frame length must be 1024, got {frame.shape}")
-    return np.abs(dft_half_spectrum(frame[None, :]))[0]
 
 
 def make_frontend_features(segment, cfg):
@@ -168,7 +153,7 @@ def make_frontend_features(segment, cfg):
             values = np.hstack([spec.real, spec.imag])
         else:  # concat
             values = np.hstack([np.abs(spec), frames, spec.real, spec.imag])
-    return FeatureMatrix(values, mode=mode)
+    return FeatureMatrix(values)
 
 
 def splice(fm, context):
@@ -190,9 +175,7 @@ def splice(fm, context):
             idx = np.clip(np.arange(fm.rows) + off, 0, fm.rows - 1)
             cols.append(fm.values[idx])
         out = np.hstack(cols)
-    return FeatureMatrix(out, mode=fm.mode, normalized=fm.normalized,
-                         splice_context=context, split=fm.split,
-                         norm_fingerprint=fm.norm_fingerprint)
+    return FeatureMatrix(out, split=fm.split)
 
 
 def fit_norm_stats(matrices, source_tags=()):
@@ -227,6 +210,4 @@ def apply_norm(fm, stats):
     if fm.dims != stats.mean.shape[0]:
         raise DimMismatch(f"matrix dims {fm.dims} != stats dims {stats.mean.shape[0]}")
     values = (fm.values - stats.mean) / stats.std
-    return FeatureMatrix(values, mode=fm.mode, normalized=True,
-                         splice_context=fm.splice_context, split=fm.split,
-                         norm_fingerprint=stats.fingerprint())
+    return FeatureMatrix(values, split=fm.split)

@@ -7,10 +7,9 @@ layers that are never updated, and a two-stage learning-rate schedule
 deterministic for a given seed.
 """
 
-import copy
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -59,7 +58,6 @@ class Layer:
 @dataclass
 class Network:
     layers: List[Layer]
-    rng_seed: int = 0
 
     @property
     def in_dim(self):
@@ -71,7 +69,7 @@ class Network:
 
     def copy(self):
         return Network([Layer(l.w.copy(), l.b.copy(), l.activation, l.frozen)
-                        for l in self.layers], self.rng_seed)
+                        for l in self.layers])
 
 
 @dataclass
@@ -119,7 +117,7 @@ def init_network(specs, seed=0):
         w = rng.uniform(-s, s, size=(spec.out_dim, spec.in_dim))
         b = np.zeros(spec.out_dim)
         layers.append(Layer(w, b, spec.activation, spec.frozen))
-    return Network(layers, rng_seed=seed)
+    return Network(layers)
 
 
 def init_mlp(in_dim, hidden, n_classes, seed=0):

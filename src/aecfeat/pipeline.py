@@ -9,8 +9,8 @@ import json
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
-from typing import List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from .classifiers import (classify_segment, dnn_classifier_fit,
                           dnn_score_matrix, gmm_fit, gmm_score_matrix,
                           svm_fit, svm_score_matrix)
 from .errors import FingerprintMismatch, StageError, TooFewSamples
-from .frontend import (FeatureMatrix, FrontendConfig, apply_norm,
-                       fit_norm_stats, make_frontend_features, splice)
+from .frontend import (FrontendConfig, apply_norm, fit_norm_stats,
+                       make_frontend_features, splice)
 from .network import TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
@@ -50,7 +50,6 @@ class RunConfig:
     variant: str = "C"            # A | B | C
     seed: int = 0
     out_dir: str = "run_out"
-    accumulate_log_domain: bool = True
 
     def __post_init__(self):
         if isinstance(self.frontend, dict):
@@ -67,6 +66,11 @@ class RunConfig:
             raise ValueError(f"unknown classifier {self.classifier!r}")
         if self.variant not in ("A", "B", "C"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.svm_frame_step < 1 or self.transform_dim < 1:
+            raise ValueError("svm_frame_step and transform_dim must be >= 1")
+        if self.transform != "none" and self.transform_dim > self.tl2_dim:
+            raise ValueError(f"transform_dim {self.transform_dim} exceeds the "
+                             f"filter tap dimension tl2_dim {self.tl2_dim}")
 
     def to_dict(self):
         return asdict(self)
@@ -142,7 +146,7 @@ def fit_norm(source_mats, train_mats):
                           source_tags=("source", "target_train"))
 
 
-def _norm_fingerprint(cfg, stats):
+def _input_fingerprint(cfg, stats):
     return cfg.frontend.fingerprint() + ":" + stats.fingerprint()
 
 
@@ -151,14 +155,18 @@ def _norm_and_splice(mats, stats, cfg):
             for fm in mats]
 
 
-def _pooled(mats, labels):
+def _values(mats):
+    return [m.values for m in mats]
+
+
+def _pooled(arrays, labels):
     """All frames stacked, the index of each frame's label in the sorted
     label set, and that set."""
     classes = sorted(set(labels))
     label_to_idx = {c: i for i, c in enumerate(classes)}
-    x = np.vstack([m.values for m in mats])
-    y = np.array([label_to_idx[l] for l, m in zip(labels, mats)
-                  for _ in range(m.rows)])
+    x = np.vstack(arrays)
+    y = np.array([label_to_idx[l] for l, a in zip(labels, arrays)
+                  for _ in range(len(a))])
     return x, y, classes
 
 
@@ -167,12 +175,12 @@ def train_source(cfg, source_entries, source_mats, stats):
     frontend and normalization fingerprint."""
     if not source_entries:
         raise TooFewSamples("variants A/C require source-domain entries")
-    x, y, classes = _pooled(_norm_and_splice(source_mats, stats, cfg),
+    x, y, classes = _pooled(_values(_norm_and_splice(source_mats, stats, cfg)),
                             [e.label for e in source_entries])
     net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
     net, _ = train(net, x, y, cfg.source_train)
     return SourceModel(net, classes=classes,
-                       fingerprint=_norm_fingerprint(cfg, stats))
+                       fingerprint=_input_fingerprint(cfg, stats))
 
 
 def adapt_filter(cfg, train_entries, train_mats, stats, source_model=None):
@@ -181,11 +189,11 @@ def adapt_filter(cfg, train_entries, train_mats, stats, source_model=None):
     (composite, filter)."""
     if not train_entries:
         raise TooFewSamples("no target training entries")
-    norm_fp = _norm_fingerprint(cfg, stats)
+    norm_fp = _input_fingerprint(cfg, stats)
     if cfg.variant in ("A", "C") and source_model.fingerprint != norm_fp:
         raise FingerprintMismatch("source model was trained with "
                                   "different frontend/normalization")
-    x, y, classes = _pooled(_norm_and_splice(train_mats, stats, cfg),
+    x, y, classes = _pooled(_values(_norm_and_splice(train_mats, stats, cfg)),
                             [e.label for e in train_entries])
     if cfg.variant in ("A", "C"):
         trunk = strip_output(source_model.network)
@@ -204,7 +212,7 @@ def adapt_filter(cfg, train_entries, train_mats, stats, source_model=None):
 
 def extract_taps(cfg, mats, stats, filt):
     """Stage 4: filter taps for every frame of each segment."""
-    if filt.fingerprint != _norm_fingerprint(cfg, stats):
+    if filt.fingerprint != _input_fingerprint(cfg, stats):
         raise FingerprintMismatch("filter was built with different "
                                   "frontend/normalization")
     return [extract(filt, fm) for fm in _norm_and_splice(mats, stats, cfg)]
@@ -221,17 +229,16 @@ def fit_transform(cfg, train_taps):
     if cfg.transform == "dct":
         return DctSpec(n_points=train_taps[0].dims, n_keep=cfg.transform_dim)
     if cfg.transform == "pca":
-        pooled = FeatureMatrix(np.vstack([m.values for m in train_taps]),
-                               mode="filter_tap")
-        return pca_fit(pooled, out_dim=cfg.transform_dim)
+        return pca_fit(np.vstack(_values(train_taps)), out_dim=cfg.transform_dim)
     return None
 
 
 def _reduce(transform, taps):
+    """The tap arrays, each projected by the transform unless it is None."""
     if transform is None:
-        return taps
+        return _values(taps)
     apply = dct_apply if isinstance(transform, DctSpec) else pca_apply
-    return [apply(transform, m) for m in taps]
+    return [apply(transform, m.values) for m in taps]
 
 
 def fit_classifier(cfg, transform, train_taps, labels):
@@ -242,7 +249,7 @@ def fit_classifier(cfg, transform, train_taps, labels):
         per_class = {label: x[y == idx] for idx, label in enumerate(classes)}
         return gmm_fit(per_class, k=cfg.gmm_k, seed=cfg.seed)
     if cfg.classifier == "svm":
-        step = max(1, cfg.svm_frame_step)
+        step = cfg.svm_frame_step
         gamma = cfg.svm_gamma if cfg.svm_gamma is not None else 1.0 / x.shape[1]
         return svm_fit(x[::step], y[::step], c=cfg.svm_c, gamma=gamma)
     model, _ = dnn_classifier_fit(x, y, cfg.target_train, hidden=cfg.dnn_hidden)
@@ -268,11 +275,9 @@ def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
 
     per_cc = {c: {cls: [0, 0] for cls in classes} for c in cond_names}
     confusion = {c: [[0] * len(classes) for _ in classes] for c in cond_names}
-    for label, condition, fm in zip(labels, conditions,
-                                    _reduce(transform, eval_taps)):
-        scores = score_frames(clf, fm.values)
-        decision = classify_segment(scores, score_kind,
-                                    log_domain=cfg.accumulate_log_domain)
+    for label, condition, values in zip(labels, conditions,
+                                        _reduce(transform, eval_taps)):
+        decision = classify_segment(score_frames(clf, values), score_kind)
         pred_label = class_order[decision.winner]
         stats = per_cc[condition][label]
         stats[1] += 1
@@ -418,7 +423,7 @@ def select_svm_params(cfg, transform, train_taps, labels, k=5):
     """k-fold search of the default SVM grid on transformed training taps;
     returns (best params, per-grid-point fold accuracies)."""
     _require_train(train_taps)
-    mats = [m.values for m in _reduce(transform, train_taps)]
+    mats = _reduce(transform, train_taps)
     return cross_validate(mats, labels, default_svm_grid(mats[0].shape[1]),
                           svm_cv_eval_fn(frame_step=cfg.svm_frame_step),
                           k=k, seed=cfg.seed)

@@ -2,7 +2,7 @@
 methods as rows, trailing unweighted average column)."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -20,7 +20,6 @@ class EvalReport:
     confusion: Dict[str, list]
     config_fingerprint: str = ""
     variant: str = ""
-    info_lines: List[str] = field(default_factory=list)
 
     def condition_accuracy(self, condition, macro=False):
         """Segment accuracy [%] for one condition; micro (segment-weighted)
@@ -46,7 +45,6 @@ class EvalReport:
             "confusion": self.confusion,
             "config_fingerprint": self.config_fingerprint,
             "variant": self.variant,
-            "info_lines": self.info_lines,
             "condition_accuracy": {c: self.condition_accuracy(c)
                                    for c in self.conditions},
             "condition_accuracy_macro": {c: self.condition_accuracy(c, macro=True)
@@ -88,21 +86,12 @@ def render_table(rows, conditions, title=""):
     return "\n".join(lines)
 
 
-def render_report(report, style="table4"):
-    """Render an EvalReport in the style of the accuracy tables: per-condition
-    columns with a trailing average."""
+def render_report(report):
+    """Render an EvalReport as an accuracy table: per-condition columns with
+    a trailing average."""
     if not report.conditions:
         raise EmptyReport("report has no conditions")
-    titles = {
-        "table2": "Average classification rate [%] per input feature",
-        "table3": "Average classification rate [%] per transform x classifier",
-        "table4": "Average classification rate [%] per condition",
-    }
-    if style not in titles:
-        raise ValueError(f"unknown style {style!r}")
-    row_name = report.variant or "result"
-    rows = {row_name: [report.condition_accuracy(c) for c in report.conditions]}
-    text = render_table(rows, report.conditions, title=titles[style])
-    if report.info_lines:
-        text += "\n" + "\n".join(report.info_lines)
-    return text
+    rows = {report.variant or "result":
+            [report.condition_accuracy(c) for c in report.conditions]}
+    return render_table(rows, report.conditions,
+                        title="Average classification rate [%] per condition")

@@ -26,14 +26,9 @@ VERSION = 1
 
 
 def _net_payload(net):
-    meta = {
-        "rng_seed": net.rng_seed,
-        "layers": [
-            {"in": l.in_dim, "out": l.out_dim,
-             "activation": l.activation, "frozen": l.frozen}
-            for l in net.layers
-        ],
-    }
+    meta = {"layers": [{"in": l.in_dim, "out": l.out_dim,
+                        "activation": l.activation, "frozen": l.frozen}
+                       for l in net.layers]}
     arrays = []
     for i, l in enumerate(net.layers):
         arrays.append((f"w{i}", l.w))
@@ -46,7 +41,7 @@ def _net_restore(meta, arrays):
     for i, spec in enumerate(meta["layers"]):
         layers.append(Layer(arrays[f"w{i}"], arrays[f"b{i}"],
                             spec["activation"], spec["frozen"]))
-    return Network(layers, rng_seed=meta["rng_seed"])
+    return Network(layers)
 
 
 def _payload(model):

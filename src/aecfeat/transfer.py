@@ -8,8 +8,8 @@ target data. The filter taps TL#2: pre-activation for the proposed variant
 stack on target data only.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def strip_output(net):
     if net.layers[-1].activation != "softmax":
         raise NoHead("last layer is not a softmax head")
     return Network([Layer(l.w.copy(), l.b.copy(), l.activation, l.frozen)
-                    for l in net.layers[:-1]], net.rng_seed)
+                    for l in net.layers[:-1]])
 
 
 def append_adaptation(trunk, tl1_dim, tl2_dim, n_target_classes, seed=0):
@@ -79,7 +79,7 @@ def append_adaptation(trunk, tl1_dim, tl2_dim, n_target_classes, seed=0):
               for l in trunk.layers]
     new = init_mlp(trunk.out_dim, (tl1_dim, tl2_dim), n_target_classes,
                    seed=seed)
-    return Network(frozen + new.layers, rng_seed=seed)
+    return Network(frozen + new.layers)
 
 
 def adapt(composite, target_features, target_labels, cfg):
@@ -125,6 +125,4 @@ def extract(filt, fm):
     if fm.dims != filt.in_dim:
         raise DimMismatch(f"feature dims {fm.dims} != filter input {filt.in_dim}")
     out = _stable_forward(filt.network, fm.values)
-    return FeatureMatrix(out, mode="filter_tap", normalized=fm.normalized,
-                         splice_context=fm.splice_context, split=fm.split,
-                         norm_fingerprint=fm.norm_fingerprint)
+    return FeatureMatrix(out, split=fm.split)

@@ -1,12 +1,11 @@
 """Feature de-correlation and reduction: truncated orthonormal DCT-II and
 PCA projection, both to 50 output dimensions by default."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimMismatch, TooFewRows, ZeroVariance
-from .frontend import FeatureMatrix
 
 
 def dct_basis(n_points):
@@ -35,17 +34,12 @@ class DctSpec:
             self.basis = dct_basis(self.n_points)[: self.n_keep]
 
 
-def dct_apply(spec, fm):
+def dct_apply(spec, values):
     """Project each row onto the leading DCT-II basis vectors."""
-    values = fm.values if isinstance(fm, FeatureMatrix) else np.atleast_2d(fm)
+    values = np.atleast_2d(values)
     if values.shape[1] != spec.n_points:
         raise DimMismatch(f"dims {values.shape[1]} != n_points {spec.n_points}")
-    out = values @ spec.basis.T
-    if isinstance(fm, FeatureMatrix):
-        return FeatureMatrix(out, mode="dct", normalized=fm.normalized,
-                             splice_context=fm.splice_context, split=fm.split,
-                             norm_fingerprint=fm.norm_fingerprint)
-    return out
+    return values @ spec.basis.T
 
 
 @dataclass
@@ -55,13 +49,13 @@ class PcaModel:
     eigenvalues: np.ndarray  # non-increasing
 
 
-def pca_fit(fm, out_dim=50):
+def pca_fit(values, out_dim=50):
     """Top eigenvectors of the sample covariance (denominator rows-1).
 
     The sign of each component is fixed so its largest-magnitude entry is
     positive, making the fit deterministic.
     """
-    values = fm.values if isinstance(fm, FeatureMatrix) else np.atleast_2d(fm)
+    values = np.atleast_2d(values)
     rows, dims = values.shape
     if rows < out_dim + 1:
         raise TooFewRows(f"need at least {out_dim + 1} rows, got {rows}")
@@ -83,16 +77,11 @@ def pca_fit(fm, out_dim=50):
     return PcaModel(mean=mean, components=comps, eigenvalues=eigvals)
 
 
-def pca_apply(model, fm):
+def pca_apply(model, values):
     """y = components @ (x - mean), per row."""
-    values = fm.values if isinstance(fm, FeatureMatrix) else np.atleast_2d(fm)
+    values = np.atleast_2d(values)
     if values.shape[1] != model.mean.shape[0]:
         raise DimMismatch(
             f"dims {values.shape[1]} != model dims {model.mean.shape[0]}"
         )
-    out = (values - model.mean) @ model.components.T
-    if isinstance(fm, FeatureMatrix):
-        return FeatureMatrix(out, mode="pca", normalized=fm.normalized,
-                             splice_context=fm.splice_context, split=fm.split,
-                             norm_fingerprint=fm.norm_fingerprint)
-    return out
+    return (values - model.mean) @ model.components.T

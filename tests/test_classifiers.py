@@ -6,13 +6,11 @@ from aecfeat.classifiers import (
     dnn_classifier_fit,
     dnn_score_matrix,
     gmm_fit,
-    gmm_frame_scores,
     gmm_score_matrix,
     rbf_kernel,
     smo_solve,
     svm_dual_objective,
     svm_fit,
-    svm_frame_scores,
     svm_score_matrix,
 )
 from aecfeat.errors import (
@@ -66,16 +64,6 @@ class TestGmmFit:
         assert abs(means[0] - 0.0) < 0.2
         assert abs(means[1] - 10.0) < 0.2
 
-    def test_kmeans_init_separates_regardless_of_seed(self):
-        rng = np.random.default_rng(1)
-        x = np.concatenate([rng.standard_normal(300),
-                            rng.standard_normal(300) + 10.0])[:, None]
-        for seed in range(5):
-            model = gmm_fit({"a": x, "b": x}, k=2, seed=seed, init="kmeans")
-            means = np.sort(model.per_class["a"].means[:, 0])
-            assert abs(means[0] - 0.0) < 0.2
-            assert abs(means[1] - 10.0) < 0.2
-
     def test_too_few_frames(self):
         with pytest.raises(TooFewFrames, match="smaller"):
             gmm_fit({"a": np.zeros((3, 2)), "b": np.ones((600, 2))}, k=512, seed=0)
@@ -115,18 +103,18 @@ class TestGmmScores:
     def test_analytic_loglik_at_mean(self):
         d = 4
         model = self._unit_model(d)
-        scores = gmm_frame_scores(model, np.zeros(d))
+        scores = gmm_score_matrix(model, np.zeros((1, d)))[0]
         assert scores[0] == pytest.approx(-d / 2 * np.log(2 * np.pi))
 
     def test_far_outlier_finite(self):
         model = self._unit_model(3)
-        scores = gmm_frame_scores(model, np.full(3, 1e6))
+        scores = gmm_score_matrix(model, np.full((1, 3), 1e6))[0]
         assert np.all(np.isfinite(scores))
         assert scores[0] < -1e10
 
     def test_identical_classes_identical_scores(self):
         model = self._unit_model(2)
-        s = gmm_frame_scores(model, np.array([0.3, -0.7]))
+        s = gmm_score_matrix(model, np.array([[0.3, -0.7]]))[0]
         assert s[0] == s[1]
 
     def test_frame_order_invariance(self):
@@ -141,7 +129,7 @@ class TestGmmScores:
     def test_dim_mismatch(self):
         model = self._unit_model(3)
         with pytest.raises(DimMismatch):
-            gmm_frame_scores(model, np.zeros(5))
+            gmm_score_matrix(model, np.zeros((1, 5)))
 
 
 class TestSmo:
@@ -216,7 +204,7 @@ class TestSvmModel:
                          machines={0: BinarySvm(sv, np.array([1.0]), 0.0),
                                    1: BinarySvm(sv, np.array([-1.0]), 0.0)},
                          gamma=0.3, c=1.0)
-        scores = svm_frame_scores(model, np.array([1.0, 2.0]))
+        scores = svm_score_matrix(model, np.array([[1.0, 2.0]]))[0]
         assert scores[0] == pytest.approx(1.0)
 
     def test_symmetric_two_class_scores_mirror(self):
@@ -241,7 +229,7 @@ class TestSvmModel:
 
         model = SvmModel(classes=[], machines={}, gamma=1.0, c=1.0)
         with pytest.raises(EmptyClass):
-            svm_frame_scores(model, np.zeros(2))
+            svm_score_matrix(model, np.zeros((1, 2)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -307,11 +295,6 @@ class TestClassifySegment:
         probs = np.array([[0.6, 0.4], [0.1, 0.9]])
         decision = classify_segment(probs, "softmax")
         assert decision.scores[0] == pytest.approx(np.log(0.6) + np.log(0.1))
-
-    def test_probability_domain_flag(self):
-        probs = np.array([[0.6, 0.4], [0.1, 0.9]])
-        decision = classify_segment(probs, "softmax", log_domain=False)
-        assert decision.scores[1] == pytest.approx(1.3)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(12)

@@ -153,8 +153,7 @@ class TestSerialize:
         assert loaded.fingerprint == "fp"
 
     def test_norm_stats_and_transforms(self, tmp_path):
-        fm = FeatureMatrix(np.random.default_rng(1).standard_normal((50, 4)),
-                           mode="dft_mag")
+        fm = FeatureMatrix(np.random.default_rng(1).standard_normal((50, 4)))
         stats = fit_norm_stats([fm], source_tags=("source",))
         save_model(tmp_path / "n.aecf", stats)
         loaded = load_model(tmp_path / "n.aecf")

@@ -250,6 +250,19 @@ def run_staged(cfg, manifest_path, cfg_path, chain=STAGED_CHAIN):
             for argv in chain]
 
 
+class TestRunConfigValidation:
+    @pytest.mark.parametrize("bad", [
+        {"svm_frame_step": 0}, {"transform_dim": 0},
+        {"transform": "dct", "transform_dim": 20, "tl2_dim": 10},
+        {"transform": "pca", "transform_dim": 20, "tl2_dim": 10}])
+    def test_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+
+    def test_transform_dim_unchecked_without_transform(self):
+        RunConfig(transform="none", transform_dim=20, tl2_dim=10)
+
+
 class TestRunPipeline:
     def test_artifacts_and_report(self, tiny_corpus, tmp_path):
         _, manifest = tiny_corpus
@@ -328,6 +341,45 @@ class TestCli:
                        str(tmp_path / "nope.csv")])
         assert rc != 0
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        {"svm_frame_step": 0}, {"transform_dim": 0}, {"transform_dim": 20},
+        {"accumulate_log_domain": True}, {"frontend": {"frame_len": 1024}}])
+    def test_invalid_config_exits_before_any_artifact(self, tiny_corpus,
+                                                      tmp_path, capsys, bad):
+        root, _ = tiny_corpus
+        d = tiny_config(tmp_path / "out").to_dict()
+        for key, value in bad.items():
+            d[key] = {**d[key], **value} if isinstance(value, dict) else value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        rc = cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                       "run", str(root / "manifest.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stage 'run'" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_features_are_rejected_at_load(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        taps = np.ones((4, 10))
+        taps[2, 3] = np.nan
+        np.savez(out / "features_train.npz", __labels__=np.array(["a", "b"]),
+                 __conditions__=np.array(["clean", "clean"]),
+                 __splits__=np.array(["train", "train"]),
+                 seg00000=np.zeros((4, 10)), seg00001=taps)
+        cfg = tiny_config(out)
+        cfg.transform = "none"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        rc = cli.main(["--config", str(cfg_path), "--out", str(out),
+                       "fit-classifier"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stage 'fit-classifier'" in err and "non-finite" in err
+        assert "Traceback" not in err
+        assert not (out / "classifier.aecf").exists()
 
     @pytest.mark.parametrize("corpus,variant", [
         ("tiny_corpus", "C"), ("tiny_corpus", "B"),

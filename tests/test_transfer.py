@@ -116,12 +116,12 @@ class TestBuildFilter:
     def test_variant_a_keeps_sigmoid(self):
         comp, x = self._trained_composite()
         filt = build_filter(comp, "A")
-        out = extract(filt, FeatureMatrix(x, mode="dft_mag"))
+        out = extract(filt, FeatureMatrix(x))
         assert np.all((out.values > 0) & (out.values < 1))
 
     def test_variant_link_a_equals_sigmoid_of_c(self):
         comp, x = self._trained_composite()
-        fm = FeatureMatrix(x, mode="dft_mag")
+        fm = FeatureMatrix(x)
         a = extract(build_filter(comp, "A"), fm).values
         c = extract(build_filter(comp, "C"), fm).values
         assert np.max(np.abs(a - 1.0 / (1.0 + np.exp(-c)))) <= 1e-9
@@ -148,8 +148,7 @@ class TestExtract:
     def test_shape(self):
         comp = append_adaptation(strip_output(source_net()), 8, 6, 4, seed=0)
         filt = build_filter(comp, "C")
-        fm = FeatureMatrix(np.random.default_rng(0).standard_normal((92, 6)),
-                           mode="dft_mag")
+        fm = FeatureMatrix(np.random.default_rng(0).standard_normal((92, 6)))
         out = extract(filt, fm)
         assert (out.rows, out.dims) == (92, 6)
 
@@ -160,19 +159,18 @@ class TestExtract:
         last.w[:] = 0.0
         last.b[:] = np.arange(6.0)
         # zero the incoming weights so only TL#2's bias survives
-        out = extract(filt, FeatureMatrix(np.zeros((3, 6)), mode="dft_mag"))
+        out = extract(filt, FeatureMatrix(np.zeros((3, 6))))
         assert np.allclose(out.values, np.arange(6.0))
 
     def test_purity_and_batch_independence(self):
         comp = append_adaptation(strip_output(source_net()), 8, 6, 4, seed=0)
         filt = build_filter(comp, "C")
-        fm = FeatureMatrix(np.random.default_rng(1).standard_normal((20, 6)),
-                           mode="dft_mag")
+        fm = FeatureMatrix(np.random.default_rng(1).standard_normal((20, 6)))
         full = extract(filt, fm).values
         again = extract(filt, fm).values
         assert np.array_equal(full, again)
         one_at_a_time = np.vstack([
-            extract(filt, FeatureMatrix(fm.values[i : i + 1], mode="dft_mag")).values
+            extract(filt, FeatureMatrix(fm.values[i : i + 1])).values
             for i in range(fm.rows)
         ])
         assert np.array_equal(full, one_at_a_time)
@@ -181,7 +179,7 @@ class TestExtract:
         comp = append_adaptation(strip_output(source_net()), 8, 6, 4, seed=0)
         filt = build_filter(comp, "C")
         with pytest.raises(DimMismatch):
-            extract(filt, FeatureMatrix(np.zeros((2, 9)), mode="dft_mag"))
+            extract(filt, FeatureMatrix(np.zeros((2, 9))))
 
 
 class TestSourceModel:
