@@ -4,7 +4,7 @@ accumulation.
 Three families:
   * per-class Gaussian mixtures with diagonal covariance, fitted by EM;
   * one-vs-rest support vector machines with RBF kernels, fitted by
-    sequential minimal optimization (SMO);
+    sequential minimal optimization (SMO) to the KKT conditions within tol;
   * a dense softmax network (300-300-100 hidden) reusing the shared trainer.
 
 A segment is classified by summing per-frame scores per class
@@ -164,111 +164,50 @@ def rbf_kernel(a, b, gamma):
     return np.exp(-gamma * np.maximum(d2, 0.0))
 
 
-def smo_solve(kmat, y, c, tol=1e-3, max_passes=200):
-    """Platt-style SMO on a precomputed kernel matrix.
+def smo_solve(kmat, y, c, tol=1e-3):
+    """SMO on a precomputed kernel matrix, taking the maximal violating
+    pair at every step (WSS1 of Fan, Chen & Lin, JMLR 2005).
 
-    Returns (alpha, bias) for the decision function
-    f(x) = sum_i alpha_i y_i k(x_i, x) + bias. Deterministic: candidate
-    pairs are visited in fixed index order with the max-|E1-E2| second
-    choice heuristic.
+    Minimizes 1/2 a'Qa - sum(a), Q = yy' * K, over 0 <= a <= c, y'a = 0,
+    tracking score = -y * (Qa - 1). Each step solves the two-variable
+    subproblem of i = argmax score over I_up (y > 0 and a < c, or y < 0
+    and a > 0) and j = argmin score over I_low (y > 0 and a > 0, or y < 0
+    and a < c) exactly, clipped to the box; an alpha that reaches a bound
+    is set to exactly 0 or c. It stops when score[i] - score[j] < tol, and
+    the bias is the mean score over free alphas (the midpoint of score[i]
+    and score[j] if none is free), so every margin meets its KKT condition
+    to within tol. There is no iteration cap, which would stop a solve
+    short of that: for tol > 0 the loop ends in finitely many steps
+    (Keerthi & Gilbert, 2002). Negating y picks the same pair, swapped,
+    and takes the same step, so it negates the bias and keeps the alphas.
+
+    Returns (alpha, bias) for f(x) = sum_i alpha_i y_i k(x_i, x) + bias.
     """
-    n = len(y)
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     y = np.asarray(y, dtype=np.float64)
-    alpha = np.zeros(n)
-    b = 0.0
-    # error cache: E_i = f(x_i) - y_i; with alpha = 0, f = b = 0
-    err = -y.copy()
-
-    def take_step(i1, i2):
-        nonlocal b
-        if i1 == i2:
-            return False
-        a1, a2 = alpha[i1], alpha[i2]
-        y1, y2 = y[i1], y[i2]
-        e1, e2 = err[i1], err[i2]
-        s = y1 * y2
-        if s > 0:
-            lo, hi = max(0.0, a1 + a2 - c), min(c, a1 + a2)
-        else:
-            lo, hi = max(0.0, a2 - a1), min(c, c + a2 - a1)
-        if hi - lo < 1e-12:
-            return False
-        k11, k12, k22 = kmat[i1, i1], kmat[i1, i2], kmat[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 1e-12:
-            a2_new = a2 + y2 * (e1 - e2) / eta
-            a2_new = min(max(a2_new, lo), hi)
-        else:
-            # flat direction: pick the better bound by objective change
-            f1 = y1 * (e1 + b) - a1 * k11 - s * a2 * k12
-            f2 = y2 * (e2 + b) - s * a1 * k12 - a2 * k22
-            l1 = a1 + s * (a2 - lo)
-            h1 = a1 + s * (a2 - hi)
-            obj_lo = (l1 * f1 + lo * f2 + 0.5 * l1 * l1 * k11
-                      + 0.5 * lo * lo * k22 + s * lo * l1 * k12)
-            obj_hi = (h1 * f1 + hi * f2 + 0.5 * h1 * h1 * k11
-                      + 0.5 * hi * hi * k22 + s * hi * h1 * k12)
-            if obj_lo < obj_hi - 1e-12:
-                a2_new = lo
-            elif obj_lo > obj_hi + 1e-12:
-                a2_new = hi
-            else:
-                a2_new = a2
-        if abs(a2_new - a2) < 1e-12 * (a2_new + a2 + 1e-12):
-            return False
-        a1_new = a1 + s * (a2 - a2_new)
-        # threshold update
-        b1 = e1 + y1 * (a1_new - a1) * k11 + y2 * (a2_new - a2) * k12 + b
-        b2 = e2 + y1 * (a1_new - a1) * k12 + y2 * (a2_new - a2) * k22 + b
-        if 0.0 < a1_new < c:
-            b_new = b1
-        elif 0.0 < a2_new < c:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-        alpha[i1], alpha[i2] = a1_new, a2_new
-        delta = (y1 * (a1_new - a1) * kmat[i1]
-                 + y2 * (a2_new - a2) * kmat[i2]
-                 - (b_new - b))
-        err[:] += delta
-        b = b_new
-        return True
-
-    def examine(i2):
-        y2, a2, e2 = y[i2], alpha[i2], err[i2]
-        r2 = e2 * y2
-        if (r2 < -tol and a2 < c) or (r2 > tol and a2 > 0):
-            non_bound = np.flatnonzero((alpha > 0) & (alpha < c))
-            if len(non_bound) > 1:
-                i1 = non_bound[np.argmax(np.abs(err[non_bound] - e2))]
-                if take_step(int(i1), i2):
-                    return True
-            for i1 in non_bound:
-                if take_step(int(i1), i2):
-                    return True
-            for i1 in range(n):
-                if take_step(i1, i2):
-                    return True
-        return False
-
-    num_changed = 0
-    examine_all = True
-    passes = 0
-    while (num_changed > 0 or examine_all) and passes < max_passes:
-        num_changed = 0
-        if examine_all:
-            for i in range(n):
-                num_changed += examine(i)
-        else:
-            for i in np.flatnonzero((alpha > 0) & (alpha < c)):
-                num_changed += examine(int(i))
-        if examine_all:
-            examine_all = False
-        elif num_changed == 0:
-            examine_all = True
-        passes += 1
-    # SMO uses f(x) = sum alpha y k - b internally; flip to "+ bias" form
-    return alpha, -b
+    pos = y > 0
+    alpha = np.zeros(len(y))
+    score = y.copy()  # grad = -1 at alpha = 0
+    while True:
+        up = np.where(pos, alpha < c, alpha > 0)
+        low = np.where(pos, alpha > 0, alpha < c)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        j = int(np.argmin(np.where(low, score, np.inf)))
+        gap = score[i] - score[j]
+        if gap < tol:
+            break
+        # move alpha_i by y_i t and alpha_j by -y_j t, which keeps y'a = 0
+        quad = max(kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j], 1e-12)
+        room_i = c - alpha[i] if pos[i] else alpha[i]
+        room_j = alpha[j] if pos[j] else c - alpha[j]
+        t = min(gap / quad, room_i, room_j)
+        alpha[i] = (c if pos[i] else 0.0) if t == room_i else alpha[i] + y[i] * t
+        alpha[j] = (0.0 if pos[j] else c) if t == room_j else alpha[j] - y[j] * t
+        score -= t * (kmat[i] - kmat[j])
+    free = (alpha > 0) & (alpha < c)
+    bias = np.mean(score[free]) if free.any() else 0.5 * (score[i] + score[j])
+    return alpha, float(bias)
 
 
 def svm_dual_objective(kmat, y, alpha):

@@ -156,7 +156,8 @@ def cmd_fit_classifier(args, cfg):
 
 def cmd_evaluate(args, cfg):
     taps, labels, conditions = _load_features(cfg, "eval")
-    classes = sorted(set(_load_features(cfg, "train")[1]))
+    with np.load(pl.artifact_path(cfg, "features_train.npz")) as data:
+        classes = sorted(set(data["__labels__"].tolist()))
     report = pl.evaluate(cfg, _load_transform(cfg), _load(cfg, "classifier"),
                          taps, labels, conditions, classes)
     pl.write_report(cfg, report)

@@ -9,7 +9,7 @@ import json
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -394,25 +394,6 @@ def cross_validate(items, labels, grid, eval_fn, k=5, seed=0):
     return grid[best], fold_table
 
 
-def svm_cv_eval_fn(frame_step=1):
-    """eval_fn for cross_validate: fits one-vs-rest SVMs on the frames of
-    the training segments and scores segment accuracy on the rest."""
-
-    def fn(params, train_items, train_labels, val_items, val_labels):
-        x = np.vstack([m[::frame_step] for m in train_items])
-        y = np.concatenate([[l] * len(m[::frame_step])
-                            for m, l in zip(train_items, train_labels)])
-        model = svm_fit(x, y, c=params["c"], gamma=params["gamma"])
-        correct = 0
-        for m, l in zip(val_items, val_labels):
-            scores = svm_score_matrix(model, m)
-            pred = model.classes[classify_segment(scores, "decision_value").winner]
-            correct += int(pred == l)
-        return correct / len(val_items)
-
-    return fn
-
-
 def default_svm_grid(feature_dim):
     """C in {1, 10, 100} x gamma in {0.1, 1, 10}/dim."""
     return [{"c": c, "gamma": g / feature_dim}
@@ -420,10 +401,21 @@ def default_svm_grid(feature_dim):
 
 
 def select_svm_params(cfg, transform, train_taps, labels, k=5):
-    """k-fold search of the default SVM grid on transformed training taps;
-    returns (best params, per-grid-point fold accuracies)."""
+    """k-fold search of the default SVM grid over the training segments;
+    returns (best params, per-grid-point fold accuracies). Each fold fits
+    with `fit_classifier` and scores with `evaluate`, so it rates the SVM
+    `run` would fit on those segments, `svm_frame_step` included."""
     _require_train(train_taps)
-    mats = _reduce(transform, train_taps)
-    return cross_validate(mats, labels, default_svm_grid(mats[0].shape[1]),
-                          svm_cv_eval_fn(frame_step=cfg.svm_frame_step),
-                          k=k, seed=cfg.seed)
+
+    def fold_accuracy(params, fit_taps, fit_labels, val_taps, val_labels):
+        fold_cfg = replace(cfg, classifier="svm", svm_c=params["c"],
+                           svm_gamma=params["gamma"])
+        clf = fit_classifier(fold_cfg, transform, fit_taps, fit_labels)
+        report = evaluate(fold_cfg, transform, clf, val_taps, val_labels,
+                          ["fold"] * len(val_taps), sorted(set(fit_labels)))
+        confusion = np.array(report.confusion["fold"])
+        return float(np.trace(confusion) / confusion.sum())
+
+    dim = _reduce(transform, train_taps[:1])[0].shape[1]
+    return cross_validate(train_taps, labels, default_svm_grid(dim),
+                          fold_accuracy, k=k, seed=cfg.seed)

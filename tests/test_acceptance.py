@@ -196,22 +196,29 @@ def test_svm_oracle():
             best = brute_force_two_point_dual(kmat, y, c)
             worst_gap = max(worst_gap, abs(obj - best))
 
-    rng = np.random.default_rng(5)
+    # (seed, trials, rows, dims, label noise, c, gamma); the last two need
+    # a long solve, and end with every alpha at a bound (no free alpha
+    # pins the bias)
+    problems = [(5, 5, 50, 3, 0.3, 5.0, 0.5),
+                (1, 1, 100, 2, 0.5, 100.0, 0.1),
+                (0, 1, 100, 2, 0.5, 1.0, 0.01)]
     worst_kkt = 0.0
-    for trial in range(5):
-        x = rng.standard_normal((50, 3))
-        y = np.where(x[:, 0] + 0.3 * rng.standard_normal(50) > 0, 1.0, -1.0)
-        c, gamma, tol = 5.0, 0.5, 1e-3
-        kmat = rbf_kernel(x, x, gamma)
-        alpha, bias = smo_solve(kmat, y, c, tol=tol)
-        margins = y * (kmat @ (alpha * y) + bias)
-        for a, m in zip(alpha, margins):
-            if a < 1e-9:
-                worst_kkt = max(worst_kkt, 1.0 - m)
-            elif a > c - 1e-9:
-                worst_kkt = max(worst_kkt, m - 1.0)
-            else:
-                worst_kkt = max(worst_kkt, abs(m - 1.0))
+    for seed, trials, n, d, noise, c, gamma in problems:
+        rng = np.random.default_rng(seed)
+        for trial in range(trials):
+            x = rng.standard_normal((n, d))
+            y = np.where(x[:, 0] + noise * rng.standard_normal(n) > 0, 1.0, -1.0)
+            tol = 1e-3
+            kmat = rbf_kernel(x, x, gamma)
+            alpha, bias = smo_solve(kmat, y, c, tol=tol)
+            margins = y * (kmat @ (alpha * y) + bias)
+            for a, m in zip(alpha, margins):
+                if a < 1e-9:
+                    worst_kkt = max(worst_kkt, 1.0 - m)
+                elif a > c - 1e-9:
+                    worst_kkt = max(worst_kkt, m - 1.0)
+                else:
+                    worst_kkt = max(worst_kkt, abs(m - 1.0))
     check("svm-oracle",
           worst_gap <= 1e-4 and worst_kkt <= 1e-3 + 1e-9,
           f"2-point dual gap {worst_gap:.2e} (<= 1e-4), "

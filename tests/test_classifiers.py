@@ -155,14 +155,23 @@ class TestSmo:
         best, _ = brute_force_two_point_dual(kmat, y, c)
         assert obj == pytest.approx(best, abs=1e-4)
 
-    def test_kkt_on_random_problems(self):
-        rng = np.random.default_rng(5)
-        for trial in range(5):
-            x = rng.standard_normal((50, 3))
-            y = np.where(x[:, 0] + 0.3 * rng.standard_normal(50) > 0, 1.0, -1.0)
+    # (seed, trials, rows, dims, label noise, c, gamma): each trial draws
+    # x ~ N(0, I) and labels by the sign of x_0 plus noise
+    @pytest.mark.parametrize("seed,trials,n,d,noise,c,gamma", [
+        (5, 5, 50, 3, 0.3, 5.0, 0.5),
+        # a long solve: a solver stopped by a step or pass cap ends short of KKT
+        (1, 1, 100, 2, 0.5, 100.0, 0.1),
+        # every alpha ends at a bound, so no free alpha pins the bias
+        (0, 1, 100, 2, 0.5, 1.0, 0.01),
+    ], ids=["5x50x3", "seed1-c100", "seed0-all-bound"])
+    def test_kkt_on_random_problems(self, seed, trials, n, d, noise, c, gamma):
+        rng = np.random.default_rng(seed)
+        for trial in range(trials):
+            x = rng.standard_normal((n, d))
+            y = np.where(x[:, 0] + noise * rng.standard_normal(n) > 0, 1.0, -1.0)
             if len(np.unique(y)) < 2:
                 continue
-            c, gamma, tol = 5.0, 0.5, 1e-3
+            tol = 1e-3
             kmat = rbf_kernel(x, x, gamma)
             alpha, bias = smo_solve(kmat, y, c, tol=tol)
             f = kmat @ (alpha * y) + bias
@@ -174,6 +183,11 @@ class TestSmo:
                     assert m <= 1.0 + tol + 1e-9
                 else:
                     assert abs(m - 1.0) <= tol + 1e-9
+
+    def test_non_positive_tol_rejected(self):
+        kmat = rbf_kernel(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]), 1.0)
+        with pytest.raises(ValueError):
+            smo_solve(kmat, np.array([1.0, -1.0]), c=1.0, tol=0)
 
     def test_conflicting_duplicates_bounded(self):
         x = np.array([[0.0], [0.0], [1.0], [1.0]])

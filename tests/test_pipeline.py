@@ -6,14 +6,16 @@ import pytest
 
 from aecfeat.audio import AudioSegment, read_wav, write_wav
 from aecfeat.errors import StageError, TooFewSamples
-from aecfeat.frontend import FrontendConfig
+from aecfeat.frontend import FeatureMatrix, FrontendConfig
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import TrainConfig
-from aecfeat.pipeline import RunConfig, cross_validate, run_pipeline
+from aecfeat.pipeline import (RunConfig, cross_validate, default_svm_grid,
+                              run_pipeline)
 from aecfeat.prepare import prepare_conditions, prepare_source
 from aecfeat.report import EvalReport, render_report, render_table
 from aecfeat.synthetic import generate_dataset, generate_noise_wav
 from aecfeat import cli
+from aecfeat import pipeline as pl
 
 
 def write_tone_wav(path, seconds, seed=0, amplitude=0.3):
@@ -175,6 +177,33 @@ class TestCrossValidate:
             cross_validate([1, 2, 3], ["a", "a", "b"], [{}],
                            lambda *a: 1.0, k=5, seed=0)
 
+    def test_svm_folds_fit_the_frames_fit_classifier_selects(self, tmp_path,
+                                                            monkeypatch):
+        # column 0 names the segment, so a fit's rows tell which segments
+        # its fold trained on; frame counts are not multiples of the step
+        rng = np.random.default_rng(0)
+        labels = ["a", "b"] * 3
+        taps = [FeatureMatrix(np.column_stack(
+                    [np.full(n, float(s)), rng.standard_normal((n, 2))]),
+                    split="train")
+                for s, n in enumerate([5, 7, 4, 8, 6, 5])]
+        cfg = RunConfig(transform="none", svm_frame_step=3,
+                        out_dir=str(tmp_path))
+        fits = []
+        real_fit = pl.svm_fit
+
+        def recording_fit(x, y, **kw):
+            fits.append(x)
+            return real_fit(x, y, **kw)
+
+        monkeypatch.setattr(pl, "svm_fit", recording_fit)
+        pl.select_svm_params(cfg, None, taps, labels, k=2)
+        fold_rows = fits[0]
+        segs = sorted(set(fold_rows[:, 0].astype(int)))
+        pl.fit_classifier(cfg, None, [taps[s] for s in segs],
+                          [labels[s] for s in segs])
+        assert np.array_equal(fold_rows, fits[-1])
+
 
 class TestRenderTable:
     def test_average_column(self):
@@ -335,6 +364,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert "average" in out
         assert os.path.exists(tmp_path / "staged" / "report.json")
+        assert cli.main(base + ["cross-validate", "--k", "2"]) == 0
+        best = json.loads(capsys.readouterr().out)["best"]
+        assert best in default_svm_grid(cfg.transform_dim)
 
     def test_missing_manifest_fails_nonzero(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path / "o"), "run",
