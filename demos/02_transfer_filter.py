@@ -12,7 +12,7 @@ Run:  python3 demos/02_transfer_filter.py
 import numpy as np
 
 from aecfeat.frontend import FeatureMatrix
-from aecfeat.network import LayerSpec, TrainConfig, init_network, predict, train
+from aecfeat.network import TrainConfig, init_mlp, predict, train
 from aecfeat.transfer import (
     adapt,
     append_adaptation,
@@ -32,10 +32,7 @@ def blobs(n_classes, per_class, dim, seed):
 
 
 # 1. source training: 5 classes the target task never sees
-dims = [8, 16, 16, 16]
-specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
-specs.append(LayerSpec(16, 5, "softmax"))
-source = init_network(specs, seed=0)
+source = init_mlp(8, (16, 16, 16), 5, seed=0)
 xs, ys = blobs(5, 60, 8, seed=42)
 source, rep = train(source, xs, ys,
                     TrainConfig(lr0=0.3, max_epochs_per_stage=100, seed=0))

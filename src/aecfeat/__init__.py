@@ -33,13 +33,12 @@ from .frontend import (
 )
 from .manifest import Manifest, load_manifest, save_manifest
 from .network import (
-    LayerSpec,
     Network,
     TrainConfig,
     TrainReport,
     forward,
     grad,
-    init_network,
+    init_mlp,
     sgd_step,
     train,
 )

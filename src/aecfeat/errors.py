@@ -49,10 +49,6 @@ class EmptyRir(AecError):
 
 # --- networks -----------------------------------------------------------
 
-class DimChainBroken(AecError):
-    pass
-
-
 class NoSoftmaxHead(AecError):
     pass
 

@@ -1,9 +1,10 @@
 """Dense feed-forward networks trained with mini-batch SGD.
 
 Supports sigmoid/linear hidden layers and a softmax head trained on
-cross-entropy, classical momentum, weight decay on weights only, frozen
-layers that are never updated, and a two-stage learning-rate schedule
-(the rate is divided by 10 for the second stage). Everything is
+cross-entropy, classical momentum, weight decay on weights only, and a
+two-stage learning-rate schedule (the rate is divided by 10 for the second
+stage). `train` updates every layer it is given; `Layer.frozen` only marks
+the trunk layers that `transfer.adapt` keeps out of training. Everything is
 deterministic for a given seed.
 """
 
@@ -15,28 +16,11 @@ import numpy as np
 
 from .errors import (
     DegenerateLabels,
-    DimChainBroken,
     DimMismatch,
     NoSoftmaxHead,
     ShapeMismatch,
     TooFewSamples,
 )
-
-ACTIVATIONS = ("sigmoid", "linear", "softmax")
-
-
-@dataclass
-class LayerSpec:
-    in_dim: int
-    out_dim: int
-    activation: str = "sigmoid"
-    frozen: bool = False
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("layer dims must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -101,32 +85,20 @@ class TrainReport:
     wall_time_s: float = 0.0
 
 
-def init_network(specs, seed=0):
-    """Glorot-uniform weights, zero biases; deterministic for a given seed."""
-    specs = list(specs)
-    for a, b in zip(specs, specs[1:]):
-        if a.out_dim != b.in_dim:
-            raise DimChainBroken(f"{a.out_dim} -> {b.in_dim}")
-    for spec in specs[:-1]:
-        if spec.activation == "softmax":
-            raise ValueError("softmax allowed only as the final layer")
+def init_mlp(in_dim, hidden, n_classes, seed=0):
+    """Sigmoid hidden layers of the given widths under a softmax head;
+    Glorot-uniform weights and zero biases, deterministic for a given seed."""
+    dims = [in_dim, *hidden, n_classes]
+    if min(dims) < 1:
+        raise ValueError("layer dims must be positive")
     rng = np.random.default_rng(seed)
     layers = []
-    for spec in specs:
-        s = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        w = rng.uniform(-s, s, size=(spec.out_dim, spec.in_dim))
-        b = np.zeros(spec.out_dim)
-        layers.append(Layer(w, b, spec.activation, spec.frozen))
+    for a, b in zip(dims, dims[1:]):
+        s = np.sqrt(6.0 / (a + b))
+        layers.append(Layer(rng.uniform(-s, s, size=(b, a)), np.zeros(b),
+                            "sigmoid"))
+    layers[-1].activation = "softmax"
     return Network(layers)
-
-
-def init_mlp(in_dim, hidden, n_classes, seed=0):
-    """Sigmoid hidden layers of the given widths under a softmax head,
-    initialized by `init_network`."""
-    dims = [in_dim, *hidden]
-    specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
-    specs.append(LayerSpec(dims[-1], n_classes, "softmax"))
-    return init_network(specs, seed=seed)
 
 
 def _sigmoid(z):
@@ -179,8 +151,7 @@ def cross_entropy(probs, one_hot):
 def grad(net, x, one_hot):
     """Backprop gradients of mean cross-entropy for every layer.
 
-    Frozen layers get exact-zero gradient blocks. Requires a softmax head.
-    Returns a list of (dW, db) matching net.layers.
+    Requires a softmax head. Returns a list of (dW, db) matching net.layers.
     """
     if net.layers[-1].activation != "softmax":
         raise NoSoftmaxHead("gradient needs a softmax output layer")
@@ -194,10 +165,7 @@ def grad(net, x, one_hot):
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         a_prev = acts[k - 1] if k > 0 else x
-        if layer.frozen:
-            grads[k] = (np.zeros_like(layer.w), np.zeros_like(layer.b))
-        else:
-            grads[k] = (delta.T @ a_prev, delta.sum(axis=0))
+        grads[k] = (delta.T @ a_prev, delta.sum(axis=0))
         if k > 0:
             delta = delta @ layer.w
             prev = net.layers[k - 1]
@@ -298,8 +266,6 @@ def train(net, features, labels, cfg):
                 sel = order[lo : lo + cfg.batch_size]
                 g = grad(net, x_tr[sel], y_tr[sel])
                 for layer, gl, vel in zip(net.layers, g, velocity):
-                    if layer.frozen:
-                        continue
                     sgd_step(layer, gl, vel, lr, cfg.momentum, cfg.weight_decay)
             train_ce = cross_entropy(predict(net, x_tr), y_tr)
             if len(x_val):

@@ -66,6 +66,14 @@ class RunConfig:
             raise ValueError(f"unknown classifier {self.classifier!r}")
         if self.variant not in ("A", "B", "C"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        sizes = {"tl1_dim": self.tl1_dim, "tl2_dim": self.tl2_dim,
+                 "gmm_k": self.gmm_k, "svm_c": self.svm_c,
+                 "svm_gamma": self.svm_gamma,
+                 **{f"sl_widths[{i}]": w for i, w in enumerate(self.sl_widths)},
+                 **{f"dnn_hidden[{i}]": w for i, w in enumerate(self.dnn_hidden)}}
+        bad = [name for name, v in sizes.items() if v is not None and v <= 0]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be positive")
         if self.svm_frame_step < 1 or self.transform_dim < 1:
             raise ValueError("svm_frame_step and transform_dim must be >= 1")
         if self.transform != "none" and self.transform_dim > self.tl2_dim:
@@ -265,6 +273,10 @@ def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
         "gmm": ("log_lik", gmm_score_matrix),
         "svm": ("decision_value", svm_score_matrix),
         "dnn": ("softmax", dnn_score_matrix)}[cfg.classifier]
+    unknown = sorted(set(labels) - set(classes))
+    if unknown:
+        raise ValueError(f"eval labels {unknown} are not training classes "
+                         f"{list(classes)}")
     cond_names = sorted(set(conditions)) or ["clean"]
     class_order = classes
     if score_kind == "log_lik":
@@ -363,6 +375,8 @@ def cross_validate(items, labels, grid, eval_fn, k=5, seed=0):
     (best_params, fold_table) where fold_table[i] is the list of fold
     accuracies for grid point i.
     """
+    if k < 2:
+        raise ValueError(f"cross-validation needs k >= 2 folds, got k={k}")
     labels = np.asarray(labels)
     n = len(items)
     if n != len(labels):

@@ -3,9 +3,10 @@
 A source network (SL#1-3 + softmax head) is trained on the large source
 task. Its head is removed, the remaining layers frozen, and two fresh
 hidden layers (TL#1-2) plus a new softmax head are appended and adapted on
-target data. The filter taps TL#2: pre-activation for the proposed variant
-(C), post-sigmoid for ablation A; variant B trains the same five-layer
-stack on target data only.
+target data; the frozen trunk is a fixed feature map, so adaptation trains
+only the new layers, on trunk outputs computed once. The filter taps TL#2:
+pre-activation for the proposed variant (C), post-sigmoid for ablation A;
+variant B trains the same five-layer stack on target data only.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import DimMismatch, NoHead, UnknownVariant
 from .frontend import FeatureMatrix
-from .network import Layer, Network, init_mlp, train
+from .network import Layer, Network, init_mlp, predict, train
 
 VARIANTS = ("A", "B", "C")
 
@@ -73,8 +74,6 @@ def strip_output(net):
 
 def append_adaptation(trunk, tl1_dim, tl2_dim, n_target_classes, seed=0):
     """Freeze the trunk and append TL#1, TL#2 and a fresh softmax head."""
-    if tl1_dim < 1 or tl2_dim < 1 or n_target_classes < 1:
-        raise ValueError("dims must be positive")
     frozen = [Layer(l.w.copy(), l.b.copy(), l.activation, frozen=True)
               for l in trunk.layers]
     new = init_mlp(trunk.out_dim, (tl1_dim, tl2_dim), n_target_classes,
@@ -83,8 +82,20 @@ def append_adaptation(trunk, tl1_dim, tl2_dim, n_target_classes, seed=0):
 
 
 def adapt(composite, target_features, target_labels, cfg):
-    """Train the adaptation layers on target data (frozen layers untouched)."""
-    return train(composite, target_features, target_labels, cfg)
+    """Train the layers above the composite's leading frozen layers on
+    target data and return (composite, TrainReport).
+
+    The frozen trunk is forwarded once over all target frames; `train` then
+    sees only the adaptation layers and those fixed trunk outputs, and the
+    trunk is joined back on untouched.
+    """
+    n_frozen = next((k for k, l in enumerate(composite.layers) if not l.frozen),
+                    len(composite.layers))
+    trunk = Network(composite.layers[:n_frozen]).copy()
+    x = predict(trunk, target_features) if n_frozen else target_features
+    top, report = train(Network(composite.layers[n_frozen:]), x,
+                        target_labels, cfg)
+    return Network(trunk.layers + top.layers), report
 
 
 def build_filter(composite, variant, fingerprint=""):

@@ -15,11 +15,10 @@ from aecfeat.audio import AudioSegment, mix_noise
 from aecfeat.classifiers import rbf_kernel, smo_solve, svm_dual_objective
 from aecfeat.frontend import FeatureMatrix, FrontendConfig
 from aecfeat.network import (
-    LayerSpec,
     TrainConfig,
     cross_entropy,
     grad,
-    init_network,
+    init_mlp,
     one_hot,
     predict,
 )
@@ -70,9 +69,7 @@ def test_gradient_oracle():
         in_dim = int(rng.integers(2, 6))
         hidden = int(rng.integers(3, 7))
         n_classes = int(rng.integers(2, 5))
-        net = init_network([LayerSpec(in_dim, hidden, "sigmoid"),
-                            LayerSpec(hidden, n_classes, "softmax")],
-                           seed=trial)
+        net = init_mlp(in_dim, (hidden,), n_classes, seed=trial)
         x = rng.standard_normal((5, in_dim))
         y = one_hot(rng.integers(0, n_classes, 5), n_classes)
         analytic = grad(net, x, y)
@@ -119,10 +116,7 @@ def test_dft_oracle():
 
 def test_freeze_invariant():
     rng = np.random.default_rng(2)
-    dims = [6, 10, 10, 10]
-    specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
-    specs.append(LayerSpec(10, 5, "softmax"))
-    source = init_network(specs, seed=0)
+    source = init_mlp(6, (10, 10, 10), 5, seed=0)
     comp = append_adaptation(strip_output(source), 8, 6, 3, seed=0)
     before = [(l.w.copy(), l.b.copy()) for l in comp.layers[:3]]
 
@@ -336,10 +330,7 @@ def test_report_fixture():
 
 def test_ablation_link():
     rng = np.random.default_rng(10)
-    dims = [6, 10, 10, 10]
-    specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
-    specs.append(LayerSpec(10, 5, "softmax"))
-    comp = append_adaptation(strip_output(init_network(specs, seed=0)),
+    comp = append_adaptation(strip_output(init_mlp(6, (10, 10, 10), 5, seed=0)),
                              8, 6, 3, seed=0)
     x = rng.standard_normal((200, 6))
     y = rng.integers(0, 3, 200)

@@ -14,7 +14,7 @@ from aecfeat.errors import (
 )
 from aecfeat.frontend import FeatureMatrix, fit_norm_stats
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
-from aecfeat.network import LayerSpec, TrainConfig, init_network, train
+from aecfeat.network import TrainConfig, init_mlp, train
 from aecfeat.serialize import load_model, save_model
 from aecfeat.transfer import DnnFilter, SourceModel, append_adaptation, build_filter, strip_output
 from aecfeat.transforms import DctSpec, pca_fit
@@ -93,11 +93,7 @@ def as_f32(a):
 
 
 def make_composite():
-    dims = [6, 8, 8, 8]
-    specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
-    specs.append(LayerSpec(8, 5, "softmax"))
-    net = init_network(specs, seed=0)
-    trunk = strip_output(net)
+    trunk = strip_output(init_mlp(6, (8, 8, 8), 5, seed=0))
     return append_adaptation(trunk, 5, 4, 3, seed=0)
 
 
@@ -143,8 +139,7 @@ class TestSerialize:
         assert loaded.fingerprint == "abc:def"
         assert loaded.network.layers[-1].activation == "linear"
 
-        dims = [6, 8]
-        src = SourceModel(init_network([LayerSpec(6, 8), LayerSpec(8, 4, "softmax")], 0),
+        src = SourceModel(init_mlp(6, (8,), 4, seed=0),
                           classes=["w", "x", "y", "z"], fingerprint="fp")
         path = tmp_path / "s.aecf"
         save_model(path, src)

@@ -3,20 +3,18 @@ import pytest
 
 from aecfeat.errors import (
     DegenerateLabels,
-    DimChainBroken,
     DimMismatch,
     NoSoftmaxHead,
     ShapeMismatch,
 )
 from aecfeat.network import (
     Layer,
-    LayerSpec,
     Network,
     TrainConfig,
     cross_entropy,
     forward,
     grad,
-    init_network,
+    init_mlp,
     one_hot,
     predict,
     sgd_step,
@@ -24,12 +22,8 @@ from aecfeat.network import (
 )
 
 
-def small_net(dims, seed=0, frozen_first=False):
-    specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims[:-2], dims[1:-1])]
-    specs.append(LayerSpec(dims[-2], dims[-1], "softmax"))
-    if frozen_first:
-        specs[0].frozen = True
-    return init_network(specs, seed=seed)
+def small_net(dims, seed=0):
+    return init_mlp(dims[0], dims[1:-1], dims[-1], seed=seed)
 
 
 def finite_diff_grads(net, x, y, h=1e-5):
@@ -86,9 +80,19 @@ class TestInit:
         b = small_net([5, 4, 3], seed=2)
         assert not np.array_equal(a.layers[0].w, b.layers[0].w)
 
-    def test_broken_chain(self):
-        with pytest.raises(DimChainBroken):
-            init_network([LayerSpec(5, 4), LayerSpec(3, 2, "softmax")])
+    def test_glorot_uniform_stream(self):
+        # one generator, one uniform draw per layer, bottom to top
+        net = small_net([5, 4, 3], seed=3)
+        rng = np.random.default_rng(3)
+        for layer, (a, b) in zip(net.layers, [(5, 4), (4, 3)]):
+            s = np.sqrt(6.0 / (a + b))
+            assert np.array_equal(layer.w, rng.uniform(-s, s, size=(b, a)))
+        assert [l.activation for l in net.layers] == ["sigmoid", "softmax"]
+
+    @pytest.mark.parametrize("dims", [[0, 4, 3], [5, 0, 3], [5, 4, 0]])
+    def test_non_positive_dims_rejected(self, dims):
+        with pytest.raises(ValueError):
+            small_net(dims)
 
 
 class TestForward:
@@ -136,14 +140,6 @@ class TestGrad:
         y = one_hot(np.zeros(4, dtype=int), 2)
         g = grad(net, x, y)
         assert np.max(np.abs(g[0][1])) <= 1e-9
-
-    def test_frozen_layer_zero_block(self):
-        net = small_net([3, 4, 2], frozen_first=True)
-        x = np.random.default_rng(3).standard_normal((5, 3))
-        y = one_hot([0, 1, 0, 1, 0], 2)
-        g = grad(net, x, y)
-        assert not g[0][0].any() and not g[0][1].any()
-        assert g[1][0].any()
 
     def test_requires_softmax_head(self):
         net = Network([Layer(np.zeros((2, 2)), np.zeros(2), "sigmoid")])
@@ -245,22 +241,12 @@ class TestTrain:
         assert report.stage_boundaries[0] == 0
         assert 0 < report.stage_boundaries[1] <= 10
 
-    def test_frozen_layers_bit_identical(self):
-        x, y = xor_data(10)
-        net = small_net([2, 6, 2], seed=1, frozen_first=True)
-        before_w = net.layers[0].w.copy()
-        before_b = net.layers[0].b.copy()
-        cfg = TrainConfig(lr0=0.3, max_epochs_per_stage=30, seed=1)
-        trained, _ = train(net, x, y, cfg)
-        assert np.array_equal(trained.layers[0].w, before_w)
-        assert np.array_equal(trained.layers[0].b, before_b)
-
     def test_full_batch_convex_ce_non_increasing(self):
         # single softmax layer on fixed data is a convex problem
         rng = np.random.default_rng(3)
         x = rng.standard_normal((40, 3))
         y = (x[:, 0] > 0).astype(int)
-        net = init_network([LayerSpec(3, 2, "softmax")], seed=0)
+        net = init_mlp(3, (), 2, seed=0)
         cfg = TrainConfig(lr0=0.05, momentum=0.0, weight_decay=0.0,
                           batch_size=40, val_ratio=0.0, patience_epochs=10 ** 6,
                           min_rel_improve=0.0, n_lr_stages=1,

@@ -1,5 +1,7 @@
 import json
 import os
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +179,12 @@ class TestCrossValidate:
             cross_validate([1, 2, 3], ["a", "a", "b"], [{}],
                            lambda *a: 1.0, k=5, seed=0)
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_fewer_than_two_folds_rejected(self, k):
+        with pytest.raises(ValueError, match=f"k={k}"):
+            cross_validate(list(range(10)), ["a"] * 5 + ["b"] * 5, [{}],
+                           lambda *a: 1.0, k=k, seed=0)
+
     def test_svm_folds_fit_the_frames_fit_classifier_selects(self, tmp_path,
                                                             monkeypatch):
         # column 0 names the segment, so a fit's rows tell which segments
@@ -264,6 +272,31 @@ def one_eval_class_corpus(tmp_path_factory):
     return root, manifest
 
 
+@pytest.fixture(scope="module")
+def unseen_eval_class_corpus(tmp_path_factory):
+    """Three target classes, but tgt02 has no training segments."""
+    root = tmp_path_factory.mktemp("corpus_unseen")
+    full = generate_dataset(
+        root, n_source_classes=3, n_target_classes=3,
+        source_segments_per_class=2, target_train_per_class=3,
+        target_eval_per_class=2, segment_s=0.5, seed=0)
+    manifest = Manifest([e for e in full.entries
+                         if not (e.domain == "target" and e.split == "train"
+                                 and e.label == "tgt02")])
+    save_manifest(manifest, root / "manifest.csv")
+    return root, manifest
+
+
+def load_spans():
+    """perfbench/spans.py as a module, executed from its source so that
+    nothing is written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    module = types.ModuleType("spans")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
 STAGED_CHAIN = (["train-source", "MANIFEST"], ["adapt", "MANIFEST"],
                 ["extract", "MANIFEST", "--split", "train"],
                 ["extract", "MANIFEST", "--split", "eval"],
@@ -283,7 +316,11 @@ class TestRunConfigValidation:
     @pytest.mark.parametrize("bad", [
         {"svm_frame_step": 0}, {"transform_dim": 0},
         {"transform": "dct", "transform_dim": 20, "tl2_dim": 10},
-        {"transform": "pca", "transform_dim": 20, "tl2_dim": 10}])
+        {"transform": "pca", "transform_dim": 20, "tl2_dim": 10},
+        {"sl_widths": (16, 0, 16)}, {"dnn_hidden": (8, -1)},
+        {"tl1_dim": 0}, {"transform": "none", "tl2_dim": 0}, {"gmm_k": 0},
+        {"svm_c": 0.0}, {"svm_c": -1.0}, {"svm_gamma": 0.0},
+        {"svm_gamma": -0.5}])
     def test_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             RunConfig(**bad)
@@ -332,6 +369,18 @@ class TestRunPipeline:
             run_pipeline(tiny_config(tmp_path / "x"), no_target)
         assert "load-manifest" in str(e.value)
 
+    def test_traced_benchmark_smoke(self, tiny_corpus, tmp_path):
+        # the per-layer benchmark wraps these functions from outside and
+        # reads their arguments and results
+        spans = load_spans()
+        _, manifest = tiny_corpus
+        with spans.Tracer() as tracer:
+            pl.run_pipeline(tiny_config(tmp_path / "run"), manifest)
+        metrics = spans.per_layer_metrics(tracer)
+        for name in ("network.grad.calls", "network.train.epochs",
+                     "transfer.adapt.s"):
+            assert metrics[name]["value"] > 0, name
+
 
 class TestCli:
     def test_run_smoke(self, tiny_corpus, tmp_path, capsys):
@@ -376,7 +425,8 @@ class TestCli:
 
     @pytest.mark.parametrize("bad", [
         {"svm_frame_step": 0}, {"transform_dim": 0}, {"transform_dim": 20},
-        {"accumulate_log_domain": True}, {"frontend": {"frame_len": 1024}}])
+        {"accumulate_log_domain": True}, {"frontend": {"frame_len": 1024}},
+        {"svm_c": 0}])
     def test_invalid_config_exits_before_any_artifact(self, tiny_corpus,
                                                       tmp_path, capsys, bad):
         root, _ = tiny_corpus
@@ -412,6 +462,48 @@ class TestCli:
         assert "stage 'fit-classifier'" in err and "non-finite" in err
         assert "Traceback" not in err
         assert not (out / "classifier.aecf").exists()
+
+    def test_cross_validate_needs_two_folds(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        rng = np.random.default_rng(0)
+        np.savez(out / "features_train.npz",
+                 __labels__=np.array(["a", "b", "a", "b"]),
+                 __conditions__=np.array(["clean"] * 4),
+                 __splits__=np.array(["train"] * 4),
+                 **{f"seg{i:05d}": rng.standard_normal((4, 10))
+                    for i in range(4)})
+        cfg = tiny_config(out)
+        cfg.transform = "none"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        rc = cli.main(["--config", str(cfg_path), "--out", str(out),
+                       "cross-validate", "--k", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stage 'cross-validate'" in err and "k=1" in err
+        assert "Traceback" not in err
+
+    def test_unknown_eval_label_is_named(self, unseen_eval_class_corpus,
+                                         tmp_path, capsys):
+        root, _ = unseen_eval_class_corpus
+        man = root / "manifest.csv"
+        cfg = tiny_config(tmp_path / "run")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        rc = cli.main(["--config", str(cfg_path), "--out", cfg.out_dir,
+                       "run", str(man)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stage 'evaluate'" in err
+        assert "eval labels ['tgt02'] are not training classes" in err
+        codes = run_staged(tiny_config(tmp_path / "staged"), man,
+                           tmp_path / "cfg.json")
+        assert codes == [0] * (len(STAGED_CHAIN) - 1) + [2]
+        err = capsys.readouterr().err
+        assert "stage 'evaluate'" in err
+        assert "eval labels ['tgt02'] are not training classes" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("corpus,variant", [
         ("tiny_corpus", "C"), ("tiny_corpus", "B"),

@@ -3,7 +3,7 @@ import pytest
 
 from aecfeat.errors import DimMismatch, NoHead, UnknownVariant
 from aecfeat.frontend import FeatureMatrix
-from aecfeat.network import LayerSpec, TrainConfig, init_network, predict
+from aecfeat.network import Layer, Network, TrainConfig, init_mlp, predict
 from aecfeat.transfer import (
     DnnFilter,
     SourceModel,
@@ -16,10 +16,7 @@ from aecfeat.transfer import (
 
 
 def source_net(in_dim=6, widths=(8, 8, 8), n_classes=5, seed=0):
-    dims = [in_dim, *widths]
-    specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
-    specs.append(LayerSpec(dims[-1], n_classes, "softmax"))
-    return init_network(specs, seed=seed)
+    return init_mlp(in_dim, widths, n_classes, seed=seed)
 
 
 def blobs(n_classes=4, per_class=40, dim=6, spread=6.0, seed=0):
@@ -41,10 +38,11 @@ class TestSurgery:
             assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
 
     def test_strip_needs_head(self):
-        no_head = init_network([LayerSpec(4, 3), LayerSpec(3, 2)], seed=0)
+        no_head = Network([Layer(np.zeros((3, 4)), np.zeros(3), "sigmoid"),
+                           Layer(np.zeros((2, 3)), np.zeros(2), "sigmoid")])
         with pytest.raises(NoHead):
             strip_output(no_head)
-        one_layer = init_network([LayerSpec(4, 2, "softmax")], seed=0)
+        one_layer = init_mlp(4, (), 2, seed=0)
         with pytest.raises(NoHead):
             strip_output(one_layer)
 
@@ -89,6 +87,35 @@ class TestAdapt:
         # separable-by-construction target: validation accuracy > 90%
         pred = np.argmax(predict(trained, x), axis=1)
         assert np.mean(pred == y) > 0.9
+
+    def test_trains_only_the_adaptation_layers(self, monkeypatch):
+        from aecfeat import network
+
+        trunk = strip_output(source_net())
+        comp = append_adaptation(trunk, 5, 4, 3, seed=0)
+        seen = []
+        real_grad = network.grad
+
+        def recording_grad(net, x, one_hot):
+            seen.append((len(net.layers), net.in_dim))
+            return real_grad(net, x, one_hot)
+
+        monkeypatch.setattr(network, "grad", recording_grad)
+        x, y = blobs(n_classes=3, dim=6)
+        trained, _ = adapt(comp, x, y, TrainConfig(lr0=0.3, max_epochs_per_stage=5,
+                                                   seed=0))
+        assert seen and set(seen) == {(3, trunk.out_dim)}
+        assert [l.frozen for l in trained.layers] == [True] * 3 + [False] * 3
+
+    def test_without_frozen_layers_trains_everything(self):
+        from aecfeat.network import train
+
+        x, y = blobs(n_classes=3, dim=6)
+        cfg = TrainConfig(lr0=0.3, max_epochs_per_stage=5, seed=0)
+        a, _ = adapt(source_net(n_classes=3), x, y, cfg)
+        b, _ = train(source_net(n_classes=3), x, y, cfg)
+        for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
 
     def test_empty_target(self):
         comp = append_adaptation(strip_output(source_net()), 5, 4, 2, seed=0)
@@ -135,10 +162,7 @@ class TestBuildFilter:
         # a target-only stack initialized from its own seed cannot carry
         # the source parameters
         src = source_net(seed=0)
-        dims = [6, 8, 8, 8, 5, 4]
-        specs = [LayerSpec(a, b, "sigmoid") for a, b in zip(dims, dims[1:])]
-        specs.append(LayerSpec(4, 3, "softmax"))
-        target_only = init_network(specs, seed=1)
+        target_only = init_mlp(6, (8, 8, 8, 5, 4), 3, seed=1)
         filt = build_filter(target_only, "B")
         for fl, sl in zip(filt.network.layers[:3], src.layers[:3]):
             assert not np.array_equal(fl.w, sl.w)
