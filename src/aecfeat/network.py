@@ -6,6 +6,12 @@ two-stage learning-rate schedule (the rate is divided by 10 for the second
 stage). `train` updates every layer it is given; `Layer.frozen` only marks
 the trunk layers that `transfer.adapt` keeps out of training. Everything is
 deterministic for a given seed.
+
+Training runs in float32: `train` casts features, targets, parameters and
+velocities down once and returns float32 parameters (every stage already
+stores its parameters as float32 in `.aecf` files). `forward` and `grad`
+compute in the dtype of their input and parameters, so float64 callers get
+float64 results. Losses are accumulated in float64.
 """
 
 import time
@@ -13,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import (
     DegenerateLabels,
@@ -51,8 +58,11 @@ class Network:
     def out_dim(self):
         return self.layers[-1].out_dim
 
-    def copy(self):
-        return Network([Layer(l.w.copy(), l.b.copy(), l.activation, l.frozen)
+    def copy(self, dtype=None):
+        """A copy of every parameter, cast to `dtype` if one is given."""
+        return Network([Layer(l.w.astype(dtype or l.w.dtype),
+                              l.b.astype(dtype or l.b.dtype),
+                              l.activation, l.frozen)
                         for l in self.layers])
 
 
@@ -101,38 +111,34 @@ def init_mlp(in_dim, hidden, n_classes, seed=0):
     return Network(layers)
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _activate(z, kind):
+    """Apply the activation to the pre-activation array `z` in place."""
     if kind == "sigmoid":
-        return _sigmoid(z)
+        return expit(z, out=z)
     if kind == "softmax":
-        return _softmax(z)
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
     return z
+
+
+def _as_batch(x):
+    """`x` as a 2-D float array: float32 stays float32, anything else
+    becomes float64; no copy when it already is one of them."""
+    x = np.atleast_2d(np.asarray(x))
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def forward(net, x):
     """Per-layer post-activation outputs for a batch (rows = samples)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = _as_batch(x)
     if x.shape[1] != net.in_dim:
         raise DimMismatch(f"input dims {x.shape[1]} != network input {net.in_dim}")
     acts = []
     a = x
     for layer in net.layers:
-        z = a @ layer.w.T + layer.b
+        z = a @ layer.w.T
+        z += layer.b
         a = _activate(z, layer.activation)
         acts.append(a)
     return acts
@@ -142,22 +148,33 @@ def predict(net, x):
     return forward(net, x)[-1]
 
 
+def _summed_ce(probs, one_hot):
+    """Cross-entropy summed over the batch, with the log taken in float64:
+    a float32 floor of 1e-300 rounds to 0, and one exact-zero probability
+    would then make the loss NaN (0 * log 0)."""
+    p = np.clip(np.asarray(probs, dtype=np.float64), 1e-300, None)
+    return float(-np.sum(one_hot * np.log(p)))
+
+
 def cross_entropy(probs, one_hot):
     """Mean cross-entropy over the batch, clipped away from log(0)."""
-    p = np.clip(probs, 1e-300, None)
-    return float(-np.sum(one_hot * np.log(p)) / probs.shape[0])
+    return _summed_ce(probs, one_hot) / probs.shape[0]
 
 
 def grad(net, x, one_hot):
     """Backprop gradients of mean cross-entropy for every layer.
 
-    Requires a softmax head. Returns a list of (dW, db) matching net.layers.
+    Requires a softmax head. Returns `(grads, loss)`: a list of (dW, db)
+    matching net.layers, in the dtype of the forward pass, and the batch's
+    summed cross-entropy as a float, read off the forward pass's softmax
+    output.
     """
     if net.layers[-1].activation != "softmax":
         raise NoSoftmaxHead("gradient needs a softmax output layer")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    one_hot = np.atleast_2d(np.asarray(one_hot, dtype=np.float64))
+    x = _as_batch(x)
+    one_hot = np.atleast_2d(np.asarray(one_hot, dtype=x.dtype))
     acts = forward(net, x)
+    loss = _summed_ce(acts[-1], one_hot)
     n = x.shape[0]
     grads = [None] * len(net.layers)
     # softmax + cross-entropy: delta = (p - y) / n
@@ -170,10 +187,11 @@ def grad(net, x, one_hot):
             delta = delta @ layer.w
             prev = net.layers[k - 1]
             if prev.activation == "sigmoid":
-                delta = delta * a_prev * (1.0 - a_prev)
+                delta *= a_prev
+                delta *= 1.0 - a_prev
             elif prev.activation == "softmax":
                 raise NoSoftmaxHead("softmax only allowed as the final layer")
-    return grads
+    return grads, loss
 
 
 def sgd_step(layer, grads, velocity, lr, momentum, weight_decay):
@@ -223,10 +241,18 @@ def train(net, features, labels, cfg):
     Each stage runs at its learning rate until the epoch-mean training
     cross-entropy stops improving (relative improvement below
     cfg.min_rel_improve for cfg.patience_epochs consecutive epochs) or the
-    stage epoch cap is hit; the next stage divides the rate by 10.
+    stage epoch cap is hit; the next stage divides the rate by 10. The
+    epoch mean is taken over the minibatch losses `grad` returns, each
+    measured before that minibatch's update; the validation split is the
+    only data forwarded again after an epoch.
+
+    Training runs in float32 on float32 copies of the features, targets and
+    parameters, and the returned snapshot holds float32 parameters; with a
+    zero-epoch cap a copy of the starting network, in its own dtype, is
+    handed back.
     """
     t0 = time.perf_counter()
-    x = np.asarray(features, dtype=np.float64)
+    x = np.asarray(features)
     labels = np.asarray(labels, dtype=int)
     if x.shape[0] != len(labels):
         raise DimMismatch("features/labels length mismatch")
@@ -245,10 +271,14 @@ def train(net, features, labels, cfg):
         if not np.any(labels[train_idx] == c):
             raise TooFewSamples(f"class {c} has no training samples after the split")
 
-    x_tr, y_tr = x[train_idx], one_hot(labels[train_idx], n_classes)
-    x_val, y_val = x[val_idx], one_hot(labels[val_idx], n_classes)
+    x = x.astype(np.float32, copy=False)
+    y = one_hot(labels, n_classes).astype(np.float32)
+    x_tr, y_tr = x[train_idx], y[train_idx]
+    x_val, y_val = x[val_idx], y[val_idx]
+    del x  # only the two splits are needed from here on
 
-    net = net.copy()
+    start = net
+    net = net.copy(np.float32)
     report = TrainReport()
     best = net.copy()
     best_val = np.inf
@@ -262,12 +292,14 @@ def train(net, features, labels, cfg):
         stall = 0
         for _ in range(cfg.max_epochs_per_stage):
             order = rng.permutation(len(x_tr))
+            ce_sum = 0.0
             for lo in range(0, len(order), cfg.batch_size):
                 sel = order[lo : lo + cfg.batch_size]
-                g = grad(net, x_tr[sel], y_tr[sel])
+                g, loss = grad(net, x_tr[sel], y_tr[sel])
+                ce_sum += loss
                 for layer, gl, vel in zip(net.layers, g, velocity):
                     sgd_step(layer, gl, vel, lr, cfg.momentum, cfg.weight_decay)
-            train_ce = cross_entropy(predict(net, x_tr), y_tr)
+            train_ce = ce_sum / len(x_tr)
             if len(x_val):
                 val_ce = cross_entropy(predict(net, x_val), y_val)
             else:
@@ -288,6 +320,6 @@ def train(net, features, labels, cfg):
     report.final_epoch = epoch
     report.wall_time_s = time.perf_counter() - t0
     if not report.train_ce:  # zero-epoch cap: hand back the starting point
-        best = net
+        best = start.copy()
         report.stage_boundaries = report.stage_boundaries[:1]
     return best, report

@@ -66,6 +66,10 @@ class RunConfig:
             raise ValueError(f"unknown classifier {self.classifier!r}")
         if self.variant not in ("A", "B", "C"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.variant in ("A", "C") and not self.sl_widths:
+            raise ValueError(f"variant {self.variant} needs at least one "
+                             f"sl_widths layer to keep once the source head "
+                             f"is cut off")
         sizes = {"tl1_dim": self.tl1_dim, "tl2_dim": self.tl2_dim,
                  "gmm_k": self.gmm_k, "svm_c": self.svm_c,
                  "svm_gamma": self.svm_gamma,
@@ -120,8 +124,8 @@ def artifact_path(cfg, name):
 def store(cfg, name, model):
     """Save `model` as <out_dir>/<name>.aecf, stamped with the config
     fingerprint and seed, and return it as stored: every stage consumes
-    the float32 parameters the file holds, never the in-memory float64
-    ones, so the `.aecf` files reproduce the run that wrote them."""
+    the float32 parameters the file holds, never the in-memory ones, so
+    the `.aecf` files reproduce the run that wrote them."""
     path = artifact_path(cfg, name + ".aecf")
     save_model(path, model, {"config_fingerprint": cfg.fingerprint(),
                              "seed": cfg.seed})

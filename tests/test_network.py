@@ -125,6 +125,16 @@ class TestForward:
             forward(net, np.zeros((2, 7)))
 
 
+class TestCrossEntropy:
+    def test_float32_exact_zero_probability_is_finite(self):
+        # a float32 clip at 1e-300 would round to 0 and give 0 * log(0)
+        p = np.array([[0.0, 1.0], [0.25, 0.75]], dtype=np.float32)
+        y = one_hot([1, 0], 2)
+        ce = cross_entropy(p, y)
+        assert np.isfinite(ce)
+        assert ce == cross_entropy(p.astype(np.float64), y)
+
+
 class TestGrad:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -132,19 +142,44 @@ class TestGrad:
             net = small_net([3, 4, 2], seed=trial)
             x = rng.standard_normal((6, 3))
             y = one_hot(rng.integers(0, 2, 6), 2)
-            assert max_rel_error(grad(net, x, y), finite_diff_grads(net, x, y)) < 1e-4
+            assert max_rel_error(grad(net, x, y)[0], finite_diff_grads(net, x, y)) < 1e-4
 
     def test_perfect_prediction_zero_delta(self):
         net = Network([Layer(np.zeros((2, 2)), np.array([50.0, -50.0]), "softmax")])
         x = np.zeros((4, 2))
         y = one_hot(np.zeros(4, dtype=int), 2)
-        g = grad(net, x, y)
+        g, _ = grad(net, x, y)
         assert np.max(np.abs(g[0][1])) <= 1e-9
 
     def test_requires_softmax_head(self):
         net = Network([Layer(np.zeros((2, 2)), np.zeros(2), "sigmoid")])
         with pytest.raises(NoSoftmaxHead):
             grad(net, np.zeros((1, 2)), np.zeros((1, 2)))
+
+    def test_loss_is_summed_cross_entropy_of_the_forward_pass(self):
+        rng = np.random.default_rng(4)
+        net = small_net([3, 4, 2], seed=0)
+        x = rng.standard_normal((6, 3))
+        y = one_hot(rng.integers(0, 2, 6), 2)
+        _, loss = grad(net, x, y)
+        assert loss == pytest.approx(6 * cross_entropy(predict(net, x), y),
+                                     rel=1e-12)
+
+    def test_follows_input_dtype(self):
+        rng = np.random.default_rng(5)
+        net64 = small_net([3, 4, 2], seed=0)
+        net32 = net64.copy(np.float32)
+        x = rng.standard_normal((6, 3)).astype(np.float32)
+        y = one_hot(rng.integers(0, 2, 6), 2)
+        assert all(a.dtype == np.float32 for a in forward(net32, x))
+        g32, loss32 = grad(net32, x, y.astype(np.float32))
+        assert all(gw.dtype == gb.dtype == np.float32 for gw, gb in g32)
+        # the same float32 values, computed in float64
+        g64, loss64 = grad(net32.copy(np.float64), x.astype(np.float64), y)
+        assert all(a.dtype == np.float64 for a in forward(net64, x.astype(np.float64)))
+        assert all(gw.dtype == gb.dtype == np.float64 for gw, gb in g64)
+        assert max_rel_error(g32, g64) < 1e-4
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
 
 
 class TestSgdStep:
@@ -217,6 +252,53 @@ class TestTrain:
         cfg = TrainConfig(lr0=0.2, weight_decay=0.0, max_epochs_per_stage=100, seed=0)
         trained, report = train(net, x, y, cfg)
         assert report.val_ce[-1] < 0.1 or min(report.val_ce) < 0.1
+
+    def test_trains_a_float32_copy(self):
+        x, y = xor_data(5)
+        net = small_net([2, 4, 2], seed=0)
+        w0 = net.layers[0].w.copy()
+        trained, _ = train(net, x, y, TrainConfig(lr0=0.3, max_epochs_per_stage=2,
+                                                  seed=0))
+        assert all(l.w.dtype == l.b.dtype == np.float32 for l in trained.layers)
+        assert net.layers[0].w.dtype == np.float64
+        assert np.array_equal(net.layers[0].w, w0)
+
+    def test_predicts_only_validation_rows(self, monkeypatch):
+        from aecfeat import network
+
+        rows, real_predict = [], network.predict
+
+        def recording_predict(net, x):
+            rows.append(len(x))
+            return real_predict(net, x)
+
+        monkeypatch.setattr(network, "predict", recording_predict)
+        x, y = xor_data(10)  # 20 rows per class, 4 of each held out
+        _, report = train(small_net([2, 4, 2], seed=0), x, y,
+                          TrainConfig(lr0=0.3, max_epochs_per_stage=3, seed=0))
+        assert len(rows) == report.final_epoch > 0
+        assert set(rows) == {8}
+
+    def test_train_ce_is_epoch_mean_of_batch_losses(self, monkeypatch):
+        from aecfeat import network
+
+        batches, real_grad = [], network.grad
+
+        def recording_grad(net, x, one_hot):
+            g, loss = real_grad(net, x, one_hot)
+            batches.append((len(x), loss))
+            return g, loss
+
+        monkeypatch.setattr(network, "grad", recording_grad)
+        x, y = xor_data(10)  # 32 training rows: batches of 12, 12 and 8
+        _, report = train(small_net([2, 4, 2], seed=0), x, y,
+                          TrainConfig(lr0=0.3, batch_size=12,
+                                      max_epochs_per_stage=3, seed=0))
+        assert len(batches) == 3 * report.final_epoch
+        for e, ce in enumerate(report.train_ce):
+            epoch = batches[3 * e : 3 * e + 3]
+            assert [n for n, _ in epoch] == [12, 12, 8]
+            assert ce == sum(loss for _, loss in epoch) / 32
 
     def test_degenerate_labels(self):
         net = small_net([2, 3, 2])

@@ -320,13 +320,18 @@ class TestRunConfigValidation:
         {"sl_widths": (16, 0, 16)}, {"dnn_hidden": (8, -1)},
         {"tl1_dim": 0}, {"transform": "none", "tl2_dim": 0}, {"gmm_k": 0},
         {"svm_c": 0.0}, {"svm_c": -1.0}, {"svm_gamma": 0.0},
-        {"svm_gamma": -0.5}])
+        {"svm_gamma": -0.5}, {"sl_widths": ()},
+        {"sl_widths": (), "variant": "A"}])
     def test_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             RunConfig(**bad)
 
     def test_transform_dim_unchecked_without_transform(self):
         RunConfig(transform="none", transform_dim=20, tl2_dim=10)
+
+    def test_variant_b_needs_no_source_layers(self):
+        # B trains its stack on target data only; no source head is cut off
+        RunConfig(sl_widths=(), variant="B")
 
 
 class TestRunPipeline:
@@ -426,7 +431,7 @@ class TestCli:
     @pytest.mark.parametrize("bad", [
         {"svm_frame_step": 0}, {"transform_dim": 0}, {"transform_dim": 20},
         {"accumulate_log_domain": True}, {"frontend": {"frame_len": 1024}},
-        {"svm_c": 0}])
+        {"svm_c": 0}, {"sl_widths": []}])
     def test_invalid_config_exits_before_any_artifact(self, tiny_corpus,
                                                       tmp_path, capsys, bad):
         root, _ = tiny_corpus
