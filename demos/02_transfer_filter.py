@@ -1,10 +1,10 @@
 """Transfer-learned feature filter walk-through.
 
 Pre-trains a classification network on source-domain classes, removes its
-softmax head, freezes the remaining layers, appends two fresh layers plus a
-new head, adapts on the (different) target classes, and taps the last
-adaptation layer as a non-linear feature filter. Shows the three filter
-variants and the exact relation A = sigmoid(C).
+softmax head, trains two fresh layers plus a new head over the remaining,
+fixed layers on the (different) target classes, and taps the last fresh
+layer as a non-linear feature filter. Shows the three filter variants and
+the exact relation A = sigmoid(C).
 
 Run:  python3 demos/02_transfer_filter.py
 """
@@ -13,13 +13,7 @@ import numpy as np
 
 from aecfeat.frontend import FeatureMatrix
 from aecfeat.network import TrainConfig, init_mlp, predict, train
-from aecfeat.transfer import (
-    adapt,
-    append_adaptation,
-    build_filter,
-    extract,
-    strip_output,
-)
+from aecfeat.transfer import adapt, build_filter, extract, strip_output
 
 
 def blobs(n_classes, per_class, dim, seed):
@@ -39,21 +33,23 @@ source, rep = train(source, xs, ys,
 acc = np.mean(np.argmax(predict(source, xs), axis=1) == ys)
 print(f"source network: {rep.final_epoch} epochs, train accuracy {acc:.2f}")
 
-# 2. surgery: drop the head, freeze what remains, append two trainable layers
-comp = append_adaptation(strip_output(source), tl1_dim=12, tl2_dim=10,
-                         n_target_classes=3, seed=0)
-print("composite layers:",
-      [(l.out_dim, l.activation, "frozen" if l.frozen else "trainable")
-       for l in comp.layers])
-
-# 3. adaptation on the 3 target classes
+# 2. surgery and adaptation: drop the head, keep what remains fixed, and
+#    train TL#1 (12), TL#2 (10) and a new head on the 3 target classes
+trunk = strip_output(source)
 xt, yt = blobs(3, 40, 8, seed=7)
-comp, rep = adapt(comp, xt, yt,
-                  TrainConfig(lr0=0.3, max_epochs_per_stage=100, seed=0))
+comp, rep = adapt(trunk, xt, yt, (12, 10), 3,
+                  TrainConfig(lr0=0.3, max_epochs_per_stage=100, seed=0),
+                  seed=0)
+print("composite layers:",
+      [(l.out_dim, l.activation, "frozen" if l.frozen else "trained")
+       for l in comp.layers])
+unchanged = all(np.array_equal(a.w, b.w)
+                for a, b in zip(comp.layers, trunk.layers))
 acc = np.mean(np.argmax(predict(comp, xt), axis=1) == yt)
-print(f"adapted network: {rep.final_epoch} epochs, target accuracy {acc:.2f}")
+print(f"adapted network: {rep.final_epoch} epochs, target accuracy {acc:.2f}, "
+      f"trunk unchanged: {unchanged}")
 
-# 4. filter variants tap the last appended layer
+# 3. filter variants tap the last appended layer
 fm = FeatureMatrix(xt[:5])
 feat_c = extract(build_filter(comp, "C"), fm).values   # pre-activation tap
 feat_a = extract(build_filter(comp, "A"), fm).values   # post-sigmoid tap

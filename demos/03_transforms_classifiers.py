@@ -3,7 +3,7 @@
 Shows the orthonormal DCT-II and PCA reductions and compares the three
 back ends (diagonal-covariance GMM, one-vs-rest RBF SVM, small softmax
 network) on per-frame features, with the per-segment decision made by
-accumulating frame scores.
+summing frame scores (log-likelihoods, decision values, log posteriors).
 
 Run:  python3 demos/03_transforms_classifiers.py
 """
@@ -53,19 +53,18 @@ y = np.concatenate([[c] * len(s) for s, c in red_train])
 
 backends = {
     "gmm": (gmm_fit({str(c): x[y == c] for c in range(n_classes)},
-                    k=2, seed=0), gmm_score_matrix, "log_lik"),
-    "svm": (svm_fit(x, y, c=10.0, gamma=1.0 / x.shape[1]),
-            svm_score_matrix, "decision_value"),
+                    k=2, seed=0), gmm_score_matrix),
+    "svm": (svm_fit(x, y, c=10.0, gamma=1.0 / x.shape[1]), svm_score_matrix),
     "dnn": (dnn_classifier_fit(x, y, TrainConfig(lr0=0.3,
                                                  max_epochs_per_stage=40,
                                                  seed=0),
                                hidden=(16, 16))[0],
-            dnn_score_matrix, "softmax"),
+            dnn_score_matrix),
 }
 
-for name, (model, score_fn, kind) in backends.items():
+for name, (model, score_fn) in backends.items():
     correct = 0
     for s, c in red_test:
-        decision = classify_segment(score_fn(model, s), kind)
+        decision = classify_segment(score_fn(model, s))
         correct += int(decision.winner == c)
     print(f"{name}: segment accuracy {correct}/{len(red_test)}")

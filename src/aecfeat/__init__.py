@@ -50,7 +50,6 @@ from .transfer import (
     DnnFilter,
     SourceModel,
     adapt,
-    append_adaptation,
     build_filter,
     extract,
     strip_output,

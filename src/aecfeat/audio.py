@@ -7,7 +7,7 @@ rejected at ingestion with an error naming the offending property.
 
 import logging
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ class AudioSegment:
     samples: np.ndarray  # float64, in [-1, 1]
     sample_rate: int = SAMPLE_RATE
     label: Optional[str] = None
-    source_path: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -70,7 +69,7 @@ def read_wav(path, label=None):
         raw = f.readframes(f.getnframes())
     pcm = np.frombuffer(raw, dtype="<i2")
     samples = pcm.astype(np.float64) / 32768.0
-    return AudioSegment(samples, SAMPLE_RATE, label=label, source_path=str(path))
+    return AudioSegment(samples, SAMPLE_RATE, label=label)
 
 
 def write_wav(path, segment):
@@ -115,8 +114,7 @@ def mix_noise(signal, noise, snr_db, seed=0):
     if n_clip:
         logger.warning("mix_noise clipped %d samples (snr=%g dB)", n_clip, snr_db)
         mixed = np.clip(mixed, -1.0, 1.0)
-    return AudioSegment(mixed, SAMPLE_RATE, label=signal.label,
-                        source_path=signal.source_path)
+    return AudioSegment(mixed, SAMPLE_RATE, label=signal.label)
 
 
 def convolve_rir(signal, rir):
@@ -129,8 +127,7 @@ def convolve_rir(signal, rir):
     peak = np.max(np.abs(out))
     if peak > 1.0:
         out = out / peak
-    return AudioSegment(out, SAMPLE_RATE, label=signal.label,
-                        source_path=signal.source_path)
+    return AudioSegment(out, SAMPLE_RATE, label=signal.label)
 
 
 def decay_envelope(rt60_s, n_samples, sample_rate=SAMPLE_RATE):

@@ -7,9 +7,10 @@ Three families:
     sequential minimal optimization (SMO) to the KKT conditions within tol;
   * a dense softmax network (300-300-100 hidden) reusing the shared trainer.
 
-A segment is classified by summing per-frame scores per class
-(log-likelihoods, decision values, or log posteriors) and taking the
-argmax; ties go to the lowest class index.
+Every back end scores frames as a (rows, classes) matrix in which higher
+is better and summing over frames is meaningful: log-likelihoods, decision
+values, or log posteriors. A segment is classified by summing its frame
+scores per class and taking the argmax; ties go to the lowest class index.
 """
 
 from dataclasses import dataclass, field
@@ -66,19 +67,24 @@ def _gmm_log_prob(x, weights, means, variances):
             - 0.5 * mahal)
 
 
-def _fit_one_gmm(x, k, rng, max_iter=200, rel_tol=1e-6, floor_frac=1e-3):
+GMM_MAX_ITER = 200
+GMM_REL_TOL = 1e-6     # EM stops when the relative log-likelihood gain is less
+GMM_FLOOR_FRAC = 1e-3  # variance floor, as a fraction of the global variance
+
+
+def _fit_one_gmm(x, k, rng):
     n, d = x.shape
     if n < k:
         raise TooFewFrames(
             f"{n} frames for {k} mixtures; use a smaller mixture count"
         )
     global_var = np.maximum(x.var(axis=0), 1e-12)
-    floor = floor_frac * global_var
+    floor = GMM_FLOOR_FRAC * global_var
     means = x[rng.choice(n, size=k, replace=False)].copy()
     variances = np.tile(np.maximum(global_var, floor), (k, 1))
     weights = np.full(k, 1.0 / k)
     history = []
-    for _ in range(max_iter):
+    for _ in range(GMM_MAX_ITER):
         log_joint = _gmm_log_prob(x, weights, means, variances)  # (N, K)
         log_norm = logsumexp(log_joint, axis=1)
         ll = float(np.sum(log_norm))
@@ -92,19 +98,20 @@ def _fit_one_gmm(x, k, rng, max_iter=200, rel_tol=1e-6, floor_frac=1e-3):
         variances = np.maximum(ex2 - np.square(means), floor[None, :])
         if len(history) >= 2:
             prev = history[-2]
-            if abs(ll - prev) <= rel_tol * abs(prev):
+            if abs(ll - prev) <= GMM_REL_TOL * abs(prev):
                 break
     weights = weights / weights.sum()
     return GmmClassModel(weights, means, variances, history)
 
 
-def gmm_fit(features_per_class, k=512, seed=0, max_iter=200, rel_tol=1e-6):
+def gmm_fit(features_per_class, k=512, seed=0):
     """Fit one diagonal-covariance GMM per class by EM.
 
     Means start from a seeded random frame sample, variances from the
     per-class global diagonal variance (also the source of the variance
     floor at 1e-3 of it), weights uniform. Iterates until the
-    log-likelihood's relative improvement drops below rel_tol.
+    log-likelihood's relative improvement drops below GMM_REL_TOL, or
+    for at most GMM_MAX_ITER iterations.
     """
     if not features_per_class:
         raise EmptyClass("no classes given")
@@ -115,7 +122,7 @@ def gmm_fit(features_per_class, k=512, seed=0, max_iter=200, rel_tol=1e-6):
         if x.shape[0] == 0:
             raise EmptyClass(f"class {label!r} has no frames")
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        per_class[label] = _fit_one_gmm(x, k, rng, max_iter, rel_tol)
+        per_class[label] = _fit_one_gmm(x, k, rng)
     return GmmModel(classes=classes, per_class=per_class)
 
 
@@ -268,8 +275,9 @@ def dnn_classifier_fit(features, labels, cfg, hidden=(300, 300, 100)):
 
 
 def dnn_score_matrix(net, values):
-    """(rows, classes) softmax posteriors."""
-    return predict(net, np.atleast_2d(np.asarray(values, dtype=np.float64)))
+    """(rows, classes) log softmax posteriors, floored at log(1e-300)."""
+    probs = predict(net, np.atleast_2d(np.asarray(values, dtype=np.float64)))
+    return np.log(np.clip(probs, 1e-300, None))
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +291,12 @@ class SegmentDecision:
     n_frames: int
 
 
-def classify_segment(frame_scores, kind):
-    """Accumulate per-frame scores over a segment and pick the argmax class.
-
-    kind 'log_lik' and 'decision_value' sum the scores directly; kind
-    'softmax' sums log posteriors. Ties go to the lowest class index.
-    """
+def classify_segment(frame_scores):
+    """Sum a segment's (rows, classes) frame scores per class and pick the
+    argmax class; ties go to the lowest class index."""
     scores = np.atleast_2d(np.asarray(frame_scores, dtype=np.float64))
     if scores.shape[0] < 1 or scores.size == 0:
         raise EmptyFrames("no frames to classify")
-    if kind not in ("log_lik", "decision_value", "softmax"):
-        raise ValueError(f"unknown score kind {kind!r}")
-    if kind == "softmax":
-        scores = np.log(np.clip(scores, 1e-300, None))
     acc = scores.sum(axis=0)
     return SegmentDecision(scores=acc, winner=int(np.argmax(acc)),
                            n_frames=scores.shape[0])

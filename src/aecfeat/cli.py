@@ -123,11 +123,10 @@ def cmd_train_source(args, cfg):
 def cmd_adapt(args, cfg):
     entries = pl.select(load_manifest(args.manifest), "target", "train")
     source_model = None if cfg.variant == "B" else _load(cfg, "source_model")
-    composite, filt = pl.adapt_filter(cfg, entries,
-                                      pl.frontend_features(cfg, entries),
-                                      _load(cfg, "norm_stats"), source_model)
-    pl.store(cfg, "composite", composite)
-    pl.store(cfg, "filter", filt)
+    pl.store(cfg, "filter", pl.adapt_filter(cfg, entries,
+                                            pl.frontend_features(cfg, entries),
+                                            _load(cfg, "norm_stats"),
+                                            source_model))
     print(pl.artifact_path(cfg, "filter.aecf"))
 
 

@@ -46,7 +46,7 @@ class Manifest:
         return sorted({e.condition for e in self.entries})
 
 
-def load_manifest(path, check_paths=True):
+def load_manifest(path):
     """Load and validate a manifest CSV; errors carry the offending line."""
     if not os.path.exists(path):
         raise MissingFile(f"no such manifest: {path}")
@@ -73,7 +73,7 @@ def load_manifest(path, check_paths=True):
             if split not in SPLITS:
                 raise ParseError(f"{path}:{lineno}: unknown split {split!r}")
             full = wav_path if os.path.isabs(wav_path) else os.path.join(base, wav_path)
-            if check_paths and not os.path.exists(full):
+            if not os.path.exists(full):
                 raise MissingFile(f"{path}:{lineno}: no such wav: {full}")
             entries.append(ManifestEntry(full, label, domain, split, condition or "clean"))
     if not entries:

@@ -14,7 +14,6 @@ compute in the dtype of their input and parameters, so float64 callers get
 float64 results. Losses are accumulated in float64.
 """
 
-import time
 from dataclasses import dataclass, field
 from typing import List
 
@@ -82,8 +81,15 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not (0.0 <= self.val_ratio < 1.0):
+            raise ValueError("val_ratio must be in [0, 1)")
+        if self.weight_decay < 0 or self.max_epochs_per_stage < 0:
+            raise ValueError("weight_decay and max_epochs_per_stage must be "
+                             ">= 0")
+        bad = [name for name in ("lr0", "batch_size", "patience_epochs",
+                                 "n_lr_stages") if getattr(self, name) <= 0]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be positive")
 
 
 @dataclass
@@ -92,7 +98,6 @@ class TrainReport:
     val_ce: List[float] = field(default_factory=list)
     stage_boundaries: List[int] = field(default_factory=list)  # first epoch of each stage
     final_epoch: int = 0
-    wall_time_s: float = 0.0
 
 
 def init_mlp(in_dim, hidden, n_classes, seed=0):
@@ -251,7 +256,6 @@ def train(net, features, labels, cfg):
     zero-epoch cap a copy of the starting network, in its own dtype, is
     handed back.
     """
-    t0 = time.perf_counter()
     x = np.asarray(features)
     labels = np.asarray(labels, dtype=int)
     if x.shape[0] != len(labels):
@@ -318,7 +322,6 @@ def train(net, features, labels, cfg):
                 break
 
     report.final_epoch = epoch
-    report.wall_time_s = time.perf_counter() - t0
     if not report.train_ce:  # zero-epoch cap: hand back the starting point
         best = start.copy()
         report.stage_boundaries = report.stage_boundaries[:1]

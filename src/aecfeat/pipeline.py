@@ -6,7 +6,6 @@ config fingerprint and seed."""
 
 import hashlib
 import json
-import logging
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -24,11 +23,8 @@ from .frontend import (FrontendConfig, apply_norm, fit_norm_stats,
 from .network import TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
-from .transfer import (SourceModel, adapt, append_adaptation, build_filter,
-                       extract, strip_output)
+from .transfer import SourceModel, adapt, build_filter, extract, strip_output
 from .transforms import DctSpec, dct_apply, pca_apply, pca_fit
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -196,9 +192,9 @@ def train_source(cfg, source_entries, source_mats, stats):
 
 
 def adapt_filter(cfg, train_entries, train_mats, stats, source_model=None):
-    """Stage 3: surgery and adaptation on target-train data (variants A/C),
-    or the same five-layer stack trained on target data only (B). Returns
-    (composite, filter)."""
+    """Stage 3: the filter. Variants A/C train TL#1, TL#2 and a head over
+    the source network's fixed trunk; variant B trains the whole five-layer
+    stack on target data only. Both are one `adapt` call."""
     if not train_entries:
         raise TooFewSamples("no target training entries")
     norm_fp = _input_fingerprint(cfg, stats)
@@ -207,19 +203,14 @@ def adapt_filter(cfg, train_entries, train_mats, stats, source_model=None):
                                   "different frontend/normalization")
     x, y, classes = _pooled(_values(_norm_and_splice(train_mats, stats, cfg)),
                             [e.label for e in train_entries])
-    if cfg.variant in ("A", "C"):
-        trunk = strip_output(source_model.network)
-        composite = append_adaptation(trunk, cfg.tl1_dim, cfg.tl2_dim,
-                                      len(classes), seed=cfg.seed)
-        composite, _ = adapt(composite, x, y, cfg.target_train)
+    if cfg.variant == "B":
+        trunk, widths = None, (*cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim)
     else:
-        logger.info("variant B: skipping source training, "
-                    "training all five layers on target data")
-        composite = init_mlp(cfg.frontend.dims,
-                             (*cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim),
-                             len(classes), seed=cfg.seed)
-        composite, _ = train(composite, x, y, cfg.target_train)
-    return composite, build_filter(composite, cfg.variant, fingerprint=norm_fp)
+        trunk = strip_output(source_model.network)
+        widths = (cfg.tl1_dim, cfg.tl2_dim)
+    composite, _ = adapt(trunk, x, y, widths, len(classes), cfg.target_train,
+                         seed=cfg.seed)
+    return build_filter(composite, cfg.variant, fingerprint=norm_fp)
 
 
 def extract_taps(cfg, mats, stats, filt):
@@ -270,31 +261,25 @@ def fit_classifier(cfg, transform, train_taps, labels):
 
 def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
     """Stage 7: per-condition segment accuracy and confusion counts.
-    `classes` is the sorted training label set, the classifier's classes."""
-    # (score kind for classify_segment, per-frame scorer); built per call,
-    # so a scorer rebound on this module is the one used
-    score_kind, score_frames = {
-        "gmm": ("log_lik", gmm_score_matrix),
-        "svm": ("decision_value", svm_score_matrix),
-        "dnn": ("softmax", dnn_score_matrix)}[cfg.classifier]
+    `classes` is the sorted training label set, the classifier's classes:
+    column i of every score matrix scores classes[i]."""
+    # built per call, so a scorer rebound on this module is the one used
+    score_frames = {"gmm": gmm_score_matrix, "svm": svm_score_matrix,
+                    "dnn": dnn_score_matrix}[cfg.classifier]
     unknown = sorted(set(labels) - set(classes))
     if unknown:
         raise ValueError(f"eval labels {unknown} are not training classes "
                          f"{list(classes)}")
     cond_names = sorted(set(conditions)) or ["clean"]
-    class_order = classes
-    if score_kind == "log_lik":
-        class_order = clf.classes
-    elif score_kind == "decision_value":
-        # svm classes are the integer label indices in sorted order
-        class_order = [classes[i] for i in clf.classes]
-
     per_cc = {c: {cls: [0, 0] for cls in classes} for c in cond_names}
     confusion = {c: [[0] * len(classes) for _ in classes] for c in cond_names}
     for label, condition, values in zip(labels, conditions,
                                         _reduce(transform, eval_taps)):
-        decision = classify_segment(score_frames(clf, values), score_kind)
-        pred_label = class_order[decision.winner]
+        scores = score_frames(clf, values)
+        if scores.shape[1] != len(classes):
+            raise ValueError(f"classifier scores {scores.shape[1]} classes, "
+                             f"but there are {len(classes)} training classes")
+        pred_label = classes[classify_segment(scores).winner]
         stats = per_cc[condition][label]
         stats[1] += 1
         if pred_label == label:
@@ -336,11 +321,9 @@ def run_pipeline(cfg, manifest):
         names.append("source_model")
 
     with _stage("adapt"):
-        composite, filt = adapt_filter(cfg, train_entries, train_mats, stats,
-                                       source_model)
-        store(cfg, "composite", composite)
-        filt = store(cfg, "filter", filt)
-    names += ["composite", "filter"]
+        filt = store(cfg, "filter", adapt_filter(cfg, train_entries, train_mats,
+                                                 stats, source_model))
+    names.append("filter")
 
     with _stage("extract"):
         train_taps = extract_taps(cfg, train_mats, stats, filt)

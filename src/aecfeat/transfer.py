@@ -1,12 +1,13 @@
 """Network surgery for transfer learning and the resulting feature filter.
 
 A source network (SL#1-3 + softmax head) is trained on the large source
-task. Its head is removed, the remaining layers frozen, and two fresh
-hidden layers (TL#1-2) plus a new softmax head are appended and adapted on
-target data; the frozen trunk is a fixed feature map, so adaptation trains
-only the new layers, on trunk outputs computed once. The filter taps TL#2:
-pre-activation for the proposed variant (C), post-sigmoid for ablation A;
-variant B trains the same five-layer stack on target data only.
+task. Its head is removed and the remaining layers kept as a fixed trunk;
+`adapt` trains fresh sigmoid layers (TL#1-2) and a new softmax head on the
+trunk's outputs for the target data, computed once, and never updates the
+trunk. Variant B is the same call with no trunk: the whole five-layer stack
+is fresh and trained on target data only. The filter taps the last fresh
+layer: pre-activation for the proposed variant (C) and for B,
+post-sigmoid for ablation A.
 """
 
 from dataclasses import dataclass
@@ -49,13 +50,10 @@ class DnnFilter:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise UnknownVariant(f"variant must be one of {VARIANTS}")
+            raise UnknownVariant(f"variant must be one of {VARIANTS}, "
+                                 f"got {self.variant!r}")
         if self.network.layers[-1].activation == "softmax":
             raise ValueError("filter must not end in a softmax layer")
-
-    @property
-    def tap_dim(self):
-        return self.network.out_dim
 
     @property
     def in_dim(self):
@@ -72,30 +70,24 @@ def strip_output(net):
                     for l in net.layers[:-1]])
 
 
-def append_adaptation(trunk, tl1_dim, tl2_dim, n_target_classes, seed=0):
-    """Freeze the trunk and append TL#1, TL#2 and a fresh softmax head."""
-    frozen = [Layer(l.w.copy(), l.b.copy(), l.activation, frozen=True)
-              for l in trunk.layers]
-    new = init_mlp(trunk.out_dim, (tl1_dim, tl2_dim), n_target_classes,
-                   seed=seed)
-    return Network(frozen + new.layers)
+def adapt(trunk, x, y, widths, n_classes, cfg, seed=0):
+    """Train fresh sigmoid layers `widths` and a softmax head over a fixed
+    trunk on target data; return (Network(trunk + trained layers),
+    TrainReport).
 
-
-def adapt(composite, target_features, target_labels, cfg):
-    """Train the layers above the composite's leading frozen layers on
-    target data and return (composite, TrainReport).
-
-    The frozen trunk is forwarded once over all target frames; `train` then
-    sees only the adaptation layers and those fixed trunk outputs, and the
-    trunk is joined back on untouched.
+    The trunk is forwarded once over all of `x` and `train` sees only the
+    fresh layers and those fixed outputs, so the trunk comes back
+    bit-identical, its copies marked frozen. With `trunk=None` the fresh
+    layers are trained on `x` itself.
     """
-    n_frozen = next((k for k, l in enumerate(composite.layers) if not l.frozen),
-                    len(composite.layers))
-    trunk = Network(composite.layers[:n_frozen]).copy()
-    x = predict(trunk, target_features) if n_frozen else target_features
-    top, report = train(Network(composite.layers[n_frozen:]), x,
-                        target_labels, cfg)
-    return Network(trunk.layers + top.layers), report
+    fixed = []
+    if trunk is not None:
+        fixed = [Layer(l.w.copy(), l.b.copy(), l.activation, frozen=True)
+                 for l in trunk.layers]
+        x = predict(Network(fixed), x)
+    fresh = init_mlp(np.shape(x)[1], widths, n_classes, seed=seed)
+    top, report = train(fresh, x, y, cfg)
+    return Network(fixed + top.layers), report
 
 
 def build_filter(composite, variant, fingerprint=""):
@@ -105,8 +97,6 @@ def build_filter(composite, variant, fingerprint=""):
     A drops the head but keeps the sigmoid; variant B is structurally C and
     only differs in how the composite was trained (no source pre-training).
     """
-    if variant not in VARIANTS:
-        raise UnknownVariant(f"variant must be one of {VARIANTS}, got {variant!r}")
     trunk = strip_output(composite)
     if variant in ("B", "C"):
         last = trunk.layers[-1]

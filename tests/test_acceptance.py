@@ -25,7 +25,7 @@ from aecfeat.network import (
 from aecfeat.pipeline import RunConfig, run_pipeline
 from aecfeat.report import render_table
 from aecfeat.synthetic import generate_dataset
-from aecfeat.transfer import adapt, append_adaptation, build_filter, extract, strip_output
+from aecfeat.transfer import adapt, build_filter, extract, strip_output
 from aecfeat.transforms import DctSpec, dct_apply, dct_basis, pca_apply, pca_fit
 
 
@@ -116,16 +116,15 @@ def test_dft_oracle():
 
 def test_freeze_invariant():
     rng = np.random.default_rng(2)
-    source = init_mlp(6, (10, 10, 10), 5, seed=0)
-    comp = append_adaptation(strip_output(source), 8, 6, 3, seed=0)
-    before = [(l.w.copy(), l.b.copy()) for l in comp.layers[:3]]
+    trunk = strip_output(init_mlp(6, (10, 10, 10), 5, seed=0))
+    before = [(l.w.copy(), l.b.copy()) for l in trunk.layers]
 
     centers = rng.uniform(-4, 4, size=(3, 6))
     x = np.vstack([c + 0.5 * rng.standard_normal((40, 6)) for c in centers])
     y = np.repeat(np.arange(3), 40)
     cfg = TrainConfig(lr0=0.2, max_epochs_per_stage=25, n_lr_stages=2,
                       patience_epochs=10 ** 6, seed=0)
-    trained, report = adapt(comp, x, y, cfg)
+    trained, report = adapt(trunk, x, y, (8, 6), 3, cfg, seed=0)
 
     identical = all(np.array_equal(l.w, w0) and np.array_equal(l.b, b0)
                     for l, (w0, b0) in zip(trained.layers[:3], before))
@@ -330,12 +329,12 @@ def test_report_fixture():
 
 def test_ablation_link():
     rng = np.random.default_rng(10)
-    comp = append_adaptation(strip_output(init_mlp(6, (10, 10, 10), 5, seed=0)),
-                             8, 6, 3, seed=0)
+    trunk = strip_output(init_mlp(6, (10, 10, 10), 5, seed=0))
     x = rng.standard_normal((200, 6))
     y = rng.integers(0, 3, 200)
-    comp, _ = adapt(comp, x, y, TrainConfig(lr0=0.2, max_epochs_per_stage=20,
-                                            seed=0))
+    comp, _ = adapt(trunk, x, y, (8, 6), 3,
+                    TrainConfig(lr0=0.2, max_epochs_per_stage=20, seed=0),
+                    seed=0)
     fm = FeatureMatrix(rng.standard_normal((100, 6)))
     a = extract(build_filter(comp, "A"), fm).values
     c = extract(build_filter(comp, "C"), fm).values

@@ -20,7 +20,7 @@ from aecfeat.errors import (
     EmptyFrames,
     TooFewFrames,
 )
-from aecfeat.network import TrainConfig
+from aecfeat.network import Layer, Network, TrainConfig
 
 
 def brute_force_two_point_dual(kmat, y, c, steps=2001, refinements=4):
@@ -276,7 +276,15 @@ class TestDnnClassifier:
         cfg = TrainConfig(max_epochs_per_stage=2, seed=0)
         net, _ = dnn_classifier_fit(x, y, cfg, hidden=(4, 4, 4))
         out = dnn_score_matrix(net, x)
-        assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-9
+        assert np.max(np.abs(np.exp(out).sum(axis=1) - 1.0)) <= 1e-9
+
+    def test_log_posteriors_floored(self):
+        # a posterior that underflows to 0 scores log(1e-300), not -inf
+        net = Network([Layer(np.zeros((2, 1)), np.array([0.0, -1e4]),
+                             "softmax")])
+        out = dnn_score_matrix(net, np.zeros((3, 1)))
+        assert np.all(out[:, 0] == 0.0)
+        assert np.all(out[:, 1] == np.log(1e-300))
 
     def test_same_seed_identical(self):
         rng = np.random.default_rng(11)
@@ -292,40 +300,45 @@ class TestDnnClassifier:
 class TestClassifySegment:
     def test_loglik_accumulation(self):
         scores = np.array([[-1.0, -0.5], [-1.0, -3.0]])
-        decision = classify_segment(scores, "log_lik")
+        decision = classify_segment(scores)
         assert decision.winner == 0
         assert decision.scores[0] == pytest.approx(-2.0)
         assert decision.scores[1] == pytest.approx(-3.5)
 
     def test_tie_goes_to_lowest_index(self):
-        scores = np.full((3, 4), 0.25)
-        assert classify_segment(scores, "softmax").winner == 0
+        scores = np.full((3, 4), np.log(0.25))
+        assert classify_segment(scores).winner == 0
 
     def test_single_frame_matches_argmax(self):
-        scores = np.array([[0.1, 0.7, 0.2]])
-        assert classify_segment(scores, "softmax").winner == 1
+        scores = np.log([[0.1, 0.7, 0.2]])
+        assert classify_segment(scores).winner == 1
 
     def test_softmax_uses_log(self):
-        probs = np.array([[0.6, 0.4], [0.1, 0.9]])
-        decision = classify_segment(probs, "softmax")
+        # the DNN back end scores frames as log posteriors, so a segment's
+        # score is their sum: this softmax layer gives posteriors (0.6, 0.4)
+        # at input 0 and (0.1, 0.9) at input 1
+        net = Network([Layer(np.log([[0.1 / 0.6], [0.9 / 0.4]]),
+                             np.log([0.6, 0.4]), "softmax")])
+        decision = classify_segment(dnn_score_matrix(net, [[0.0], [1.0]]))
         assert decision.scores[0] == pytest.approx(np.log(0.6) + np.log(0.1))
+        assert decision.winner == 1
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(12)
         scores = rng.standard_normal((7, 3))
-        base = classify_segment(scores, "decision_value").winner
-        shifted = classify_segment(scores + 123.456, "decision_value").winner
+        base = classify_segment(scores).winner
+        shifted = classify_segment(scores + 123.456).winner
         assert base == shifted
 
     def test_frame_permutation_invariance(self):
         rng = np.random.default_rng(13)
         scores = rng.standard_normal((9, 4))
         perm = rng.permutation(9)
-        a = classify_segment(scores, "decision_value")
-        b = classify_segment(scores[perm], "decision_value")
+        a = classify_segment(scores)
+        b = classify_segment(scores[perm])
         assert a.winner == b.winner
         assert np.allclose(a.scores, b.scores)
 
     def test_empty_frames(self):
         with pytest.raises(EmptyFrames):
-            classify_segment(np.zeros((0, 3)), "log_lik")
+            classify_segment(np.zeros((0, 3)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from aecfeat.audio import AudioSegment, read_wav, write_wav
+from aecfeat.classifiers import svm_fit
 from aecfeat.errors import StageError, TooFewSamples
 from aecfeat.frontend import FeatureMatrix, FrontendConfig
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
@@ -213,6 +214,41 @@ class TestCrossValidate:
         assert np.array_equal(fold_rows, fits[-1])
 
 
+def separable_taps(labels, frames=10, seed=0):
+    """One training-split tap matrix per label, frames clustered around a
+    per-label centre far from the others."""
+    rng = np.random.default_rng(seed)
+    centres = {"a": (6.0, 0.0), "b": (0.0, 6.0), "c": (-6.0, -6.0)}
+    return [FeatureMatrix(centres[l] + 0.3 * rng.standard_normal((frames, 2)),
+                          split="train") for l in labels]
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("classifier", ["gmm", "svm", "dnn"])
+    def test_column_i_scores_sorted_class_i(self, classifier, tmp_path):
+        labels = ["c", "a", "b"] * 3
+        cfg = RunConfig(transform="none", classifier=classifier, gmm_k=1,
+                        dnn_hidden=(8,),
+                        target_train=TrainConfig(lr0=0.3,
+                                                 max_epochs_per_stage=30),
+                        out_dir=str(tmp_path))
+        clf = pl.fit_classifier(cfg, None, separable_taps(labels), labels)
+        eval_labels = ["b", "c", "a"]
+        report = pl.evaluate(cfg, None, clf, separable_taps(eval_labels, seed=1),
+                             eval_labels, ["clean"] * 3, ["a", "b", "c"])
+        assert report.confusion["clean"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def test_score_width_must_match_classes(self, tmp_path):
+        # an SVM fitted on three labels cannot score a two-class evaluation
+        taps = separable_taps(["a", "b", "c"])
+        clf = svm_fit(np.vstack([t.values for t in taps]),
+                      np.repeat([0, 1, 2], 10), c=10.0, gamma=0.5)
+        cfg = RunConfig(transform="none", classifier="svm",
+                        out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="scores 3 classes.* 2 training"):
+            pl.evaluate(cfg, None, clf, taps[:1], ["a"], ["clean"], ["a", "b"])
+
+
 class TestRenderTable:
     def test_average_column(self):
         text = render_table({"m": [80.0, 90.0]}, ["clean", "5dB"])
@@ -321,7 +357,15 @@ class TestRunConfigValidation:
         {"tl1_dim": 0}, {"transform": "none", "tl2_dim": 0}, {"gmm_k": 0},
         {"svm_c": 0.0}, {"svm_c": -1.0}, {"svm_gamma": 0.0},
         {"svm_gamma": -0.5}, {"sl_widths": ()},
-        {"sl_widths": (), "variant": "A"}])
+        {"sl_widths": (), "variant": "A"},
+        {"target_train": {"batch_size": 0}},
+        {"target_train": {"val_ratio": -0.5}},
+        {"target_train": {"val_ratio": 1.0}},
+        {"target_train": {"n_lr_stages": 0}},
+        {"target_train": {"patience_epochs": 0}},
+        {"target_train": {"max_epochs_per_stage": -1}},
+        {"target_train": {"weight_decay": -1e-4}},
+        {"source_train": {"lr0": 0.0}}])
     def test_rejected_at_construction(self, bad):
         with pytest.raises(ValueError):
             RunConfig(**bad)
@@ -339,9 +383,11 @@ class TestRunPipeline:
         _, manifest = tiny_corpus
         cfg = tiny_config(tmp_path / "run")
         report, paths = run_pipeline(cfg, manifest)
-        for key in ("norm_stats", "source_model", "composite", "filter",
+        for key in ("norm_stats", "source_model", "filter",
                     "transform", "classifier", "report_json", "report_txt"):
             assert os.path.exists(paths[key]), key
+        assert "composite" not in paths
+        assert not os.path.exists(os.path.join(cfg.out_dir, "composite.aecf"))
         assert report.conditions == ["clean"]
         assert set(report.classes) == {"tgt00", "tgt01"}
         assert 0.0 <= report.grand_average() <= 100.0
@@ -374,16 +420,18 @@ class TestRunPipeline:
             run_pipeline(tiny_config(tmp_path / "x"), no_target)
         assert "load-manifest" in str(e.value)
 
-    def test_traced_benchmark_smoke(self, tiny_corpus, tmp_path):
+    @pytest.mark.parametrize("variant", ["C", "B"])
+    def test_traced_benchmark_smoke(self, tiny_corpus, tmp_path, variant):
         # the per-layer benchmark wraps these functions from outside and
-        # reads their arguments and results
+        # reads their arguments and results, `layer.frozen` included
         spans = load_spans()
         _, manifest = tiny_corpus
         with spans.Tracer() as tracer:
-            pl.run_pipeline(tiny_config(tmp_path / "run"), manifest)
+            pl.run_pipeline(tiny_config(tmp_path / "run", variant=variant),
+                            manifest)
         metrics = spans.per_layer_metrics(tracer)
         for name in ("network.grad.calls", "network.train.epochs",
-                     "transfer.adapt.s"):
+                     "network.grad.gflop", "transfer.adapt.s"):
             assert metrics[name]["value"] > 0, name
 
 
@@ -431,7 +479,10 @@ class TestCli:
     @pytest.mark.parametrize("bad", [
         {"svm_frame_step": 0}, {"transform_dim": 0}, {"transform_dim": 20},
         {"accumulate_log_domain": True}, {"frontend": {"frame_len": 1024}},
-        {"svm_c": 0}, {"sl_widths": []}])
+        {"svm_c": 0}, {"sl_widths": []},
+        {"target_train": {"batch_size": 0}},
+        {"target_train": {"n_lr_stages": 0}},
+        {"source_train": {"val_ratio": -0.5}}])
     def test_invalid_config_exits_before_any_artifact(self, tiny_corpus,
                                                       tmp_path, capsys, bad):
         root, _ = tiny_corpus
@@ -523,11 +574,13 @@ class TestCli:
         assert codes == [0] * len(STAGED_CHAIN)
         assert ((staged / "report.json").read_text()
                 == open(paths["report_json"]).read())
-        names = ["norm_stats", "composite", "filter", "transform", "classifier"]
+        names = ["norm_stats", "filter", "transform", "classifier"]
         if variant == "C":
             names.append("source_model")
         else:
             assert not (staged / "source_model.aecf").exists()
+        assert not (staged / "composite.aecf").exists()
+        assert not (tmp_path / "run" / "composite.aecf").exists()
         for name in names:
             assert ((staged / f"{name}.aecf").read_bytes()
                     == open(paths[name], "rb").read()), name

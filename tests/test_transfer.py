@@ -3,12 +3,11 @@ import pytest
 
 from aecfeat.errors import DimMismatch, NoHead, UnknownVariant
 from aecfeat.frontend import FeatureMatrix
-from aecfeat.network import Layer, Network, TrainConfig, init_mlp, predict
+from aecfeat.network import Layer, Network, TrainConfig, init_mlp, predict, train
 from aecfeat.transfer import (
     DnnFilter,
     SourceModel,
     adapt,
-    append_adaptation,
     build_filter,
     extract,
     strip_output,
@@ -26,6 +25,16 @@ def blobs(n_classes=4, per_class=40, dim=6, spread=6.0, seed=0):
                    for c in range(n_classes)])
     y = np.repeat(np.arange(n_classes), per_class)
     return x, y
+
+
+def adapted(tl_widths=(8, 6), n_classes=4, epochs=0, seed=0):
+    """A composite: the stripped source trunk under fresh layers adapted on
+    blobs for `epochs` epochs per stage (0 leaves them as initialized)."""
+    x, y = blobs(n_classes=n_classes, dim=6)
+    comp, _ = adapt(strip_output(source_net()), x, y, tl_widths, n_classes,
+                    TrainConfig(lr0=0.3, max_epochs_per_stage=epochs, seed=0),
+                    seed=seed)
+    return comp, x
 
 
 class TestSurgery:
@@ -46,9 +55,8 @@ class TestSurgery:
         with pytest.raises(NoHead):
             strip_output(one_layer)
 
-    def test_append_adaptation_dims_and_flags(self):
-        trunk = strip_output(source_net())
-        comp = append_adaptation(trunk, tl1_dim=5, tl2_dim=4, n_target_classes=3)
+    def test_adapt_dims_and_flags(self):
+        comp, _ = adapted(tl_widths=(5, 4), n_classes=3, epochs=1)
         dims = [l.out_dim for l in comp.layers]
         assert dims == [8, 8, 8, 5, 4, 3]
         assert [l.frozen for l in comp.layers] == [True] * 3 + [False] * 3
@@ -56,31 +64,30 @@ class TestSurgery:
         assert comp.layers[-2].activation == "sigmoid"
 
     def test_new_layers_seeded(self):
-        trunk = strip_output(source_net())
-        a = append_adaptation(trunk, 5, 4, 3, seed=1)
-        b = append_adaptation(trunk, 5, 4, 3, seed=1)
-        c = append_adaptation(trunk, 5, 4, 3, seed=2)
+        a, _ = adapted(tl_widths=(5, 4), n_classes=3, epochs=1, seed=1)
+        b, _ = adapted(tl_widths=(5, 4), n_classes=3, epochs=1, seed=1)
+        c, _ = adapted(tl_widths=(5, 4), n_classes=3, epochs=1, seed=2)
         assert np.array_equal(a.layers[3].w, b.layers[3].w)
         assert not np.array_equal(a.layers[3].w, c.layers[3].w)
+        # the seed reaches the fresh layers only, never the trunk
+        for la, lc in zip(a.layers[:3], c.layers[:3]):
+            assert np.array_equal(la.w, lc.w)
 
 
 class TestAdapt:
     def test_freeze_invariant_and_accuracy(self):
         # pre-train the source stack so the frozen trunk carries usable
         # structure, then adapt to four unseen classes
-        from aecfeat.network import train
-
         net = source_net(in_dim=6, n_classes=5)
         xs, ys = blobs(n_classes=5, dim=6, seed=42)
         net, _ = train(net, xs, ys,
                        TrainConfig(lr0=0.3, weight_decay=0.0,
                                    max_epochs_per_stage=100, seed=0))
         trunk = strip_output(net)
-        comp = append_adaptation(trunk, 8, 6, 4, seed=0)
-        frozen_before = [(l.w.copy(), l.b.copy()) for l in comp.layers[:3]]
+        frozen_before = [(l.w.copy(), l.b.copy()) for l in trunk.layers]
         x, y = blobs(n_classes=4, dim=6)
         cfg = TrainConfig(lr0=0.3, weight_decay=0.0, max_epochs_per_stage=150, seed=0)
-        trained, report = adapt(comp, x, y, cfg)
+        trained, report = adapt(trunk, x, y, (8, 6), 4, cfg)
         for layer, (w0, b0) in zip(trained.layers[:3], frozen_before):
             assert np.array_equal(layer.w, w0)
             assert np.array_equal(layer.b, b0)
@@ -92,7 +99,6 @@ class TestAdapt:
         from aecfeat import network
 
         trunk = strip_output(source_net())
-        comp = append_adaptation(trunk, 5, 4, 3, seed=0)
         seen = []
         real_grad = network.grad
 
@@ -102,59 +108,55 @@ class TestAdapt:
 
         monkeypatch.setattr(network, "grad", recording_grad)
         x, y = blobs(n_classes=3, dim=6)
-        trained, _ = adapt(comp, x, y, TrainConfig(lr0=0.3, max_epochs_per_stage=5,
-                                                   seed=0))
+        trained, _ = adapt(trunk, x, y, (5, 4), 3,
+                           TrainConfig(lr0=0.3, max_epochs_per_stage=5, seed=0))
         assert seen and set(seen) == {(3, trunk.out_dim)}
         assert [l.frozen for l in trained.layers] == [True] * 3 + [False] * 3
 
-    def test_without_frozen_layers_trains_everything(self):
-        from aecfeat.network import train
-
+    def test_without_trunk_matches_train(self):
+        # variant B: no trunk, every layer fresh; exactly `train` on an
+        # `init_mlp` stack of the same widths and seed
         x, y = blobs(n_classes=3, dim=6)
         cfg = TrainConfig(lr0=0.3, max_epochs_per_stage=5, seed=0)
-        a, _ = adapt(source_net(n_classes=3), x, y, cfg)
-        b, _ = train(source_net(n_classes=3), x, y, cfg)
+        a, report_a = adapt(None, x, y, (8, 8, 8, 5, 4), 3, cfg, seed=1)
+        b, report_b = train(init_mlp(6, (8, 8, 8, 5, 4), 3, seed=1), x, y, cfg)
+        assert len(a.layers) == len(b.layers) == 6
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
+            assert la.activation == lb.activation and not la.frozen
+        assert report_a == report_b
 
     def test_empty_target(self):
-        comp = append_adaptation(strip_output(source_net()), 5, 4, 2, seed=0)
         from aecfeat.errors import DegenerateLabels
 
         with pytest.raises(DegenerateLabels):
-            adapt(comp, np.zeros((0, 6)), np.zeros(0, dtype=int), TrainConfig())
+            adapt(strip_output(source_net()), np.zeros((0, 6)),
+                  np.zeros(0, dtype=int), (5, 4), 2, TrainConfig())
 
 
 class TestBuildFilter:
-    def _trained_composite(self):
-        comp = append_adaptation(strip_output(source_net()), 8, 6, 4, seed=0)
-        x, y = blobs(n_classes=4, dim=6)
-        cfg = TrainConfig(lr0=0.3, max_epochs_per_stage=30, seed=0)
-        comp, _ = adapt(comp, x, y, cfg)
-        return comp, x
-
     def test_variant_c_structure(self):
-        comp, _ = self._trained_composite()
+        comp, _ = adapted(epochs=30)
         filt = build_filter(comp, "C")
-        assert filt.tap_dim == 6
+        assert filt.network.out_dim == 6
         assert filt.network.layers[-1].activation == "linear"
         assert len(filt.network.layers) == 5
 
     def test_variant_a_keeps_sigmoid(self):
-        comp, x = self._trained_composite()
+        comp, x = adapted(epochs=30)
         filt = build_filter(comp, "A")
         out = extract(filt, FeatureMatrix(x))
         assert np.all((out.values > 0) & (out.values < 1))
 
     def test_variant_link_a_equals_sigmoid_of_c(self):
-        comp, x = self._trained_composite()
+        comp, x = adapted(epochs=30)
         fm = FeatureMatrix(x)
         a = extract(build_filter(comp, "A"), fm).values
         c = extract(build_filter(comp, "C"), fm).values
         assert np.max(np.abs(a - 1.0 / (1.0 + np.exp(-c)))) <= 1e-9
 
     def test_unknown_variant(self):
-        comp, _ = self._trained_composite()
+        comp, _ = adapted(epochs=30)
         with pytest.raises(UnknownVariant):
             build_filter(comp, "D")
 
@@ -170,15 +172,13 @@ class TestBuildFilter:
 
 class TestExtract:
     def test_shape(self):
-        comp = append_adaptation(strip_output(source_net()), 8, 6, 4, seed=0)
-        filt = build_filter(comp, "C")
+        filt = build_filter(adapted()[0], "C")
         fm = FeatureMatrix(np.random.default_rng(0).standard_normal((92, 6)))
         out = extract(filt, fm)
         assert (out.rows, out.dims) == (92, 6)
 
     def test_zero_weights_yield_bias(self):
-        comp = append_adaptation(strip_output(source_net()), 8, 6, 4, seed=0)
-        filt = build_filter(comp, "C")
+        filt = build_filter(adapted()[0], "C")
         last = filt.network.layers[-1]
         last.w[:] = 0.0
         last.b[:] = np.arange(6.0)
@@ -187,8 +187,7 @@ class TestExtract:
         assert np.allclose(out.values, np.arange(6.0))
 
     def test_purity_and_batch_independence(self):
-        comp = append_adaptation(strip_output(source_net()), 8, 6, 4, seed=0)
-        filt = build_filter(comp, "C")
+        filt = build_filter(adapted()[0], "C")
         fm = FeatureMatrix(np.random.default_rng(1).standard_normal((20, 6)))
         full = extract(filt, fm).values
         again = extract(filt, fm).values
@@ -200,8 +199,7 @@ class TestExtract:
         assert np.array_equal(full, one_at_a_time)
 
     def test_dim_mismatch(self):
-        comp = append_adaptation(strip_output(source_net()), 8, 6, 4, seed=0)
-        filt = build_filter(comp, "C")
+        filt = build_filter(adapted()[0], "C")
         with pytest.raises(DimMismatch):
             extract(filt, FeatureMatrix(np.zeros((2, 9))))
 
