@@ -226,6 +226,8 @@ def svm_dual_objective(kmat, y, alpha):
 def svm_fit(features, labels, c=10.0, gamma=0.01, tol=1e-3):
     """One-vs-rest RBF SVMs, one SMO solve per class."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if not np.isfinite(x).all():
+        raise ValueError("SVM training frames contain non-finite values")
     labels = np.asarray(labels)
     classes = sorted(np.unique(labels).tolist())
     if len(classes) < 2:
@@ -288,7 +290,6 @@ def dnn_score_matrix(net, values):
 class SegmentDecision:
     scores: np.ndarray  # accumulated per-class score
     winner: int
-    n_frames: int
 
 
 def classify_segment(frame_scores):
@@ -298,5 +299,4 @@ def classify_segment(frame_scores):
     if scores.shape[0] < 1 or scores.size == 0:
         raise EmptyFrames("no frames to classify")
     acc = scores.sum(axis=0)
-    return SegmentDecision(scores=acc, winner=int(np.argmax(acc)),
-                           n_frames=scores.shape[0])
+    return SegmentDecision(scores=acc, winner=int(np.argmax(acc)))

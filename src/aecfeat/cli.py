@@ -2,9 +2,10 @@
 
 Every subcommand reads a JSON config mirroring RunConfig (--config), takes
 --seed and --out overrides, and exits with code 2 and a stage-named message
-on failure. Each staged subcommand loads its inputs from the output
-directory (*.aecf models, features_*.npz), calls the pipeline stage that
-`run` calls, and saves what the stage returns there.
+on failure. Each staged subcommand calls one stage function of `pipeline`,
+which loads its inputs from the output directory (*.aecf models,
+features_*.npz) and stores its outputs there, and prints what it wrote;
+`run` runs every stage in order through `pipeline.run_pipeline`.
 """
 
 import argparse
@@ -12,17 +13,13 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import pipeline as pl
 from .audio import read_wav, synth_rir
 from .errors import StageError
-from .frontend import FeatureMatrix
 from .manifest import load_manifest, save_manifest
 from .pipeline import RunConfig
 from .prepare import prepare_conditions, prepare_source
 from .report import render_report, render_table
-from .serialize import load_model
 from .synthetic import generate_dataset, generate_noise_wav
 
 
@@ -38,38 +35,13 @@ def _load_cfg(args):
     return cfg
 
 
-def _load(cfg, name):
-    return load_model(pl.artifact_path(cfg, name + ".aecf"))
-
-
-def _load_transform(cfg):
-    return None if cfg.transform == "none" else _load(cfg, "transform")
-
-
-def _save_features(cfg, split, entries, taps):
-    path = pl.artifact_path(cfg, f"features_{split}.npz")
-    np.savez(path, __labels__=np.array([e.label for e in entries]),
-             __conditions__=np.array([e.condition for e in entries]),
-             __splits__=np.array([e.split for e in entries]),
-             **{f"seg{i:05d}": t.values for i, t in enumerate(taps)})
-    return path
-
-
-def _load_features(cfg, split):
-    """(taps, labels, conditions) from features_<split>.npz. Features enter
-    the program here, so this is where non-finite values are rejected."""
-    path = pl.artifact_path(cfg, f"features_{split}.npz")
-    with np.load(path, allow_pickle=False) as data:
-        taps = [FeatureMatrix(data[f"seg{i:05d}"], split=s)
-                for i, s in enumerate(data["__splits__"].tolist())]
-        if not all(np.isfinite(t.values).all() for t in taps):
-            raise ValueError(f"{path} contains non-finite feature values")
-        return (taps, data["__labels__"].tolist(),
-                data["__conditions__"].tolist())
+def _print_paths(paths):
+    for path in paths.values():
+        print(path)
 
 
 def cmd_synth_data(args, cfg):
-    manifest = generate_dataset(os.path.join(cfg.out_dir, "data"), seed=cfg.seed)
+    generate_dataset(os.path.join(cfg.out_dir, "data"), seed=cfg.seed)
     noise = generate_noise_wav(os.path.join(cfg.out_dir, "data"), seed=cfg.seed + 1)
     print(os.path.join(cfg.out_dir, "data", "manifest.csv"))
     print(noise)
@@ -107,60 +79,31 @@ def cmd_run(args, cfg):
 
 
 def cmd_train_source(args, cfg):
-    manifest = load_manifest(args.manifest)
-    source_entries = pl.select(manifest, "source")
-    source_mats = pl.frontend_features(cfg, source_entries)
-    train_mats = pl.frontend_features(cfg, pl.select(manifest, "target", "train"))
-    stats = pl.store(cfg, "norm_stats", pl.fit_norm(source_mats, train_mats))
-    if cfg.variant == "B":  # the source network is a variant A/C artifact
-        print(pl.artifact_path(cfg, "norm_stats.aecf"))
-        return
-    pl.store(cfg, "source_model",
-             pl.train_source(cfg, source_entries, source_mats, stats))
-    print(pl.artifact_path(cfg, "source_model.aecf"))
+    _print_paths(pl.stage_train_source(cfg, load_manifest(args.manifest)))
 
 
 def cmd_adapt(args, cfg):
-    entries = pl.select(load_manifest(args.manifest), "target", "train")
-    source_model = None if cfg.variant == "B" else _load(cfg, "source_model")
-    pl.store(cfg, "filter", pl.adapt_filter(cfg, entries,
-                                            pl.frontend_features(cfg, entries),
-                                            _load(cfg, "norm_stats"),
-                                            source_model))
-    print(pl.artifact_path(cfg, "filter.aecf"))
+    _print_paths(pl.stage_adapt(cfg, load_manifest(args.manifest)))
 
 
 def cmd_extract(args, cfg):
-    entries = pl.select(load_manifest(args.manifest), "target", args.split)
-    taps = pl.extract_taps(cfg, pl.frontend_features(cfg, entries),
-                           _load(cfg, "norm_stats"), _load(cfg, "filter"))
-    print(_save_features(cfg, args.split, entries, taps))
+    _print_paths(pl.stage_extract(cfg, load_manifest(args.manifest),
+                                  args.split))
 
 
 def cmd_fit_transform(args, cfg):
-    transform = pl.fit_transform(cfg, _load_features(cfg, "train")[0])
-    if transform is None:
+    paths = pl.stage_fit_transform(cfg)
+    if not paths:
         print("no transform configured")
-        return
-    pl.store(cfg, "transform", transform)
-    print(pl.artifact_path(cfg, "transform.aecf"))
+    _print_paths(paths)
 
 
 def cmd_fit_classifier(args, cfg):
-    taps, labels, _ = _load_features(cfg, "train")
-    pl.store(cfg, "classifier",
-             pl.fit_classifier(cfg, _load_transform(cfg), taps, labels))
-    print(pl.artifact_path(cfg, "classifier.aecf"))
+    _print_paths(pl.stage_fit_classifier(cfg))
 
 
 def cmd_evaluate(args, cfg):
-    taps, labels, conditions = _load_features(cfg, "eval")
-    with np.load(pl.artifact_path(cfg, "features_train.npz")) as data:
-        classes = sorted(set(data["__labels__"].tolist()))
-    report = pl.evaluate(cfg, _load_transform(cfg), _load(cfg, "classifier"),
-                         taps, labels, conditions, classes)
-    pl.write_report(cfg, report)
-    print(render_report(report))
+    print(render_report(pl.stage_evaluate(cfg)))
 
 
 def cmd_report(args, cfg):
@@ -173,9 +116,7 @@ def cmd_report(args, cfg):
 
 
 def cmd_cross_validate(args, cfg):
-    taps, labels, _ = _load_features(cfg, "train")
-    best, table = pl.select_svm_params(cfg, _load_transform(cfg), taps, labels,
-                                       k=args.k)
+    best, table = pl.stage_cross_validate(cfg, k=args.k)
     print(json.dumps({"best": best, "fold_accuracies": table}, indent=2))
 
 

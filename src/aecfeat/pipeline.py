@@ -1,8 +1,10 @@
-"""Pipeline stages, one function each: frontend -> normalization -> source
-training -> surgery and adaptation -> filter tap -> transform ->
-classifier -> per-condition evaluation. `run_pipeline` chains them and the
-staged CLI calls them one at a time; every artifact is stamped by the
-config fingerprint and seed."""
+"""The pipeline as one chain of stages, one function per staged
+subcommand: train-source (normalization and source network) -> adapt
+(surgery and adaptation) -> extract (filter taps) -> fit-transform ->
+fit-classifier -> evaluate. Each stage loads its inputs from the output
+directory and stores its outputs there, stamped by the config fingerprint
+and seed; `run_pipeline` runs the stages in that order and the staged CLI
+runs one at a time, so both go through the same stored artifacts."""
 
 import hashlib
 import json
@@ -18,8 +20,8 @@ from .classifiers import (classify_segment, dnn_classifier_fit,
                           dnn_score_matrix, gmm_fit, gmm_score_matrix,
                           svm_fit, svm_score_matrix)
 from .errors import FingerprintMismatch, StageError, TooFewSamples
-from .frontend import (FrontendConfig, apply_norm, fit_norm_stats,
-                       make_frontend_features, splice)
+from .frontend import (FeatureMatrix, FrontendConfig, apply_norm,
+                       fit_norm_stats, make_frontend_features, splice)
 from .network import TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
@@ -84,13 +86,9 @@ class RunConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
-    @classmethod
     def from_json(cls, path):
         with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+            return cls(**json.load(f))
 
     def fingerprint(self):
         d = self.to_dict()
@@ -128,12 +126,25 @@ def store(cfg, name, model):
     return load_model(path)
 
 
-def write_report(cfg, report):
-    """Write report.json and report.txt to the output directory."""
-    with open(artifact_path(cfg, "report.json"), "w", encoding="utf-8") as f:
-        f.write(report.to_json())
-    with open(artifact_path(cfg, "report.txt"), "w", encoding="utf-8") as f:
-        f.write(render_report(report) + "\n")
+def _load(cfg, name):
+    return load_model(artifact_path(cfg, name + ".aecf"))
+
+
+def _load_transform(cfg):
+    return None if cfg.transform == "none" else _load(cfg, "transform")
+
+
+def _load_features(cfg, split):
+    """(taps, labels, conditions) from features_<split>.npz. Features enter
+    the program here, so this is where non-finite values are rejected."""
+    path = artifact_path(cfg, f"features_{split}.npz")
+    with np.load(path, allow_pickle=False) as data:
+        taps = [FeatureMatrix(data[f"seg{i:05d}"], split=s)
+                for i, s in enumerate(data["__splits__"].tolist())]
+        if not all(np.isfinite(t.values).all() for t in taps):
+            raise ValueError(f"{path} contains non-finite feature values")
+        return (taps, data["__labels__"].tolist(),
+                data["__conditions__"].tolist())
 
 
 def frontend_features(cfg, entries):
@@ -145,13 +156,6 @@ def frontend_features(cfg, entries):
         fm.split = e.split
         out.append(fm)
     return out
-
-
-def fit_norm(source_mats, train_mats):
-    """Stage 1: z-score statistics pooled over source and target-train
-    frames only, never eval."""
-    return fit_norm_stats(source_mats + train_mats,
-                          source_tags=("source", "target_train"))
 
 
 def _input_fingerprint(cfg, stats):
@@ -178,62 +182,9 @@ def _pooled(arrays, labels):
     return x, y, classes
 
 
-def train_source(cfg, source_entries, source_mats, stats):
-    """Stage 2 (variants A/C): the source network, stamped with the
-    frontend and normalization fingerprint."""
-    if not source_entries:
-        raise TooFewSamples("variants A/C require source-domain entries")
-    x, y, classes = _pooled(_values(_norm_and_splice(source_mats, stats, cfg)),
-                            [e.label for e in source_entries])
-    net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
-    net, _ = train(net, x, y, cfg.source_train)
-    return SourceModel(net, classes=classes,
-                       fingerprint=_input_fingerprint(cfg, stats))
-
-
-def adapt_filter(cfg, train_entries, train_mats, stats, source_model=None):
-    """Stage 3: the filter. Variants A/C train TL#1, TL#2 and a head over
-    the source network's fixed trunk; variant B trains the whole five-layer
-    stack on target data only. Both are one `adapt` call."""
-    if not train_entries:
-        raise TooFewSamples("no target training entries")
-    norm_fp = _input_fingerprint(cfg, stats)
-    if cfg.variant in ("A", "C") and source_model.fingerprint != norm_fp:
-        raise FingerprintMismatch("source model was trained with "
-                                  "different frontend/normalization")
-    x, y, classes = _pooled(_values(_norm_and_splice(train_mats, stats, cfg)),
-                            [e.label for e in train_entries])
-    if cfg.variant == "B":
-        trunk, widths = None, (*cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim)
-    else:
-        trunk = strip_output(source_model.network)
-        widths = (cfg.tl1_dim, cfg.tl2_dim)
-    composite, _ = adapt(trunk, x, y, widths, len(classes), cfg.target_train,
-                         seed=cfg.seed)
-    return build_filter(composite, cfg.variant, fingerprint=norm_fp)
-
-
-def extract_taps(cfg, mats, stats, filt):
-    """Stage 4: filter taps for every frame of each segment."""
-    if filt.fingerprint != _input_fingerprint(cfg, stats):
-        raise FingerprintMismatch("filter was built with different "
-                                  "frontend/normalization")
-    return [extract(filt, fm) for fm in _norm_and_splice(mats, stats, cfg)]
-
-
 def _require_train(taps):
     if any(m.split != "train" for m in taps):
         raise ValueError("training features include non-train segments")
-
-
-def fit_transform(cfg, train_taps):
-    """Stage 5: the DCT or PCA model, or None for transform 'none'."""
-    _require_train(train_taps)
-    if cfg.transform == "dct":
-        return DctSpec(n_points=train_taps[0].dims, n_keep=cfg.transform_dim)
-    if cfg.transform == "pca":
-        return pca_fit(np.vstack(_values(train_taps)), out_dim=cfg.transform_dim)
-    return None
 
 
 def _reduce(transform, taps):
@@ -245,7 +196,7 @@ def _reduce(transform, taps):
 
 
 def fit_classifier(cfg, transform, train_taps, labels):
-    """Stage 6: the back-end classifier on transformed training taps."""
+    """The back-end classifier on transformed training taps."""
     _require_train(train_taps)
     x, y, classes = _pooled(_reduce(transform, train_taps), labels)
     if cfg.classifier == "gmm":
@@ -260,7 +211,7 @@ def fit_classifier(cfg, transform, train_taps, labels):
 
 
 def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
-    """Stage 7: per-condition segment accuracy and confusion counts.
+    """Per-condition segment accuracy and confusion counts.
     `classes` is the sorted training label set, the classifier's classes:
     column i of every score matrix scores classes[i]."""
     # built per call, so a scorer rebound on this module is the one used
@@ -290,66 +241,145 @@ def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
                       config_fingerprint=cfg.fingerprint(), variant=cfg.variant)
 
 
+# Stages: each loads its inputs from cfg.out_dir, stores its outputs there
+# and returns {artifact name: path} for what it wrote.
+
+def stage_train_source(cfg, manifest):
+    """Stages 1-2: z-score statistics pooled over source and target-train
+    frames only, never eval; for variants A/C also the source network,
+    stamped with the frontend and normalization fingerprint."""
+    source_entries = select(manifest, "source")
+    source_mats = frontend_features(cfg, source_entries)
+    train_mats = frontend_features(cfg, select(manifest, "target", "train"))
+    stats = store(cfg, "norm_stats",
+                  fit_norm_stats(source_mats + train_mats,
+                                 source_tags=("source", "target_train")))
+    paths = {"norm_stats": artifact_path(cfg, "norm_stats.aecf")}
+    if cfg.variant == "B":  # the source network is a variant A/C artifact
+        return paths
+    if not source_entries:
+        raise TooFewSamples("variants A/C require source-domain entries")
+    x, y, classes = _pooled(_values(_norm_and_splice(source_mats, stats, cfg)),
+                            [e.label for e in source_entries])
+    net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
+    net, _ = train(net, x, y, cfg.source_train)
+    store(cfg, "source_model", SourceModel(
+        net, classes=classes, fingerprint=_input_fingerprint(cfg, stats)))
+    return {**paths, "source_model": artifact_path(cfg, "source_model.aecf")}
+
+
+def stage_adapt(cfg, manifest):
+    """Stage 3: the filter. Variants A/C train TL#1, TL#2 and a head over
+    the source network's fixed trunk; variant B trains the whole five-layer
+    stack on target data only. Both are one `adapt` call."""
+    entries = select(manifest, "target", "train")
+    if not entries:
+        raise TooFewSamples("no target training entries")
+    stats = _load(cfg, "norm_stats")
+    norm_fp = _input_fingerprint(cfg, stats)
+    if cfg.variant == "B":
+        trunk, widths = None, (*cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim)
+    else:
+        source_model = _load(cfg, "source_model")
+        if source_model.fingerprint != norm_fp:
+            raise FingerprintMismatch("source model was trained with "
+                                      "different frontend/normalization")
+        trunk = strip_output(source_model.network)
+        widths = (cfg.tl1_dim, cfg.tl2_dim)
+    x, y, classes = _pooled(
+        _values(_norm_and_splice(frontend_features(cfg, entries), stats, cfg)),
+        [e.label for e in entries])
+    composite, _ = adapt(trunk, x, y, widths, len(classes), cfg.target_train,
+                         seed=cfg.seed)
+    store(cfg, "filter", build_filter(composite, cfg.variant, fingerprint=norm_fp))
+    return {"filter": artifact_path(cfg, "filter.aecf")}
+
+
+def stage_extract(cfg, manifest, split):
+    """Stage 4: filter taps for every frame of each target segment of
+    `split`, saved losslessly to features_<split>.npz."""
+    entries = select(manifest, "target", split)
+    stats, filt = _load(cfg, "norm_stats"), _load(cfg, "filter")
+    if filt.fingerprint != _input_fingerprint(cfg, stats):
+        raise FingerprintMismatch("filter was built with different "
+                                  "frontend/normalization")
+    mats = _norm_and_splice(frontend_features(cfg, entries), stats, cfg)
+    path = artifact_path(cfg, f"features_{split}.npz")
+    np.savez(path, __labels__=np.array([e.label for e in entries]),
+             __conditions__=np.array([e.condition for e in entries]),
+             __splits__=np.array([e.split for e in entries]),
+             **{f"seg{i:05d}": extract(filt, fm).values
+                for i, fm in enumerate(mats)})
+    return {f"features_{split}": path}
+
+
+def stage_fit_transform(cfg):
+    """Stage 5: the DCT or PCA model; nothing for transform 'none'."""
+    taps = _load_features(cfg, "train")[0]
+    _require_train(taps)
+    if cfg.transform == "none":
+        return {}
+    if cfg.transform == "dct":
+        transform = DctSpec(n_points=taps[0].dims, n_keep=cfg.transform_dim)
+    else:
+        transform = pca_fit(np.vstack(_values(taps)), out_dim=cfg.transform_dim)
+    store(cfg, "transform", transform)
+    return {"transform": artifact_path(cfg, "transform.aecf")}
+
+
+def stage_fit_classifier(cfg):
+    """Stage 6: the back-end classifier."""
+    taps, labels, _ = _load_features(cfg, "train")
+    store(cfg, "classifier",
+          fit_classifier(cfg, _load_transform(cfg), taps, labels))
+    return {"classifier": artifact_path(cfg, "classifier.aecf")}
+
+
+def stage_evaluate(cfg):
+    """Stage 7: the per-condition report, written to report.json and
+    report.txt. Returns the report."""
+    taps, labels, conditions = _load_features(cfg, "eval")
+    with np.load(artifact_path(cfg, "features_train.npz")) as data:
+        classes = sorted(set(data["__labels__"].tolist()))
+    report = evaluate(cfg, _load_transform(cfg), _load(cfg, "classifier"),
+                      taps, labels, conditions, classes)
+    with open(artifact_path(cfg, "report.json"), "w", encoding="utf-8") as f:
+        f.write(report.to_json())
+    with open(artifact_path(cfg, "report.txt"), "w", encoding="utf-8") as f:
+        f.write(render_report(report) + "\n")
+    return report
+
+
+def stage_cross_validate(cfg, k=5):
+    """`select_svm_params` over features_train.npz."""
+    taps, labels, _ = _load_features(cfg, "train")
+    return select_svm_params(cfg, _load_transform(cfg), taps, labels, k=k)
+
+
 def run_pipeline(cfg, manifest):
-    """Execute every stage on one manifest (source + target entries) and
-    return (EvalReport, artifact paths). Each stage consumes the artifacts
-    earlier stages stored, exactly as the staged subcommands do."""
+    """Run the staged chain on one manifest (source + target entries):
+    each stage under its subcommand's name, in subcommand order. Returns
+    (EvalReport, {artifact name: path})."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-
     with _stage("load-manifest"):
-        source_entries = select(manifest, "source")
-        train_entries = select(manifest, "target", "train")
-        eval_entries = select(manifest, "target", "eval")
-        if not train_entries:
+        if not select(manifest, "target", "train"):
             raise TooFewSamples("no target training entries")
-        train_labels = [e.label for e in train_entries]
-
-    with _stage("frontend"):
-        source_mats = frontend_features(cfg, source_entries)
-        train_mats = frontend_features(cfg, train_entries)
-        eval_mats = frontend_features(cfg, eval_entries)
-
-    with _stage("norm-stats"):
-        stats = store(cfg, "norm_stats", fit_norm(source_mats, train_mats))
-    names = ["norm_stats"]
-
-    source_model = None
-    if cfg.variant in ("A", "C"):
-        with _stage("train-source"):
-            source_model = store(cfg, "source_model", train_source(
-                cfg, source_entries, source_mats, stats))
-        names.append("source_model")
-
-    with _stage("adapt"):
-        filt = store(cfg, "filter", adapt_filter(cfg, train_entries, train_mats,
-                                                 stats, source_model))
-    names.append("filter")
-
-    with _stage("extract"):
-        train_taps = extract_taps(cfg, train_mats, stats, filt)
-        eval_taps = extract_taps(cfg, eval_mats, stats, filt)
-
-    with _stage("fit-transform"):
-        transform = fit_transform(cfg, train_taps)
-        if transform is not None:
-            transform = store(cfg, "transform", transform)
-            names.append("transform")
-
-    with _stage("fit-classifier"):
-        clf = store(cfg, "classifier",
-                    fit_classifier(cfg, transform, train_taps, train_labels))
-    names.append("classifier")
-
+    paths = {}
+    for command, run_stage, args in (
+            ("train-source", stage_train_source, (manifest,)),
+            ("adapt", stage_adapt, (manifest,)),
+            ("extract", stage_extract, (manifest, "train")),
+            ("extract", stage_extract, (manifest, "eval")),
+            ("fit-transform", stage_fit_transform, ()),
+            ("fit-classifier", stage_fit_classifier, ())):
+        with _stage(command):
+            paths.update(run_stage(cfg, *args))
     with _stage("evaluate"):
-        report = evaluate(cfg, transform, clf, eval_taps,
-                          [e.label for e in eval_entries],
-                          [e.condition for e in eval_entries],
-                          sorted(set(train_labels)))
-        write_report(cfg, report)
-    paths = {n: artifact_path(cfg, n + ".aecf") for n in names}
+        report = stage_evaluate(cfg)
     paths.update(report_json=artifact_path(cfg, "report.json"),
                  report_txt=artifact_path(cfg, "report.txt"))
     return report, paths
+
 
 
 def cross_validate(items, labels, grid, eval_fn, k=5, seed=0):

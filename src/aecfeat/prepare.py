@@ -83,10 +83,15 @@ def prepare_source(manifest, out_dir, target_seconds=800.0, rir=None, seed=0):
 
 def prepare_conditions(manifest, noise_paths, out_dir, snrs=(5, 10, 15), seed=0):
     """Create one noisy condition per (noise, SNR) for target evaluation
-    segments; clean entries pass through unchanged."""
+    segments; clean entries pass through unchanged. Conditions are named
+    by noise file stem and SNR, so both must be unique."""
+    stems = [os.path.splitext(os.path.basename(p))[0] for p in noise_paths]
+    for what, values in (("noise file stem", stems), ("SNR", list(snrs))):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"{what} {repeated[0]!r} is given more than once")
     os.makedirs(out_dir, exist_ok=True)
-    noises = {os.path.splitext(os.path.basename(p))[0]: read_wav(p)
-              for p in noise_paths}
+    noises = {stem: read_wav(p) for stem, p in zip(stems, noise_paths)}
     out_entries = list(manifest.entries)
     eval_entries = [e for e in manifest.entries
                     if e.domain == "target" and e.split == "eval"

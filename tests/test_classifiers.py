@@ -238,6 +238,14 @@ class TestSvmModel:
         with pytest.raises(DegenerateLabels):
             svm_fit(np.zeros((5, 2)), np.zeros(5), c=1.0, gamma=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frames_rejected(self, bad):
+        # a NaN kernel entry would keep SMO's KKT gap from ever closing
+        x = np.random.default_rng(0).standard_normal((20, 3))
+        x[4, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            svm_fit(x, np.arange(20) % 2, c=1.0, gamma=1.0)
+
     def test_empty_model_errors(self):
         from aecfeat.classifiers import SvmModel
 

@@ -138,6 +138,26 @@ class TestPrepareConditions:
         assert np.array_equal(read_wav(ea.wav_path).samples,
                               read_wav(eb.wav_path).samples)
 
+    def test_repeated_noise_stem_rejected(self, tmp_path):
+        man = self.make_manifest(tmp_path)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        noises = [self.noise(tmp_path / "a", "office", 1),
+                  self.noise(tmp_path / "b", "office", 2)]
+        with pytest.raises(ValueError, match="noise file stem 'office'"):
+            prepare_conditions(man, noises, tmp_path / "cond", snrs=(5,),
+                               seed=0)
+        assert not (tmp_path / "cond").exists()
+
+    @pytest.mark.parametrize("snrs", [(5, 5), (5, 10, 5.0)])
+    def test_repeated_snr_rejected(self, tmp_path, snrs):
+        man = self.make_manifest(tmp_path, n_eval=4)
+        noises = [self.noise(tmp_path, "office", 1)]
+        with pytest.raises(ValueError, match="SNR 5"):
+            prepare_conditions(man, noises, tmp_path / "cond", snrs=snrs,
+                               seed=0)
+        assert not (tmp_path / "cond").exists()
+
 
 class TestCrossValidate:
     def test_fold_structure(self):
@@ -384,7 +404,8 @@ class TestRunPipeline:
         cfg = tiny_config(tmp_path / "run")
         report, paths = run_pipeline(cfg, manifest)
         for key in ("norm_stats", "source_model", "filter",
-                    "transform", "classifier", "report_json", "report_txt"):
+                    "transform", "classifier", "report_json", "report_txt",
+                    "features_train", "features_eval"):
             assert os.path.exists(paths[key]), key
         assert "composite" not in paths
         assert not os.path.exists(os.path.join(cfg.out_dir, "composite.aecf"))
@@ -584,6 +605,18 @@ class TestCli:
         for name in names:
             assert ((staged / f"{name}.aecf").read_bytes()
                     == open(paths[name], "rb").read()), name
+
+    def test_staged_stages_rerun_on_run_output(self, tiny_corpus, tmp_path):
+        # `run` leaves every artifact the staged chain reads, features too
+        cfg = tiny_config(tmp_path / "run")
+        _, paths = run_pipeline(cfg, tiny_corpus[1])
+        before = {key: open(paths[key], "rb").read()
+                  for key in ("classifier", "report_json")}
+        codes = run_staged(cfg, None, tmp_path / "cfg.json",
+                           chain=[["fit-classifier"], ["evaluate"]])
+        assert codes == [0, 0]
+        for key, data in before.items():
+            assert open(paths[key], "rb").read() == data, key
 
     def test_staged_window_mismatch_is_rejected(self, tiny_corpus, tmp_path,
                                                 capsys):
