@@ -12,14 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadSampleRate,
-    EmptyRir,
-    MissingFile,
-    NoiseTooShort,
-    SilentNoise,
-    SilentSignal,
-)
+from .errors import AecError
 
 logger = logging.getLogger(__name__)
 
@@ -35,11 +28,11 @@ class AudioSegment:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.sample_rate != SAMPLE_RATE:
-            raise BadSampleRate(
+            raise AecError(
                 f"sample_rate must be {SAMPLE_RATE}, got {self.sample_rate}"
             )
         if not np.all(np.isfinite(self.samples)):
-            raise ValueError("segment contains non-finite samples")
+            raise AecError("segment contains non-finite samples")
 
     def __len__(self):
         return len(self.samples)
@@ -54,18 +47,18 @@ def read_wav(path, label=None):
     try:
         f = wave.open(str(path), "rb")
     except FileNotFoundError:
-        raise MissingFile(f"no such file: {path}")
+        raise AecError(f"no such file: {path}")
     except wave.Error as e:
-        raise BadSampleRate(f"{path}: not a readable RIFF PCM wav ({e})")
+        raise AecError(f"{path}: not a readable RIFF PCM wav ({e})")
     with f:
         if f.getcomptype() != "NONE":
-            raise BadSampleRate(f"{path}: compression type {f.getcomptype()!r}, need NONE")
+            raise AecError(f"{path}: compression type {f.getcomptype()!r}, need NONE")
         if f.getnchannels() != 1:
-            raise BadSampleRate(f"{path}: {f.getnchannels()} channels, need mono")
+            raise AecError(f"{path}: {f.getnchannels()} channels, need mono")
         if f.getsampwidth() != 2:
-            raise BadSampleRate(f"{path}: sample width {f.getsampwidth()} bytes, need 2 (16-bit)")
+            raise AecError(f"{path}: sample width {f.getsampwidth()} bytes, need 2 (16-bit)")
         if f.getframerate() != SAMPLE_RATE:
-            raise BadSampleRate(f"{path}: sample rate {f.getframerate()}, need {SAMPLE_RATE}")
+            raise AecError(f"{path}: sample rate {f.getframerate()}, need {SAMPLE_RATE}")
         raw = f.readframes(f.getnframes())
     pcm = np.frombuffer(raw, dtype="<i2")
     samples = pcm.astype(np.float64) / 32768.0
@@ -96,18 +89,18 @@ def mix_noise(signal, noise, snr_db, seed=0):
     and logged as a warning.
     """
     if len(noise) < len(signal):
-        raise NoiseTooShort(
+        raise AecError(
             f"noise ({len(noise)} samples) shorter than signal ({len(signal)})"
         )
     p_s = _power(signal.samples)
     if p_s == 0.0:
-        raise SilentSignal("signal power is zero")
+        raise AecError("signal power is zero")
     rng = np.random.default_rng(seed)
     start = int(rng.integers(0, len(noise) - len(signal) + 1))
     crop = noise.samples[start : start + len(signal)]
     p_n = _power(crop)
     if p_n == 0.0:
-        raise SilentNoise("noise crop power is zero")
+        raise AecError("noise crop power is zero")
     alpha = np.sqrt(p_s / (p_n * 10.0 ** (snr_db / 10.0)))
     mixed = signal.samples + alpha * crop
     n_clip = int(np.sum(np.abs(mixed) > 1.0))
@@ -122,7 +115,7 @@ def convolve_rir(signal, rir):
     original signal length."""
     rir = np.asarray(rir, dtype=np.float64)
     if rir.size == 0:
-        raise EmptyRir("impulse response is empty")
+        raise AecError("impulse response is empty")
     out = np.convolve(signal.samples, rir)[: len(signal)]
     peak = np.max(np.abs(out))
     if peak > 1.0:

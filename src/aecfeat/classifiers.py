@@ -19,13 +19,7 @@ from typing import Dict, List
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import (
-    DegenerateLabels,
-    DimMismatch,
-    EmptyClass,
-    EmptyFrames,
-    TooFewFrames,
-)
+from .errors import AecError
 from .network import init_mlp, predict, train
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -75,7 +69,7 @@ GMM_FLOOR_FRAC = 1e-3  # variance floor, as a fraction of the global variance
 def _fit_one_gmm(x, k, rng):
     n, d = x.shape
     if n < k:
-        raise TooFewFrames(
+        raise AecError(
             f"{n} frames for {k} mixtures; use a smaller mixture count"
         )
     global_var = np.maximum(x.var(axis=0), 1e-12)
@@ -114,13 +108,13 @@ def gmm_fit(features_per_class, k=512, seed=0):
     for at most GMM_MAX_ITER iterations.
     """
     if not features_per_class:
-        raise EmptyClass("no classes given")
+        raise AecError("no classes given")
     classes = sorted(features_per_class)
     per_class = {}
     for i, label in enumerate(classes):
         x = np.atleast_2d(np.asarray(features_per_class[label], dtype=np.float64))
         if x.shape[0] == 0:
-            raise EmptyClass(f"class {label!r} has no frames")
+            raise AecError(f"class {label!r} has no frames")
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         per_class[label] = _fit_one_gmm(x, k, rng)
     return GmmModel(classes=classes, per_class=per_class)
@@ -130,7 +124,7 @@ def gmm_score_matrix(model, values):
     """(rows, classes) per-frame log-likelihoods."""
     x = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if x.shape[1] != model.dims:
-        raise DimMismatch(f"frame dims {x.shape[1]} != model dims {model.dims}")
+        raise AecError(f"frame dims {x.shape[1]} != model dims {model.dims}")
     cols = []
     for label in model.classes:
         m = model.per_class[label]
@@ -191,7 +185,7 @@ def smo_solve(kmat, y, c, tol=1e-3):
     Returns (alpha, bias) for f(x) = sum_i alpha_i y_i k(x_i, x) + bias.
     """
     if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+        raise AecError(f"tol must be > 0, got {tol}")
     y = np.asarray(y, dtype=np.float64)
     pos = y > 0
     alpha = np.zeros(len(y))
@@ -227,11 +221,11 @@ def svm_fit(features, labels, c=10.0, gamma=0.01, tol=1e-3):
     """One-vs-rest RBF SVMs, one SMO solve per class."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if not np.isfinite(x).all():
-        raise ValueError("SVM training frames contain non-finite values")
+        raise AecError("SVM training frames contain non-finite values")
     labels = np.asarray(labels)
     classes = sorted(np.unique(labels).tolist())
     if len(classes) < 2:
-        raise DegenerateLabels("need at least 2 classes")
+        raise AecError("need at least 2 classes")
     kmat = rbf_kernel(x, x, gamma)
     machines = {}
     for label in classes:
@@ -249,10 +243,10 @@ def svm_fit(features, labels, c=10.0, gamma=0.01, tol=1e-3):
 def svm_score_matrix(model, values):
     """(rows, classes) decision values of every one-vs-rest machine."""
     if not model.machines:
-        raise EmptyClass("model has no fitted machines")
+        raise AecError("model has no fitted machines")
     x = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if x.shape[1] != model.dims:
-        raise DimMismatch(f"frame dims {x.shape[1]} != model dims {model.dims}")
+        raise AecError(f"frame dims {x.shape[1]} != model dims {model.dims}")
     cols = []
     for label in model.classes:
         m = model.machines[label]
@@ -297,6 +291,6 @@ def classify_segment(frame_scores):
     argmax class; ties go to the lowest class index."""
     scores = np.atleast_2d(np.asarray(frame_scores, dtype=np.float64))
     if scores.shape[0] < 1 or scores.size == 0:
-        raise EmptyFrames("no frames to classify")
+        raise AecError("no frames to classify")
     acc = scores.sum(axis=0)
     return SegmentDecision(scores=acc, winner=int(np.argmax(acc)))

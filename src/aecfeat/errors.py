@@ -1,134 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""The package's two error types.
 
+Every failure the package detects raises `AecError`, a `ValueError` whose
+message names the bad value, file or line. `StageError` wraps a failure
+with the name of the pipeline stage it occurred in; the CLI prints it and
+exits with code 2.
+"""
 
-class AecError(Exception):
-    """Base class for all errors raised by this package."""
 
-
-# --- audio / frontend ---------------------------------------------------
-
-class BadSampleRate(AecError):
-    pass
-
-
-class SegmentTooShort(AecError):
-    pass
-
-
-class BadFrameLength(AecError):
-    pass
-
-
-class BadContext(AecError):
-    pass
-
-
-class EmptyInput(AecError):
-    pass
-
-
-class DimMismatch(AecError):
-    pass
-
-
-class SilentNoise(AecError):
-    pass
-
-
-class SilentSignal(AecError):
-    pass
-
-
-class NoiseTooShort(AecError):
-    pass
-
-
-class EmptyRir(AecError):
-    pass
-
-
-# --- networks -----------------------------------------------------------
-
-class NoSoftmaxHead(AecError):
-    pass
-
-
-class ShapeMismatch(AecError):
-    pass
-
-
-class TooFewSamples(AecError):
-    pass
-
-
-class DegenerateLabels(AecError):
-    pass
-
-
-class NoHead(AecError):
-    pass
-
-
-class UnknownVariant(AecError):
-    pass
-
-
-# --- transforms ---------------------------------------------------------
-
-class TooFewRows(AecError):
-    pass
-
-
-class ZeroVariance(AecError):
-    pass
-
-
-# --- classifiers --------------------------------------------------------
-
-class TooFewFrames(AecError):
-    pass
-
-
-class EmptyClass(AecError):
-    pass
-
-
-class EmptyFrames(AecError):
-    pass
-
-
-# --- pipeline / io ------------------------------------------------------
-
-class ParseError(AecError):
-    pass
-
-
-class MissingFile(AecError):
-    pass
-
-
-class EmptyManifest(AecError):
-    pass
-
-
-class EmptyReport(AecError):
-    pass
-
-
-class BadMagic(AecError):
-    pass
-
-
-class VersionMismatch(AecError):
-    pass
-
-
-class ChecksumFail(AecError):
-    pass
-
-
-class FingerprintMismatch(AecError):
-    pass
+class AecError(ValueError):
+    """A failure detected by this package."""
 
 
 class StageError(AecError):

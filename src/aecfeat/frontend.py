@@ -17,13 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadContext,
-    BadFrameLength,
-    DimMismatch,
-    EmptyInput,
-    SegmentTooShort,
-)
+from .errors import AecError
 
 MODE_DIMS = {
     "dft_mag": 512,
@@ -45,13 +39,13 @@ class FrontendConfig:
 
     def __post_init__(self):
         if not (1 <= self.hop <= FRAME_LEN):
-            raise ValueError(f"need 1 <= hop <= {FRAME_LEN}")
+            raise AecError(f"need 1 <= hop <= {FRAME_LEN}")
         if self.window not in ("hamming", "rectangular"):
-            raise ValueError(f"unknown window {self.window!r}")
+            raise AecError(f"unknown window {self.window!r}")
         if self.input_mode not in MODE_DIMS:
-            raise ValueError(f"unknown input_mode {self.input_mode!r}")
+            raise AecError(f"unknown input_mode {self.input_mode!r}")
         if self.splice_context not in (1, 3, 5, 7):
-            raise BadContext(f"splice_context must be odd in 1..7, got {self.splice_context}")
+            raise AecError(f"splice_context must be odd in 1..7, got {self.splice_context}")
 
     @property
     def frame_dims(self):
@@ -77,7 +71,7 @@ class FeatureMatrix:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
-            raise DimMismatch(f"feature matrix must be 2-D, got {self.values.ndim}-D")
+            raise AecError(f"feature matrix must be 2-D, got {self.values.ndim}-D")
 
     @property
     def rows(self):
@@ -99,9 +93,9 @@ class NormStats:
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != self.std.shape:
-            raise DimMismatch("mean/std length mismatch")
+            raise AecError("mean/std length mismatch")
         if np.any(self.std < STD_FLOOR):
-            raise ValueError("std below floor")
+            raise AecError("std below floor")
 
     def fingerprint(self):
         h = hashlib.sha256()
@@ -124,7 +118,7 @@ def frame_signal(segment, cfg):
     """
     n = len(segment)
     if n < FRAME_LEN:
-        raise SegmentTooShort(f"segment has {n} samples, need at least {FRAME_LEN}")
+        raise AecError(f"segment has {n} samples, need at least {FRAME_LEN}")
     n_frames = (n - FRAME_LEN) // cfg.hop + 1
     idx = cfg.hop * np.arange(n_frames)[:, None] + np.arange(FRAME_LEN)[None, :]
     return segment.samples[idx] * _window(cfg)[None, :]
@@ -134,7 +128,7 @@ def dft_half_spectrum(frames):
     """Complex bins 0..511 of the 1024-point DFT, per frame."""
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if frames.shape[1] != FRAME_LEN:
-        raise BadFrameLength(f"frame length must be {FRAME_LEN}, got {frames.shape[1]}")
+        raise AecError(f"frame length must be {FRAME_LEN}, got {frames.shape[1]}")
     return np.fft.rfft(frames, axis=1)[:, :512]
 
 
@@ -163,9 +157,9 @@ def splice(fm, context):
     row count is preserved.
     """
     if context not in (1, 3, 5, 7):
-        raise BadContext(f"context must be odd in 1..7, got {context}")
+        raise AecError(f"context must be odd in 1..7, got {context}")
     if fm.rows < 1:
-        raise EmptyInput("no frames to splice")
+        raise AecError("no frames to splice")
     if context == 1:
         out = fm.values.copy()
     else:
@@ -186,13 +180,13 @@ def fit_norm_stats(matrices, source_tags=()):
     """
     matrices = list(matrices)
     if not matrices or sum(m.rows for m in matrices) == 0:
-        raise EmptyInput("no frames to fit normalization statistics")
+        raise AecError("no frames to fit normalization statistics")
     dims = matrices[0].dims
     for m in matrices:
         if m.dims != dims:
-            raise DimMismatch(f"dims {m.dims} != {dims}")
+            raise AecError(f"dims {m.dims} != {dims}")
         if m.split == "eval":
-            raise ValueError("refusing to fit normalization on evaluation frames")
+            raise AecError("refusing to fit normalization on evaluation frames")
     n = sum(m.rows for m in matrices)
     total = np.zeros(dims)
     total_sq = np.zeros(dims)
@@ -208,6 +202,6 @@ def fit_norm_stats(matrices, source_tags=()):
 def apply_norm(fm, stats):
     """Z-score a feature matrix with previously fitted statistics."""
     if fm.dims != stats.mean.shape[0]:
-        raise DimMismatch(f"matrix dims {fm.dims} != stats dims {stats.mean.shape[0]}")
+        raise AecError(f"matrix dims {fm.dims} != stats dims {stats.mean.shape[0]}")
     values = (fm.values - stats.mean) / stats.std
     return FeatureMatrix(values, split=fm.split)

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass, field
 from typing import List
 
-from .errors import EmptyManifest, MissingFile, ParseError
+from .errors import AecError
 
 HEADER = ["path", "label", "domain", "split", "condition"]
 DOMAINS = ("source", "target")
@@ -29,27 +29,17 @@ class Manifest:
     def __len__(self):
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def select(self, domain=None, split=None, condition=None):
+    def select(self, domain=None, split=None):
         out = [e for e in self.entries
                if (domain is None or e.domain == domain)
-               and (split is None or e.split == split)
-               and (condition is None or e.condition == condition)]
+               and (split is None or e.split == split)]
         return Manifest(out)
-
-    def labels(self):
-        return sorted({e.label for e in self.entries})
-
-    def conditions(self):
-        return sorted({e.condition for e in self.entries})
 
 
 def load_manifest(path):
     """Load and validate a manifest CSV; errors carry the offending line."""
     if not os.path.exists(path):
-        raise MissingFile(f"no such manifest: {path}")
+        raise AecError(f"no such manifest: {path}")
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     with open(path, newline="", encoding="utf-8") as f:
@@ -57,39 +47,43 @@ def load_manifest(path):
         try:
             header = next(reader)
         except StopIteration:
-            raise EmptyManifest(f"{path}: empty file")
+            raise AecError(f"{path}: empty file")
         if [h.strip() for h in header] != HEADER:
-            raise ParseError(f"{path}:1: header must be {','.join(HEADER)}")
+            raise AecError(f"{path}:1: header must be {','.join(HEADER)}")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(HEADER):
-                raise ParseError(f"{path}:{lineno}: expected {len(HEADER)} fields, got {len(row)}")
+                raise AecError(f"{path}:{lineno}: expected {len(HEADER)} fields, got {len(row)}")
             wav_path, label, domain, split, condition = [c.strip() for c in row]
             if not label:
-                raise ParseError(f"{path}:{lineno}: empty label")
+                raise AecError(f"{path}:{lineno}: empty label")
             if domain not in DOMAINS:
-                raise ParseError(f"{path}:{lineno}: unknown domain {domain!r}")
+                raise AecError(f"{path}:{lineno}: unknown domain {domain!r}")
             if split not in SPLITS:
-                raise ParseError(f"{path}:{lineno}: unknown split {split!r}")
+                raise AecError(f"{path}:{lineno}: unknown split {split!r}")
             full = wav_path if os.path.isabs(wav_path) else os.path.join(base, wav_path)
             if not os.path.exists(full):
-                raise MissingFile(f"{path}:{lineno}: no such wav: {full}")
+                raise AecError(f"{path}:{lineno}: no such wav: {full}")
             entries.append(ManifestEntry(full, label, domain, split, condition or "clean"))
     if not entries:
-        raise EmptyManifest(f"{path}: no entries")
+        raise AecError(f"{path}: no entries")
     man = Manifest(entries)
     seen_train = {e.wav_path for e in man.entries
                   if e.domain == "target" and e.split == "train"}
     for e in man.entries:
         if e.domain == "target" and e.split == "eval" and e.wav_path in seen_train:
-            raise ParseError(f"{path}: {e.wav_path} appears in both target train and eval")
+            raise AecError(f"{path}: {e.wav_path} appears in both target train and eval")
     return man
 
 
 def save_manifest(manifest, path):
+    """Write a manifest CSV with each wav path relative to the manifest's
+    own directory, the base `load_manifest` resolves relative paths by."""
+    base = os.path.realpath(os.path.dirname(os.path.abspath(path)))
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(HEADER)
         for e in manifest.entries:
-            writer.writerow([e.wav_path, e.label, e.domain, e.split, e.condition])
+            writer.writerow([os.path.relpath(os.path.realpath(e.wav_path), base),
+                             e.label, e.domain, e.split, e.condition])

@@ -20,13 +20,7 @@ from typing import List
 import numpy as np
 from scipy.special import expit
 
-from .errors import (
-    DegenerateLabels,
-    DimMismatch,
-    NoSoftmaxHead,
-    ShapeMismatch,
-    TooFewSamples,
-)
+from .errors import AecError
 
 
 @dataclass
@@ -80,16 +74,16 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
+            raise AecError("momentum must be in [0, 1)")
         if not (0.0 <= self.val_ratio < 1.0):
-            raise ValueError("val_ratio must be in [0, 1)")
+            raise AecError("val_ratio must be in [0, 1)")
         if self.weight_decay < 0 or self.max_epochs_per_stage < 0:
-            raise ValueError("weight_decay and max_epochs_per_stage must be "
-                             ">= 0")
+            raise AecError("weight_decay and max_epochs_per_stage must be "
+                           ">= 0")
         bad = [name for name in ("lr0", "batch_size", "patience_epochs",
                                  "n_lr_stages") if getattr(self, name) <= 0]
         if bad:
-            raise ValueError(f"{', '.join(bad)} must be positive")
+            raise AecError(f"{', '.join(bad)} must be positive")
 
 
 @dataclass
@@ -105,7 +99,7 @@ def init_mlp(in_dim, hidden, n_classes, seed=0):
     Glorot-uniform weights and zero biases, deterministic for a given seed."""
     dims = [in_dim, *hidden, n_classes]
     if min(dims) < 1:
-        raise ValueError("layer dims must be positive")
+        raise AecError("layer dims must be positive")
     rng = np.random.default_rng(seed)
     layers = []
     for a, b in zip(dims, dims[1:]):
@@ -138,7 +132,7 @@ def forward(net, x):
     """Per-layer post-activation outputs for a batch (rows = samples)."""
     x = _as_batch(x)
     if x.shape[1] != net.in_dim:
-        raise DimMismatch(f"input dims {x.shape[1]} != network input {net.in_dim}")
+        raise AecError(f"input dims {x.shape[1]} != network input {net.in_dim}")
     acts = []
     a = x
     for layer in net.layers:
@@ -175,7 +169,7 @@ def grad(net, x, one_hot):
     output.
     """
     if net.layers[-1].activation != "softmax":
-        raise NoSoftmaxHead("gradient needs a softmax output layer")
+        raise AecError("gradient needs a softmax output layer")
     x = _as_batch(x)
     one_hot = np.atleast_2d(np.asarray(one_hot, dtype=x.dtype))
     acts = forward(net, x)
@@ -195,7 +189,7 @@ def grad(net, x, one_hot):
                 delta *= a_prev
                 delta *= 1.0 - a_prev
             elif prev.activation == "softmax":
-                raise NoSoftmaxHead("softmax only allowed as the final layer")
+                raise AecError("softmax only allowed as the final layer")
     return grads, loss
 
 
@@ -208,7 +202,7 @@ def sgd_step(layer, grads, velocity, lr, momentum, weight_decay):
     dw, db = grads
     vw, vb = velocity
     if dw.shape != layer.w.shape or db.shape != layer.b.shape:
-        raise ShapeMismatch("gradient/parameter shape mismatch")
+        raise AecError("gradient/parameter shape mismatch")
     vw *= momentum
     vw += dw + weight_decay * layer.w
     vb *= momentum
@@ -259,21 +253,21 @@ def train(net, features, labels, cfg):
     x = np.asarray(features)
     labels = np.asarray(labels, dtype=int)
     if x.shape[0] != len(labels):
-        raise DimMismatch("features/labels length mismatch")
+        raise AecError("features/labels length mismatch")
     classes = np.unique(labels)
     if len(classes) < 2:
-        raise DegenerateLabels("need at least 2 classes")
+        raise AecError("need at least 2 classes")
     n_classes = net.out_dim
     if labels.max() >= n_classes:
-        raise DimMismatch("label index exceeds network output dim")
+        raise AecError("label index exceeds network output dim")
     if net.layers[-1].activation != "softmax":
-        raise NoSoftmaxHead("training requires a softmax head")
+        raise AecError("training requires a softmax head")
 
     rng = np.random.default_rng(cfg.seed)
     train_idx, val_idx = _stratified_split(labels, cfg.val_ratio, rng)
     for c in classes:
         if not np.any(labels[train_idx] == c):
-            raise TooFewSamples(f"class {c} has no training samples after the split")
+            raise AecError(f"class {c} has no training samples after the split")
 
     x = x.astype(np.float32, copy=False)
     y = one_hot(labels, n_classes).astype(np.float32)

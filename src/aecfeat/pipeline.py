@@ -19,7 +19,7 @@ from .audio import read_wav
 from .classifiers import (classify_segment, dnn_classifier_fit,
                           dnn_score_matrix, gmm_fit, gmm_score_matrix,
                           svm_fit, svm_score_matrix)
-from .errors import FingerprintMismatch, StageError, TooFewSamples
+from .errors import AecError, StageError
 from .frontend import (FeatureMatrix, FrontendConfig, apply_norm,
                        fit_norm_stats, make_frontend_features, splice)
 from .network import TrainConfig, init_mlp, train
@@ -59,15 +59,15 @@ class RunConfig:
         self.sl_widths = tuple(self.sl_widths)
         self.dnn_hidden = tuple(self.dnn_hidden)
         if self.transform not in ("none", "dct", "pca"):
-            raise ValueError(f"unknown transform {self.transform!r}")
+            raise AecError(f"unknown transform {self.transform!r}")
         if self.classifier not in ("gmm", "svm", "dnn"):
-            raise ValueError(f"unknown classifier {self.classifier!r}")
+            raise AecError(f"unknown classifier {self.classifier!r}")
         if self.variant not in ("A", "B", "C"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise AecError(f"unknown variant {self.variant!r}")
         if self.variant in ("A", "C") and not self.sl_widths:
-            raise ValueError(f"variant {self.variant} needs at least one "
-                             f"sl_widths layer to keep once the source head "
-                             f"is cut off")
+            raise AecError(f"variant {self.variant} needs at least one "
+                           f"sl_widths layer to keep once the source head "
+                           f"is cut off")
         sizes = {"tl1_dim": self.tl1_dim, "tl2_dim": self.tl2_dim,
                  "gmm_k": self.gmm_k, "svm_c": self.svm_c,
                  "svm_gamma": self.svm_gamma,
@@ -75,12 +75,12 @@ class RunConfig:
                  **{f"dnn_hidden[{i}]": w for i, w in enumerate(self.dnn_hidden)}}
         bad = [name for name, v in sizes.items() if v is not None and v <= 0]
         if bad:
-            raise ValueError(f"{', '.join(bad)} must be positive")
+            raise AecError(f"{', '.join(bad)} must be positive")
         if self.svm_frame_step < 1 or self.transform_dim < 1:
-            raise ValueError("svm_frame_step and transform_dim must be >= 1")
+            raise AecError("svm_frame_step and transform_dim must be >= 1")
         if self.transform != "none" and self.transform_dim > self.tl2_dim:
-            raise ValueError(f"transform_dim {self.transform_dim} exceeds the "
-                             f"filter tap dimension tl2_dim {self.tl2_dim}")
+            raise AecError(f"transform_dim {self.transform_dim} exceeds the "
+                           f"filter tap dimension tl2_dim {self.tl2_dim}")
 
     def to_dict(self):
         return asdict(self)
@@ -142,7 +142,7 @@ def _load_features(cfg, split):
         taps = [FeatureMatrix(data[f"seg{i:05d}"], split=s)
                 for i, s in enumerate(data["__splits__"].tolist())]
         if not all(np.isfinite(t.values).all() for t in taps):
-            raise ValueError(f"{path} contains non-finite feature values")
+            raise AecError(f"{path} contains non-finite feature values")
         return (taps, data["__labels__"].tolist(),
                 data["__conditions__"].tolist())
 
@@ -184,7 +184,7 @@ def _pooled(arrays, labels):
 
 def _require_train(taps):
     if any(m.split != "train" for m in taps):
-        raise ValueError("training features include non-train segments")
+        raise AecError("training features include non-train segments")
 
 
 def _reduce(transform, taps):
@@ -219,17 +219,19 @@ def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
                     "dnn": dnn_score_matrix}[cfg.classifier]
     unknown = sorted(set(labels) - set(classes))
     if unknown:
-        raise ValueError(f"eval labels {unknown} are not training classes "
-                         f"{list(classes)}")
-    cond_names = sorted(set(conditions)) or ["clean"]
+        raise AecError(f"eval labels {unknown} are not training classes "
+                       f"{list(classes)}")
+    if not eval_taps:
+        raise AecError("no segments to evaluate")
+    cond_names = sorted(set(conditions))
     per_cc = {c: {cls: [0, 0] for cls in classes} for c in cond_names}
     confusion = {c: [[0] * len(classes) for _ in classes] for c in cond_names}
     for label, condition, values in zip(labels, conditions,
                                         _reduce(transform, eval_taps)):
         scores = score_frames(clf, values)
         if scores.shape[1] != len(classes):
-            raise ValueError(f"classifier scores {scores.shape[1]} classes, "
-                             f"but there are {len(classes)} training classes")
+            raise AecError(f"classifier scores {scores.shape[1]} classes, "
+                           f"but there are {len(classes)} training classes")
         pred_label = classes[classify_segment(scores).winner]
         stats = per_cc[condition][label]
         stats[1] += 1
@@ -258,7 +260,7 @@ def stage_train_source(cfg, manifest):
     if cfg.variant == "B":  # the source network is a variant A/C artifact
         return paths
     if not source_entries:
-        raise TooFewSamples("variants A/C require source-domain entries")
+        raise AecError("variants A/C require source-domain entries")
     x, y, classes = _pooled(_values(_norm_and_splice(source_mats, stats, cfg)),
                             [e.label for e in source_entries])
     net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
@@ -274,7 +276,7 @@ def stage_adapt(cfg, manifest):
     stack on target data only. Both are one `adapt` call."""
     entries = select(manifest, "target", "train")
     if not entries:
-        raise TooFewSamples("no target training entries")
+        raise AecError("no target training entries")
     stats = _load(cfg, "norm_stats")
     norm_fp = _input_fingerprint(cfg, stats)
     if cfg.variant == "B":
@@ -282,8 +284,8 @@ def stage_adapt(cfg, manifest):
     else:
         source_model = _load(cfg, "source_model")
         if source_model.fingerprint != norm_fp:
-            raise FingerprintMismatch("source model was trained with "
-                                      "different frontend/normalization")
+            raise AecError("source model was trained with "
+                           "different frontend/normalization")
         trunk = strip_output(source_model.network)
         widths = (cfg.tl1_dim, cfg.tl2_dim)
     x, y, classes = _pooled(
@@ -299,10 +301,12 @@ def stage_extract(cfg, manifest, split):
     """Stage 4: filter taps for every frame of each target segment of
     `split`, saved losslessly to features_<split>.npz."""
     entries = select(manifest, "target", split)
+    if not entries:
+        raise AecError(f"no target {split} entries")
     stats, filt = _load(cfg, "norm_stats"), _load(cfg, "filter")
     if filt.fingerprint != _input_fingerprint(cfg, stats):
-        raise FingerprintMismatch("filter was built with different "
-                                  "frontend/normalization")
+        raise AecError("filter was built with different "
+                       "frontend/normalization")
     mats = _norm_and_splice(frontend_features(cfg, entries), stats, cfg)
     path = artifact_path(cfg, f"features_{split}.npz")
     np.savez(path, __labels__=np.array([e.label for e in entries]),
@@ -363,7 +367,7 @@ def run_pipeline(cfg, manifest):
     os.makedirs(cfg.out_dir, exist_ok=True)
     with _stage("load-manifest"):
         if not select(manifest, "target", "train"):
-            raise TooFewSamples("no target training entries")
+            raise AecError("no target training entries")
     paths = {}
     for command, run_stage, args in (
             ("train-source", stage_train_source, (manifest,)),
@@ -393,17 +397,17 @@ def cross_validate(items, labels, grid, eval_fn, k=5, seed=0):
     accuracies for grid point i.
     """
     if k < 2:
-        raise ValueError(f"cross-validation needs k >= 2 folds, got k={k}")
+        raise AecError(f"cross-validation needs k >= 2 folds, got k={k}")
     labels = np.asarray(labels)
     n = len(items)
     if n != len(labels):
-        raise TooFewSamples("items/labels length mismatch")
+        raise AecError("items/labels length mismatch")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         if len(idx) < k:
-            raise TooFewSamples(f"class {c} has {len(idx)} segments, need >= {k}")
+            raise AecError(f"class {c} has {len(idx)} segments, need >= {k}")
         rng.shuffle(idx)
         for j, i in enumerate(idx):
             folds[j % k].append(int(i))

@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 
 from .audio import AudioSegment, convolve_rir, mix_noise, read_wav, synth_rir, write_wav
-from .errors import EmptyClass, NoiseTooShort
+from .errors import AecError
 from .manifest import Manifest, ManifestEntry
 
 logger = logging.getLogger(__name__)
@@ -34,7 +34,7 @@ def prepare_source(manifest, out_dir, target_seconds=800.0, rir=None, seed=0):
     os.makedirs(out_dir, exist_ok=True)
     source_entries = [e for e in manifest.entries if e.domain == "source"]
     if not source_entries:
-        raise EmptyClass("manifest has no source-domain entries")
+        raise AecError("manifest has no source-domain entries")
     if rir is None:
         rir = synth_rir(rt60_s=0.7, length_s=0.5, seed=seed)
     rng = np.random.default_rng(seed)
@@ -89,7 +89,7 @@ def prepare_conditions(manifest, noise_paths, out_dir, snrs=(5, 10, 15), seed=0)
     for what, values in (("noise file stem", stems), ("SNR", list(snrs))):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
-            raise ValueError(f"{what} {repeated[0]!r} is given more than once")
+            raise AecError(f"{what} {repeated[0]!r} is given more than once")
     os.makedirs(out_dir, exist_ok=True)
     noises = {stem: read_wav(p) for stem, p in zip(stems, noise_paths)}
     out_entries = list(manifest.entries)
@@ -98,11 +98,11 @@ def prepare_conditions(manifest, noise_paths, out_dir, snrs=(5, 10, 15), seed=0)
                     and e.condition == "clean"]
     for noise_name, noise in sorted(noises.items()):
         for snr in snrs:
-            tag = f"{noise_name}_{snr}dB"
+            tag = f"{noise_name}_{snr:g}dB"
             for i, e in enumerate(eval_entries):
                 seg = read_wav(e.wav_path, label=e.label)
                 if len(noise) < len(seg):
-                    raise NoiseTooShort(
+                    raise AecError(
                         f"noise {noise_name} ({len(noise)} samples) shorter "
                         f"than {e.wav_path} ({len(seg)})"
                     )

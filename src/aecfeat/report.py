@@ -7,7 +7,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .errors import EmptyReport
+from .errors import AecError
 
 
 @dataclass
@@ -63,7 +63,7 @@ def render_table(rows, conditions, title=""):
     rows: mapping of row name -> list of per-condition accuracies [%].
     """
     if not rows:
-        raise EmptyReport("no rows to render")
+        raise AecError("no rows to render")
     name_w = max(len(n) for n in list(rows) + ["method"]) + 2
     col_w = max([len(c) for c in conditions] + [7]) + 2
     lines = []
@@ -76,8 +76,8 @@ def render_table(rows, conditions, title=""):
     lines.append("-" * len(header))
     for name, values in rows.items():
         if len(values) != len(conditions):
-            raise EmptyReport(f"row {name!r} has {len(values)} values for "
-                              f"{len(conditions)} conditions")
+            raise AecError(f"row {name!r} has {len(values)} values for "
+                           f"{len(conditions)} conditions")
         avg = float(np.mean(values))
         line = name.ljust(name_w)
         line += "".join(f"{v:.1f}".rjust(col_w) for v in values)
@@ -90,7 +90,7 @@ def render_report(report):
     """Render an EvalReport as an accuracy table: per-condition columns with
     a trailing average."""
     if not report.conditions:
-        raise EmptyReport("report has no conditions")
+        raise AecError("report has no conditions")
     rows = {report.variant or "result":
             [report.condition_accuracy(c) for c in report.conditions]}
     return render_table(rows, report.conditions,

@@ -14,7 +14,7 @@ import zlib
 
 import numpy as np
 
-from .errors import BadMagic, ChecksumFail, VersionMismatch
+from .errors import AecError
 from .classifiers import BinarySvm, GmmClassModel, GmmModel, SvmModel
 from .frontend import NormStats
 from .network import Layer, Network
@@ -83,7 +83,7 @@ def _payload(model):
                        (f"bias{i}", np.array([m.bias]))]
         return "svm", {"classes": model.classes, "gamma": model.gamma,
                        "c": model.c}, arrays
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+    raise AecError(f"cannot serialize {type(model).__name__}")
 
 
 def _restore(kind, meta, arrays):
@@ -120,7 +120,7 @@ def _restore(kind, meta, arrays):
                                         float(arrays[f"bias{i}"][0]))
         return SvmModel(classes=meta["classes"], machines=machines,
                         gamma=meta["gamma"], c=meta["c"])
-    raise BadMagic(f"unknown model kind {kind!r}")
+    raise AecError(f"unknown model kind {kind!r}")
 
 
 def save_model(path, model, extra_meta=None):
@@ -145,15 +145,15 @@ def load_model(path, with_meta=False):
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < 12 or data[:4] != MAGIC:
-        raise BadMagic(f"{path}: not an AECF model file")
+        raise AecError(f"{path}: not an AECF model file")
     version, head_len = struct.unpack("<II", data[4:12])
     if version != VERSION:
-        raise VersionMismatch(f"{path}: file version {version}, expected {VERSION}")
+        raise AecError(f"{path}: file version {version}, expected {VERSION}")
     if len(data) < 12 + head_len + 4:
-        raise ChecksumFail(f"{path}: truncated file")
+        raise AecError(f"{path}: truncated file")
     stored_crc = struct.unpack("<I", data[-4:])[0]
     if zlib.crc32(data[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise ChecksumFail(f"{path}: CRC mismatch")
+        raise AecError(f"{path}: CRC mismatch")
     header = json.loads(data[12 : 12 + head_len].decode("utf-8"))
     arrays = {}
     offset = 12 + head_len
@@ -161,7 +161,7 @@ def load_model(path, with_meta=False):
         count = int(np.prod(spec["shape"])) if spec["shape"] else 1
         nbytes = 4 * count
         if offset + nbytes > len(data) - 4:
-            raise ChecksumFail(f"{path}: parameter block overruns file")
+            raise AecError(f"{path}: parameter block overruns file")
         block = np.frombuffer(data[offset : offset + nbytes], dtype="<f4")
         arrays[spec["name"]] = block.reshape(spec["shape"]).astype(np.float64)
         offset += nbytes

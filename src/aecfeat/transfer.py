@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import DimMismatch, NoHead, UnknownVariant
+from .errors import AecError
 from .frontend import FeatureMatrix
 from .network import Layer, Network, init_mlp, predict, train
 
@@ -30,7 +30,7 @@ class SourceModel:
 
     def __post_init__(self):
         if self.network.out_dim != len(self.classes):
-            raise DimMismatch(
+            raise AecError(
                 f"head out_dim {self.network.out_dim} != {len(self.classes)} classes"
             )
 
@@ -50,10 +50,10 @@ class DnnFilter:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise UnknownVariant(f"variant must be one of {VARIANTS}, "
-                                 f"got {self.variant!r}")
+            raise AecError(f"variant must be one of {VARIANTS}, "
+                           f"got {self.variant!r}")
         if self.network.layers[-1].activation == "softmax":
-            raise ValueError("filter must not end in a softmax layer")
+            raise AecError("filter must not end in a softmax layer")
 
     @property
     def in_dim(self):
@@ -63,9 +63,9 @@ class DnnFilter:
 def strip_output(net):
     """Remove the softmax head, leaving parameters untouched."""
     if len(net.layers) < 2:
-        raise NoHead("network has no separable output layer")
+        raise AecError("network has no separable output layer")
     if net.layers[-1].activation != "softmax":
-        raise NoHead("last layer is not a softmax head")
+        raise AecError("last layer is not a softmax head")
     return Network([Layer(l.w.copy(), l.b.copy(), l.activation, l.frozen)
                     for l in net.layers[:-1]])
 
@@ -124,6 +124,6 @@ def _stable_forward(net, x):
 def extract(filt, fm):
     """Tap TL#2 for every frame of a spliced, normalized feature matrix."""
     if fm.dims != filt.in_dim:
-        raise DimMismatch(f"feature dims {fm.dims} != filter input {filt.in_dim}")
+        raise AecError(f"feature dims {fm.dims} != filter input {filt.in_dim}")
     out = _stable_forward(filt.network, fm.values)
     return FeatureMatrix(out, split=fm.split)

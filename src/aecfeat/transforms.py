@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, TooFewRows, ZeroVariance
+from .errors import AecError
 
 
 def dct_basis(n_points):
@@ -29,7 +29,7 @@ class DctSpec:
 
     def __post_init__(self):
         if self.n_keep > self.n_points:
-            raise ValueError("n_keep must not exceed n_points")
+            raise AecError("n_keep must not exceed n_points")
         if self.basis is None:
             self.basis = dct_basis(self.n_points)[: self.n_keep]
 
@@ -38,7 +38,7 @@ def dct_apply(spec, values):
     """Project each row onto the leading DCT-II basis vectors."""
     values = np.atleast_2d(values)
     if values.shape[1] != spec.n_points:
-        raise DimMismatch(f"dims {values.shape[1]} != n_points {spec.n_points}")
+        raise AecError(f"dims {values.shape[1]} != n_points {spec.n_points}")
     return values @ spec.basis.T
 
 
@@ -58,13 +58,13 @@ def pca_fit(values, out_dim=50):
     values = np.atleast_2d(values)
     rows, dims = values.shape
     if rows < out_dim + 1:
-        raise TooFewRows(f"need at least {out_dim + 1} rows, got {rows}")
+        raise AecError(f"need at least {out_dim + 1} rows, got {rows}")
     if dims < out_dim:
-        raise DimMismatch(f"need at least {out_dim} dims, got {dims}")
+        raise AecError(f"need at least {out_dim} dims, got {dims}")
     mean = values.mean(axis=0)
     centered = values - mean
     if not np.any(centered):
-        raise ZeroVariance("all rows identical")
+        raise AecError("all rows identical")
     cov = centered.T @ centered / (rows - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
     order = np.argsort(eigvals)[::-1][:out_dim]
@@ -81,7 +81,7 @@ def pca_apply(model, values):
     """y = components @ (x - mean), per row."""
     values = np.atleast_2d(values)
     if values.shape[1] != model.mean.shape[0]:
-        raise DimMismatch(
+        raise AecError(
             f"dims {values.shape[1]} != model dims {model.mean.shape[0]}"
         )
     return (values - model.mean) @ model.components.T

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from aecfeat.classifiers import gmm_fit, svm_fit
-from aecfeat.errors import (
-    BadMagic,
-    ChecksumFail,
-    EmptyManifest,
-    MissingFile,
-    ParseError,
-    VersionMismatch,
-)
+from aecfeat.errors import AecError
 from aecfeat.frontend import FeatureMatrix, fit_norm_stats
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import TrainConfig, init_mlp, train
@@ -43,7 +36,7 @@ class TestManifest:
         wav.write_bytes(b"")
         path = tmp_path / "m.csv"
         write_manifest(path, [[str(wav), "dog", "target", "validation", "clean"]])
-        with pytest.raises(ParseError, match=":2"):
+        with pytest.raises(AecError, match=":2: unknown split"):
             load_manifest(path)
 
     def test_unknown_domain(self, tmp_path):
@@ -51,19 +44,19 @@ class TestManifest:
         wav.write_bytes(b"")
         path = tmp_path / "m.csv"
         write_manifest(path, [[str(wav), "dog", "middle", "train", "clean"]])
-        with pytest.raises(ParseError, match="domain"):
+        with pytest.raises(AecError, match=":2: unknown domain"):
             load_manifest(path)
 
     def test_empty_manifest(self, tmp_path):
         path = tmp_path / "m.csv"
         write_manifest(path, [])
-        with pytest.raises(EmptyManifest):
+        with pytest.raises(AecError, match="no entries"):
             load_manifest(path)
 
     def test_missing_wav(self, tmp_path):
         path = tmp_path / "m.csv"
         write_manifest(path, [["/nope/x.wav", "dog", "target", "train", "clean"]])
-        with pytest.raises(MissingFile):
+        with pytest.raises(AecError, match=":2: no such wav"):
             load_manifest(path)
 
     def test_train_eval_overlap_rejected(self, tmp_path):
@@ -74,7 +67,7 @@ class TestManifest:
             [str(wav), "dog", "target", "train", "clean"],
             [str(wav), "dog", "target", "eval", "clean"],
         ])
-        with pytest.raises(ParseError, match="both"):
+        with pytest.raises(AecError, match="appears in both target train and eval"):
             load_manifest(path)
 
     def test_select(self, tmp_path):
@@ -191,7 +184,7 @@ class TestSerialize:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.aecf"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(BadMagic):
+        with pytest.raises(AecError, match="not an AECF model file"):
             load_model(path)
 
     def test_truncated_file(self, tmp_path):
@@ -199,7 +192,7 @@ class TestSerialize:
         save_model(path, DctSpec(n_points=8, n_keep=4))
         data = path.read_bytes()
         path.write_bytes(data[:-10])
-        with pytest.raises(ChecksumFail):
+        with pytest.raises(AecError, match="truncated"):
             load_model(path)
 
     def test_corrupted_payload(self, tmp_path):
@@ -208,7 +201,7 @@ class TestSerialize:
         data = bytearray(path.read_bytes())
         data[20] ^= 0xFF
         path.write_bytes(bytes(data))
-        with pytest.raises(ChecksumFail):
+        with pytest.raises(AecError, match="CRC mismatch"):
             load_model(path)
 
     def test_future_version(self, tmp_path):
@@ -217,7 +210,7 @@ class TestSerialize:
         data = bytearray(path.read_bytes())
         data[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(data))
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(AecError, match="file version 99"):
             load_model(path)
 
     def test_extra_meta(self, tmp_path):

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from aecfeat.errors import (
-    DegenerateLabels,
-    DimMismatch,
-    NoSoftmaxHead,
-    ShapeMismatch,
-)
+from aecfeat.errors import AecError
 from aecfeat.network import (
     Layer,
     Network,
@@ -91,7 +86,7 @@ class TestInit:
 
     @pytest.mark.parametrize("dims", [[0, 4, 3], [5, 0, 3], [5, 4, 0]])
     def test_non_positive_dims_rejected(self, dims):
-        with pytest.raises(ValueError):
+        with pytest.raises(AecError, match="layer dims must be positive"):
             small_net(dims)
 
 
@@ -121,7 +116,7 @@ class TestForward:
 
     def test_dim_mismatch(self):
         net = small_net([4, 5, 3])
-        with pytest.raises(DimMismatch):
+        with pytest.raises(AecError, match="input dims 7 != network input 4"):
             forward(net, np.zeros((2, 7)))
 
 
@@ -153,7 +148,7 @@ class TestGrad:
 
     def test_requires_softmax_head(self):
         net = Network([Layer(np.zeros((2, 2)), np.zeros(2), "sigmoid")])
-        with pytest.raises(NoSoftmaxHead):
+        with pytest.raises(AecError, match="gradient needs a softmax output layer"):
             grad(net, np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_loss_is_summed_cross_entropy_of_the_forward_pass(self):
@@ -210,7 +205,7 @@ class TestSgdStep:
     def test_shape_mismatch(self):
         layer = Layer(np.zeros((2, 2)), np.zeros(2), "linear")
         vel = (np.zeros((2, 2)), np.zeros(2))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(AecError, match="gradient/parameter shape mismatch"):
             sgd_step(layer, (np.zeros((3, 2)), np.zeros(2)), vel, 0.1, 0.0, 0.0)
 
 
@@ -302,7 +297,7 @@ class TestTrain:
 
     def test_degenerate_labels(self):
         net = small_net([2, 3, 2])
-        with pytest.raises(DegenerateLabels):
+        with pytest.raises(AecError, match="need at least 2 classes"):
             train(net, np.zeros((4, 2)), np.zeros(4, dtype=int), TrainConfig())
 
     def test_deterministic(self):

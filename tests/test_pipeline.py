@@ -8,7 +8,7 @@ import pytest
 
 from aecfeat.audio import AudioSegment, read_wav, write_wav
 from aecfeat.classifiers import svm_fit
-from aecfeat.errors import StageError, TooFewSamples
+from aecfeat.errors import AecError, StageError
 from aecfeat.frontend import FeatureMatrix, FrontendConfig
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import TrainConfig
@@ -138,13 +138,27 @@ class TestPrepareConditions:
         assert np.array_equal(read_wav(ea.wav_path).samples,
                               read_wav(eb.wav_path).samples)
 
+    def test_int_and_float_snr_name_one_condition(self, tmp_path):
+        # the CLI parses --snr as a float; Python callers often pass ints
+        man = self.make_manifest(tmp_path, n_eval=1)
+        noises = [self.noise(tmp_path, "office", 1)]
+        a = prepare_conditions(man, noises, tmp_path / "ci", snrs=(5,), seed=0)
+        b = prepare_conditions(man, noises, tmp_path / "cf", snrs=(5.0,),
+                               seed=0)
+        noisy_a = [e for e in a.entries if e.condition != "clean"]
+        noisy_b = [e for e in b.entries if e.condition != "clean"]
+        assert [e.condition for e in noisy_a] == ["office_5dB"]
+        assert [e.condition for e in noisy_b] == ["office_5dB"]
+        assert (open(noisy_a[0].wav_path, "rb").read()
+                == open(noisy_b[0].wav_path, "rb").read())
+
     def test_repeated_noise_stem_rejected(self, tmp_path):
         man = self.make_manifest(tmp_path)
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         noises = [self.noise(tmp_path / "a", "office", 1),
                   self.noise(tmp_path / "b", "office", 2)]
-        with pytest.raises(ValueError, match="noise file stem 'office'"):
+        with pytest.raises(AecError, match="noise file stem 'office'"):
             prepare_conditions(man, noises, tmp_path / "cond", snrs=(5,),
                                seed=0)
         assert not (tmp_path / "cond").exists()
@@ -153,7 +167,7 @@ class TestPrepareConditions:
     def test_repeated_snr_rejected(self, tmp_path, snrs):
         man = self.make_manifest(tmp_path, n_eval=4)
         noises = [self.noise(tmp_path, "office", 1)]
-        with pytest.raises(ValueError, match="SNR 5"):
+        with pytest.raises(AecError, match="SNR 5"):
             prepare_conditions(man, noises, tmp_path / "cond", snrs=snrs,
                                seed=0)
         assert not (tmp_path / "cond").exists()
@@ -196,13 +210,13 @@ class TestCrossValidate:
         assert best == {"p": "first"}
 
     def test_too_few_segments(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(AecError, match="class a has 2 segments, need >= 5"):
             cross_validate([1, 2, 3], ["a", "a", "b"], [{}],
                            lambda *a: 1.0, k=5, seed=0)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_fewer_than_two_folds_rejected(self, k):
-        with pytest.raises(ValueError, match=f"k={k}"):
+        with pytest.raises(AecError, match=f"k={k}"):
             cross_validate(list(range(10)), ["a"] * 5 + ["b"] * 5, [{}],
                            lambda *a: 1.0, k=k, seed=0)
 
@@ -265,8 +279,18 @@ class TestEvaluate:
                       np.repeat([0, 1, 2], 10), c=10.0, gamma=0.5)
         cfg = RunConfig(transform="none", classifier="svm",
                         out_dir=str(tmp_path))
-        with pytest.raises(ValueError, match="scores 3 classes.* 2 training"):
+        with pytest.raises(AecError, match="scores 3 classes.* 2 training"):
             pl.evaluate(cfg, None, clf, taps[:1], ["a"], ["clean"], ["a", "b"])
+
+    def test_no_segments_rejected(self, tmp_path):
+        # an empty split has no accuracy; it must not read as 0 %
+        taps = separable_taps(["a", "b"])
+        clf = svm_fit(np.vstack([t.values for t in taps]),
+                      np.repeat([0, 1], 10), c=10.0, gamma=0.5)
+        cfg = RunConfig(transform="none", classifier="svm",
+                        out_dir=str(tmp_path))
+        with pytest.raises(AecError, match="no segments to evaluate"):
+            pl.evaluate(cfg, None, clf, [], [], [], ["a", "b"])
 
 
 class TestRenderTable:
@@ -387,7 +411,7 @@ class TestRunConfigValidation:
         {"target_train": {"weight_decay": -1e-4}},
         {"source_train": {"lr0": 0.0}}])
     def test_rejected_at_construction(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(AecError):
             RunConfig(**bad)
 
     def test_transform_dim_unchecked_without_transform(self):
@@ -441,6 +465,15 @@ class TestRunPipeline:
             run_pipeline(tiny_config(tmp_path / "x"), no_target)
         assert "load-manifest" in str(e.value)
 
+    def test_empty_eval_split_fails_in_extract(self, tiny_corpus, tmp_path):
+        _, manifest = tiny_corpus
+        no_eval = Manifest([e for e in manifest.entries if e.split == "train"])
+        with pytest.raises(StageError, match="no target eval entries") as e:
+            run_pipeline(tiny_config(tmp_path / "x"), no_eval)
+        assert e.value.stage == "extract"
+        assert not (tmp_path / "x" / "features_eval.npz").exists()
+        assert not (tmp_path / "x" / "report.json").exists()
+
     @pytest.mark.parametrize("variant", ["C", "B"])
     def test_traced_benchmark_smoke(self, tiny_corpus, tmp_path, variant):
         # the per-layer benchmark wraps these functions from outside and
@@ -490,6 +523,36 @@ class TestCli:
         assert cli.main(base + ["cross-validate", "--k", "2"]) == 0
         best = json.loads(capsys.readouterr().out)["best"]
         assert best in default_svm_grid(cfg.transform_dim)
+
+    def test_extract_empty_split_exits_2(self, tiny_corpus, tmp_path, capsys):
+        root, manifest = tiny_corpus
+        cfg = tiny_config(tmp_path / "out")
+        no_eval = tmp_path / "no_eval.csv"
+        save_manifest(Manifest([e for e in manifest.entries
+                                if e.split == "train"]), no_eval)
+        codes = run_staged(cfg, no_eval, tmp_path / "cfg.json",
+                           chain=STAGED_CHAIN[:4])
+        assert codes == [0, 0, 0, 2]
+        err = capsys.readouterr().err
+        assert "stage 'extract' failed: no target eval entries" in err
+        assert not (tmp_path / "out" / "features_eval.npz").exists()
+
+    def test_relative_out_writes_loadable_manifests(self, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--out", "rel", "synth-data"]) == 0
+        assert cli.main(["--out", "rel", "prepare-source",
+                         "rel/data/manifest.csv", "--target-seconds", "6"]) == 0
+        assert cli.main(["--out", "rel", "prepare-conditions",
+                         "rel/data/manifest.csv",
+                         "--noise", "rel/data/babblelike.wav",
+                         "--snr", "5"]) == 0
+        assert "error" not in capsys.readouterr().err
+        for name in ("data/manifest.csv", "manifest_source_prep.csv",
+                     "manifest_conditions.csv"):
+            path = tmp_path / "rel" / name
+            n_rows = len(path.read_text().splitlines()) - 1
+            assert len(load_manifest(path)) == n_rows > 0, name
 
     def test_missing_manifest_fails_nonzero(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path / "o"), "run",
