@@ -42,7 +42,7 @@ for context in (1, 3, 5, 7):
     print(f"splice context {context}: {sp.rows} frames x {sp.dims} dims")
 
 # normalization statistics are fitted on training material only
-stats = fit_norm_stats([fm], source_tags=("demo",))
+stats = fit_norm_stats([fm])
 normed = apply_norm(fm, stats)
 print("after z-score: per-dim mean ~",
       float(np.abs(normed.values.mean(axis=0)).max()),

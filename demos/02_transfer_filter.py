@@ -49,9 +49,13 @@ acc = np.mean(np.argmax(predict(comp, xt), axis=1) == yt)
 print(f"adapted network: {rep.final_epoch} epochs, target accuracy {acc:.2f}, "
       f"trunk unchanged: {unchanged}")
 
-# 3. filter variants tap the last appended layer
+# 3. filter variants tap the last appended layer; a filter is the composite
+#    network with its softmax head cut off
+filt_c = build_filter(comp, "C")
+print("variant C filter layers:",
+      [(l.out_dim, l.activation) for l in filt_c.layers])
 fm = FeatureMatrix(xt[:5])
-feat_c = extract(build_filter(comp, "C"), fm).values   # pre-activation tap
+feat_c = extract(filt_c, fm).values                    # pre-activation tap
 feat_a = extract(build_filter(comp, "A"), fm).values   # post-sigmoid tap
 print("variant C (linear tap) range:",
       float(feat_c.min()), "..", float(feat_c.max()))

@@ -65,6 +65,5 @@ backends = {
 for name, (model, score_fn) in backends.items():
     correct = 0
     for s, c in red_test:
-        decision = classify_segment(score_fn(model, s))
-        correct += int(decision.winner == c)
+        correct += int(classify_segment(score_fn(model, s)) == c)
     print(f"{name}: segment accuracy {correct}/{len(red_test)}")

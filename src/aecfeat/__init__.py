@@ -14,7 +14,6 @@ from .audio import (
 )
 from .classifiers import (
     GmmModel,
-    SegmentDecision,
     SvmModel,
     classify_segment,
     dnn_classifier_fit,
@@ -47,8 +46,6 @@ from .prepare import prepare_conditions, prepare_source
 from .report import EvalReport, render_report, render_table
 from .serialize import load_model, save_model
 from .transfer import (
-    DnnFilter,
-    SourceModel,
     adapt,
     build_filter,
     extract,

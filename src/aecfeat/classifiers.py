@@ -280,17 +280,10 @@ def dnn_score_matrix(net, values):
 # Segment-level decisions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SegmentDecision:
-    scores: np.ndarray  # accumulated per-class score
-    winner: int
-
-
 def classify_segment(frame_scores):
-    """Sum a segment's (rows, classes) frame scores per class and pick the
-    argmax class; ties go to the lowest class index."""
+    """Sum a segment's (rows, classes) frame scores per class and return
+    the index of the argmax class; ties go to the lowest class index."""
     scores = np.atleast_2d(np.asarray(frame_scores, dtype=np.float64))
-    if scores.shape[0] < 1 or scores.size == 0:
+    if scores.size == 0:
         raise AecError("no frames to classify")
-    acc = scores.sum(axis=0)
-    return SegmentDecision(scores=acc, winner=int(np.argmax(acc)))
+    return int(np.argmax(scores.sum(axis=0)))

@@ -86,8 +86,6 @@ class FeatureMatrix:
 class NormStats:
     mean: np.ndarray
     std: np.ndarray  # already floored at STD_FLOOR
-    n_frames: int
-    source_tags: tuple = ()
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -172,7 +170,7 @@ def splice(fm, context):
     return FeatureMatrix(out, split=fm.split)
 
 
-def fit_norm_stats(matrices, source_tags=()):
+def fit_norm_stats(matrices):
     """Per-dimension mean/std over the pooled frames of several matrices.
 
     The caller is responsible for pooling only source-domain and
@@ -196,7 +194,7 @@ def fit_norm_stats(matrices, source_tags=()):
     mean = total / n
     var = np.maximum(total_sq / n - mean ** 2, 0.0)
     std = np.maximum(np.sqrt(var), STD_FLOOR)
-    return NormStats(mean, std, n_frames=n, source_tags=tuple(source_tags))
+    return NormStats(mean, std)
 
 
 def apply_norm(fm, stats):

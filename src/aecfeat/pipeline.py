@@ -4,7 +4,8 @@ subcommand: train-source (normalization and source network) -> adapt
 fit-classifier -> evaluate. Each stage loads its inputs from the output
 directory and stores its outputs there, stamped by the config fingerprint
 and seed; `run_pipeline` runs the stages in that order and the staged CLI
-runs one at a time, so both go through the same stored artifacts."""
+runs one at a time, so both go through the same stored artifacts. `_load`
+checks the input fingerprint stamped into the source network and filter."""
 
 import hashlib
 import json
@@ -25,7 +26,7 @@ from .frontend import (FeatureMatrix, FrontendConfig, apply_norm,
 from .network import TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
-from .transfer import SourceModel, adapt, build_filter, extract, strip_output
+from .transfer import adapt, build_filter, extract, strip_output
 from .transforms import DctSpec, dct_apply, pca_apply, pca_fit
 
 
@@ -115,19 +116,30 @@ def artifact_path(cfg, name):
     return os.path.join(cfg.out_dir, name)
 
 
-def store(cfg, name, model):
+def store(cfg, name, model, stats=None):
     """Save `model` as <out_dir>/<name>.aecf, stamped with the config
-    fingerprint and seed, and return it as stored: every stage consumes
-    the float32 parameters the file holds, never the in-memory ones, so
-    the `.aecf` files reproduce the run that wrote them."""
+    fingerprint, the seed and, given `stats`, the input fingerprint; return
+    it as stored: every stage consumes the float32 parameters the file
+    holds, never the in-memory ones, so the `.aecf` files reproduce the run
+    that wrote them."""
     path = artifact_path(cfg, name + ".aecf")
-    save_model(path, model, {"config_fingerprint": cfg.fingerprint(),
-                             "seed": cfg.seed})
+    stamp = {"config_fingerprint": cfg.fingerprint(), "seed": cfg.seed}
+    if stats is not None:
+        stamp["input_fingerprint"] = _input_fingerprint(cfg, stats)
+    save_model(path, model, stamp)
     return load_model(path)
 
 
-def _load(cfg, name):
-    return load_model(artifact_path(cfg, name + ".aecf"))
+def _load(cfg, name, stats=None):
+    """The model in <out_dir>/<name>.aecf; given `stats`, the file must be
+    stamped with the current input fingerprint."""
+    model, stamp = load_model(artifact_path(cfg, name + ".aecf"),
+                              with_meta=True)
+    if (stats is not None and stamp.get("input_fingerprint")
+            != _input_fingerprint(cfg, stats)):
+        raise AecError(f"{name}.aecf was built with different "
+                       f"frontend/normalization")
+    return model
 
 
 def _load_transform(cfg):
@@ -211,7 +223,7 @@ def fit_classifier(cfg, transform, train_taps, labels):
 
 
 def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
-    """Per-condition segment accuracy and confusion counts.
+    """Per-condition confusion counts of the segment decisions.
     `classes` is the sorted training label set, the classifier's classes:
     column i of every score matrix scores classes[i]."""
     # built per call, so a scorer rebound on this module is the one used
@@ -224,7 +236,6 @@ def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
     if not eval_taps:
         raise AecError("no segments to evaluate")
     cond_names = sorted(set(conditions))
-    per_cc = {c: {cls: [0, 0] for cls in classes} for c in cond_names}
     confusion = {c: [[0] * len(classes) for _ in classes] for c in cond_names}
     for label, condition, values in zip(labels, conditions,
                                         _reduce(transform, eval_taps)):
@@ -232,14 +243,9 @@ def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
         if scores.shape[1] != len(classes):
             raise AecError(f"classifier scores {scores.shape[1]} classes, "
                            f"but there are {len(classes)} training classes")
-        pred_label = classes[classify_segment(scores).winner]
-        stats = per_cc[condition][label]
-        stats[1] += 1
-        if pred_label == label:
-            stats[0] += 1
-        confusion[condition][classes.index(label)][classes.index(pred_label)] += 1
+        confusion[condition][classes.index(label)][classify_segment(scores)] += 1
     return EvalReport(conditions=cond_names, classes=list(classes),
-                      per_condition_class=per_cc, confusion=confusion,
+                      confusion=confusion,
                       config_fingerprint=cfg.fingerprint(), variant=cfg.variant)
 
 
@@ -249,13 +255,11 @@ def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
 def stage_train_source(cfg, manifest):
     """Stages 1-2: z-score statistics pooled over source and target-train
     frames only, never eval; for variants A/C also the source network,
-    stamped with the frontend and normalization fingerprint."""
+    stamped with their input fingerprint."""
     source_entries = select(manifest, "source")
     source_mats = frontend_features(cfg, source_entries)
     train_mats = frontend_features(cfg, select(manifest, "target", "train"))
-    stats = store(cfg, "norm_stats",
-                  fit_norm_stats(source_mats + train_mats,
-                                 source_tags=("source", "target_train")))
+    stats = store(cfg, "norm_stats", fit_norm_stats(source_mats + train_mats))
     paths = {"norm_stats": artifact_path(cfg, "norm_stats.aecf")}
     if cfg.variant == "B":  # the source network is a variant A/C artifact
         return paths
@@ -265,8 +269,7 @@ def stage_train_source(cfg, manifest):
                             [e.label for e in source_entries])
     net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
     net, _ = train(net, x, y, cfg.source_train)
-    store(cfg, "source_model", SourceModel(
-        net, classes=classes, fingerprint=_input_fingerprint(cfg, stats)))
+    store(cfg, "source_model", net, stats)
     return {**paths, "source_model": artifact_path(cfg, "source_model.aecf")}
 
 
@@ -278,22 +281,17 @@ def stage_adapt(cfg, manifest):
     if not entries:
         raise AecError("no target training entries")
     stats = _load(cfg, "norm_stats")
-    norm_fp = _input_fingerprint(cfg, stats)
     if cfg.variant == "B":
         trunk, widths = None, (*cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim)
     else:
-        source_model = _load(cfg, "source_model")
-        if source_model.fingerprint != norm_fp:
-            raise AecError("source model was trained with "
-                           "different frontend/normalization")
-        trunk = strip_output(source_model.network)
+        trunk = strip_output(_load(cfg, "source_model", stats))
         widths = (cfg.tl1_dim, cfg.tl2_dim)
     x, y, classes = _pooled(
         _values(_norm_and_splice(frontend_features(cfg, entries), stats, cfg)),
         [e.label for e in entries])
     composite, _ = adapt(trunk, x, y, widths, len(classes), cfg.target_train,
                          seed=cfg.seed)
-    store(cfg, "filter", build_filter(composite, cfg.variant, fingerprint=norm_fp))
+    store(cfg, "filter", build_filter(composite, cfg.variant), stats)
     return {"filter": artifact_path(cfg, "filter.aecf")}
 
 
@@ -303,10 +301,8 @@ def stage_extract(cfg, manifest, split):
     entries = select(manifest, "target", split)
     if not entries:
         raise AecError(f"no target {split} entries")
-    stats, filt = _load(cfg, "norm_stats"), _load(cfg, "filter")
-    if filt.fingerprint != _input_fingerprint(cfg, stats):
-        raise AecError("filter was built with different "
-                       "frontend/normalization")
+    stats = _load(cfg, "norm_stats")
+    filt = _load(cfg, "filter", stats)
     mats = _norm_and_splice(frontend_features(cfg, entries), stats, cfg)
     path = artifact_path(cfg, f"features_{split}.npz")
     np.savez(path, __labels__=np.array([e.label for e in entries]),

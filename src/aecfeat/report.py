@@ -14,17 +14,22 @@ from .errors import AecError
 class EvalReport:
     conditions: List[str]
     classes: List[str]
-    # condition -> class -> (n_correct, n_segments)
-    per_condition_class: Dict[str, Dict[str, List[int]]]
-    # condition -> classes x classes counts, true class on rows
+    # condition -> classes x classes segment counts, true class on rows
     confusion: Dict[str, list]
     config_fingerprint: str = ""
     variant: str = ""
 
+    def class_counts(self, condition):
+        """class -> [n_correct, n_segments] for one condition: the diagonal
+        and the row sums of its confusion matrix."""
+        rows = self.confusion[condition]
+        return {cls: [rows[i][i], sum(rows[i])]
+                for i, cls in enumerate(self.classes)}
+
     def condition_accuracy(self, condition, macro=False):
         """Segment accuracy [%] for one condition; micro (segment-weighted)
         by default, macro averages the per-class accuracies."""
-        stats = self.per_condition_class[condition]
+        stats = self.class_counts(condition)
         if macro:
             accs = [100.0 * c / n for c, n in stats.values() if n > 0]
             return float(np.mean(accs)) if accs else 0.0
@@ -41,7 +46,8 @@ class EvalReport:
         return {
             "conditions": self.conditions,
             "classes": self.classes,
-            "per_condition_class": self.per_condition_class,
+            "per_condition_class": {c: self.class_counts(c)
+                                    for c in self.conditions},
             "confusion": self.confusion,
             "config_fingerprint": self.config_fingerprint,
             "variant": self.variant,

@@ -6,6 +6,10 @@ header order | CRC32 (u32 LE) over everything before it.
 
 Parameters are stored in 32-bit floats; loading yields exactly the stored
 values, so save/load round-trips are bit-exact after the first save.
+Every network (the source network, the filter and the DNN back end) is
+kind ``network``; the kinds ``source_model`` and ``dnn_filter`` of earlier
+versions are rejected as unknown. The header's ``extra`` mapping carries
+the caller's stamps, returned by ``load_model(..., with_meta=True)``.
 """
 
 import json
@@ -18,7 +22,6 @@ from .errors import AecError
 from .classifiers import BinarySvm, GmmClassModel, GmmModel, SvmModel
 from .frontend import NormStats
 from .network import Layer, Network
-from .transfer import DnnFilter, SourceModel
 from .transforms import DctSpec, PcaModel
 
 MAGIC = b"AECF"
@@ -45,21 +48,11 @@ def _net_restore(meta, arrays):
 
 
 def _payload(model):
-    if isinstance(model, SourceModel):
-        meta, arrays = _net_payload(model.network)
-        return "source_model", {"net": meta, "classes": model.classes,
-                                "fingerprint": model.fingerprint}, arrays
-    if isinstance(model, DnnFilter):
-        meta, arrays = _net_payload(model.network)
-        return "dnn_filter", {"net": meta, "variant": model.variant,
-                              "fingerprint": model.fingerprint}, arrays
     if isinstance(model, Network):
         meta, arrays = _net_payload(model)
         return "network", {"net": meta}, arrays
     if isinstance(model, NormStats):
-        return "norm_stats", {"n_frames": model.n_frames,
-                              "source_tags": list(model.source_tags)}, \
-               [("mean", model.mean), ("std", model.std)]
+        return "norm_stats", {}, [("mean", model.mean), ("std", model.std)]
     if isinstance(model, DctSpec):
         return "dct", {"n_points": model.n_points, "n_keep": model.n_keep}, \
                [("basis", model.basis)]
@@ -87,20 +80,10 @@ def _payload(model):
 
 
 def _restore(kind, meta, arrays):
-    if kind == "source_model":
-        return SourceModel(_net_restore(meta["net"], arrays),
-                           classes=meta["classes"],
-                           fingerprint=meta["fingerprint"])
-    if kind == "dnn_filter":
-        return DnnFilter(_net_restore(meta["net"], arrays),
-                         variant=meta["variant"],
-                         fingerprint=meta["fingerprint"])
     if kind == "network":
         return _net_restore(meta["net"], arrays)
     if kind == "norm_stats":
-        return NormStats(arrays["mean"], arrays["std"],
-                         n_frames=meta["n_frames"],
-                         source_tags=tuple(meta["source_tags"]))
+        return NormStats(arrays["mean"], arrays["std"])
     if kind == "dct":
         return DctSpec(meta["n_points"], meta["n_keep"], basis=arrays["basis"])
     if kind == "pca":

@@ -7,11 +7,10 @@ trunk's outputs for the target data, computed once, and never updates the
 trunk. Variant B is the same call with no trunk: the whole five-layer stack
 is fresh and trained on target data only. The filter taps the last fresh
 layer: pre-activation for the proposed variant (C) and for B,
-post-sigmoid for ablation A.
+post-sigmoid for ablation A. The source network, the composite and the
+filter are all plain `Network`s; the filter is the composite with its
+softmax head cut off.
 """
-
-from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -20,44 +19,6 @@ from .frontend import FeatureMatrix
 from .network import Layer, Network, init_mlp, predict, train
 
 VARIANTS = ("A", "B", "C")
-
-
-@dataclass
-class SourceModel:
-    network: Network
-    classes: List[str]
-    fingerprint: str = ""  # frontend config + norm stats
-
-    def __post_init__(self):
-        if self.network.out_dim != len(self.classes):
-            raise AecError(
-                f"head out_dim {self.network.out_dim} != {len(self.classes)} classes"
-            )
-
-
-@dataclass
-class DnnFilter:
-    """Five-layer feature extractor (no softmax head).
-
-    Variant C: last layer linear, output is the TL#2 pre-activation.
-    Variant A: last layer sigmoid (activations kept).
-    Variant B: same shape as C but trained on target data only.
-    """
-
-    network: Network
-    variant: str
-    fingerprint: str = ""
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise AecError(f"variant must be one of {VARIANTS}, "
-                           f"got {self.variant!r}")
-        if self.network.layers[-1].activation == "softmax":
-            raise AecError("filter must not end in a softmax layer")
-
-    @property
-    def in_dim(self):
-        return self.network.in_dim
 
 
 def strip_output(net):
@@ -90,18 +51,21 @@ def adapt(trunk, x, y, widths, n_classes, cfg, seed=0):
     return Network(fixed + top.layers), report
 
 
-def build_filter(composite, variant, fingerprint=""):
-    """Turn a trained composite into a feature filter.
+def build_filter(composite, variant):
+    """Turn a trained composite into a feature filter: the network without
+    its softmax head.
 
     Variant C drops the softmax head and removes TL#2's activation; variant
     A drops the head but keeps the sigmoid; variant B is structurally C and
     only differs in how the composite was trained (no source pre-training).
     """
+    if variant not in VARIANTS:
+        raise AecError(f"variant must be one of {VARIANTS}, got {variant!r}")
     trunk = strip_output(composite)
     if variant in ("B", "C"):
         last = trunk.layers[-1]
         trunk.layers[-1] = Layer(last.w, last.b, "linear", last.frozen)
-    return DnnFilter(trunk, variant=variant, fingerprint=fingerprint)
+    return trunk
 
 
 def _stable_forward(net, x):
@@ -122,8 +86,10 @@ def _stable_forward(net, x):
 
 
 def extract(filt, fm):
-    """Tap TL#2 for every frame of a spliced, normalized feature matrix."""
+    """Tap TL#2 for every frame of a spliced, normalized feature matrix;
+    `filt` is a filter network from `build_filter`."""
+    if filt.layers[-1].activation == "softmax":
+        raise AecError("filter must not end in a softmax layer")
     if fm.dims != filt.in_dim:
         raise AecError(f"feature dims {fm.dims} != filter input {filt.in_dim}")
-    out = _stable_forward(filt.network, fm.values)
-    return FeatureMatrix(out, split=fm.split)
+    return FeatureMatrix(_stable_forward(filt, fm.values), split=fm.split)

@@ -301,19 +301,18 @@ class TestDnnClassifier:
 
 class TestClassifySegment:
     def test_loglik_accumulation(self):
+        # frame 0 alone picks class 1; the sums (-2.0, -3.5) pick class 0
         scores = np.array([[-1.0, -0.5], [-1.0, -3.0]])
-        decision = classify_segment(scores)
-        assert decision.winner == 0
-        assert decision.scores[0] == pytest.approx(-2.0)
-        assert decision.scores[1] == pytest.approx(-3.5)
+        assert classify_segment(scores[:1]) == 1
+        assert classify_segment(scores) == 0
 
     def test_tie_goes_to_lowest_index(self):
         scores = np.full((3, 4), np.log(0.25))
-        assert classify_segment(scores).winner == 0
+        assert classify_segment(scores) == 0
 
     def test_single_frame_matches_argmax(self):
         scores = np.log([[0.1, 0.7, 0.2]])
-        assert classify_segment(scores).winner == 1
+        assert classify_segment(scores) == 1
 
     def test_softmax_uses_log(self):
         # the DNN back end scores frames as log posteriors, so a segment's
@@ -321,25 +320,21 @@ class TestClassifySegment:
         # at input 0 and (0.1, 0.9) at input 1
         net = Network([Layer(np.log([[0.1 / 0.6], [0.9 / 0.4]]),
                              np.log([0.6, 0.4]), "softmax")])
-        decision = classify_segment(dnn_score_matrix(net, [[0.0], [1.0]]))
-        assert decision.scores[0] == pytest.approx(np.log(0.6) + np.log(0.1))
-        assert decision.winner == 1
+        frame_scores = dnn_score_matrix(net, [[0.0], [1.0]])
+        assert frame_scores.sum(0) == pytest.approx(
+            [np.log(0.6) + np.log(0.1), np.log(0.4) + np.log(0.9)])
+        assert classify_segment(frame_scores) == 1
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(12)
         scores = rng.standard_normal((7, 3))
-        base = classify_segment(scores).winner
-        shifted = classify_segment(scores + 123.456).winner
-        assert base == shifted
+        assert classify_segment(scores) == classify_segment(scores + 123.456)
 
     def test_frame_permutation_invariance(self):
         rng = np.random.default_rng(13)
         scores = rng.standard_normal((9, 4))
         perm = rng.permutation(9)
-        a = classify_segment(scores)
-        b = classify_segment(scores[perm])
-        assert a.winner == b.winner
-        assert np.allclose(a.scores, b.scores)
+        assert classify_segment(scores) == classify_segment(scores[perm])
 
     def test_empty_frames(self):
         with pytest.raises(AecError, match="no frames to classify"):

@@ -168,7 +168,6 @@ class TestNormalization:
         stats = fit_norm_stats([a, b])
         assert stats.mean[0] == pytest.approx(3.0)
         assert stats.std[0] == pytest.approx(np.sqrt(5.0), abs=1e-9)
-        assert stats.n_frames == 4
 
     def test_constant_dim_floors_to_zero_output(self):
         fm = FeatureMatrix(np.full((5, 2), 7.0))

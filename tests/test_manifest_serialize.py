@@ -1,4 +1,6 @@
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from aecfeat.classifiers import gmm_fit, svm_fit
 from aecfeat.errors import AecError
 from aecfeat.frontend import FeatureMatrix, fit_norm_stats
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
-from aecfeat.network import TrainConfig, init_mlp, train
+from aecfeat.network import Network, TrainConfig, init_mlp, train
 from aecfeat.serialize import load_model, save_model
-from aecfeat.transfer import DnnFilter, SourceModel, adapt, build_filter, strip_output
+from aecfeat.transfer import adapt, build_filter, strip_output
 from aecfeat.transforms import DctSpec, pca_fit
 
 
@@ -94,6 +96,25 @@ def make_composite():
     return comp
 
 
+def read_header(path):
+    data = path.read_bytes()
+    head_len = struct.unpack("<I", data[8:12])[0]
+    return json.loads(data[12 : 12 + head_len])
+
+
+def rewrite_header(path, **changes):
+    """Replace top-level header fields of an AECF file, keeping its
+    parameter blocks and recomputing the CRC: a file as an earlier version
+    would have written it."""
+    data = path.read_bytes()
+    head_len = struct.unpack("<I", data[8:12])[0]
+    header = {**read_header(path), **changes}
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = (data[:4] + struct.pack("<II", 1, len(head)) + head
+               + data[12 + head_len : -4])
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+
+
 class TestSerialize:
     def test_network_round_trip_is_float32_exact(self, tmp_path):
         comp = make_composite()
@@ -126,31 +147,47 @@ class TestSerialize:
             assert np.array_equal(a.w, as_f32(b.w))
 
     def test_filter_and_source_model(self, tmp_path):
-        comp = make_composite()
-        filt = build_filter(comp, "C", fingerprint="abc:def")
-        path = tmp_path / "f.aecf"
-        save_model(path, filt)
-        loaded = load_model(path)
-        assert isinstance(loaded, DnnFilter)
-        assert loaded.variant == "C"
-        assert loaded.fingerprint == "abc:def"
-        assert loaded.network.layers[-1].activation == "linear"
+        # the filter and the source network are plain networks of one kind
+        filt = build_filter(make_composite(), "C")
+        src = init_mlp(6, (8,), 4, seed=0)
+        for net in (filt, src):
+            path = tmp_path / "n.aecf"
+            save_model(path, net)
+            loaded = load_model(path)
+            assert isinstance(loaded, Network)
+            assert read_header(path)["kind"] == "network"
+            assert ([l.activation for l in loaded.layers]
+                    == [l.activation for l in net.layers])
+            for a, b in zip(loaded.layers, net.layers):
+                assert np.array_equal(a.w, as_f32(b.w))
+                assert np.array_equal(a.b, as_f32(b.b))
+        assert loaded.out_dim == 4
+        assert filt.layers[-1].activation == "linear"
 
-        src = SourceModel(init_mlp(6, (8,), 4, seed=0),
-                          classes=["w", "x", "y", "z"], fingerprint="fp")
-        path = tmp_path / "s.aecf"
-        save_model(path, src)
+    @pytest.mark.parametrize("kind", ["source_model", "dnn_filter"])
+    def test_earlier_network_kinds_rejected(self, tmp_path, kind):
+        path = tmp_path / "old.aecf"
+        save_model(path, init_mlp(6, (8,), 4, seed=0))
+        meta = read_header(path)["meta"]
+        rewrite_header(path, kind=kind, meta={**meta, "fingerprint": "fp"})
+        with pytest.raises(AecError, match=f"unknown model kind '{kind}'"):
+            load_model(path)
+
+    def test_earlier_norm_stats_keys_ignored(self, tmp_path):
+        path = tmp_path / "n.aecf"
+        stats = fit_norm_stats([FeatureMatrix(np.eye(3))])
+        save_model(path, stats)
+        # earlier versions stored the pooled frame count, which nothing read
+        rewrite_header(path, meta={"n_frames": 3})
         loaded = load_model(path)
-        assert loaded.classes == ["w", "x", "y", "z"]
-        assert loaded.fingerprint == "fp"
+        assert np.array_equal(loaded.mean, as_f32(stats.mean))
+        assert np.array_equal(loaded.std, as_f32(stats.std))
 
     def test_norm_stats_and_transforms(self, tmp_path):
         fm = FeatureMatrix(np.random.default_rng(1).standard_normal((50, 4)))
-        stats = fit_norm_stats([fm], source_tags=("source",))
+        stats = fit_norm_stats([fm])
         save_model(tmp_path / "n.aecf", stats)
         loaded = load_model(tmp_path / "n.aecf")
-        assert loaded.n_frames == 50
-        assert loaded.source_tags == ("source",)
         assert np.array_equal(loaded.mean, as_f32(stats.mean))
 
         spec = DctSpec(n_points=16, n_keep=8)

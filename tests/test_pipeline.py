@@ -1,6 +1,8 @@
 import json
 import os
+import shutil
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from aecfeat.network import TrainConfig
 from aecfeat.pipeline import (RunConfig, cross_validate, default_svm_grid,
                               run_pipeline)
 from aecfeat.prepare import prepare_conditions, prepare_source
+from aecfeat.serialize import load_model
 from aecfeat.report import EvalReport, render_report, render_table
 from aecfeat.synthetic import generate_dataset, generate_noise_wav
 from aecfeat import cli
@@ -307,11 +310,12 @@ class TestRenderTable:
     def test_report_roundtrip(self):
         report = EvalReport(
             conditions=["clean"], classes=["a", "b"],
-            per_condition_class={"clean": {"a": [3, 4], "b": [4, 4]}},
             confusion={"clean": [[3, 1], [0, 4]]}, variant="C")
         assert report.condition_accuracy("clean") == pytest.approx(87.5)
         assert report.condition_accuracy("clean", macro=True) == pytest.approx(87.5)
         d = json.loads(report.to_json())
+        # (correct, total) per class: the diagonal and the row sums
+        assert d["per_condition_class"] == {"clean": {"a": [3, 4], "b": [4, 4]}}
         assert d["grand_average"] == pytest.approx(87.5)
         text = render_report(report)
         assert "87.5" in text and "C" in text
@@ -436,6 +440,22 @@ class TestRunPipeline:
         assert report.conditions == ["clean"]
         assert set(report.classes) == {"tgt00", "tgt01"}
         assert 0.0 <= report.grand_average() <= 100.0
+
+    def test_every_artifact_is_stamped(self, tiny_corpus, tmp_path):
+        cfg = tiny_config(tmp_path / "run")
+        run_pipeline(cfg, tiny_corpus[1])
+        stats = load_model(os.path.join(cfg.out_dir, "norm_stats.aecf"))
+        names = sorted(n for n in os.listdir(cfg.out_dir) if n.endswith(".aecf"))
+        assert names == ["classifier.aecf", "filter.aecf", "norm_stats.aecf",
+                         "source_model.aecf", "transform.aecf"]
+        for name in names:
+            _, stamp = load_model(os.path.join(cfg.out_dir, name),
+                                  with_meta=True)
+            expected = {"config_fingerprint": cfg.fingerprint(),
+                        "seed": cfg.seed}
+            if name in ("source_model.aecf", "filter.aecf"):
+                expected["input_fingerprint"] = pl._input_fingerprint(cfg, stats)
+            assert stamp == expected, name
 
     def test_deterministic(self, tiny_corpus, tmp_path):
         _, manifest = tiny_corpus
@@ -681,19 +701,43 @@ class TestCli:
         for key, data in before.items():
             assert open(paths[key], "rb").read() == data, key
 
+    @pytest.mark.parametrize("stage,artifact", [("adapt", "source_model"),
+                                                ("extract", "filter")])
     def test_staged_window_mismatch_is_rejected(self, tiny_corpus, tmp_path,
-                                                capsys):
+                                                capsys, stage, artifact):
+        # the artifacts are built with a Hamming window; the stage that
+        # loads them runs with a rectangular one
         root, _ = tiny_corpus
         cfg = tiny_config(tmp_path / "out")
         man = root / "manifest.csv"
+        built = 1 if stage == "adapt" else 2
         assert run_staged(cfg, man, tmp_path / "cfg.json",
-                          chain=[["train-source", "MANIFEST"]]) == [0]
-        cfg.frontend = FrontendConfig(window="rectangular")
+                          chain=STAGED_CHAIN[:built]) == [0] * built
+        cfg.frontend = replace(cfg.frontend, window="rectangular")
         assert run_staged(cfg, man, tmp_path / "cfg.json",
-                          chain=[["adapt", "MANIFEST"]]) == [2]
+                          chain=STAGED_CHAIN[built:built + 1]) == [2]
         err = capsys.readouterr().err
-        assert "stage 'adapt'" in err
-        assert "different frontend/normalization" in err
+        assert f"stage '{stage}'" in err
+        assert (f"{artifact}.aecf was built with different "
+                f"frontend/normalization") in err
+
+    def test_classifier_in_place_of_filter_is_rejected(self, tiny_corpus,
+                                                       tmp_path, capsys):
+        # a DNN back end is a network too, but it carries no input stamp
+        root, _ = tiny_corpus
+        cfg = tiny_config(tmp_path / "out", classifier="dnn")
+        man = root / "manifest.csv"
+        chain = STAGED_CHAIN[:3] + (["fit-transform"], ["fit-classifier"])
+        assert run_staged(cfg, man, tmp_path / "cfg.json",
+                          chain=chain) == [0] * len(chain)
+        out = tmp_path / "out"
+        shutil.copyfile(out / "classifier.aecf", out / "filter.aecf")
+        assert run_staged(cfg, man, tmp_path / "cfg.json",
+                          chain=[STAGED_CHAIN[3]]) == [2]
+        err = capsys.readouterr().err
+        assert "stage 'extract'" in err
+        assert "filter.aecf was built with different frontend/normalization" in err
+        assert not (out / "features_eval.npz").exists()
 
     def test_adapt_without_upstream_artifacts(self, tiny_corpus, tmp_path,
                                               capsys):

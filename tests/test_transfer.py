@@ -4,14 +4,7 @@ import pytest
 from aecfeat.errors import AecError
 from aecfeat.frontend import FeatureMatrix
 from aecfeat.network import Layer, Network, TrainConfig, init_mlp, predict, train
-from aecfeat.transfer import (
-    DnnFilter,
-    SourceModel,
-    adapt,
-    build_filter,
-    extract,
-    strip_output,
-)
+from aecfeat.transfer import adapt, build_filter, extract, strip_output
 
 
 def source_net(in_dim=6, widths=(8, 8, 8), n_classes=5, seed=0):
@@ -136,9 +129,9 @@ class TestBuildFilter:
     def test_variant_c_structure(self):
         comp, _ = adapted(epochs=30)
         filt = build_filter(comp, "C")
-        assert filt.network.out_dim == 6
-        assert filt.network.layers[-1].activation == "linear"
-        assert len(filt.network.layers) == 5
+        assert filt.out_dim == 6
+        assert filt.layers[-1].activation == "linear"
+        assert len(filt.layers) == 5
 
     def test_variant_a_keeps_sigmoid(self):
         comp, x = adapted(epochs=30)
@@ -164,7 +157,7 @@ class TestBuildFilter:
         src = source_net(seed=0)
         target_only = init_mlp(6, (8, 8, 8, 5, 4), 3, seed=1)
         filt = build_filter(target_only, "B")
-        for fl, sl in zip(filt.network.layers[:3], src.layers[:3]):
+        for fl, sl in zip(filt.layers[:3], src.layers[:3]):
             assert not np.array_equal(fl.w, sl.w)
 
 
@@ -177,7 +170,7 @@ class TestExtract:
 
     def test_zero_weights_yield_bias(self):
         filt = build_filter(adapted()[0], "C")
-        last = filt.network.layers[-1]
+        last = filt.layers[-1]
         last.w[:] = 0.0
         last.b[:] = np.arange(6.0)
         # zero the incoming weights so only TL#2's bias survives
@@ -201,8 +194,10 @@ class TestExtract:
         with pytest.raises(AecError, match="feature dims 9 != filter input"):
             extract(filt, FeatureMatrix(np.zeros((2, 9))))
 
+    def test_softmax_network_rejected(self):
+        # the composite still has its head: it classifies, it is no filter
+        comp, x = adapted()
+        with pytest.raises(AecError,
+                           match="filter must not end in a softmax layer"):
+            extract(comp, FeatureMatrix(x))
 
-class TestSourceModel:
-    def test_head_class_count_checked(self):
-        with pytest.raises(AecError, match="head out_dim 5 != 2 classes"):
-            SourceModel(source_net(n_classes=5), classes=["a", "b"])
