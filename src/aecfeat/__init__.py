@@ -1,7 +1,7 @@
 """Transfer-learned DNN feature extraction for acoustic event
 classification: DSP frontend, dense-network training, network surgery and
-filter tapping, DCT/PCA reduction, GMM/SVM/DNN back ends, and an
-end-to-end pipeline."""
+filter tapping, DCT/PCA reduction, GMM/SVM/DNN back ends, an end-to-end
+pipeline, and `cross_validate(cfg, taps, labels, k)`, its SVM grid search."""
 
 from .audio import (
     AudioSegment,

@@ -211,12 +211,6 @@ def smo_solve(kmat, y, c, tol=1e-3):
     return alpha, float(bias)
 
 
-def svm_dual_objective(kmat, y, alpha):
-    """W(alpha) = sum alpha - 1/2 sum_ij alpha_i alpha_j y_i y_j K_ij."""
-    ay = alpha * y
-    return float(np.sum(alpha) - 0.5 * ay @ kmat @ ay)
-
-
 def svm_fit(features, labels, c=10.0, gamma=0.01, tol=1e-3):
     """One-vs-rest RBF SVMs, one SMO solve per class."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))

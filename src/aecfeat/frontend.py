@@ -63,7 +63,7 @@ class FrontendConfig:
 
 @dataclass
 class FeatureMatrix:
-    """Frames x dims matrix tagged with the manifest split it came from."""
+    """Frames x dims matrix; frontend output carries its manifest split."""
 
     values: np.ndarray
     split: Optional[str] = None  # "train" / "eval"
@@ -167,7 +167,7 @@ def splice(fm, context):
             idx = np.clip(np.arange(fm.rows) + off, 0, fm.rows - 1)
             cols.append(fm.values[idx])
         out = np.hstack(cols)
-    return FeatureMatrix(out, split=fm.split)
+    return FeatureMatrix(out)
 
 
 def fit_norm_stats(matrices):
@@ -202,4 +202,4 @@ def apply_norm(fm, stats):
     if fm.dims != stats.mean.shape[0]:
         raise AecError(f"matrix dims {fm.dims} != stats dims {stats.mean.shape[0]}")
     values = (fm.values - stats.mean) / stats.std
-    return FeatureMatrix(values, split=fm.split)
+    return FeatureMatrix(values)

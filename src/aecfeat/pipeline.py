@@ -5,7 +5,9 @@ fit-classifier -> evaluate. Each stage loads its inputs from the output
 directory and stores its outputs there, stamped by the config fingerprint
 and seed; `run_pipeline` runs the stages in that order and the staged CLI
 runs one at a time, so both go through the same stored artifacts. `_load`
-checks the input fingerprint stamped into the source network and filter."""
+checks each model's type and the source network's and filter's input
+fingerprint. The back end, `cross_validate`'s SVM grid search included,
+works on plain per-segment tap arrays, each projected once at load."""
 
 import hashlib
 import json
@@ -17,17 +19,17 @@ from typing import Optional
 import numpy as np
 
 from .audio import read_wav
-from .classifiers import (classify_segment, dnn_classifier_fit,
-                          dnn_score_matrix, gmm_fit, gmm_score_matrix,
-                          svm_fit, svm_score_matrix)
+from .classifiers import (GmmModel, SvmModel, classify_segment,
+                          dnn_classifier_fit, dnn_score_matrix, gmm_fit,
+                          gmm_score_matrix, svm_fit, svm_score_matrix)
 from .errors import AecError, StageError
-from .frontend import (FeatureMatrix, FrontendConfig, apply_norm,
-                       fit_norm_stats, make_frontend_features, splice)
-from .network import TrainConfig, init_mlp, train
+from .frontend import (FrontendConfig, NormStats, apply_norm, fit_norm_stats,
+                       make_frontend_features, splice)
+from .network import Network, TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
 from .transfer import adapt, build_filter, extract, strip_output
-from .transforms import DctSpec, dct_apply, pca_apply, pca_fit
+from .transforms import DctSpec, PcaModel, dct_apply, pca_apply, pca_fit
 
 
 @dataclass
@@ -130,11 +132,14 @@ def store(cfg, name, model, stats=None):
     return load_model(path)
 
 
-def _load(cfg, name, stats=None):
-    """The model in <out_dir>/<name>.aecf; given `stats`, the file must be
-    stamped with the current input fingerprint."""
+def _load(cfg, name, kind, stats=None):
+    """The model in <out_dir>/<name>.aecf, which must be a `kind`; given
+    `stats`, the file must be stamped with the current input fingerprint."""
     model, stamp = load_model(artifact_path(cfg, name + ".aecf"),
                               with_meta=True)
+    if not isinstance(model, kind):
+        raise AecError(f"{name}.aecf holds a {type(model).__name__}, not the "
+                       f"{kind.__name__} this config needs")
     if (stats is not None and stamp.get("input_fingerprint")
             != _input_fingerprint(cfg, stats)):
         raise AecError(f"{name}.aecf was built with different "
@@ -142,21 +147,38 @@ def _load(cfg, name, stats=None):
     return model
 
 
-def _load_transform(cfg):
-    return None if cfg.transform == "none" else _load(cfg, "transform")
-
-
 def _load_features(cfg, split):
-    """(taps, labels, conditions) from features_<split>.npz. Features enter
-    the program here, so this is where non-finite values are rejected."""
+    """(tap arrays, labels, conditions) from features_<split>.npz. Features
+    enter the program here, so this is where segments of another split and
+    non-finite values are rejected."""
     path = artifact_path(cfg, f"features_{split}.npz")
     with np.load(path, allow_pickle=False) as data:
-        taps = [FeatureMatrix(data[f"seg{i:05d}"], split=s)
-                for i, s in enumerate(data["__splits__"].tolist())]
-        if not all(np.isfinite(t.values).all() for t in taps):
+        splits = data["__splits__"].tolist()
+        if set(splits) - {split}:
+            raise AecError(f"{path} holds segments of split "
+                           f"{sorted(set(splits) - {split})}, not only {split}")
+        taps = [data[f"seg{i:05d}"] for i in range(len(splits))]
+        if not all(np.isfinite(t).all() for t in taps):
             raise AecError(f"{path} contains non-finite feature values")
         return (taps, data["__labels__"].tolist(),
                 data["__conditions__"].tolist())
+
+
+def _reduced_features(cfg, split):
+    """`_load_features`, each tap array projected by the stored transform
+    that cfg.transform names."""
+    taps, labels, conditions = _load_features(cfg, split)
+    if cfg.transform == "none":
+        return taps, labels, conditions
+    # built per call, so a function rebound on this module is the one used
+    kind, apply = {"dct": (DctSpec, dct_apply),
+                   "pca": (PcaModel, pca_apply)}[cfg.transform]
+    transform = _load(cfg, "transform", kind)
+    taps = [apply(transform, t) for t in taps]
+    if any(t.shape[1] != cfg.transform_dim for t in taps):
+        raise AecError(f"transform.aecf projects to {taps[0].shape[1]} dims, "
+                       f"not transform_dim {cfg.transform_dim}")
+    return taps, labels, conditions
 
 
 def frontend_features(cfg, entries):
@@ -194,23 +216,9 @@ def _pooled(arrays, labels):
     return x, y, classes
 
 
-def _require_train(taps):
-    if any(m.split != "train" for m in taps):
-        raise AecError("training features include non-train segments")
-
-
-def _reduce(transform, taps):
-    """The tap arrays, each projected by the transform unless it is None."""
-    if transform is None:
-        return _values(taps)
-    apply = dct_apply if isinstance(transform, DctSpec) else pca_apply
-    return [apply(transform, m.values) for m in taps]
-
-
-def fit_classifier(cfg, transform, train_taps, labels):
-    """The back-end classifier on transformed training taps."""
-    _require_train(train_taps)
-    x, y, classes = _pooled(_reduce(transform, train_taps), labels)
+def fit_classifier(cfg, taps, labels):
+    """The back-end classifier on the training segments' tap arrays."""
+    x, y, classes = _pooled(taps, labels)
     if cfg.classifier == "gmm":
         per_class = {label: x[y == idx] for idx, label in enumerate(classes)}
         return gmm_fit(per_class, k=cfg.gmm_k, seed=cfg.seed)
@@ -222,10 +230,10 @@ def fit_classifier(cfg, transform, train_taps, labels):
     return model
 
 
-def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
-    """Per-condition confusion counts of the segment decisions.
-    `classes` is the sorted training label set, the classifier's classes:
-    column i of every score matrix scores classes[i]."""
+def evaluate(cfg, clf, taps, labels, conditions, classes):
+    """Per-condition confusion counts of the segment decisions, one per
+    tap array. `classes` is the sorted training label set, the classifier's
+    classes: column i of every score matrix scores classes[i]."""
     # built per call, so a scorer rebound on this module is the one used
     score_frames = {"gmm": gmm_score_matrix, "svm": svm_score_matrix,
                     "dnn": dnn_score_matrix}[cfg.classifier]
@@ -233,12 +241,11 @@ def evaluate(cfg, transform, clf, eval_taps, labels, conditions, classes):
     if unknown:
         raise AecError(f"eval labels {unknown} are not training classes "
                        f"{list(classes)}")
-    if not eval_taps:
+    if not taps:
         raise AecError("no segments to evaluate")
     cond_names = sorted(set(conditions))
     confusion = {c: [[0] * len(classes) for _ in classes] for c in cond_names}
-    for label, condition, values in zip(labels, conditions,
-                                        _reduce(transform, eval_taps)):
+    for label, condition, values in zip(labels, conditions, taps):
         scores = score_frames(clf, values)
         if scores.shape[1] != len(classes):
             raise AecError(f"classifier scores {scores.shape[1]} classes, "
@@ -280,11 +287,11 @@ def stage_adapt(cfg, manifest):
     entries = select(manifest, "target", "train")
     if not entries:
         raise AecError("no target training entries")
-    stats = _load(cfg, "norm_stats")
+    stats = _load(cfg, "norm_stats", NormStats)
     if cfg.variant == "B":
         trunk, widths = None, (*cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim)
     else:
-        trunk = strip_output(_load(cfg, "source_model", stats))
+        trunk = strip_output(_load(cfg, "source_model", Network, stats))
         widths = (cfg.tl1_dim, cfg.tl2_dim)
     x, y, classes = _pooled(
         _values(_norm_and_splice(frontend_features(cfg, entries), stats, cfg)),
@@ -301,8 +308,8 @@ def stage_extract(cfg, manifest, split):
     entries = select(manifest, "target", split)
     if not entries:
         raise AecError(f"no target {split} entries")
-    stats = _load(cfg, "norm_stats")
-    filt = _load(cfg, "filter", stats)
+    stats = _load(cfg, "norm_stats", NormStats)
+    filt = _load(cfg, "filter", Network, stats)
     mats = _norm_and_splice(frontend_features(cfg, entries), stats, cfg)
     path = artifact_path(cfg, f"features_{split}.npz")
     np.savez(path, __labels__=np.array([e.label for e in entries]),
@@ -316,33 +323,32 @@ def stage_extract(cfg, manifest, split):
 def stage_fit_transform(cfg):
     """Stage 5: the DCT or PCA model; nothing for transform 'none'."""
     taps = _load_features(cfg, "train")[0]
-    _require_train(taps)
     if cfg.transform == "none":
         return {}
     if cfg.transform == "dct":
-        transform = DctSpec(n_points=taps[0].dims, n_keep=cfg.transform_dim)
+        transform = DctSpec(n_points=taps[0].shape[1], n_keep=cfg.transform_dim)
     else:
-        transform = pca_fit(np.vstack(_values(taps)), out_dim=cfg.transform_dim)
+        transform = pca_fit(np.vstack(taps), out_dim=cfg.transform_dim)
     store(cfg, "transform", transform)
     return {"transform": artifact_path(cfg, "transform.aecf")}
 
 
 def stage_fit_classifier(cfg):
     """Stage 6: the back-end classifier."""
-    taps, labels, _ = _load_features(cfg, "train")
-    store(cfg, "classifier",
-          fit_classifier(cfg, _load_transform(cfg), taps, labels))
+    taps, labels, _ = _reduced_features(cfg, "train")
+    store(cfg, "classifier", fit_classifier(cfg, taps, labels))
     return {"classifier": artifact_path(cfg, "classifier.aecf")}
 
 
 def stage_evaluate(cfg):
     """Stage 7: the per-condition report, written to report.json and
     report.txt. Returns the report."""
-    taps, labels, conditions = _load_features(cfg, "eval")
+    taps, labels, conditions = _reduced_features(cfg, "eval")
     with np.load(artifact_path(cfg, "features_train.npz")) as data:
         classes = sorted(set(data["__labels__"].tolist()))
-    report = evaluate(cfg, _load_transform(cfg), _load(cfg, "classifier"),
-                      taps, labels, conditions, classes)
+    clf = _load(cfg, "classifier", {"gmm": GmmModel, "svm": SvmModel,
+                                    "dnn": Network}[cfg.classifier])
+    report = evaluate(cfg, clf, taps, labels, conditions, classes)
     with open(artifact_path(cfg, "report.json"), "w", encoding="utf-8") as f:
         f.write(report.to_json())
     with open(artifact_path(cfg, "report.txt"), "w", encoding="utf-8") as f:
@@ -351,9 +357,9 @@ def stage_evaluate(cfg):
 
 
 def stage_cross_validate(cfg, k=5):
-    """`select_svm_params` over features_train.npz."""
-    taps, labels, _ = _load_features(cfg, "train")
-    return select_svm_params(cfg, _load_transform(cfg), taps, labels, k=k)
+    """`cross_validate` over features_train.npz."""
+    taps, labels, _ = _reduced_features(cfg, "train")
+    return cross_validate(cfg, taps, labels, k=k)
 
 
 def run_pipeline(cfg, manifest):
@@ -381,72 +387,42 @@ def run_pipeline(cfg, manifest):
     return report, paths
 
 
-
-def cross_validate(items, labels, grid, eval_fn, k=5, seed=0):
-    """Stratified seeded k-fold selection over a hyperparameter grid.
-
-    items: per-segment feature arrays (or any objects eval_fn understands).
-    eval_fn(params, train_items, train_labels, val_items, val_labels)
-    returns an accuracy in [0, 1]. Picks the grid point with the best mean
-    fold accuracy; ties go to the first point in grid order. Returns
-    (best_params, fold_table) where fold_table[i] is the list of fold
-    accuracies for grid point i.
-    """
-    if k < 2:
-        raise AecError(f"cross-validation needs k >= 2 folds, got k={k}")
-    labels = np.asarray(labels)
-    n = len(items)
-    if n != len(labels):
-        raise AecError("items/labels length mismatch")
-    rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
-        if len(idx) < k:
-            raise AecError(f"class {c} has {len(idx)} segments, need >= {k}")
-        rng.shuffle(idx)
-        for j, i in enumerate(idx):
-            folds[j % k].append(int(i))
-    folds = [sorted(f) for f in folds]
-
-    fold_table = []
-    means = []
-    for params in grid:
-        accs = []
-        for f in folds:
-            val = set(f)
-            tr = [i for i in range(n) if i not in val]
-            accs.append(eval_fn(params,
-                                [items[i] for i in tr], labels[tr],
-                                [items[i] for i in f], labels[list(f)]))
-        fold_table.append(accs)
-        means.append(float(np.mean(accs)))
-    best = int(np.argmax(means))
-    return grid[best], fold_table
-
-
 def default_svm_grid(feature_dim):
     """C in {1, 10, 100} x gamma in {0.1, 1, 10}/dim."""
     return [{"c": c, "gamma": g / feature_dim}
             for c in (1.0, 10.0, 100.0) for g in (0.1, 1.0, 10.0)]
 
 
-def select_svm_params(cfg, transform, train_taps, labels, k=5):
-    """k-fold search of the default SVM grid over the training segments;
-    returns (best params, per-grid-point fold accuracies). Each fold fits
-    with `fit_classifier` and scores with `evaluate`, so it rates the SVM
-    `run` would fit on those segments, `svm_frame_step` included."""
-    _require_train(train_taps)
-
-    def fold_accuracy(params, fit_taps, fit_labels, val_taps, val_labels):
+def cross_validate(cfg, taps, labels, k=5):
+    """Stratified seeded k-fold search of the default SVM grid over the
+    training segments; returns (best params, fold_table), fold_table[i]
+    holding grid point i's fold accuracies. Best is the highest mean, ties
+    to the first point. Each fold fits with `fit_classifier` and scores with
+    `evaluate`, so it rates the SVM `run` would fit, `svm_frame_step` too."""
+    if k < 2:
+        raise AecError(f"cross-validation needs k >= 2 folds, got k={k}")
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(cfg.seed)
+    fold_of = np.empty(len(labels), dtype=int)
+    for c in np.unique(labels):  # sorted classes, one shuffle each
+        idx = np.flatnonzero(labels == c)
+        if len(idx) < k:
+            raise AecError(f"class {c} has {len(idx)} segments, need >= {k}")
+        rng.shuffle(idx)
+        fold_of[idx] = np.arange(len(idx)) % k
+    grid = default_svm_grid(taps[0].shape[1])
+    fold_table = []
+    for params in grid:
         fold_cfg = replace(cfg, classifier="svm", svm_c=params["c"],
                            svm_gamma=params["gamma"])
-        clf = fit_classifier(fold_cfg, transform, fit_taps, fit_labels)
-        report = evaluate(fold_cfg, transform, clf, val_taps, val_labels,
-                          ["fold"] * len(val_taps), sorted(set(fit_labels)))
-        confusion = np.array(report.confusion["fold"])
-        return float(np.trace(confusion) / confusion.sum())
-
-    dim = _reduce(transform, train_taps[:1])[0].shape[1]
-    return cross_validate(train_taps, labels, default_svm_grid(dim),
-                          fold_accuracy, k=k, seed=cfg.seed)
+        accs = []
+        for f in range(k):
+            fit, val = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
+            clf = fit_classifier(fold_cfg, [taps[i] for i in fit], labels[fit])
+            report = evaluate(fold_cfg, clf, [taps[i] for i in val], labels[val],
+                              ["fold"] * len(val), sorted(set(labels[fit])))
+            confusion = np.array(report.confusion["fold"])
+            accs.append(float(np.trace(confusion) / confusion.sum()))
+        fold_table.append(accs)
+    best = int(np.argmax([np.mean(accs) for accs in fold_table]))
+    return grid[best], fold_table

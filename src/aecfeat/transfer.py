@@ -92,4 +92,4 @@ def extract(filt, fm):
         raise AecError("filter must not end in a softmax layer")
     if fm.dims != filt.in_dim:
         raise AecError(f"feature dims {fm.dims} != filter input {filt.in_dim}")
-    return FeatureMatrix(_stable_forward(filt, fm.values), split=fm.split)
+    return FeatureMatrix(_stable_forward(filt, fm.values))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aecfeat.audio import AudioSegment, mix_noise
-from aecfeat.classifiers import rbf_kernel, smo_solve, svm_dual_objective
+from aecfeat.classifiers import rbf_kernel, smo_solve
 from aecfeat.frontend import FeatureMatrix, FrontendConfig
 from aecfeat.network import (
     TrainConfig,
@@ -27,6 +27,7 @@ from aecfeat.report import render_table
 from aecfeat.synthetic import generate_dataset
 from aecfeat.transfer import adapt, build_filter, extract, strip_output
 from aecfeat.transforms import DctSpec, dct_apply, dct_basis, pca_apply, pca_fit
+from test_classifiers import svm_dual_objective
 
 
 def check(name, ok, detail):

@@ -9,12 +9,18 @@ from aecfeat.classifiers import (
     gmm_score_matrix,
     rbf_kernel,
     smo_solve,
-    svm_dual_objective,
     svm_fit,
     svm_score_matrix,
 )
 from aecfeat.errors import AecError
 from aecfeat.network import Layer, Network, TrainConfig
+
+
+def svm_dual_objective(kmat, y, alpha):
+    """The SVM dual, the oracle that SMO maximizes:
+    W(alpha) = sum alpha - 1/2 sum_ij alpha_i alpha_j y_i y_j K_ij."""
+    ay = alpha * y
+    return float(np.sum(alpha) - 0.5 * ay @ kmat @ ay)
 
 
 def brute_force_two_point_dual(kmat, y, c, steps=2001, refinements=4):

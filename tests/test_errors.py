@@ -24,3 +24,20 @@ def test_every_raise_is_aec_error():
                     and exc.func.id in ("AecError", "StageError")):
                 bad.append(f"{path.name}:{node.lineno}")
     assert not bad, f"{len(bad)} raise sites: {bad}"
+
+
+def test_no_unused_imports():
+    # no linter runs on the package, so an import left behind when its
+    # last reader goes is caught here; __init__.py imports to re-export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}:{node.lineno} {a.asname or a.name}"
+                           for a in node.names
+                           if (a.asname or a.name).split(".")[0] not in read]
+    assert not unused, f"unused imports: {unused}"

@@ -11,11 +11,10 @@ import pytest
 from aecfeat.audio import AudioSegment, read_wav, write_wav
 from aecfeat.classifiers import svm_fit
 from aecfeat.errors import AecError, StageError
-from aecfeat.frontend import FeatureMatrix, FrontendConfig
+from aecfeat.frontend import FrontendConfig
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import TrainConfig
-from aecfeat.pipeline import (RunConfig, cross_validate, default_svm_grid,
-                              run_pipeline)
+from aecfeat.pipeline import RunConfig, default_svm_grid, run_pipeline
 from aecfeat.prepare import prepare_conditions, prepare_source
 from aecfeat.serialize import load_model
 from aecfeat.report import EvalReport, render_report, render_table
@@ -177,51 +176,84 @@ class TestPrepareConditions:
 
 
 class TestCrossValidate:
-    def test_fold_structure(self):
-        items = list(range(10))
-        labels = ["a"] * 5 + ["b"] * 5
-        seen = []
+    GRID = default_svm_grid(3)
+    LABELS = ["a"] * 5 + ["b"] * 5
 
-        def fn(params, tr, trl, val, vall):
-            seen.append((len(val), sorted(set(vall))))
-            return 1.0
+    @staticmethod
+    def numbered_taps(n):
+        """Tap arrays of 3 columns whose every value is the segment index."""
+        return [np.full((2, 3), float(i)) for i in range(n)]
 
-        best, table = cross_validate(items, labels, [{"p": 1}], fn, k=5, seed=0)
-        assert best == {"p": 1}
-        assert len(table) == 1 and len(table[0]) == 5
-        # stratified: every fold holds one segment of each class
-        assert all(n == 2 and classes == ["a", "b"] for n, classes in seen)
+    @classmethod
+    def record_folds(cls, monkeypatch, accuracy):
+        """Replace the fits and scores of a 5-fold search: fold j of grid
+        point i reports accuracy(i, j). Returns the (fit, val) segment
+        indices of each fold, in call order."""
+        folds = []
 
-    def test_picks_better_params(self):
-        items = list(range(10))
-        labels = ["a"] * 5 + ["b"] * 5
-        grid = [{"gamma": 0.1}, {"gamma": 1.0}, {"gamma": 10.0}]
+        def fit(cfg, taps, labels):
+            folds.append([int(t[0, 0]) for t in taps])
 
-        def fn(params, tr, trl, val, vall):
-            return {0.1: 0.5, 1.0: 0.9, 10.0: 0.7}[params["gamma"]]
+        def score(cfg, clf, taps, labels, conditions, classes):
+            folds[-1] = (folds[-1], [int(t[0, 0]) for t in taps])
+            point = cls.GRID.index({"c": cfg.svm_c, "gamma": cfg.svm_gamma})
+            acc = accuracy(point, (len(folds) - 1) % 5)
+            return types.SimpleNamespace(confusion={"fold": [[acc, 1 - acc],
+                                                             [0, 0]]})
 
-        best, table = cross_validate(items, labels, grid, fn, k=5, seed=0)
-        assert best == {"gamma": 1.0}
-        assert np.mean(table[1]) == pytest.approx(0.9)
+        monkeypatch.setattr(pl, "fit_classifier", fit)
+        monkeypatch.setattr(pl, "evaluate", score)
+        return folds
 
-    def test_tie_goes_to_first(self):
-        items = list(range(10))
-        labels = ["a"] * 5 + ["b"] * 5
-        grid = [{"p": "first"}, {"p": "second"}]
-        best, _ = cross_validate(items, labels, grid,
-                                 lambda *a: 0.8, k=5, seed=0)
-        assert best == {"p": "first"}
+    def test_fold_structure(self, monkeypatch):
+        labels = self.LABELS
+        folds = self.record_folds(monkeypatch, lambda point, fold: 1.0)
+        best, table = pl.cross_validate(RunConfig(out_dir="unused"),
+                                        self.numbered_taps(10), labels, k=5)
+        assert best == self.GRID[0]
+        assert len(table) == 9 and all(len(accs) == 5 for accs in table)
+        assert len(folds) == 45
+        first = folds[:5]
+        # stratified: every fold holds one segment of each class, the folds
+        # partition the segments, and each fit is the rest
+        assert all(sorted(labels[i] for i in val) == ["a", "b"]
+                   for _, val in first)
+        assert sorted(i for _, val in first for i in val) == list(range(10))
+        assert all(sorted(fit + val) == list(range(10)) for fit, val in first)
+        # every grid point sees the same folds
+        assert folds[5:10] == first
+
+    def test_picks_better_params(self, monkeypatch):
+        # grid point 0 has the best single fold, point 4 the best mean
+        def accuracy(point, fold):
+            if point == 0:
+                return 1.0 if fold == 0 else 0.0
+            return 0.9 if point == 4 else 0.5
+
+        self.record_folds(monkeypatch, accuracy)
+        best, table = pl.cross_validate(RunConfig(out_dir="unused"),
+                                        self.numbered_taps(10), self.LABELS,
+                                        k=5)
+        assert best == self.GRID[4]
+        assert table[0] == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert np.mean(table[4]) == pytest.approx(0.9)
+
+    def test_tie_goes_to_first(self, monkeypatch):
+        self.record_folds(monkeypatch, lambda point, fold: 0.8)
+        best, _ = pl.cross_validate(RunConfig(out_dir="unused"),
+                                    self.numbered_taps(10), self.LABELS, k=5)
+        assert best == self.GRID[0]
 
     def test_too_few_segments(self):
         with pytest.raises(AecError, match="class a has 2 segments, need >= 5"):
-            cross_validate([1, 2, 3], ["a", "a", "b"], [{}],
-                           lambda *a: 1.0, k=5, seed=0)
+            pl.cross_validate(RunConfig(out_dir="unused"),
+                              self.numbered_taps(3), ["a", "a", "b"], k=5)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_fewer_than_two_folds_rejected(self, k):
         with pytest.raises(AecError, match=f"k={k}"):
-            cross_validate(list(range(10)), ["a"] * 5 + ["b"] * 5, [{}],
-                           lambda *a: 1.0, k=k, seed=0)
+            pl.cross_validate(RunConfig(out_dir="unused"),
+                              self.numbered_taps(10), self.LABELS, k=k)
 
     def test_svm_folds_fit_the_frames_fit_classifier_selects(self, tmp_path,
                                                             monkeypatch):
@@ -229,9 +261,8 @@ class TestCrossValidate:
         # its fold trained on; frame counts are not multiples of the step
         rng = np.random.default_rng(0)
         labels = ["a", "b"] * 3
-        taps = [FeatureMatrix(np.column_stack(
-                    [np.full(n, float(s)), rng.standard_normal((n, 2))]),
-                    split="train")
+        taps = [np.column_stack([np.full(n, float(s)),
+                                 rng.standard_normal((n, 2))])
                 for s, n in enumerate([5, 7, 4, 8, 6, 5])]
         cfg = RunConfig(transform="none", svm_frame_step=3,
                         out_dir=str(tmp_path))
@@ -243,21 +274,21 @@ class TestCrossValidate:
             return real_fit(x, y, **kw)
 
         monkeypatch.setattr(pl, "svm_fit", recording_fit)
-        pl.select_svm_params(cfg, None, taps, labels, k=2)
+        pl.cross_validate(cfg, taps, labels, k=2)
         fold_rows = fits[0]
         segs = sorted(set(fold_rows[:, 0].astype(int)))
-        pl.fit_classifier(cfg, None, [taps[s] for s in segs],
+        pl.fit_classifier(cfg, [taps[s] for s in segs],
                           [labels[s] for s in segs])
         assert np.array_equal(fold_rows, fits[-1])
 
 
 def separable_taps(labels, frames=10, seed=0):
-    """One training-split tap matrix per label, frames clustered around a
-    per-label centre far from the others."""
+    """One tap array per label, frames clustered around a per-label centre
+    far from the others."""
     rng = np.random.default_rng(seed)
     centres = {"a": (6.0, 0.0), "b": (0.0, 6.0), "c": (-6.0, -6.0)}
-    return [FeatureMatrix(centres[l] + 0.3 * rng.standard_normal((frames, 2)),
-                          split="train") for l in labels]
+    return [centres[l] + 0.3 * rng.standard_normal((frames, 2))
+            for l in labels]
 
 
 class TestEvaluate:
@@ -269,31 +300,31 @@ class TestEvaluate:
                         target_train=TrainConfig(lr0=0.3,
                                                  max_epochs_per_stage=30),
                         out_dir=str(tmp_path))
-        clf = pl.fit_classifier(cfg, None, separable_taps(labels), labels)
+        clf = pl.fit_classifier(cfg, separable_taps(labels), labels)
         eval_labels = ["b", "c", "a"]
-        report = pl.evaluate(cfg, None, clf, separable_taps(eval_labels, seed=1),
+        report = pl.evaluate(cfg, clf, separable_taps(eval_labels, seed=1),
                              eval_labels, ["clean"] * 3, ["a", "b", "c"])
         assert report.confusion["clean"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_score_width_must_match_classes(self, tmp_path):
         # an SVM fitted on three labels cannot score a two-class evaluation
         taps = separable_taps(["a", "b", "c"])
-        clf = svm_fit(np.vstack([t.values for t in taps]),
-                      np.repeat([0, 1, 2], 10), c=10.0, gamma=0.5)
+        clf = svm_fit(np.vstack(taps), np.repeat([0, 1, 2], 10), c=10.0,
+                      gamma=0.5)
         cfg = RunConfig(transform="none", classifier="svm",
                         out_dir=str(tmp_path))
         with pytest.raises(AecError, match="scores 3 classes.* 2 training"):
-            pl.evaluate(cfg, None, clf, taps[:1], ["a"], ["clean"], ["a", "b"])
+            pl.evaluate(cfg, clf, taps[:1], ["a"], ["clean"], ["a", "b"])
 
     def test_no_segments_rejected(self, tmp_path):
         # an empty split has no accuracy; it must not read as 0 %
         taps = separable_taps(["a", "b"])
-        clf = svm_fit(np.vstack([t.values for t in taps]),
-                      np.repeat([0, 1], 10), c=10.0, gamma=0.5)
+        clf = svm_fit(np.vstack(taps), np.repeat([0, 1], 10), c=10.0,
+                      gamma=0.5)
         cfg = RunConfig(transform="none", classifier="svm",
                         out_dir=str(tmp_path))
         with pytest.raises(AecError, match="no segments to evaluate"):
-            pl.evaluate(cfg, None, clf, [], [], [], ["a", "b"])
+            pl.evaluate(cfg, clf, [], [], [], ["a", "b"])
 
 
 class TestRenderTable:
@@ -394,6 +425,18 @@ def run_staged(cfg, manifest_path, cfg_path, chain=STAGED_CHAIN):
     return [cli.main(base + [str(manifest_path) if a == "MANIFEST" else a
                              for a in argv])
             for argv in chain]
+
+
+@pytest.fixture(scope="module")
+def staged_out(tiny_corpus, tmp_path_factory):
+    """The output directory of the whole staged chain at `tiny_config`;
+    copy it before changing anything in it."""
+    root, _ = tiny_corpus
+    work = tmp_path_factory.mktemp("staged")
+    codes = run_staged(tiny_config(work / "out"), root / "manifest.csv",
+                       work / "cfg.json")
+    assert codes == [0] * len(STAGED_CHAIN)
+    return work / "out"
 
 
 class TestRunConfigValidation:
@@ -505,7 +548,8 @@ class TestRunPipeline:
                             manifest)
         metrics = spans.per_layer_metrics(tracer)
         for name in ("network.grad.calls", "network.train.epochs",
-                     "network.grad.gflop", "transfer.adapt.s"):
+                     "network.grad.gflop", "transfer.adapt.s",
+                     "transforms.dct_apply.s"):
             assert metrics[name]["value"] > 0, name
 
 
@@ -622,6 +666,51 @@ class TestCli:
         assert "stage 'fit-classifier'" in err and "non-finite" in err
         assert "Traceback" not in err
         assert not (out / "classifier.aecf").exists()
+
+    @pytest.mark.parametrize("change,stage,artifact", [
+        ({"transform": "pca"}, "fit-classifier", "transform"),
+        ({"transform": "pca"}, "evaluate", "transform"),
+        ({"transform_dim": 2}, "fit-classifier", "transform"),
+        ({"transform_dim": 2}, "evaluate", "transform"),
+        ({"classifier": "gmm"}, "evaluate", "classifier")],
+        ids=["pca-fit", "pca-evaluate", "dim2-fit", "dim2-evaluate",
+             "gmm-evaluate"])
+    def test_stale_artifact_is_rejected_at_load(self, staged_out, tmp_path,
+                                                capsys, change, stage,
+                                                artifact):
+        # the chain ran with a 6-dim DCT and an SVM; the config then changed
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        cfg = replace(tiny_config(out), **change)
+        assert run_staged(cfg, None, tmp_path / "cfg.json",
+                          chain=[[stage]]) == [2]
+        err = capsys.readouterr().err
+        assert f"stage '{stage}'" in err and f"{artifact}.aecf" in err
+        assert "Traceback" not in err
+        for name in ("classifier.aecf", "report.json"):
+            assert (out / name).read_bytes() == (staged_out / name).read_bytes()
+
+    @pytest.mark.parametrize("split,stage", [
+        ("eval", ["evaluate"]), ("train", ["fit-classifier"]),
+        ("train", ["cross-validate", "--k", "2"])],
+        ids=["evaluate", "fit-classifier", "cross-validate"])
+    def test_segment_of_another_split_is_rejected_at_load(self, staged_out,
+                                                          tmp_path, capsys,
+                                                          split, stage):
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        path = out / f"features_{split}.npz"
+        with np.load(path) as data:
+            arrays = dict(data)
+        other = "train" if split == "eval" else "eval"
+        arrays["__splits__"] = np.array([other, *arrays["__splits__"][1:]])
+        np.savez(path, **arrays)
+        assert run_staged(tiny_config(out), None, tmp_path / "cfg.json",
+                          chain=[stage]) == [2]
+        err = capsys.readouterr().err
+        assert f"stage '{stage[0]}'" in err and str(path) in err
+        assert f"['{other}'], not only {split}" in err
+        assert "Traceback" not in err
 
     def test_cross_validate_needs_two_folds(self, tmp_path, capsys):
         out = tmp_path / "out"
