@@ -149,19 +149,25 @@ def _load(cfg, name, kind, stats=None):
 
 def _load_features(cfg, split):
     """(tap arrays, labels, conditions) from features_<split>.npz. Features
-    enter the program here, so this is where segments of another split and
-    non-finite values are rejected."""
+    enter the program here, so this is where segments of another split,
+    label or condition lists of the wrong length and non-finite values are
+    rejected."""
     path = artifact_path(cfg, f"features_{split}.npz")
     with np.load(path, allow_pickle=False) as data:
         splits = data["__splits__"].tolist()
         if set(splits) - {split}:
             raise AecError(f"{path} holds segments of split "
                            f"{sorted(set(splits) - {split})}, not only {split}")
+        labels = data["__labels__"].tolist()
+        conditions = data["__conditions__"].tolist()
+        if not len(labels) == len(conditions) == len(splits):
+            raise AecError(f"{path} holds {len(splits)} segments but "
+                           f"{len(labels)} labels and {len(conditions)} "
+                           f"conditions")
         taps = [data[f"seg{i:05d}"] for i in range(len(splits))]
         if not all(np.isfinite(t).all() for t in taps):
             raise AecError(f"{path} contains non-finite feature values")
-        return (taps, data["__labels__"].tolist(),
-                data["__conditions__"].tolist())
+        return taps, labels, conditions
 
 
 def _reduced_features(cfg, split):

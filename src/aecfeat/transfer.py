@@ -12,13 +12,41 @@ filter are all plain `Network`s; the filter is the composite with its
 softmax head cut off.
 """
 
+import contextlib
+import ctypes
+import glob
+import os
+
 import numpy as np
 
 from .errors import AecError
 from .frontend import FeatureMatrix
-from .network import Layer, Network, init_mlp, predict, train
+from .network import Layer, Network, _activate, init_mlp, predict, train
 
 VARIANTS = ("A", "B", "C")
+BLOCK_ROWS = 64
+
+
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS with its thread-count functions typed, or
+    None when this numpy ships another BLAS or the symbols are missing."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                           "numpy.libs", "libscipy_openblas64_-*.so")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+# numpy has already loaded this library; opening it again only finds it
+_OPENBLAS = _bundled_openblas()
 
 
 def strip_output(net):
@@ -68,21 +96,54 @@ def build_filter(composite, variant):
     return trunk
 
 
+@contextlib.contextmanager
+def _one_blas_thread(lib):
+    """Run the block with `lib` on one thread; restore its count after."""
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+
+
 def _stable_forward(net, x):
     """Forward pass whose result is bitwise independent of the batch size.
 
-    BLAS-backed matmul changes summation order with the matrix shape;
-    einsum without optimization reduces each output element in a fixed
-    order, so extracting rows one at a time matches the batched result
-    exactly.
+    With numpy's bundled OpenBLAS, every layer is a GEMM over blocks of
+    BLOCK_ROWS rows, the last block zero-padded, on one BLAS thread: the
+    kernel then sees one matrix shape and one thread count whatever the
+    batch, so it sums each output element in the same order and a row
+    comes out the same alone, in a ragged batch or pooled with other
+    segments. The BLAS thread count is process-global; it is pinned only
+    for this call and restored even if the call raises. Without that
+    library the pass falls back to an unoptimized einsum, which reduces
+    each output element in a fixed order. The two kernels agree to about
+    1e-15, not bit for bit, so taps, and the same-seed features,
+    transforms, classifiers and reports built on them, differ once from
+    those of versions that always used einsum; run to run they stay
+    bit-identical.
     """
-    from .network import _activate
-
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    for layer in net.layers:
-        z = np.einsum("nd,md->nm", a, layer.w, optimize=False) + layer.b
-        a = _activate(z, layer.activation)
-    return a
+    layers = [(l.w.astype(np.float64), l.b.astype(np.float64), l.activation)
+              for l in net.layers]
+    if _OPENBLAS is None:
+        for w, b, activation in layers:
+            z = np.einsum("nd,md->nm", a, w, optimize=False) + b
+            a = _activate(z, activation)
+        return a
+    out = np.empty((len(a), layers[-1][0].shape[0]))
+    block = np.zeros((BLOCK_ROWS, a.shape[1]))
+    with _one_blas_thread(_OPENBLAS):
+        for start in range(0, len(a), BLOCK_ROWS):
+            rows = a[start:start + BLOCK_ROWS]
+            block[:len(rows)] = rows
+            block[len(rows):] = 0.0
+            h = block
+            for w, b, activation in layers:
+                h = _activate(h @ w.T + b, activation)
+            out[start:start + len(rows)] = h[:len(rows)]
+    return out
 
 
 def extract(filt, fm):

@@ -712,6 +712,29 @@ class TestCli:
         assert f"['{other}'], not only {split}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("split,stage", [
+        ("eval", "evaluate"), ("train", "fit-classifier")])
+    @pytest.mark.parametrize("field", ["__labels__", "__conditions__"])
+    def test_label_count_mismatch_is_rejected_at_load(self, staged_out,
+                                                      tmp_path, capsys,
+                                                      split, stage, field):
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        path = out / f"features_{split}.npz"
+        with np.load(path) as data:
+            arrays = dict(data)
+        n = len(arrays["__splits__"])
+        arrays[field] = arrays[field][:-1]
+        np.savez(path, **arrays)
+        assert run_staged(tiny_config(out), None, tmp_path / "cfg.json",
+                          chain=[[stage]]) == [2]
+        err = capsys.readouterr().err
+        assert f"stage '{stage}'" in err and str(path) in err
+        assert f"holds {n} segments" in err
+        assert "Traceback" not in err
+        for name in ("classifier.aecf", "report.json"):
+            assert (out / name).read_bytes() == (staged_out / name).read_bytes()
+
     def test_cross_validate_needs_two_folds(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aecfeat import transfer
 from aecfeat.errors import AecError
 from aecfeat.frontend import FeatureMatrix
 from aecfeat.network import Layer, Network, TrainConfig, init_mlp, predict, train
@@ -28,6 +29,25 @@ def adapted(tl_widths=(8, 6), n_classes=4, epochs=0, seed=0):
                     TrainConfig(lr0=0.3, max_epochs_per_stage=epochs, seed=0),
                     seed=seed)
     return comp, x
+
+
+def e2e_filter():
+    """A variant-C filter at the acceptance config's widths (768 spliced
+    inputs, SL#1-3 256, TL#1 128, TL#2 150)."""
+    return build_filter(init_mlp(768, (256, 256, 256, 128, 150), 4, seed=0),
+                        "C")
+
+
+@pytest.fixture
+def blas_threads():
+    """The bundled OpenBLAS handle; its thread count is restored after the
+    test."""
+    lib = transfer._OPENBLAS
+    if lib is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    old = lib.scipy_openblas_get_num_threads64_()
+    yield lib
+    lib.scipy_openblas_set_num_threads64_(old)
 
 
 class TestSurgery:
@@ -201,3 +221,42 @@ class TestExtract:
                            match="filter must not end in a softmax layer"):
             extract(comp, FeatureMatrix(x))
 
+    # 200 rows: three full GEMM blocks and a ragged tail of 8
+    @pytest.mark.parametrize("kernel", ["default", "gemm-2-threads", "einsum"])
+    def test_batch_independence_at_e2e_widths(self, kernel, monkeypatch,
+                                              request):
+        if kernel == "gemm-2-threads":
+            request.getfixturevalue("blas_threads")
+            transfer._OPENBLAS.scipy_openblas_set_num_threads64_(2)
+        if kernel == "einsum":
+            monkeypatch.setattr(transfer, "_OPENBLAS", None)
+        filt = e2e_filter()
+        x = np.random.default_rng(2).standard_normal((200, 768))
+        full = extract(filt, FeatureMatrix(x)).values
+        one_at_a_time = np.vstack([extract(filt, FeatureMatrix(x[i:i + 1])).values
+                                   for i in range(len(x))])
+        two_segments = np.vstack([extract(filt, FeatureMatrix(x[:92])).values,
+                                  extract(filt, FeatureMatrix(x[92:])).values])
+        assert full.shape == (200, 150)
+        assert np.array_equal(full, one_at_a_time)
+        assert np.array_equal(full, two_segments)
+
+    def test_einsum_fallback_agrees_with_gemm(self, monkeypatch):
+        filt = e2e_filter()
+        fm = FeatureMatrix(np.random.default_rng(3).standard_normal((200, 768)))
+        gemm = extract(filt, fm).values
+        monkeypatch.setattr(transfer, "_OPENBLAS", None)
+        einsum = extract(filt, fm).values
+        assert np.abs(gemm - einsum).max() <= 1e-12
+
+    def test_blas_thread_count_restored(self, blas_threads):
+        blas_threads.scipy_openblas_set_num_threads64_(2)
+        filt = e2e_filter()
+        extract(filt, FeatureMatrix(np.zeros((70, 768))))
+        assert blas_threads.scipy_openblas_get_num_threads64_() == 2
+        # TL#1 expects 256 inputs; 255 make the GEMM raise inside the pin
+        tl1 = filt.layers[3]
+        filt.layers[3] = Layer(tl1.w[:, :255], tl1.b, tl1.activation)
+        with pytest.raises(ValueError):
+            extract(filt, FeatureMatrix(np.zeros((70, 768))))
+        assert blas_threads.scipy_openblas_get_num_threads64_() == 2
