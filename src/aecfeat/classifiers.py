@@ -165,9 +165,32 @@ def rbf_kernel(a, b, gamma):
     return np.exp(-gamma * np.maximum(d2, 0.0))
 
 
+class KernelRows(dict):
+    """RBF kernel rows of `x` against itself, each computed on first read:
+    `rows[i]` is `rbf_kernel(x[i:i+1], x, gamma)[0]`, so its bits depend
+    only on i, never on which other rows were read. An SMO solve reads
+    rows i and j at each step and nothing else, so a fit holds the rows it
+    visits (few, when the support vectors are few) and never more than the
+    dense n x n matrix."""
+
+    def __init__(self, x, gamma):
+        super().__init__()
+        self.x = x
+        self.gamma = gamma
+
+    def __missing__(self, i):
+        row = self[i] = rbf_kernel(self.x[i:i + 1], self.x, self.gamma)[0]
+        return row
+
+
 def smo_solve(kmat, y, c, tol=1e-3):
-    """SMO on a precomputed kernel matrix, taking the maximal violating
-    pair at every step (WSS1 of Fan, Chen & Lin, JMLR 2005).
+    """SMO taking the maximal violating pair at every step (WSS1 of Fan,
+    Chen & Lin, JMLR 2005). `kmat[i]` must give kernel row i, and only
+    rows i and j of each step are read. `kmat` may be a dense matrix or
+    the `KernelRows` that `svm_fit`'s one-vs-rest machines share, where a
+    row is computed on first read; a row computed alone differs from the
+    dense GEMM by about 1e-15, so the two can take different paths within
+    tol, but each is bit-identical run to run.
 
     Minimizes 1/2 a'Qa - sum(a), Q = yy' * K, over 0 <= a <= c, y'a = 0,
     tracking score = -y * (Qa - 1). Each step solves the two-variable
@@ -199,28 +222,38 @@ def smo_solve(kmat, y, c, tol=1e-3):
         if gap < tol:
             break
         # move alpha_i by y_i t and alpha_j by -y_j t, which keeps y'a = 0
-        quad = max(kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j], 1e-12)
+        ki, kj = kmat[i], kmat[j]
+        quad = max(ki[i] + kj[j] - 2.0 * ki[j], 1e-12)
         room_i = c - alpha[i] if pos[i] else alpha[i]
         room_j = alpha[j] if pos[j] else c - alpha[j]
         t = min(gap / quad, room_i, room_j)
         alpha[i] = (c if pos[i] else 0.0) if t == room_i else alpha[i] + y[i] * t
         alpha[j] = (0.0 if pos[j] else c) if t == room_j else alpha[j] - y[j] * t
-        score -= t * (kmat[i] - kmat[j])
+        score -= t * (ki - kj)
     free = (alpha > 0) & (alpha < c)
     bias = np.mean(score[free]) if free.any() else 0.5 * (score[i] + score[j])
     return alpha, float(bias)
 
 
 def svm_fit(features, labels, c=10.0, gamma=0.01, tol=1e-3):
-    """One-vs-rest RBF SVMs, one SMO solve per class."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    """One-vs-rest RBF SVMs, one SMO solve per class. The machines share
+    one `KernelRows`, so a kernel row is computed once, when SMO first
+    reads it, and the fit never builds the n x n kernel. A row computed
+    alone differs from the same row of a dense GEMM by about 1e-15, so
+    SMO may take another path within tol than a dense-kernel fit; run to
+    run the fit is bit-identical."""
+    # `fit_classifier` passes every n-th frame as a strided view, which
+    # every kernel row would otherwise read through a copy
+    x = np.atleast_2d(np.ascontiguousarray(features, dtype=np.float64))
     if not np.isfinite(x).all():
         raise AecError("SVM training frames contain non-finite values")
     labels = np.asarray(labels)
+    if len(labels) != len(x):
+        raise AecError(f"{len(x)} frames but {len(labels)} labels")
     classes = sorted(np.unique(labels).tolist())
     if len(classes) < 2:
         raise AecError("need at least 2 classes")
-    kmat = rbf_kernel(x, x, gamma)
+    kmat = KernelRows(x, gamma)
     machines = {}
     for label in classes:
         y = np.where(labels == label, 1.0, -1.0)

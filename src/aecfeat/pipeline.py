@@ -310,19 +310,23 @@ def stage_adapt(cfg, manifest):
 
 def stage_extract(cfg, manifest, split):
     """Stage 4: filter taps for every frame of each target segment of
-    `split`, saved losslessly to features_<split>.npz."""
+    `split`, saved losslessly to features_<split>.npz. Segments stream one
+    at a time through frontend, normalization, splicing and `extract`, and
+    only their taps are kept. Extraction is independent of batch size, so
+    the file is byte-identical to one extracted from the whole split at
+    once, and run to run."""
     entries = select(manifest, "target", split)
     if not entries:
         raise AecError(f"no target {split} entries")
     stats = _load(cfg, "norm_stats", NormStats)
     filt = _load(cfg, "filter", Network, stats)
-    mats = _norm_and_splice(frontend_features(cfg, entries), stats, cfg)
+    taps = {f"seg{i:05d}": extract(filt, _norm_and_splice(
+                frontend_features(cfg, [e]), stats, cfg)[0]).values
+            for i, e in enumerate(entries)}
     path = artifact_path(cfg, f"features_{split}.npz")
     np.savez(path, __labels__=np.array([e.label for e in entries]),
              __conditions__=np.array([e.condition for e in entries]),
-             __splits__=np.array([e.split for e in entries]),
-             **{f"seg{i:05d}": extract(filt, fm).values
-                for i, fm in enumerate(mats)})
+             __splits__=np.array([e.split for e in entries]), **taps)
     return {f"features_{split}": path}
 
 

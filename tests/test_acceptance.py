@@ -6,13 +6,15 @@ lines for passing tests too).
 """
 
 import os
+import shutil
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from aecfeat.audio import AudioSegment, mix_noise
-from aecfeat.classifiers import rbf_kernel, smo_solve
+from aecfeat.classifiers import KernelRows, rbf_kernel, smo_solve
 from aecfeat.frontend import FeatureMatrix, FrontendConfig
 from aecfeat.network import (
     TrainConfig,
@@ -22,7 +24,7 @@ from aecfeat.network import (
     one_hot,
     predict,
 )
-from aecfeat.pipeline import RunConfig, run_pipeline
+from aecfeat.pipeline import RunConfig, run_pipeline, stage_extract
 from aecfeat.report import render_table
 from aecfeat.synthetic import generate_dataset
 from aecfeat.transfer import adapt, build_filter, extract, strip_output
@@ -204,15 +206,17 @@ def test_svm_oracle():
             y = np.where(x[:, 0] + noise * rng.standard_normal(n) > 0, 1.0, -1.0)
             tol = 1e-3
             kmat = rbf_kernel(x, x, gamma)
-            alpha, bias = smo_solve(kmat, y, c, tol=tol)
-            margins = y * (kmat @ (alpha * y) + bias)
-            for a, m in zip(alpha, margins):
-                if a < 1e-9:
-                    worst_kkt = max(worst_kkt, 1.0 - m)
-                elif a > c - 1e-9:
-                    worst_kkt = max(worst_kkt, m - 1.0)
-                else:
-                    worst_kkt = max(worst_kkt, abs(m - 1.0))
+            # the dense matrix and the rows-on-demand cache `svm_fit` uses
+            for kernel in (kmat, KernelRows(x, gamma)):
+                alpha, bias = smo_solve(kernel, y, c, tol=tol)
+                margins = y * (kmat @ (alpha * y) + bias)
+                for a, m in zip(alpha, margins):
+                    if a < 1e-9:
+                        worst_kkt = max(worst_kkt, 1.0 - m)
+                    elif a > c - 1e-9:
+                        worst_kkt = max(worst_kkt, m - 1.0)
+                    else:
+                        worst_kkt = max(worst_kkt, abs(m - 1.0))
     check("svm-oracle",
           worst_gap <= 1e-4 and worst_kkt <= 1e-3 + 1e-9,
           f"2-point dual gap {worst_gap:.2e} (<= 1e-4), "
@@ -289,6 +293,7 @@ def e2e(tmp_path_factory):
     return {
         "c": report_c, "c2": report_c2, "b": report_b,
         "paths_c": paths_c, "paths_c2": paths_c2, "elapsed": elapsed,
+        "root": root, "manifest": manifest,
     }
 
 
@@ -306,6 +311,27 @@ def test_synthetic_end_to_end(e2e):
           acc >= 95.0 and identical and e2e["elapsed"] < 600.0,
           f"clean accuracy {acc:.1f}% (>= 95%), same-seed runs bit-identical: "
           f"{identical}, total runtime {e2e['elapsed']:.0f} s (< 600 s)")
+
+
+def test_extraction_memory_bounded(e2e, tmp_path):
+    # extraction streams segment by segment, so it never holds the split's
+    # spliced frontend input at once
+    cfg = e2e_config(tmp_path, "B")
+    for name in ("norm_stats.aecf", "filter.aecf"):
+        shutil.copy(e2e["root"] / "b" / name, tmp_path)
+    tracemalloc.start()
+    try:
+        stage_extract(cfg, e2e["manifest"], "eval")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with np.load(tmp_path / "features_eval.npz") as data:
+        rows = sum(len(data[k]) for k in data.files if k.startswith("seg"))
+    spliced = rows * cfg.frontend.dims * 8
+    check("extraction-memory",
+          peak < spliced,
+          f"eval extraction traced peak {peak / 1e6:.1f} MB (< spliced "
+          f"input {spliced / 1e6:.1f} MB, {rows} frames)")
 
 
 # --- 9. accuracy-table arithmetic fixture -----------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from aecfeat import classifiers
 from aecfeat.classifiers import (
+    KernelRows,
     classify_segment,
     dnn_classifier_fit,
     dnn_score_matrix,
@@ -173,16 +175,17 @@ class TestSmo:
                 continue
             tol = 1e-3
             kmat = rbf_kernel(x, x, gamma)
-            alpha, bias = smo_solve(kmat, y, c, tol=tol)
-            f = kmat @ (alpha * y) + bias
-            margins = y * f
-            for a, m in zip(alpha, margins):
-                if a < 1e-9:
-                    assert m >= 1.0 - tol - 1e-9
-                elif a > c - 1e-9:
-                    assert m <= 1.0 + tol + 1e-9
-                else:
-                    assert abs(m - 1.0) <= tol + 1e-9
+            # the dense matrix and the rows-on-demand cache `svm_fit` uses
+            for kernel in (kmat, KernelRows(x, gamma)):
+                alpha, bias = smo_solve(kernel, y, c, tol=tol)
+                margins = y * (kmat @ (alpha * y) + bias)
+                for a, m in zip(alpha, margins):
+                    if a < 1e-9:
+                        assert m >= 1.0 - tol - 1e-9
+                    elif a > c - 1e-9:
+                        assert m <= 1.0 + tol + 1e-9
+                    else:
+                        assert abs(m - 1.0) <= tol + 1e-9
 
     def test_non_positive_tol_rejected(self):
         kmat = rbf_kernel(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]), 1.0)
@@ -233,6 +236,34 @@ class TestSvmModel:
         probes = rng.standard_normal((10, 2))
         s = svm_score_matrix(model, probes)
         assert np.max(np.abs(s[:, 0] + s[:, 1])) <= 1e-9
+
+    def test_fit_computes_each_kernel_row_once_on_demand(self, monkeypatch):
+        # three well-separated classes: few support vectors, so the
+        # one-vs-rest solves read well under the n kernel rows
+        rng = np.random.default_rng(3)
+        x = np.vstack([rng.standard_normal((100, 2)) + [4, 4],
+                       rng.standard_normal((100, 2)) - [4, 4],
+                       rng.standard_normal((100, 2)) + [4, -4]])
+        y = np.repeat([0, 1, 2], 100)
+        rows = []
+
+        def recording_kernel(a, b, gamma):
+            assert np.shape(a) == (1, 2) and np.shape(b) == x.shape
+            rows.extend(np.flatnonzero((x == a[0]).all(axis=1)).tolist())
+            return rbf_kernel(a, b, gamma)
+
+        monkeypatch.setattr(classifiers, "rbf_kernel", recording_kernel)
+        model = svm_fit(x, y, c=10.0, gamma=0.5)
+        assert len(rows) == len(set(rows))
+        assert 0 < len(rows) < len(x)
+        support = {tuple(v) for m in model.machines.values()
+                   for v in m.support_vectors}
+        assert support <= {tuple(x[i]) for i in rows}
+
+    def test_frame_label_length_mismatch_rejected(self):
+        x = np.random.default_rng(1).standard_normal((20, 3))
+        with pytest.raises(AecError, match="20 frames but 19 labels"):
+            svm_fit(x, np.arange(19) % 2, c=1.0, gamma=1.0)
 
     def test_degenerate_labels(self):
         with pytest.raises(AecError, match="need at least 2 classes"):
