@@ -23,13 +23,17 @@ from .classifiers import (GmmModel, SvmModel, classify_segment,
                           dnn_classifier_fit, dnn_score_matrix, gmm_fit,
                           gmm_score_matrix, svm_fit, svm_score_matrix)
 from .errors import AecError, StageError
-from .frontend import (FrontendConfig, NormStats, apply_norm, fit_norm_stats,
-                       make_frontend_features, splice)
+from .frontend import (FeatureMatrix, FrontendConfig, NormStats, apply_norm,
+                       fit_norm_stats, make_frontend_features, splice)
 from .network import Network, TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
-from .transfer import adapt, build_filter, extract, strip_output
+from .transfer import BLOCK_ROWS, adapt, build_filter, extract, strip_output
 from .transforms import DctSpec, PcaModel, dct_apply, pca_apply, pca_fit
+
+# rows per `extract` call in stage_extract: 16 blocks, enough to keep the
+# CPUs of a small machine busy; 6 MB of spliced input at 768 dims
+EXTRACT_ROWS = 16 * BLOCK_ROWS
 
 
 @dataclass
@@ -308,25 +312,50 @@ def stage_adapt(cfg, manifest):
     return {"filter": artifact_path(cfg, "filter.aecf")}
 
 
+def _extract_into(filt, rows, pieces):
+    """Extract `rows` and copy each (taps, start, stop, row) piece of the
+    result, rows[row:row + stop - start], to taps[start:stop]."""
+    out = extract(filt, FeatureMatrix(rows)).values
+    for taps, start, stop, row in pieces:
+        taps[start:stop] = out[row:row + stop - start]
+
+
 def stage_extract(cfg, manifest, split):
     """Stage 4: filter taps for every frame of each target segment of
     `split`, saved losslessly to features_<split>.npz. Segments stream one
-    at a time through frontend, normalization, splicing and `extract`, and
-    only their taps are kept. Extraction is independent of batch size, so
-    the file is byte-identical to one extracted from the whole split at
-    once, and run to run."""
+    at a time through frontend, normalization and splicing into a buffer
+    of EXTRACT_ROWS rows, packed across segment boundaries; `extract` runs
+    on every CPU each time the buffer fills, and once on the rows left at
+    the end, so only the split's last block is zero-padded. Only taps are
+    kept, never the split's spliced input. A row's taps depend only on that
+    row, so the file is byte-identical whatever the CPU count and buffer
+    size, to one extracted a segment at a time, and run to run."""
     entries = select(manifest, "target", split)
     if not entries:
         raise AecError(f"no target {split} entries")
     stats = _load(cfg, "norm_stats", NormStats)
-    filt = _load(cfg, "filter", Network, stats)
-    taps = {f"seg{i:05d}": extract(filt, _norm_and_splice(
-                frontend_features(cfg, [e]), stats, cfg)[0]).values
-            for i, e in enumerate(entries)}
+    filt = _load(cfg, "filter", Network, stats).copy(np.float64)
+    buffer = np.empty((EXTRACT_ROWS, filt.in_dim))
+    taps, pieces, fill = [], [], 0
+    for e in entries:
+        x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)[0].values
+        taps.append(np.empty((len(x), filt.out_dim)))
+        start = 0
+        while start < len(x):
+            m = min(len(buffer) - fill, len(x) - start)
+            buffer[fill:fill + m] = x[start:start + m]
+            pieces.append((taps[-1], start, start + m, fill))
+            start, fill = start + m, fill + m
+            if fill == len(buffer):
+                _extract_into(filt, buffer, pieces)
+                pieces, fill = [], 0
+    if fill:
+        _extract_into(filt, buffer[:fill], pieces)
     path = artifact_path(cfg, f"features_{split}.npz")
     np.savez(path, __labels__=np.array([e.label for e in entries]),
              __conditions__=np.array([e.condition for e in entries]),
-             __splits__=np.array([e.split for e in entries]), **taps)
+             __splits__=np.array([e.split for e in entries]),
+             **{f"seg{i:05d}": t for i, t in enumerate(taps)})
     return {f"features_{split}": path}
 
 

@@ -16,6 +16,8 @@ import contextlib
 import ctypes
 import glob
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -96,36 +98,67 @@ def build_filter(composite, variant):
     return trunk
 
 
+# the thread count that the first pin saved, and how many pins are held
+_pin_lock = threading.Lock()
+_pin = {"depth": 0, "saved": None}
+
+
 @contextlib.contextmanager
 def _one_blas_thread(lib):
-    """Run the block with `lib` on one thread; restore its count after."""
-    old = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
+    """Run the block with `lib` on one thread; restore its count after.
+
+    The count is process-global, so the pin is counted: the first thread
+    in saves the count and sets 1, the last one out restores it, and no
+    thread's GEMM sees the count change while it runs."""
+    with _pin_lock:
+        if _pin["depth"] == 0:
+            _pin["saved"] = lib.scipy_openblas_get_num_threads64_()
+            lib.scipy_openblas_set_num_threads64_(1)
+        _pin["depth"] += 1
     try:
         yield
     finally:
-        lib.scipy_openblas_set_num_threads64_(old)
+        with _pin_lock:
+            _pin["depth"] -= 1
+            if _pin["depth"] == 0:
+                lib.scipy_openblas_set_num_threads64_(_pin["saved"])
+
+
+def _cpu_count():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _stable_forward(net, x):
-    """Forward pass whose result is bitwise independent of the batch size.
+    """Forward pass whose result is bitwise independent of the batch size
+    and of the thread count.
 
     With numpy's bundled OpenBLAS, every layer is a GEMM over blocks of
     BLOCK_ROWS rows, the last block zero-padded, on one BLAS thread: the
     kernel then sees one matrix shape and one thread count whatever the
     batch, so it sums each output element in the same order and a row
     comes out the same alone, in a ragged batch or pooled with other
-    segments. The BLAS thread count is process-global; it is pinned only
-    for this call and restored even if the call raises. Without that
-    library the pass falls back to an unoptimized einsum, which reduces
-    each output element in a fixed order. The two kernels agree to about
-    1e-15, not bit for bit, so taps, and the same-seed features,
+    segments. The blocks are dealt out to one worker thread per CPU, at
+    most one per block. Every buffer a worker writes is allocated here,
+    before the workers start: glibc keeps what a thread allocates in that
+    thread's malloc arena, where later stages on the main thread cannot
+    reuse it. The BLAS thread count is process-global; it is pinned while
+    any thread is in this call and restored when the last one leaves, even
+    if it raises. The weights are cast with `copy=False`, so a caller that
+    passes a float64 filter has it cast once. Without that library the
+    pass falls back to an unoptimized einsum on the calling thread, which
+    reduces each output element in a fixed order. The two kernels agree to
+    about 1e-15, not bit for bit, so taps, and the same-seed features,
     transforms, classifiers and reports built on them, differ once from
     those of versions that always used einsum; run to run they stay
     bit-identical.
     """
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    layers = [(l.w.astype(np.float64), l.b.astype(np.float64), l.activation)
+    layers = [(l.w.astype(np.float64, copy=False),
+               l.b.astype(np.float64, copy=False), l.activation)
               for l in net.layers]
     if _OPENBLAS is None:
         for w, b, activation in layers:
@@ -133,16 +166,32 @@ def _stable_forward(net, x):
             a = _activate(z, activation)
         return a
     out = np.empty((len(a), layers[-1][0].shape[0]))
-    block = np.zeros((BLOCK_ROWS, a.shape[1]))
-    with _one_blas_thread(_OPENBLAS):
-        for start in range(0, len(a), BLOCK_ROWS):
+    starts = range(0, len(a), BLOCK_ROWS)
+    n = max(1, min(_cpu_count(), len(starts)))
+    # per worker: the input block, then one pre-activation per layer
+    buffers = [[np.empty((BLOCK_ROWS, a.shape[1]))]
+               + [np.empty((BLOCK_ROWS, w.shape[0])) for w, _, _ in layers]
+               for _ in range(n)]
+
+    def forward_blocks(k):
+        block, *pre = buffers[k]
+        for start in starts[k::n]:
             rows = a[start:start + BLOCK_ROWS]
             block[:len(rows)] = rows
             block[len(rows):] = 0.0
             h = block
-            for w, b, activation in layers:
-                h = _activate(h @ w.T + b, activation)
+            for (w, b, activation), z in zip(layers, pre):
+                np.matmul(h, w.T, out=z)
+                z += b
+                h = _activate(z, activation)
             out[start:start + len(rows)] = h[:len(rows)]
+
+    with _one_blas_thread(_OPENBLAS):
+        if n == 1:
+            forward_blocks(0)
+        else:
+            with ThreadPoolExecutor(n) as pool:
+                list(pool.map(forward_blocks, range(n)))
     return out
 
 

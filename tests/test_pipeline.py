@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import threading
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -11,15 +12,16 @@ import pytest
 from aecfeat.audio import AudioSegment, read_wav, write_wav
 from aecfeat.classifiers import svm_fit
 from aecfeat.errors import AecError, StageError
-from aecfeat.frontend import FrontendConfig
+from aecfeat.frontend import FrontendConfig, NormStats
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
-from aecfeat.network import TrainConfig
+from aecfeat.network import Network, TrainConfig, init_mlp
 from aecfeat.pipeline import RunConfig, default_svm_grid, run_pipeline
 from aecfeat.prepare import prepare_conditions, prepare_source
 from aecfeat.serialize import load_model
 from aecfeat.report import EvalReport, render_report, render_table
 from aecfeat.synthetic import generate_dataset, generate_noise_wav
-from aecfeat import cli
+from aecfeat.transfer import build_filter, extract
+from aecfeat import cli, transfer
 from aecfeat import pipeline as pl
 
 
@@ -859,3 +861,105 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "adapt" in err and "Traceback" not in err
+
+
+class TestParallelExtract:
+    """`stage_extract` packs rows across segment boundaries into buffers
+    of EXTRACT_ROWS rows, and `extract` spreads each buffer's blocks over
+    one thread per CPU in the affinity mask; the taps must depend on
+    neither."""
+
+    FRAMES = (1, 63, 64, 65, 92, 130)  # ragged around the 64-row block
+
+    @pytest.fixture
+    def ragged(self, tmp_path):
+        """A config whose out_dir holds norm_stats.aecf and a random filter,
+        and eval entries of FRAMES frames each."""
+        cfg = tiny_config(tmp_path / "out")
+        os.makedirs(cfg.out_dir)
+        rng = np.random.default_rng(0)
+        entries = []
+        for i, frames in enumerate(self.FRAMES):
+            n = 1024 + (frames - 1) * cfg.frontend.hop
+            path = tmp_path / f"seg{i}.wav"
+            write_wav(path, AudioSegment(0.3 * np.tanh(rng.standard_normal(n))))
+            entries.append(ManifestEntry(str(path), f"tgt{i % 2:02d}",
+                                         "target", "eval", "clean"))
+        x = np.vstack([m.values for m in pl.frontend_features(cfg, entries)])
+        stats = pl.store(cfg, "norm_stats", NormStats(x.mean(0), x.std(0)))
+        net = init_mlp(cfg.frontend.dims, (16, 16, 16, 12, 10), 2, seed=0)
+        pl.store(cfg, "filter", build_filter(net, "C"), stats)
+        return cfg, entries
+
+    def reference(self, cfg, entries, monkeypatch):
+        """Taps extracted one segment at a time on one thread."""
+        stats = pl._load(cfg, "norm_stats", NormStats)
+        filt = pl._load(cfg, "filter", Network, stats)
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            return [extract(filt, pl._norm_and_splice(
+                        pl.frontend_features(cfg, [e]), stats, cfg)[0]).values
+                    for e in entries]
+
+    # buffers of 64 and 128 rows fill several times and cut the 65-, 92-
+    # and 130-frame segments; the default buffer holds the whole split,
+    # seven blocks, so at 8 CPUs there are fewer blocks than CPUs
+    @pytest.mark.parametrize("buffer_rows", [64, 128, pl.EXTRACT_ROWS])
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}, set(range(8))],
+                             ids=["1-cpu", "3-cpus", "8-cpus"])
+    def test_taps_equal_per_segment_extract(self, ragged, monkeypatch, cpus,
+                                            buffer_rows):
+        cfg, entries = ragged
+        expected = self.reference(cfg, entries, monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(pl, "EXTRACT_ROWS", buffer_rows)
+        pl.stage_extract(cfg, Manifest(entries), "eval")
+        with np.load(pl.artifact_path(cfg, "features_eval.npz")) as data:
+            taps = [data[f"seg{i:05d}"] for i in range(len(entries))]
+        assert [len(t) for t in taps] == list(self.FRAMES)
+        for got, want in zip(taps, expected):
+            assert np.array_equal(got, want)
+
+    def test_features_file_is_byte_identical_for_any_cpu_count(
+            self, staged_out, tiny_corpus, tmp_path, monkeypatch):
+        _, manifest = tiny_corpus
+        files = []
+        for cpus in ({0}, {0, 1, 2}):
+            out = tmp_path / f"cpus{len(cpus)}"
+            shutil.copytree(staged_out, out)
+            (out / "features_train.npz").unlink()
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            pl.stage_extract(tiny_config(out), manifest, "train")
+            files.append((out / "features_train.npz").read_bytes())
+        assert files[0] == files[1]
+        assert files[0] == (staged_out / "features_train.npz").read_bytes()
+
+    def test_unreadable_wav_mid_split(self, staged_out, tiny_corpus, tmp_path,
+                                      monkeypatch, capsys):
+        # 12 segments of 14 frames come before the bad wav, so a buffer of
+        # two blocks has already run on two worker threads
+        root, manifest = tiny_corpus
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        (out / "features_eval.npz").unlink()
+        evals = 6 * [e for e in manifest.entries
+                     if e.domain == "target" and e.split == "eval"]
+        bad = tmp_path / "unreadable.wav"
+        bad.write_bytes(b"not a wav file")
+        mid = len(evals) // 2
+        evals[mid] = replace(evals[mid], wav_path=str(bad))
+        save_manifest(Manifest(evals), tmp_path / "eval.csv")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(pl, "EXTRACT_ROWS", 128)
+        blas = transfer._OPENBLAS
+        blas_before = blas and blas.scipy_openblas_get_num_threads64_()
+        threads_before = threading.active_count()
+        rc = run_staged(tiny_config(out), tmp_path / "eval.csv",
+                        tmp_path / "cfg.json", chain=[STAGED_CHAIN[3]])
+        assert rc == [2]
+        err = capsys.readouterr().err
+        assert "stage 'extract'" in err and str(bad) in err
+        assert "Traceback" not in err
+        assert not (out / "features_eval.npz").exists()
+        assert (blas and blas.scipy_openblas_get_num_threads64_()) == blas_before
+        assert threading.active_count() == threads_before

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -249,7 +253,20 @@ class TestExtract:
         einsum = extract(filt, fm).values
         assert np.abs(gemm - einsum).max() <= 1e-12
 
-    def test_blas_thread_count_restored(self, blas_threads):
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3, 4, 5, 6}],
+                             ids=["1-cpu", "7-cpus"])
+    def test_cpu_count_does_not_change_taps(self, monkeypatch, cpus):
+        filt = e2e_filter()
+        x = np.random.default_rng(6).standard_normal((1000, 768))
+        serial = np.vstack([extract(filt, FeatureMatrix(x[i:i + 64])).values
+                            for i in range(0, len(x), 64)])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert np.array_equal(extract(filt, FeatureMatrix(x)).values, serial)
+
+    def test_blas_thread_count_restored(self, blas_threads, monkeypatch):
+        # 70 rows are two blocks, so two worker threads run them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        threads = threading.active_count()
         blas_threads.scipy_openblas_set_num_threads64_(2)
         filt = e2e_filter()
         extract(filt, FeatureMatrix(np.zeros((70, 768))))
@@ -260,3 +277,49 @@ class TestExtract:
         with pytest.raises(ValueError):
             extract(filt, FeatureMatrix(np.zeros((70, 768))))
         assert blas_threads.scipy_openblas_get_num_threads64_() == 2
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("odd_threads", ["extract", "raise"])
+    def test_concurrent_extracts_share_the_pin(self, blas_threads,
+                                               odd_threads):
+        # a thread leaving the pin must not restore the count while another
+        # is still inside a GEMM, and the last one out restores it; four
+        # threads, more than most test machines have cores
+        blas_threads.scipy_openblas_set_num_threads64_(2)
+        filt = e2e_filter()
+        xs = [np.random.default_rng(s).standard_normal((384, 768))
+              for s in range(4)]
+        serial = [extract(filt, FeatureMatrix(x)).values for x in xs]
+        nets = [filt] * 4
+        if odd_threads == "raise":  # TL#1 expects 256 inputs; 255 raise
+            tl1 = filt.layers[3]
+            nets[1] = nets[3] = Network(filt.layers[:3] + [
+                Layer(tl1.w[:, :255], tl1.b, tl1.activation)] + filt.layers[4:])
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):  # the uncounted pin failed most rounds
+                start, out = threading.Barrier(4), [None] * 4
+
+                def work(i):
+                    start.wait()
+                    try:
+                        out[i] = extract(nets[i], FeatureMatrix(xs[i])).values
+                    except ValueError as e:
+                        out[i] = e
+
+                threads = [threading.Thread(target=work, args=(i,))
+                           for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                for i in range(4):
+                    if nets[i] is filt:
+                        assert np.array_equal(out[i], serial[i])
+                    else:
+                        assert isinstance(out[i], ValueError)
+                assert blas_threads.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            sys.setswitchinterval(switch)
