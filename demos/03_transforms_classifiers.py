@@ -12,7 +12,6 @@ import numpy as np
 
 from aecfeat.classifiers import (
     classify_segment,
-    dnn_classifier_fit,
     dnn_score_matrix,
     gmm_fit,
     gmm_score_matrix,
@@ -20,6 +19,7 @@ from aecfeat.classifiers import (
     svm_score_matrix,
 )
 from aecfeat.network import TrainConfig
+from aecfeat.pipeline import RunConfig, fit_classifier
 from aecfeat.transforms import DctSpec, dct_apply, pca_apply, pca_fit
 
 rng = np.random.default_rng(0)
@@ -55,10 +55,13 @@ backends = {
     "gmm": (gmm_fit({str(c): x[y == c] for c in range(n_classes)},
                     k=2, seed=0), gmm_score_matrix),
     "svm": (svm_fit(x, y, c=10.0, gamma=1.0 / x.shape[1]), svm_score_matrix),
-    "dnn": (dnn_classifier_fit(x, y, TrainConfig(lr0=0.3,
-                                                 max_epochs_per_stage=40,
-                                                 seed=0),
-                               hidden=(16, 16))[0],
+    # the pipeline's DNN back end: its `fit_classifier` pools the segments
+    "dnn": (fit_classifier(RunConfig(classifier="dnn", dnn_hidden=(16, 16),
+                                     target_train=TrainConfig(
+                                         lr0=0.3, max_epochs_per_stage=40,
+                                         seed=0)),
+                           [s for s, _ in red_train],
+                           [c for _, c in red_train]),
             dnn_score_matrix),
 }
 

@@ -16,7 +16,6 @@ from .classifiers import (
     GmmModel,
     SvmModel,
     classify_segment,
-    dnn_classifier_fit,
     gmm_fit,
     svm_fit,
 )

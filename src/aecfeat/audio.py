@@ -132,14 +132,14 @@ def decay_envelope(rt60_s, n_samples, sample_rate=SAMPLE_RATE):
     return 10.0 ** (-3.0 * t / rt60_s)
 
 
-def synth_rir(rt60_s=0.7, length_s=1.0, seed=0, sample_rate=SAMPLE_RATE):
+def synth_rir(rt60_s=0.7, length_s=1.0, seed=0):
     """Synthesize a room impulse response: seeded white noise shaped by the
     exponential decay envelope calibrated to rt60_s.
 
     Used only when no measured impulse response is supplied.
     """
-    n = int(round(length_s * sample_rate))
+    n = int(round(length_s * SAMPLE_RATE))
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n)
-    h = noise * decay_envelope(rt60_s, n, sample_rate)
+    h = noise * decay_envelope(rt60_s, n)
     return h / np.max(np.abs(h))

@@ -5,7 +5,8 @@ Three families:
   * per-class Gaussian mixtures with diagonal covariance, fitted by EM;
   * one-vs-rest support vector machines with RBF kernels, fitted by
     sequential minimal optimization (SMO) to the KKT conditions within tol;
-  * a dense softmax network (300-300-100 hidden) reusing the shared trainer.
+  * a dense softmax network (300-300-100 hidden), which
+    `pipeline.fit_classifier` builds with `init_mlp` and trains with `train`.
 
 Every back end scores frames as a (rows, classes) matrix in which higher
 is better and summing over frames is meaningful: log-likelihoods, decision
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import AecError
-from .network import init_mlp, predict, train
+from .network import predict
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -235,13 +236,13 @@ def smo_solve(kmat, y, c, tol=1e-3):
     return alpha, float(bias)
 
 
-def svm_fit(features, labels, c=10.0, gamma=0.01, tol=1e-3):
-    """One-vs-rest RBF SVMs, one SMO solve per class. The machines share
-    one `KernelRows`, so a kernel row is computed once, when SMO first
-    reads it, and the fit never builds the n x n kernel. A row computed
-    alone differs from the same row of a dense GEMM by about 1e-15, so
-    SMO may take another path within tol than a dense-kernel fit; run to
-    run the fit is bit-identical."""
+def svm_fit(features, labels, c=10.0, gamma=0.01):
+    """One-vs-rest RBF SVMs, one SMO solve per class to `smo_solve`'s
+    default tol. The machines share one `KernelRows`, so a kernel row is
+    computed once, when SMO first reads it, and the fit never builds the
+    n x n kernel. A row computed alone differs from the same row of a
+    dense GEMM by about 1e-15, so SMO may take another path within tol
+    than a dense-kernel fit; run to run the fit is bit-identical."""
     # `fit_classifier` passes every n-th frame as a strided view, which
     # every kernel row would otherwise read through a copy
     x = np.atleast_2d(np.ascontiguousarray(features, dtype=np.float64))
@@ -257,7 +258,7 @@ def svm_fit(features, labels, c=10.0, gamma=0.01, tol=1e-3):
     machines = {}
     for label in classes:
         y = np.where(labels == label, 1.0, -1.0)
-        alpha, bias = smo_solve(kmat, y, c, tol=tol)
+        alpha, bias = smo_solve(kmat, y, c)
         sv = alpha > 1e-10
         machines[label] = BinarySvm(
             support_vectors=x[sv].copy(),
@@ -288,14 +289,6 @@ def svm_score_matrix(model, values):
 # ---------------------------------------------------------------------------
 # Dense-net classifier
 # ---------------------------------------------------------------------------
-
-def dnn_classifier_fit(features, labels, cfg, hidden=(300, 300, 100)):
-    """Softmax network with sigmoid hidden layers over frame features."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    labels = np.asarray(labels, dtype=int)
-    net = init_mlp(x.shape[1], hidden, int(labels.max()) + 1, seed=cfg.seed)
-    return train(net, x, labels, cfg)
-
 
 def dnn_score_matrix(net, values):
     """(rows, classes) log softmax posteriors, floored at log(1e-300)."""

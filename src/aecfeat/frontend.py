@@ -13,7 +13,6 @@ configurable); a frame gives a 512-point one-sided magnitude spectrum
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -63,10 +62,9 @@ class FrontendConfig:
 
 @dataclass
 class FeatureMatrix:
-    """Frames x dims matrix; frontend output carries its manifest split."""
+    """Frames x dims matrix."""
 
     values: np.ndarray
-    split: Optional[str] = None  # "train" / "eval"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -173,8 +171,8 @@ def splice(fm, context):
 def fit_norm_stats(matrices):
     """Per-dimension mean/std over the pooled frames of several matrices.
 
-    The caller is responsible for pooling only source-domain and
-    target-training frames; matrices tagged split='eval' are rejected.
+    The caller pools only source-domain and target-training frames, never
+    evaluation frames.
     """
     matrices = list(matrices)
     if not matrices or sum(m.rows for m in matrices) == 0:
@@ -183,8 +181,6 @@ def fit_norm_stats(matrices):
     for m in matrices:
         if m.dims != dims:
             raise AecError(f"dims {m.dims} != {dims}")
-        if m.split == "eval":
-            raise AecError("refusing to fit normalization on evaluation frames")
     n = sum(m.rows for m in matrices)
     total = np.zeros(dims)
     total_sq = np.zeros(dims)

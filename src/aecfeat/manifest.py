@@ -29,11 +29,10 @@ class Manifest:
     def __len__(self):
         return len(self.entries)
 
-    def select(self, domain=None, split=None):
-        out = [e for e in self.entries
-               if (domain is None or e.domain == domain)
-               and (split is None or e.split == split)]
-        return Manifest(out)
+    def select(self, domain, split=None):
+        """The entries of `domain`, of `split` too if one is given."""
+        return [e for e in self.entries if e.domain == domain
+                and (split is None or e.split == split)]
 
 
 def load_manifest(path):
@@ -69,10 +68,9 @@ def load_manifest(path):
     if not entries:
         raise AecError(f"{path}: no entries")
     man = Manifest(entries)
-    seen_train = {e.wav_path for e in man.entries
-                  if e.domain == "target" and e.split == "train"}
-    for e in man.entries:
-        if e.domain == "target" and e.split == "eval" and e.wav_path in seen_train:
+    seen_train = {e.wav_path for e in man.select("target", "train")}
+    for e in man.select("target", "eval"):
+        if e.wav_path in seen_train:
             raise AecError(f"{path}: {e.wav_path} appears in both target train and eval")
     return man
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .audio import read_wav
 from .classifiers import (GmmModel, SvmModel, classify_segment,
-                          dnn_classifier_fit, dnn_score_matrix, gmm_fit,
-                          gmm_score_matrix, svm_fit, svm_score_matrix)
+                          dnn_score_matrix, gmm_fit, gmm_score_matrix,
+                          svm_fit, svm_score_matrix)
 from .errors import AecError, StageError
 from .frontend import (FeatureMatrix, FrontendConfig, NormStats, apply_norm,
                        fit_norm_stats, make_frontend_features, splice)
@@ -114,10 +114,6 @@ def _stage(name):
         raise StageError(name, e) from e
 
 
-def select(manifest, domain, split=None):
-    return manifest.select(domain=domain, split=split).entries
-
-
 def artifact_path(cfg, name):
     return os.path.join(cfg.out_dir, name)
 
@@ -193,13 +189,8 @@ def _reduced_features(cfg, split):
 
 def frontend_features(cfg, entries):
     """Unspliced frontend features per manifest entry."""
-    out = []
-    for e in entries:
-        seg = read_wav(e.wav_path, label=e.label)
-        fm = make_frontend_features(seg, cfg.frontend)
-        fm.split = e.split
-        out.append(fm)
-    return out
+    return [make_frontend_features(read_wav(e.wav_path, label=e.label),
+                                   cfg.frontend) for e in entries]
 
 
 def _input_fingerprint(cfg, stats):
@@ -207,12 +198,9 @@ def _input_fingerprint(cfg, stats):
 
 
 def _norm_and_splice(mats, stats, cfg):
-    return [splice(apply_norm(fm, stats), cfg.frontend.splice_context)
+    """The normalized, spliced values of each feature matrix."""
+    return [splice(apply_norm(fm, stats), cfg.frontend.splice_context).values
             for fm in mats]
-
-
-def _values(mats):
-    return [m.values for m in mats]
 
 
 def _pooled(arrays, labels):
@@ -236,8 +224,9 @@ def fit_classifier(cfg, taps, labels):
         step = cfg.svm_frame_step
         gamma = cfg.svm_gamma if cfg.svm_gamma is not None else 1.0 / x.shape[1]
         return svm_fit(x[::step], y[::step], c=cfg.svm_c, gamma=gamma)
-    model, _ = dnn_classifier_fit(x, y, cfg.target_train, hidden=cfg.dnn_hidden)
-    return model
+    net = init_mlp(x.shape[1], cfg.dnn_hidden, len(classes),
+                   seed=cfg.target_train.seed)
+    return train(net, x, y, cfg.target_train)[0]
 
 
 def evaluate(cfg, clf, taps, labels, conditions, classes):
@@ -273,16 +262,18 @@ def stage_train_source(cfg, manifest):
     """Stages 1-2: z-score statistics pooled over source and target-train
     frames only, never eval; for variants A/C also the source network,
     stamped with their input fingerprint."""
-    source_entries = select(manifest, "source")
+    source_entries = manifest.select("source")
+    if any(e.split == "eval" for e in source_entries):
+        raise AecError("refusing to fit normalization on evaluation frames")
     source_mats = frontend_features(cfg, source_entries)
-    train_mats = frontend_features(cfg, select(manifest, "target", "train"))
+    train_mats = frontend_features(cfg, manifest.select("target", "train"))
     stats = store(cfg, "norm_stats", fit_norm_stats(source_mats + train_mats))
     paths = {"norm_stats": artifact_path(cfg, "norm_stats.aecf")}
     if cfg.variant == "B":  # the source network is a variant A/C artifact
         return paths
     if not source_entries:
         raise AecError("variants A/C require source-domain entries")
-    x, y, classes = _pooled(_values(_norm_and_splice(source_mats, stats, cfg)),
+    x, y, classes = _pooled(_norm_and_splice(source_mats, stats, cfg),
                             [e.label for e in source_entries])
     net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
     net, _ = train(net, x, y, cfg.source_train)
@@ -294,7 +285,7 @@ def stage_adapt(cfg, manifest):
     """Stage 3: the filter. Variants A/C train TL#1, TL#2 and a head over
     the source network's fixed trunk; variant B trains the whole five-layer
     stack on target data only. Both are one `adapt` call."""
-    entries = select(manifest, "target", "train")
+    entries = manifest.select("target", "train")
     if not entries:
         raise AecError("no target training entries")
     stats = _load(cfg, "norm_stats", NormStats)
@@ -304,7 +295,7 @@ def stage_adapt(cfg, manifest):
         trunk = strip_output(_load(cfg, "source_model", Network, stats))
         widths = (cfg.tl1_dim, cfg.tl2_dim)
     x, y, classes = _pooled(
-        _values(_norm_and_splice(frontend_features(cfg, entries), stats, cfg)),
+        _norm_and_splice(frontend_features(cfg, entries), stats, cfg),
         [e.label for e in entries])
     composite, _ = adapt(trunk, x, y, widths, len(classes), cfg.target_train,
                          seed=cfg.seed)
@@ -330,15 +321,15 @@ def stage_extract(cfg, manifest, split):
     kept, never the split's spliced input. A row's taps depend only on that
     row, so the file is byte-identical whatever the CPU count and buffer
     size, to one extracted a segment at a time, and run to run."""
-    entries = select(manifest, "target", split)
+    entries = manifest.select("target", split)
     if not entries:
         raise AecError(f"no target {split} entries")
     stats = _load(cfg, "norm_stats", NormStats)
-    filt = _load(cfg, "filter", Network, stats).copy(np.float64)
+    filt = _load(cfg, "filter", Network, stats)
     buffer = np.empty((EXTRACT_ROWS, filt.in_dim))
     taps, pieces, fill = [], [], 0
     for e in entries:
-        x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)[0].values
+        x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)[0]
         taps.append(np.empty((len(x), filt.out_dim)))
         start = 0
         while start < len(x):
@@ -407,7 +398,7 @@ def run_pipeline(cfg, manifest):
     (EvalReport, {artifact name: path})."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     with _stage("load-manifest"):
-        if not select(manifest, "target", "train"):
+        if not manifest.select("target", "train"):
             raise AecError("no target training entries")
     paths = {}
     for command, run_stage, args in (

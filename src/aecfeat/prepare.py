@@ -2,7 +2,6 @@
 corpus (random cuts / reverberant copies to hit a fixed audio budget) and
 noisy evaluation conditions at fixed SNRs."""
 
-import logging
 import os
 import zlib
 
@@ -11,8 +10,6 @@ import numpy as np
 from .audio import AudioSegment, convolve_rir, mix_noise, read_wav, synth_rir, write_wav
 from .errors import AecError
 from .manifest import Manifest, ManifestEntry
-
-logger = logging.getLogger(__name__)
 
 
 def _class_groups(entries):
@@ -32,7 +29,7 @@ def prepare_source(manifest, out_dir, target_seconds=800.0, rir=None, seed=0):
     augmented manifest.
     """
     os.makedirs(out_dir, exist_ok=True)
-    source_entries = [e for e in manifest.entries if e.domain == "source"]
+    source_entries = manifest.select("source")
     if not source_entries:
         raise AecError("manifest has no source-domain entries")
     if rir is None:
@@ -93,9 +90,8 @@ def prepare_conditions(manifest, noise_paths, out_dir, snrs=(5, 10, 15), seed=0)
     os.makedirs(out_dir, exist_ok=True)
     noises = {stem: read_wav(p) for stem, p in zip(stems, noise_paths)}
     out_entries = list(manifest.entries)
-    eval_entries = [e for e in manifest.entries
-                    if e.domain == "target" and e.split == "eval"
-                    and e.condition == "clean"]
+    eval_entries = [e for e in manifest.select("target", "eval")
+                    if e.condition == "clean"]
     for noise_name, noise in sorted(noises.items()):
         for snr in snrs:
             tag = f"{noise_name}_{snr:g}dB"

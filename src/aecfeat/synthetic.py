@@ -19,12 +19,11 @@ def _class_envelope(n_bins, centers, width, floor=0.02):
     return env
 
 
-def class_envelopes(n_classes, n_bins, n_bumps=2, lo_frac=0.03, hi_frac=0.45,
-                    width=None):
-    """Distinct spectral envelopes, bump centers spread across the band."""
+def class_envelopes(n_classes, n_bins, n_bumps=2, lo_frac=0.03, hi_frac=0.45):
+    """Distinct spectral envelopes, bump centers spread across the band,
+    each bump a sixth of a class's share of the band wide."""
     lo, hi = int(n_bins * lo_frac), int(n_bins * hi_frac)
-    if width is None:
-        width = (hi - lo) / (6.0 * n_classes)
+    width = (hi - lo) / (6.0 * n_classes)
     envs = []
     for i in range(n_classes):
         centers = [lo + (hi - lo) * (i + 0.5 + j * n_classes) / (n_classes * n_bumps)
@@ -33,15 +32,16 @@ def class_envelopes(n_classes, n_bins, n_bumps=2, lo_frac=0.03, hi_frac=0.45,
     return envs
 
 
-def shaped_noise_segment(envelope, n_samples, rng, amplitude=0.25):
-    """White noise whose spectrum is shaped by the envelope (per rFFT bin)."""
+def shaped_noise_segment(envelope, n_samples, rng):
+    """White noise whose spectrum is shaped by the envelope (per rFFT bin),
+    scaled to a peak of 0.25."""
     white = rng.standard_normal(n_samples)
     spec = np.fft.rfft(white)
     n_bins = len(envelope)
     shape = np.interp(np.linspace(0, n_bins - 1, len(spec)),
                       np.arange(n_bins), envelope)
     shaped = np.fft.irfft(spec * shape, n=n_samples)
-    shaped = shaped / np.max(np.abs(shaped)) * amplitude
+    shaped = shaped / np.max(np.abs(shaped)) * 0.25
     return AudioSegment(shaped)
 
 
@@ -83,12 +83,13 @@ def generate_dataset(out_dir, n_source_classes=8, n_target_classes=4,
     return manifest
 
 
-def generate_noise_wav(out_dir, name="babblelike", duration_s=10.0, seed=99):
-    """Long broadband noise wav usable for SNR conditions."""
+def generate_noise_wav(out_dir, seed=99):
+    """babblelike.wav, 10 s of broadband noise usable for SNR conditions;
+    returns its path."""
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     env = _class_envelope(512, [40, 120, 260], 80.0, floor=0.1)
-    seg = shaped_noise_segment(env, int(duration_s * SAMPLE_RATE), rng)
-    path = os.path.join(out_dir, f"{name}.wav")
+    seg = shaped_noise_segment(env, 10 * SAMPLE_RATE, rng)
+    path = os.path.join(out_dir, "babblelike.wav")
     write_wav(path, seg)
     return path

@@ -104,12 +104,17 @@ _pin = {"depth": 0, "saved": None}
 
 
 @contextlib.contextmanager
-def _one_blas_thread(lib):
-    """Run the block with `lib` on one thread; restore its count after.
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread and
+    restore its count after; without that library, do nothing.
 
     The count is process-global, so the pin is counted: the first thread
     in saves the count and sets 1, the last one out restores it, and no
     thread's GEMM sees the count change while it runs."""
+    lib = _OPENBLAS
+    if lib is None:
+        yield
+        return
     with _pin_lock:
         if _pin["depth"] == 0:
             _pin["saved"] = lib.scipy_openblas_get_num_threads64_()
@@ -136,35 +141,26 @@ def _stable_forward(net, x):
     """Forward pass whose result is bitwise independent of the batch size
     and of the thread count.
 
-    With numpy's bundled OpenBLAS, every layer is a GEMM over blocks of
-    BLOCK_ROWS rows, the last block zero-padded, on one BLAS thread: the
-    kernel then sees one matrix shape and one thread count whatever the
-    batch, so it sums each output element in the same order and a row
-    comes out the same alone, in a ragged batch or pooled with other
-    segments. The blocks are dealt out to one worker thread per CPU, at
-    most one per block. Every buffer a worker writes is allocated here,
-    before the workers start: glibc keeps what a thread allocates in that
-    thread's malloc arena, where later stages on the main thread cannot
-    reuse it. The BLAS thread count is process-global; it is pinned while
-    any thread is in this call and restored when the last one leaves, even
-    if it raises. The weights are cast with `copy=False`, so a caller that
-    passes a float64 filter has it cast once. Without that library the
-    pass falls back to an unoptimized einsum on the calling thread, which
-    reduces each output element in a fixed order. The two kernels agree to
-    about 1e-15, not bit for bit, so taps, and the same-seed features,
-    transforms, classifiers and reports built on them, differ once from
-    those of versions that always used einsum; run to run they stay
-    bit-identical.
+    Every layer runs over blocks of BLOCK_ROWS rows, the last block
+    zero-padded: as a GEMM on one BLAS thread with numpy's bundled
+    OpenBLAS, so the kernel sees one matrix shape and one thread count
+    whatever the batch, and as an unoptimized einsum, which reduces each
+    output element in a fixed order, without it. Either way a row comes
+    out the same alone, in a ragged batch or pooled with other segments.
+    The two kernels agree to about 1e-15, not bit for bit. The blocks are
+    dealt out to one worker thread per CPU, at most one per block. Every
+    buffer a worker writes is allocated here, before the workers start:
+    glibc keeps what a thread allocates in that thread's malloc arena,
+    where later stages on the main thread cannot reuse it. The BLAS thread
+    count is process-global; it is pinned while any thread is in this
+    call and restored when the last one leaves, even if it raises. The
+    weights are cast with `copy=False`, so the float64 filter that
+    `load_model` returns is not copied.
     """
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
     layers = [(l.w.astype(np.float64, copy=False),
                l.b.astype(np.float64, copy=False), l.activation)
               for l in net.layers]
-    if _OPENBLAS is None:
-        for w, b, activation in layers:
-            z = np.einsum("nd,md->nm", a, w, optimize=False) + b
-            a = _activate(z, activation)
-        return a
     out = np.empty((len(a), layers[-1][0].shape[0]))
     starts = range(0, len(a), BLOCK_ROWS)
     n = max(1, min(_cpu_count(), len(starts)))
@@ -181,17 +177,16 @@ def _stable_forward(net, x):
             block[len(rows):] = 0.0
             h = block
             for (w, b, activation), z in zip(layers, pre):
-                np.matmul(h, w.T, out=z)
+                if _OPENBLAS is None:
+                    np.einsum("nd,md->nm", h, w, out=z, optimize=False)
+                else:
+                    np.matmul(h, w.T, out=z)
                 z += b
                 h = _activate(z, activation)
             out[start:start + len(rows)] = h[:len(rows)]
 
-    with _one_blas_thread(_OPENBLAS):
-        if n == 1:
-            forward_blocks(0)
-        else:
-            with ThreadPoolExecutor(n) as pool:
-                list(pool.map(forward_blocks, range(n)))
+    with _one_blas_thread(), ThreadPoolExecutor(n) as pool:
+        list(pool.map(forward_blocks, range(n)))
     return out
 
 

@@ -5,7 +5,6 @@ from aecfeat import classifiers
 from aecfeat.classifiers import (
     KernelRows,
     classify_segment,
-    dnn_classifier_fit,
     dnn_score_matrix,
     gmm_fit,
     gmm_score_matrix,
@@ -16,6 +15,7 @@ from aecfeat.classifiers import (
 )
 from aecfeat.errors import AecError
 from aecfeat.network import Layer, Network, TrainConfig
+from aecfeat.pipeline import RunConfig, fit_classifier
 
 
 def svm_dual_objective(kmat, y, alpha):
@@ -296,6 +296,14 @@ class TestSvmModel:
             assert a.machines[label].bias == b.machines[label].bias
 
 
+def dnn_fit(x, y, train_cfg, hidden):
+    """The DNN back end `fit_classifier` builds, each frame given as a
+    one-frame segment."""
+    cfg = RunConfig(classifier="dnn", dnn_hidden=hidden,
+                    target_train=train_cfg)
+    return fit_classifier(cfg, list(x[:, None, :]), y.tolist())
+
+
 class TestDnnClassifier:
     def test_separable_four_classes(self):
         rng = np.random.default_rng(9)
@@ -304,7 +312,7 @@ class TestDnnClassifier:
         y = np.repeat(np.arange(4), 50)
         cfg = TrainConfig(lr0=0.3, weight_decay=0.0, max_epochs_per_stage=60,
                           seed=0)
-        net, report = dnn_classifier_fit(x, y, cfg, hidden=(16, 16, 8))
+        net = dnn_fit(x, y, cfg, hidden=(16, 16, 8))
         pred = np.argmax(dnn_score_matrix(net, x), axis=1)
         assert np.mean(pred == y) > 0.95
 
@@ -313,7 +321,7 @@ class TestDnnClassifier:
         x = rng.standard_normal((30, 2))
         y = (x[:, 0] > 0).astype(int)
         cfg = TrainConfig(max_epochs_per_stage=2, seed=0)
-        net, _ = dnn_classifier_fit(x, y, cfg, hidden=(4, 4, 4))
+        net = dnn_fit(x, y, cfg, hidden=(4, 4, 4))
         out = dnn_score_matrix(net, x)
         assert np.max(np.abs(np.exp(out).sum(axis=1) - 1.0)) <= 1e-9
 
@@ -330,8 +338,8 @@ class TestDnnClassifier:
         x = rng.standard_normal((40, 2))
         y = (x[:, 1] > 0).astype(int)
         cfg = TrainConfig(max_epochs_per_stage=5, seed=4)
-        a, _ = dnn_classifier_fit(x, y, cfg, hidden=(4, 4, 4))
-        b, _ = dnn_classifier_fit(x, y, cfg, hidden=(4, 4, 4))
+        a = dnn_fit(x, y, cfg, hidden=(4, 4, 4))
+        b = dnn_fit(x, y, cfg, hidden=(4, 4, 4))
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.w, lb.w)
 

@@ -192,8 +192,3 @@ class TestNormalization:
         b = FeatureMatrix(np.zeros((2, 4)))
         with pytest.raises(AecError, match="dims 4 != 3"):
             fit_norm_stats([a, b])
-
-    def test_refuses_eval_frames(self):
-        fm = FeatureMatrix(np.zeros((2, 3)), split="eval")
-        with pytest.raises(AecError, match="evaluation frames"):
-            fit_norm_stats([fm])

@@ -12,7 +12,7 @@ import pytest
 from aecfeat.audio import AudioSegment, read_wav, write_wav
 from aecfeat.classifiers import svm_fit
 from aecfeat.errors import AecError, StageError
-from aecfeat.frontend import FrontendConfig, NormStats
+from aecfeat.frontend import FeatureMatrix, FrontendConfig, NormStats
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import Network, TrainConfig, init_mlp
 from aecfeat.pipeline import RunConfig, default_svm_grid, run_pipeline
@@ -603,6 +603,25 @@ class TestCli:
         assert "stage 'extract' failed: no target eval entries" in err
         assert not (tmp_path / "out" / "features_eval.npz").exists()
 
+    @pytest.mark.parametrize("variant", ["B", "C"])
+    def test_train_source_refuses_source_eval_entries(self, tiny_corpus,
+                                                      tmp_path, capsys,
+                                                      variant):
+        # normalization pools source and target-train frames, never eval
+        _, manifest = tiny_corpus
+        entries = list(manifest.entries)
+        first = next(i for i, e in enumerate(entries) if e.domain == "source")
+        entries[first] = replace(entries[first], split="eval")
+        save_manifest(Manifest(entries), tmp_path / "source_eval.csv")
+        codes = run_staged(tiny_config(tmp_path / "out", variant),
+                           tmp_path / "source_eval.csv", tmp_path / "cfg.json",
+                           chain=STAGED_CHAIN[:1])
+        assert codes == [2]
+        err = capsys.readouterr().err
+        assert ("stage 'train-source' failed: refusing to fit normalization "
+                "on evaluation frames") in err
+        assert not (tmp_path / "out" / "norm_stats.aecf").exists()
+
     def test_relative_out_writes_loadable_manifests(self, tmp_path,
                                                     monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -897,8 +916,8 @@ class TestParallelExtract:
         filt = pl._load(cfg, "filter", Network, stats)
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            return [extract(filt, pl._norm_and_splice(
-                        pl.frontend_features(cfg, [e]), stats, cfg)[0]).values
+            return [extract(filt, FeatureMatrix(pl._norm_and_splice(
+                        pl.frontend_features(cfg, [e]), stats, cfg)[0])).values
                     for e in entries]
 
     # buffers of 64 and 128 rows fill several times and cut the 65-, 92-

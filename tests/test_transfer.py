@@ -253,9 +253,13 @@ class TestExtract:
         einsum = extract(filt, fm).values
         assert np.abs(gemm - einsum).max() <= 1e-12
 
-    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3, 4, 5, 6}],
-                             ids=["1-cpu", "7-cpus"])
-    def test_cpu_count_does_not_change_taps(self, monkeypatch, cpus):
+    @pytest.mark.parametrize("cpus, kernel", [
+        ({0}, "default"), ({0, 1, 2, 3, 4, 5, 6}, "default"),
+        ({0}, "einsum"), ({0, 1, 2, 3, 4, 5, 6}, "einsum")],
+        ids=["1-cpu", "7-cpus", "1-cpu-einsum", "7-cpus-einsum"])
+    def test_cpu_count_does_not_change_taps(self, monkeypatch, cpus, kernel):
+        if kernel == "einsum":
+            monkeypatch.setattr(transfer, "_OPENBLAS", None)
         filt = e2e_filter()
         x = np.random.default_rng(6).standard_normal((1000, 768))
         serial = np.vstack([extract(filt, FeatureMatrix(x[i:i + 64])).values
