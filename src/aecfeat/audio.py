@@ -1,14 +1,14 @@
 """Audio segment container, strict WAV I/O, and augmentation (noise mixing,
 reverberation).
 
-All segments are 16 kHz mono, amplitudes in [-1, 1]. Anything else is
-rejected at ingestion with an error naming the offending property.
+All segments are 16 kHz mono. A segment's samples must be finite, and
+`read_wav` accepts only 16-bit mono 16 kHz PCM files; anything else is
+rejected with an error naming the offending property.
 """
 
 import logging
 import wave
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,16 +21,10 @@ SAMPLE_RATE = 16000
 
 @dataclass
 class AudioSegment:
-    samples: np.ndarray  # float64, in [-1, 1]
-    sample_rate: int = SAMPLE_RATE
-    label: Optional[str] = None
+    samples: np.ndarray  # float64 at SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate != SAMPLE_RATE:
-            raise AecError(
-                f"sample_rate must be {SAMPLE_RATE}, got {self.sample_rate}"
-            )
         if not np.all(np.isfinite(self.samples)):
             raise AecError("segment contains non-finite samples")
 
@@ -39,10 +33,10 @@ class AudioSegment:
 
     @property
     def duration_s(self):
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
 
-def read_wav(path, label=None):
+def read_wav(path):
     """Read a RIFF PCM wav file: 16-bit little-endian, mono, 16000 Hz."""
     try:
         f = wave.open(str(path), "rb")
@@ -62,7 +56,7 @@ def read_wav(path, label=None):
         raw = f.readframes(f.getnframes())
     pcm = np.frombuffer(raw, dtype="<i2")
     samples = pcm.astype(np.float64) / 32768.0
-    return AudioSegment(samples, SAMPLE_RATE, label=label)
+    return AudioSegment(samples)
 
 
 def write_wav(path, segment):
@@ -107,7 +101,7 @@ def mix_noise(signal, noise, snr_db, seed=0):
     if n_clip:
         logger.warning("mix_noise clipped %d samples (snr=%g dB)", n_clip, snr_db)
         mixed = np.clip(mixed, -1.0, 1.0)
-    return AudioSegment(mixed, SAMPLE_RATE, label=signal.label)
+    return AudioSegment(mixed)
 
 
 def convolve_rir(signal, rir):
@@ -120,15 +114,15 @@ def convolve_rir(signal, rir):
     peak = np.max(np.abs(out))
     if peak > 1.0:
         out = out / peak
-    return AudioSegment(out, SAMPLE_RATE, label=signal.label)
+    return AudioSegment(out)
 
 
-def decay_envelope(rt60_s, n_samples, sample_rate=SAMPLE_RATE):
+def decay_envelope(rt60_s, n_samples):
     """Amplitude envelope whose energy falls by 60 dB at rt60_s seconds.
 
     env(t) = 10^(-3 t / rt60), so 20*log10(env(rt60)) = -60 dB.
     """
-    t = np.arange(n_samples) / sample_rate
+    t = np.arange(n_samples) / SAMPLE_RATE
     return 10.0 ** (-3.0 * t / rt60_s)
 
 

@@ -15,6 +15,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AecError
 
@@ -26,7 +27,8 @@ MODE_DIMS = {
 }
 
 FRAME_LEN = 1024
-STD_FLOOR = 1e-8
+# exact in float32, so a floored std survives the float32 artifacts
+STD_FLOOR = float(np.float32(1e-8))
 
 
 @dataclass
@@ -47,12 +49,8 @@ class FrontendConfig:
             raise AecError(f"splice_context must be odd in 1..7, got {self.splice_context}")
 
     @property
-    def frame_dims(self):
-        return MODE_DIMS[self.input_mode]
-
-    @property
     def dims(self):
-        return self.frame_dims * self.splice_context
+        return MODE_DIMS[self.input_mode] * self.splice_context
 
     def fingerprint(self):
         text = (f"{FRAME_LEN},{self.hop},{self.window},"
@@ -100,12 +98,6 @@ class NormStats:
         return h.hexdigest()[:16]
 
 
-def _window(cfg):
-    if cfg.window == "hamming":
-        return np.hamming(FRAME_LEN)
-    return np.ones(FRAME_LEN)
-
-
 def frame_signal(segment, cfg):
     """Slice a segment into overlapping windowed frames.
 
@@ -115,9 +107,8 @@ def frame_signal(segment, cfg):
     n = len(segment)
     if n < FRAME_LEN:
         raise AecError(f"segment has {n} samples, need at least {FRAME_LEN}")
-    n_frames = (n - FRAME_LEN) // cfg.hop + 1
-    idx = cfg.hop * np.arange(n_frames)[:, None] + np.arange(FRAME_LEN)[None, :]
-    return segment.samples[idx] * _window(cfg)[None, :]
+    window = np.hamming(FRAME_LEN) if cfg.window == "hamming" else np.ones(FRAME_LEN)
+    return sliding_window_view(segment.samples, FRAME_LEN)[::cfg.hop] * window
 
 
 def dft_half_spectrum(frames):
@@ -156,16 +147,10 @@ def splice(fm, context):
         raise AecError(f"context must be odd in 1..7, got {context}")
     if fm.rows < 1:
         raise AecError("no frames to splice")
-    if context == 1:
-        out = fm.values.copy()
-    else:
-        half = (context - 1) // 2
-        cols = []
-        for off in range(-half, half + 1):
-            idx = np.clip(np.arange(fm.rows) + off, 0, fm.rows - 1)
-            cols.append(fm.values[idx])
-        out = np.hstack(cols)
-    return FeatureMatrix(out)
+    half = context // 2
+    padded = np.pad(fm.values, ((half, half), (0, 0)), mode="edge")
+    return FeatureMatrix(np.hstack([padded[off:off + fm.rows]
+                                    for off in range(context)]))
 
 
 def fit_norm_stats(matrices):

@@ -7,7 +7,8 @@ import zlib
 
 import numpy as np
 
-from .audio import AudioSegment, convolve_rir, mix_noise, read_wav, synth_rir, write_wav
+from .audio import (SAMPLE_RATE, AudioSegment, convolve_rir, mix_noise,
+                    read_wav, synth_rir, write_wav)
 from .errors import AecError
 from .manifest import Manifest, ManifestEntry
 
@@ -38,7 +39,7 @@ def prepare_source(manifest, out_dir, target_seconds=800.0, rir=None, seed=0):
     out_entries = [e for e in manifest.entries if e.domain != "source"]
 
     for label, entries in sorted(_class_groups(source_entries).items()):
-        segs = [read_wav(e.wav_path, label=label) for e in entries]
+        segs = [read_wav(e.wav_path) for e in entries]
         total = sum(s.duration_s for s in segs)
         if total >= target_seconds:
             kept = 0.0
@@ -50,12 +51,11 @@ def prepare_source(manifest, out_dir, target_seconds=800.0, rir=None, seed=0):
                     out_entries.append(e)
                     kept += seg.duration_s
                 else:
-                    n = int(remaining * seg.sample_rate)
+                    n = int(remaining * SAMPLE_RATE)
                     if n < 1:
                         break
                     start = int(rng.integers(0, len(seg) - n + 1))
-                    cut = AudioSegment(seg.samples[start : start + n],
-                                       label=label)
+                    cut = AudioSegment(seg.samples[start : start + n])
                     path = os.path.join(out_dir, f"{label}_cut_{kept:.0f}.wav")
                     write_wav(path, cut)
                     out_entries.append(ManifestEntry(path, label, e.domain,
@@ -96,7 +96,7 @@ def prepare_conditions(manifest, noise_paths, out_dir, snrs=(5, 10, 15), seed=0)
         for snr in snrs:
             tag = f"{noise_name}_{snr:g}dB"
             for i, e in enumerate(eval_entries):
-                seg = read_wav(e.wav_path, label=e.label)
+                seg = read_wav(e.wav_path)
                 if len(noise) < len(seg):
                     raise AecError(
                         f"noise {noise_name} ({len(noise)} samples) shorter "

@@ -98,9 +98,7 @@ def build_filter(composite, variant):
     return trunk
 
 
-# the thread count that the first pin saved, and how many pins are held
 _pin_lock = threading.Lock()
-_pin = {"depth": 0, "saved": None}
 
 
 @contextlib.contextmanager
@@ -108,25 +106,20 @@ def _one_blas_thread():
     """Run the block with numpy's bundled OpenBLAS on one thread and
     restore its count after; without that library, do nothing.
 
-    The count is process-global, so the pin is counted: the first thread
-    in saves the count and sets 1, the last one out restores it, and no
-    thread's GEMM sees the count change while it runs."""
+    The count is process-global, so one lock is held for the whole block:
+    concurrent callers take turns, each restores the count it found, and
+    no thread's GEMM sees the count change while it runs."""
     lib = _OPENBLAS
     if lib is None:
         yield
         return
     with _pin_lock:
-        if _pin["depth"] == 0:
-            _pin["saved"] = lib.scipy_openblas_get_num_threads64_()
-            lib.scipy_openblas_set_num_threads64_(1)
-        _pin["depth"] += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin["depth"] -= 1
-            if _pin["depth"] == 0:
-                lib.scipy_openblas_set_num_threads64_(_pin["saved"])
+        saved = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(1)
+        try:
+            yield
+        finally:
+            lib.scipy_openblas_set_num_threads64_(saved)
 
 
 def _cpu_count():
@@ -152,8 +145,8 @@ def _stable_forward(net, x):
     buffer a worker writes is allocated here, before the workers start:
     glibc keeps what a thread allocates in that thread's malloc arena,
     where later stages on the main thread cannot reuse it. The BLAS thread
-    count is process-global; it is pinned while any thread is in this
-    call and restored when the last one leaves, even if it raises. The
+    count is process-global; calls take turns holding one lock that pins
+    it and restores it on leaving, even if the call raises. The
     weights are cast with `copy=False`, so the float64 filter that
     `load_model` returns is not copied.
     """

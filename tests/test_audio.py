@@ -13,13 +13,20 @@ from aecfeat.audio import (
 from aecfeat.errors import AecError
 
 
-def seg(samples, label=None):
-    return AudioSegment(np.asarray(samples, dtype=np.float64), label=label)
+def seg(samples):
+    return AudioSegment(np.asarray(samples, dtype=np.float64))
 
 
 def measured_snr_db(mixed, clean):
     noise_part = mixed.samples - clean.samples
     return 10.0 * np.log10(np.mean(clean.samples ** 2) / np.mean(noise_part ** 2))
+
+
+class TestSegment:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(AecError, match="non-finite samples"):
+            seg([0.0, bad, 0.5])
 
 
 class TestWavIO:
@@ -133,7 +140,7 @@ class TestRir:
             convolve_rir(seg(np.ones(10)), [])
 
     def test_decay_envelope_hits_minus_60db_at_rt60(self):
-        env = decay_envelope(0.7, 11201, 16000)
+        env = decay_envelope(0.7, 11201)
         db = 20.0 * np.log10(env[11200] / env[0])
         assert db == pytest.approx(-60.0, abs=0.5)
 

@@ -56,6 +56,16 @@ class TestFraming:
         frames = frame_signal(seg(np.ones(1024)), cfg)
         assert np.allclose(frames[0], np.hamming(1024))
 
+    @pytest.mark.parametrize("window", ["hamming", "rectangular"])
+    @pytest.mark.parametrize("hop", [1, 300, 512, 1024])
+    def test_rows_are_windowed_slices(self, hop, window):
+        samples = np.linspace(-0.9, 0.9, 5000)  # a ramp: every sample differs
+        frames = frame_signal(seg(samples), FrontendConfig(hop=hop, window=window))
+        w = np.hamming(1024) if window == "hamming" else np.ones(1024)
+        assert frames.shape == ((5000 - 1024) // hop + 1, 1024)
+        for i, row in enumerate(frames):
+            assert np.array_equal(row, samples[i * hop:i * hop + 1024] * w)
+
 
 class TestDftMagnitude:
     def test_zero_frame(self):
@@ -146,6 +156,18 @@ class TestSplice:
         assert np.array_equal(out.values[0], np.concatenate([f0, f0, f1]))
         f2, f3 = fm.values[2], fm.values[3]
         assert np.array_equal(out.values[-1], np.concatenate([f2, f3, f3]))
+
+    @pytest.mark.parametrize("rows", [1, 2, 9])
+    @pytest.mark.parametrize("context", [1, 3, 5, 7])
+    def test_matches_clipped_index_reference(self, context, rows):
+        values = np.random.default_rng(7).standard_normal((rows, 4))
+        half = context // 2
+        reference = np.array([
+            np.concatenate([values[min(max(i + off, 0), rows - 1)]
+                            for off in range(-half, half + 1)])
+            for i in range(rows)])
+        out = splice(FeatureMatrix(values), context)
+        assert np.array_equal(out.values, reference)
 
     def test_bad_context(self):
         fm = FeatureMatrix(np.zeros((3, 2)))

@@ -184,11 +184,15 @@ class TestSerialize:
         assert np.array_equal(loaded.std, as_f32(stats.std))
 
     def test_norm_stats_and_transforms(self, tmp_path):
-        fm = FeatureMatrix(np.random.default_rng(1).standard_normal((50, 4)))
-        stats = fit_norm_stats([fm])
-        save_model(tmp_path / "n.aecf", stats)
-        loaded = load_model(tmp_path / "n.aecf")
-        assert np.array_equal(loaded.mean, as_f32(stats.mean))
+        values = np.random.default_rng(1).standard_normal((50, 4))
+        constant = values.copy()
+        constant[:, 2] = 0.0  # its std is floored, as for DFT bin 0's imag
+        for v in (values, constant):
+            stats = fit_norm_stats([FeatureMatrix(v)])
+            save_model(tmp_path / "n.aecf", stats)
+            loaded = load_model(tmp_path / "n.aecf")
+            assert np.array_equal(loaded.mean, as_f32(stats.mean))
+            assert np.array_equal(loaded.std, as_f32(stats.std))
 
         spec = DctSpec(n_points=16, n_keep=8)
         save_model(tmp_path / "d.aecf", spec)

@@ -12,7 +12,7 @@ import pytest
 from aecfeat.audio import AudioSegment, read_wav, write_wav
 from aecfeat.classifiers import svm_fit
 from aecfeat.errors import AecError, StageError
-from aecfeat.frontend import FeatureMatrix, FrontendConfig, NormStats
+from aecfeat.frontend import MODE_DIMS, FeatureMatrix, FrontendConfig, NormStats
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import Network, TrainConfig, init_mlp
 from aecfeat.pipeline import RunConfig, default_svm_grid, run_pipeline
@@ -516,6 +516,15 @@ class TestRunPipeline:
                                      manifest)
         assert "source_model" not in paths
         assert report.variant == "B"
+
+    @pytest.mark.parametrize("mode", sorted(MODE_DIMS))
+    def test_every_input_mode_runs(self, tiny_corpus, tmp_path, mode):
+        # dft_real_imag and concat hold DFT bin 0's imaginary part, which is
+        # always 0, so its std is floored and must survive the float32 file
+        cfg = replace(tiny_config(tmp_path / mode, variant="B"),
+                      frontend=FrontendConfig(input_mode=mode))
+        report, _ = run_pipeline(cfg, tiny_corpus[1])
+        assert report.conditions == ["clean"]
 
     def test_gmm_backend(self, tiny_corpus, tmp_path):
         _, manifest = tiny_corpus

@@ -7,7 +7,7 @@ import pytest
 
 from aecfeat import transfer
 from aecfeat.errors import AecError
-from aecfeat.frontend import FeatureMatrix
+from aecfeat.frontend import FeatureMatrix, FrontendConfig
 from aecfeat.network import Layer, Network, TrainConfig, init_mlp, predict, train
 from aecfeat.transfer import adapt, build_filter, extract, strip_output
 
@@ -35,11 +35,15 @@ def adapted(tl_widths=(8, 6), n_classes=4, epochs=0, seed=0):
     return comp, x
 
 
+# the acceptance config's filter input: 512 dft_mag bins spliced by 3
+E2E_DIMS = FrontendConfig(input_mode="dft_mag", splice_context=3).dims
+
+
 def e2e_filter():
-    """A variant-C filter at the acceptance config's widths (768 spliced
-    inputs, SL#1-3 256, TL#1 128, TL#2 150)."""
-    return build_filter(init_mlp(768, (256, 256, 256, 128, 150), 4, seed=0),
-                        "C")
+    """A variant-C filter at the acceptance config's widths (E2E_DIMS
+    spliced inputs, SL#1-3 256, TL#1 128, TL#2 150)."""
+    return build_filter(init_mlp(E2E_DIMS, (256, 256, 256, 128, 150), 4,
+                                 seed=0), "C")
 
 
 @pytest.fixture
@@ -235,7 +239,7 @@ class TestExtract:
         if kernel == "einsum":
             monkeypatch.setattr(transfer, "_OPENBLAS", None)
         filt = e2e_filter()
-        x = np.random.default_rng(2).standard_normal((200, 768))
+        x = np.random.default_rng(2).standard_normal((200, E2E_DIMS))
         full = extract(filt, FeatureMatrix(x)).values
         one_at_a_time = np.vstack([extract(filt, FeatureMatrix(x[i:i + 1])).values
                                    for i in range(len(x))])
@@ -247,7 +251,7 @@ class TestExtract:
 
     def test_einsum_fallback_agrees_with_gemm(self, monkeypatch):
         filt = e2e_filter()
-        fm = FeatureMatrix(np.random.default_rng(3).standard_normal((200, 768)))
+        fm = FeatureMatrix(np.random.default_rng(3).standard_normal((200, E2E_DIMS)))
         gemm = extract(filt, fm).values
         monkeypatch.setattr(transfer, "_OPENBLAS", None)
         einsum = extract(filt, fm).values
@@ -261,7 +265,7 @@ class TestExtract:
         if kernel == "einsum":
             monkeypatch.setattr(transfer, "_OPENBLAS", None)
         filt = e2e_filter()
-        x = np.random.default_rng(6).standard_normal((1000, 768))
+        x = np.random.default_rng(6).standard_normal((1000, E2E_DIMS))
         serial = np.vstack([extract(filt, FeatureMatrix(x[i:i + 64])).values
                             for i in range(0, len(x), 64)])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
@@ -273,13 +277,13 @@ class TestExtract:
         threads = threading.active_count()
         blas_threads.scipy_openblas_set_num_threads64_(2)
         filt = e2e_filter()
-        extract(filt, FeatureMatrix(np.zeros((70, 768))))
+        extract(filt, FeatureMatrix(np.zeros((70, E2E_DIMS))))
         assert blas_threads.scipy_openblas_get_num_threads64_() == 2
         # TL#1 expects 256 inputs; 255 make the GEMM raise inside the pin
         tl1 = filt.layers[3]
         filt.layers[3] = Layer(tl1.w[:, :255], tl1.b, tl1.activation)
         with pytest.raises(ValueError):
-            extract(filt, FeatureMatrix(np.zeros((70, 768))))
+            extract(filt, FeatureMatrix(np.zeros((70, E2E_DIMS))))
         assert blas_threads.scipy_openblas_get_num_threads64_() == 2
         assert threading.active_count() == threads
 
@@ -291,7 +295,7 @@ class TestExtract:
         # threads, more than most test machines have cores
         blas_threads.scipy_openblas_set_num_threads64_(2)
         filt = e2e_filter()
-        xs = [np.random.default_rng(s).standard_normal((384, 768))
+        xs = [np.random.default_rng(s).standard_normal((384, E2E_DIMS))
               for s in range(4)]
         serial = [extract(filt, FeatureMatrix(x)).values for x in xs]
         nets = [filt] * 4
