@@ -5,7 +5,8 @@ Every subcommand reads a JSON config mirroring RunConfig (--config), takes
 on failure. Each staged subcommand calls one stage function of `pipeline`,
 which loads its inputs from the output directory (*.aecf models,
 features_*.npz) and stores its outputs there, and prints what it wrote;
-`run` runs every stage in order through `pipeline.run_pipeline`.
+`run` runs every stage in order through `pipeline.run_pipeline`. `report`
+prints a saved report.json as `evaluate` printed it.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from .errors import StageError
 from .manifest import load_manifest, save_manifest
 from .pipeline import RunConfig
 from .prepare import prepare_conditions, prepare_source
-from .report import render_report, render_table
+from .report import EvalReport, render_report
 from .synthetic import generate_dataset, generate_noise_wav
 
 
@@ -110,9 +111,10 @@ def cmd_report(args, cfg):
     path = args.report or os.path.join(cfg.out_dir, "report.json")
     with open(path, encoding="utf-8") as f:
         d = json.load(f)
-    rows = {d.get("variant") or "result":
-            [d["condition_accuracy"][c] for c in d["conditions"]]}
-    print(render_table(rows, d["conditions"]))
+    print(render_report(EvalReport(conditions=d["conditions"],
+                                   classes=d["classes"],
+                                   confusion=d["confusion"],
+                                   variant=d["variant"])))
 
 
 def cmd_cross_validate(args, cfg):

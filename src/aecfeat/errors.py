@@ -1,10 +1,18 @@
-"""The package's two error types.
+"""The package's two error types, and the type check every config runs
+when it is built.
 
 Every failure the package detects raises `AecError`, a `ValueError` whose
 message names the bad value, file or line. `StageError` wraps a failure
 with the name of the pipeline stage it occurred in; the CLI prints it and
 exits with code 2.
 """
+
+from dataclasses import fields
+from typing import Union, get_args, get_origin, get_type_hints
+
+# annotation -> the types it admits, all of which the config fingerprint's
+# JSON encodes; a bool is neither
+_NUMBER_TYPES = {int: int, float: (int, float)}
 
 
 class AecError(ValueError):
@@ -18,3 +26,34 @@ class StageError(AecError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def _is_number(value, kind):
+    return isinstance(value, _NUMBER_TYPES[kind]) and not isinstance(value, bool)
+
+
+def check_field_types(config):
+    """Raise an AecError naming the first field of the dataclass `config`
+    whose value does not fit its annotation: `int` needs an int and
+    `float` an int or a float, neither a bool; `Tuple[int, ...]` needs a
+    tuple or list of such ints, and `Optional[...]` also admits None.
+    Fields of any other type are left to the config's own checks."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        hint, value = hints[f.name], getattr(config, f.name)
+        if get_origin(hint) is Union:  # Optional[X]
+            if value is None:
+                continue
+            hint = get_args(hint)[0]
+        if get_origin(hint) is tuple:
+            kind = get_args(hint)[0]
+            ok = (isinstance(value, (tuple, list))
+                  and all(_is_number(v, kind) for v in value))
+            need = f"a sequence of {kind.__name__}"
+        elif hint in _NUMBER_TYPES:
+            ok, need = _is_number(value, hint), hint.__name__
+        else:
+            continue
+        if not ok:
+            raise AecError(f"{type(config).__name__}.{f.name} must be {need}, "
+                           f"got {value!r}")

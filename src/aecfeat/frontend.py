@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AecError
+from .errors import AecError, check_field_types
 
 MODE_DIMS = {
     "dft_mag": 512,
@@ -39,6 +39,7 @@ class FrontendConfig:
     splice_context: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if not (1 <= self.hop <= FRAME_LEN):
             raise AecError(f"need 1 <= hop <= {FRAME_LEN}")
         if self.window not in ("hamming", "rectangular"):

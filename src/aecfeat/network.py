@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 from scipy.special import expit
 
-from .errors import AecError
+from .errors import AecError, check_field_types
 
 
 @dataclass
@@ -73,6 +73,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if not (0.0 <= self.momentum < 1.0):
             raise AecError("momentum must be in [0, 1)")
         if not (0.0 <= self.val_ratio < 1.0):

@@ -6,15 +6,16 @@ directory and stores its outputs there, stamped by the config fingerprint
 and seed; `run_pipeline` runs the stages in that order and the staged CLI
 runs one at a time, so both go through the same stored artifacts. `_load`
 checks each model's type and the source network's and filter's input
-fingerprint. The back end, `cross_validate`'s SVM grid search included,
-works on plain per-segment tap arrays, each projected once at load."""
+fingerprint. A split's taps are stored as one matrix plus per-segment
+frame counts; the back end, `cross_validate` included, gets them as
+per-segment views, projected once at load."""
 
 import hashlib
 import json
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .audio import read_wav
 from .classifiers import (GmmModel, SvmModel, classify_segment,
                           dnn_score_matrix, gmm_fit, gmm_score_matrix,
                           svm_fit, svm_score_matrix)
-from .errors import AecError, StageError
+from .errors import AecError, StageError, check_field_types
 from .frontend import (FeatureMatrix, FrontendConfig, NormStats, apply_norm,
                        fit_norm_stats, make_frontend_features, splice)
 from .network import Network, TrainConfig, init_mlp, train
@@ -39,7 +40,7 @@ EXTRACT_ROWS = 16 * BLOCK_ROWS
 @dataclass
 class RunConfig:
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
-    sl_widths: tuple = (1024, 1024, 1024)
+    sl_widths: Tuple[int, ...] = (1024, 1024, 1024)
     tl1_dim: int = 512
     tl2_dim: int = 150
     source_train: TrainConfig = field(default_factory=TrainConfig)
@@ -51,7 +52,7 @@ class RunConfig:
     svm_c: float = 10.0
     svm_gamma: Optional[float] = None  # None -> 1/feature_dim
     svm_frame_step: int = 1       # train the SVM on every n-th frame
-    dnn_hidden: tuple = (300, 300, 100)
+    dnn_hidden: Tuple[int, ...] = (300, 300, 100)
     variant: str = "C"            # A | B | C
     seed: int = 0
     out_dir: str = "run_out"
@@ -63,6 +64,7 @@ class RunConfig:
             self.source_train = TrainConfig(**self.source_train)
         if isinstance(self.target_train, dict):
             self.target_train = TrainConfig(**self.target_train)
+        check_field_types(self)
         self.sl_widths = tuple(self.sl_widths)
         self.dnn_hidden = tuple(self.dnn_hidden)
         if self.transform not in ("none", "dct", "pca"):
@@ -148,43 +150,48 @@ def _load(cfg, name, kind, stats=None):
 
 
 def _load_features(cfg, split):
-    """(tap arrays, labels, conditions) from features_<split>.npz. Features
-    enter the program here, so this is where segments of another split,
-    label or condition lists of the wrong length and non-finite values are
-    rejected."""
+    """(taps, lengths, labels, conditions) from features_<split>.npz, its
+    one reader: the split's tap matrix in manifest order and each segment's
+    frame count, label and condition. Features enter the program here, so
+    this rejects a file of another split or an earlier layout, counts that
+    disagree and non-finite values."""
     path = artifact_path(cfg, f"features_{split}.npz")
+    keys = ("taps", "lengths", "labels", "conditions", "split")
     with np.load(path, allow_pickle=False) as data:
-        splits = data["__splits__"].tolist()
-        if set(splits) - {split}:
-            raise AecError(f"{path} holds segments of split "
-                           f"{sorted(set(splits) - {split})}, not only {split}")
-        labels = data["__labels__"].tolist()
-        conditions = data["__conditions__"].tolist()
-        if not len(labels) == len(conditions) == len(splits):
-            raise AecError(f"{path} holds {len(splits)} segments but "
-                           f"{len(labels)} labels and {len(conditions)} "
-                           f"conditions")
-        taps = [data[f"seg{i:05d}"] for i in range(len(splits))]
-        if not all(np.isfinite(t).all() for t in taps):
-            raise AecError(f"{path} contains non-finite feature values")
-        return taps, labels, conditions
+        missing = [k for k in keys if k not in data.files]
+        if missing:
+            raise AecError(f"{path} has no {', '.join(missing)}: it was not "
+                           f"written by this version; rerun `extract --split "
+                           f"{split}`")
+        taps, lengths, labels, conditions, file_split = (data[k] for k in keys)
+    if str(file_split) != split:
+        raise AecError(f"{path} holds split {str(file_split)!r}, not {split!r}")
+    if not len(labels) == len(conditions) == len(lengths):
+        raise AecError(f"{path} holds {len(lengths)} segments but "
+                       f"{len(labels)} labels and {len(conditions)} conditions")
+    if (lengths < 1).any() or lengths.sum() != len(taps):
+        raise AecError(f"{path} frame counts must be >= 1 and sum to its "
+                       f"{len(taps)} tap rows; they sum to {lengths.sum()}, "
+                       f"the smallest is {min(lengths, default=0)}")
+    if not np.isfinite(taps).all():
+        raise AecError(f"{path} contains non-finite feature values")
+    return taps, lengths, labels.tolist(), conditions.tolist()
 
 
 def _reduced_features(cfg, split):
-    """`_load_features`, each tap array projected by the stored transform
-    that cfg.transform names."""
-    taps, labels, conditions = _load_features(cfg, split)
-    if cfg.transform == "none":
-        return taps, labels, conditions
-    # built per call, so a function rebound on this module is the one used
-    kind, apply = {"dct": (DctSpec, dct_apply),
-                   "pca": (PcaModel, pca_apply)}[cfg.transform]
-    transform = _load(cfg, "transform", kind)
-    taps = [apply(transform, t) for t in taps]
-    if any(t.shape[1] != cfg.transform_dim for t in taps):
-        raise AecError(f"transform.aecf projects to {taps[0].shape[1]} dims, "
-                       f"not transform_dim {cfg.transform_dim}")
-    return taps, labels, conditions
+    """`_load_features`'s matrix projected by the stored transform that
+    cfg.transform names, as one array per segment, with labels and
+    conditions."""
+    taps, lengths, labels, conditions = _load_features(cfg, split)
+    if cfg.transform != "none":
+        # built per call, so a function rebound on this module is the one used
+        kind, apply = {"dct": (DctSpec, dct_apply),
+                       "pca": (PcaModel, pca_apply)}[cfg.transform]
+        taps = apply(_load(cfg, "transform", kind), taps)
+        if taps.shape[1] != cfg.transform_dim:
+            raise AecError(f"transform.aecf projects to {taps.shape[1]} dims, "
+                           f"not transform_dim {cfg.transform_dim}")
+    return np.split(taps, np.cumsum(lengths))[:-1], labels, conditions
 
 
 def frontend_features(cfg, entries):
@@ -300,50 +307,42 @@ def stage_adapt(cfg, manifest):
     return {"filter": artifact_path(cfg, "filter.aecf")}
 
 
-def _extract_into(filt, rows, pieces):
-    """Extract `rows` and copy each (taps, start, stop, row) piece of the
-    result, rows[row:row + stop - start], to taps[start:stop]."""
-    out = extract(filt, FeatureMatrix(rows)).values
-    for taps, start, stop, row in pieces:
-        taps[start:stop] = out[row:row + stop - start]
-
-
 def stage_extract(cfg, manifest, split):
     """Stage 4: filter taps for every frame of each target segment of
-    `split`, saved losslessly to features_<split>.npz. Segments stream one
-    at a time through frontend, normalization and splicing into a buffer
-    of EXTRACT_ROWS rows, packed across segment boundaries; `extract` runs
-    on every CPU each time the buffer fills, and once on the rows left at
-    the end, so only the split's last block is zero-padded. Only taps are
-    kept, never the split's spliced input. A row's taps depend only on that
-    row, so the file is byte-identical whatever the CPU count and buffer
-    size, to one extracted a segment at a time, and run to run."""
+    `split`, saved losslessly to features_<split>.npz: one tap matrix in
+    manifest order, each segment's frame count, label and condition, and
+    the split. Segments stream one at a time through frontend,
+    normalization and splicing into a buffer of EXTRACT_ROWS rows, packed
+    across segment boundaries; `extract` runs on every CPU each time the
+    buffer fills, and once on the rows left at the end. Only taps are kept,
+    never the split's spliced input. A row's taps depend only on that row,
+    so the file is byte-identical whatever the CPU count and buffer size,
+    to taps extracted a segment at a time, and run to run."""
     entries = manifest.select("target", split)
     if not entries:
         raise AecError(f"no target {split} entries")
     stats = _load(cfg, "norm_stats", NormStats)
     filt = _load(cfg, "filter", Network, stats)
     buffer = np.empty((EXTRACT_ROWS, filt.in_dim))
-    taps, pieces, fill = [], [], 0
+    taps, lengths, fill = [], [], 0
     for e in entries:
         x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)[0]
-        taps.append(np.empty((len(x), filt.out_dim)))
+        lengths.append(len(x))
         start = 0
         while start < len(x):
             m = min(len(buffer) - fill, len(x) - start)
             buffer[fill:fill + m] = x[start:start + m]
-            pieces.append((taps[-1], start, start + m, fill))
             start, fill = start + m, fill + m
             if fill == len(buffer):
-                _extract_into(filt, buffer, pieces)
-                pieces, fill = [], 0
+                taps.append(extract(filt, FeatureMatrix(buffer)).values)
+                fill = 0
     if fill:
-        _extract_into(filt, buffer[:fill], pieces)
+        taps.append(extract(filt, FeatureMatrix(buffer[:fill])).values)
     path = artifact_path(cfg, f"features_{split}.npz")
-    np.savez(path, __labels__=np.array([e.label for e in entries]),
-             __conditions__=np.array([e.condition for e in entries]),
-             __splits__=np.array([e.split for e in entries]),
-             **{f"seg{i:05d}": t for i, t in enumerate(taps)})
+    np.savez(path, taps=np.concatenate(taps), lengths=np.array(lengths),
+             labels=np.array([e.label for e in entries]),
+             conditions=np.array([e.condition for e in entries]),
+             split=np.array(split))
     return {f"features_{split}": path}
 
 
@@ -353,9 +352,9 @@ def stage_fit_transform(cfg):
     if cfg.transform == "none":
         return {}
     if cfg.transform == "dct":
-        transform = DctSpec(n_points=taps[0].shape[1], n_keep=cfg.transform_dim)
+        transform = DctSpec(n_points=taps.shape[1], n_keep=cfg.transform_dim)
     else:
-        transform = pca_fit(np.vstack(taps), out_dim=cfg.transform_dim)
+        transform = pca_fit(taps, out_dim=cfg.transform_dim)
     store(cfg, "transform", transform)
     return {"transform": artifact_path(cfg, "transform.aecf")}
 
@@ -371,8 +370,7 @@ def stage_evaluate(cfg):
     """Stage 7: the per-condition report, written to report.json and
     report.txt. Returns the report."""
     taps, labels, conditions = _reduced_features(cfg, "eval")
-    with np.load(artifact_path(cfg, "features_train.npz")) as data:
-        classes = sorted(set(data["__labels__"].tolist()))
+    classes = sorted(set(_load_features(cfg, "train")[2]))
     clf = _load(cfg, "classifier", {"gmm": GmmModel, "svm": SvmModel,
                                     "dnn": Network}[cfg.classifier])
     report = evaluate(cfg, clf, taps, labels, conditions, classes)

@@ -3,7 +3,7 @@ import os
 import shutil
 import threading
 import types
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +429,16 @@ def run_staged(cfg, manifest_path, cfg_path, chain=STAGED_CHAIN):
             for argv in chain]
 
 
+def save_features(path, segments, labels, split="train"):
+    """A features file in the layout `stage_extract` writes, from one tap
+    array per segment, every segment in condition "clean"."""
+    np.savez(path, taps=np.vstack(segments),
+             lengths=np.array([len(t) for t in segments]),
+             labels=np.array(labels),
+             conditions=np.array(["clean"] * len(labels)),
+             split=np.array(split))
+
+
 @pytest.fixture(scope="module")
 def staged_out(tiny_corpus, tmp_path_factory):
     """The output directory of the whole staged chain at `tiny_config`;
@@ -469,6 +479,37 @@ class TestRunConfigValidation:
     def test_variant_b_needs_no_source_layers(self):
         # B trains its stack on target data only; no source head is cut off
         RunConfig(sl_widths=(), variant="B")
+
+    NUMERIC_FIELDS = {  # config -> (int fields, float fields, int sequences)
+        FrontendConfig: (("hop", "splice_context"), (), ()),
+        TrainConfig: (("batch_size", "patience_epochs", "n_lr_stages",
+                       "max_epochs_per_stage", "seed"),
+                      ("lr0", "momentum", "weight_decay", "val_ratio",
+                       "min_rel_improve"), ()),
+        RunConfig: (("tl1_dim", "tl2_dim", "transform_dim", "gmm_k",
+                     "svm_frame_step", "seed"), ("svm_c", "svm_gamma"),
+                    ("sl_widths", "dnn_hidden"))}
+
+    @pytest.mark.parametrize("config", list(NUMERIC_FIELDS),
+                             ids=lambda c: c.__name__)
+    def test_numeric_field_of_wrong_type_rejected(self, config):
+        ints, floats, sequences = self.NUMERIC_FIELDS[config]
+        # the table covers every field with a number or tuple default
+        assert set(ints + floats + sequences) == {
+            f.name for f in fields(config)
+            if f.name == "svm_gamma"
+            or type(f.default) in (int, float, tuple)}
+        cases = ([(n, v) for n in ints for v in (2.5, 3.0, True, "3", None)]
+                 + [(n, v) for n in floats for v in (True, "0.5", [0.5])]
+                 + [(n, v) for n in sequences
+                    for v in ((8, 2.5), (8, True), ("8",), 8)]
+                 + [(n, None) for n in floats if n != "svm_gamma"])
+        for name, value in cases:
+            with pytest.raises(AecError, match=rf"{config.__name__}\.{name} "
+                                               rf"must be"):
+                config(**{name: value})
+        # an int is a real number
+        config(**{n: 1 for n in floats if n not in ("momentum", "val_ratio")})
 
 
 class TestRunPipeline:
@@ -660,7 +701,9 @@ class TestCli:
         {"svm_c": 0}, {"sl_widths": []},
         {"target_train": {"batch_size": 0}},
         {"target_train": {"n_lr_stages": 0}},
-        {"source_train": {"val_ratio": -0.5}}])
+        {"source_train": {"val_ratio": -0.5}},
+        {"svm_frame_step": 2.5}, {"frontend": {"hop": 256.5}},
+        {"target_train": {"batch_size": 12.5}}])
     def test_invalid_config_exits_before_any_artifact(self, tiny_corpus,
                                                       tmp_path, capsys, bad):
         root, _ = tiny_corpus
@@ -681,10 +724,8 @@ class TestCli:
         out.mkdir()
         taps = np.ones((4, 10))
         taps[2, 3] = np.nan
-        np.savez(out / "features_train.npz", __labels__=np.array(["a", "b"]),
-                 __conditions__=np.array(["clean", "clean"]),
-                 __splits__=np.array(["train", "train"]),
-                 seg00000=np.zeros((4, 10)), seg00001=taps)
+        save_features(out / "features_train.npz", [np.zeros((4, 10)), taps],
+                      ["a", "b"])
         cfg = tiny_config(out)
         cfg.transform = "none"
         cfg_path = tmp_path / "cfg.json"
@@ -733,18 +774,18 @@ class TestCli:
         with np.load(path) as data:
             arrays = dict(data)
         other = "train" if split == "eval" else "eval"
-        arrays["__splits__"] = np.array([other, *arrays["__splits__"][1:]])
+        arrays["split"] = np.array(other)
         np.savez(path, **arrays)
         assert run_staged(tiny_config(out), None, tmp_path / "cfg.json",
                           chain=[stage]) == [2]
         err = capsys.readouterr().err
         assert f"stage '{stage[0]}'" in err and str(path) in err
-        assert f"['{other}'], not only {split}" in err
+        assert f"holds split '{other}', not '{split}'" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("split,stage", [
         ("eval", "evaluate"), ("train", "fit-classifier")])
-    @pytest.mark.parametrize("field", ["__labels__", "__conditions__"])
+    @pytest.mark.parametrize("field", ["labels", "conditions"])
     def test_label_count_mismatch_is_rejected_at_load(self, staged_out,
                                                       tmp_path, capsys,
                                                       split, stage, field):
@@ -753,7 +794,7 @@ class TestCli:
         path = out / f"features_{split}.npz"
         with np.load(path) as data:
             arrays = dict(data)
-        n = len(arrays["__splits__"])
+        n = len(arrays["lengths"])
         arrays[field] = arrays[field][:-1]
         np.savez(path, **arrays)
         assert run_staged(tiny_config(out), None, tmp_path / "cfg.json",
@@ -765,16 +806,63 @@ class TestCli:
         for name in ("classifier.aecf", "report.json"):
             assert (out / name).read_bytes() == (staged_out / name).read_bytes()
 
+    @pytest.mark.parametrize("split,stage", [
+        ("eval", "evaluate"), ("train", "fit-classifier"),
+        ("train", "evaluate")])
+    @pytest.mark.parametrize("damage", ["fewer-rows", "more-rows",
+                                        "empty-segment", "old-layout"])
+    def test_damaged_features_file_is_rejected_at_load(self, staged_out,
+                                                       tmp_path, capsys,
+                                                       split, stage, damage):
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        path = out / f"features_{split}.npz"
+        with np.load(path) as data:
+            arrays = dict(data)
+        lengths = arrays["lengths"]
+        if damage == "fewer-rows":
+            lengths[-1] -= 1
+        elif damage == "more-rows":
+            lengths[-1] += 1
+        elif damage == "empty-segment":  # same total, one segment of 0
+            lengths[1] += lengths[0]
+            lengths[0] = 0
+        else:  # one array per segment, as written before the tap matrix
+            segments = np.split(arrays["taps"], np.cumsum(lengths)[:-1])
+            arrays = {"__labels__": arrays["labels"],
+                      "__conditions__": arrays["conditions"],
+                      "__splits__": np.array([split] * len(lengths)),
+                      **{f"seg{i:05d}": t for i, t in enumerate(segments)}}
+        np.savez(path, **arrays)
+        assert run_staged(tiny_config(out), None, tmp_path / "cfg.json",
+                          chain=[[stage]]) == [2]
+        err = capsys.readouterr().err
+        assert f"stage '{stage}'" in err and str(path) in err
+        assert (f"rerun `extract --split {split}`" if damage == "old-layout"
+                else "frame counts must be >= 1 and sum to") in err
+        assert "Traceback" not in err
+        for name in ("classifier.aecf", "report.json"):
+            assert (out / name).read_bytes() == (staged_out / name).read_bytes()
+
+    def test_report_prints_what_evaluate_printed(self, staged_out, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        printed = []
+        for stage in ("evaluate", "report"):
+            assert run_staged(tiny_config(out), None, tmp_path / "cfg.json",
+                              chain=[[stage]]) == [0]
+            printed.append(capsys.readouterr().out)
+        assert printed[0].startswith("Average classification rate")
+        assert printed[1] == printed[0]
+
     def test_cross_validate_needs_two_folds(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
         rng = np.random.default_rng(0)
-        np.savez(out / "features_train.npz",
-                 __labels__=np.array(["a", "b", "a", "b"]),
-                 __conditions__=np.array(["clean"] * 4),
-                 __splits__=np.array(["train"] * 4),
-                 **{f"seg{i:05d}": rng.standard_normal((4, 10))
-                    for i in range(4)})
+        save_features(out / "features_train.npz",
+                      [rng.standard_normal((4, 10)) for _ in range(4)],
+                      ["a", "b", "a", "b"])
         cfg = tiny_config(out)
         cfg.transform = "none"
         cfg_path = tmp_path / "cfg.json"
@@ -943,10 +1031,8 @@ class TestParallelExtract:
         monkeypatch.setattr(pl, "EXTRACT_ROWS", buffer_rows)
         pl.stage_extract(cfg, Manifest(entries), "eval")
         with np.load(pl.artifact_path(cfg, "features_eval.npz")) as data:
-            taps = [data[f"seg{i:05d}"] for i in range(len(entries))]
-        assert [len(t) for t in taps] == list(self.FRAMES)
-        for got, want in zip(taps, expected):
-            assert np.array_equal(got, want)
+            assert data["lengths"].tolist() == list(self.FRAMES)
+            assert np.array_equal(data["taps"], np.vstack(expected))
 
     def test_features_file_is_byte_identical_for_any_cpu_count(
             self, staged_out, tiny_corpus, tmp_path, monkeypatch):
