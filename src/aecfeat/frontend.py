@@ -61,12 +61,15 @@ class FrontendConfig:
 
 @dataclass
 class FeatureMatrix:
-    """Frames x dims matrix."""
+    """Frames x dims matrix: float32 values stay float32, anything else
+    becomes float64."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        self.values = (values if values.dtype == np.float32
+                       else values.astype(np.float64, copy=False))
         if self.values.ndim != 2:
             raise AecError(f"feature matrix must be 2-D, got {self.values.ndim}-D")
 

@@ -29,11 +29,12 @@ from .frontend import (FeatureMatrix, FrontendConfig, NormStats, apply_norm,
 from .network import Network, TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
-from .transfer import BLOCK_ROWS, adapt, build_filter, extract, strip_output
+from .transfer import (BLOCK_ROWS, _one_blas_thread, adapt, build_filter,
+                       extract, strip_output)
 from .transforms import DctSpec, PcaModel, dct_apply, pca_apply, pca_fit
 
 # rows per `extract` call in stage_extract: 16 blocks, enough to keep the
-# CPUs of a small machine busy; 12.6 MB of spliced input at 1,536 dims
+# CPUs of a small machine busy; 6.3 MB of float32 input at 1,536 dims
 EXTRACT_ROWS = 16 * BLOCK_ROWS
 
 
@@ -205,9 +206,11 @@ def _input_fingerprint(cfg, stats):
 
 
 def _norm_and_splice(mats, stats, cfg):
-    """The normalized, spliced values of each feature matrix."""
-    return [splice(apply_norm(fm, stats), cfg.frontend.splice_context).values
-            for fm in mats]
+    """The normalized, spliced values of each feature matrix, computed in
+    float64 and rounded to float32 once: the precision `train` and
+    `extract` run in."""
+    return [splice(apply_norm(fm, stats), cfg.frontend.splice_context)
+            .values.astype(np.float32) for fm in mats]
 
 
 def _pooled(arrays, labels):
@@ -309,21 +312,22 @@ def stage_adapt(cfg, manifest):
 
 def stage_extract(cfg, manifest, split):
     """Stage 4: filter taps for every frame of each target segment of
-    `split`, saved losslessly to features_<split>.npz: one tap matrix in
-    manifest order, each segment's frame count, label and condition, and
-    the split. Segments stream one at a time through frontend,
-    normalization and splicing into a buffer of EXTRACT_ROWS rows, packed
-    across segment boundaries; `extract` runs on every CPU each time the
-    buffer fills, and once on the rows left at the end. Only taps are kept,
-    never the split's spliced input. A row's taps depend only on that row,
-    so the file is byte-identical whatever the CPU count and buffer size,
-    to taps extracted a segment at a time, and run to run."""
+    `split`, saved losslessly to features_<split>.npz: one float32 tap
+    matrix in manifest order, each segment's frame count, label and
+    condition, and the split. Segments stream one at a time through
+    frontend, normalization and splicing into a float32 buffer of
+    EXTRACT_ROWS rows, packed across segment boundaries; `extract` runs on
+    every CPU each time the buffer fills, and once on the rows left at the
+    end. Only taps are kept, never the split's spliced input. A row's taps
+    depend only on that row, so the file is byte-identical whatever the CPU
+    count and buffer size, to taps extracted a segment at a time, and run
+    to run."""
     entries = manifest.select("target", split)
     if not entries:
         raise AecError(f"no target {split} entries")
     stats = _load(cfg, "norm_stats", NormStats)
     filt = _load(cfg, "filter", Network, stats)
-    buffer = np.empty((EXTRACT_ROWS, filt.in_dim))
+    buffer = np.empty((EXTRACT_ROWS, filt.in_dim), dtype=np.float32)
     taps, lengths, fill = [], [], 0
     for e in entries:
         x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)[0]
@@ -354,7 +358,8 @@ def stage_fit_transform(cfg):
     if cfg.transform == "dct":
         transform = DctSpec(n_points=taps.shape[1], n_keep=cfg.transform_dim)
     else:
-        transform = pca_fit(taps, out_dim=cfg.transform_dim)
+        with _one_blas_thread():  # a fixed summation order, so a fixed fit
+            transform = pca_fit(taps, out_dim=cfg.transform_dim)
     store(cfg, "transform", transform)
     return {"transform": artifact_path(cfg, "transform.aecf")}
 

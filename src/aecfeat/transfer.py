@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import AecError
 from .frontend import FeatureMatrix
-from .network import Layer, Network, _activate, init_mlp, predict, train
+from .network import (Layer, Network, _activate, _as_batch, init_mlp,
+                      predict, train)
 
 VARIANTS = ("A", "B", "C")
 BLOCK_ROWS = 64
@@ -66,16 +67,18 @@ def adapt(trunk, x, y, widths, n_classes, cfg, seed=0):
     trunk on target data; return (Network(trunk + trained layers),
     TrainReport).
 
-    The trunk is forwarded once over all of `x` and `train` sees only the
-    fresh layers and those fixed outputs, so the trunk comes back
-    bit-identical, its copies marked frozen. With `trunk=None` the fresh
-    layers are trained on `x` itself.
+    The trunk is forwarded once over all of `x`, in float32 (a float32
+    copy of it, over `x` cast to float32), and `train` sees only the fresh
+    layers and those fixed outputs, so the trunk comes back bit-identical,
+    its copies marked frozen. With `trunk=None` the fresh layers are
+    trained on `x` itself.
     """
     fixed = []
     if trunk is not None:
         fixed = [Layer(l.w.copy(), l.b.copy(), l.activation, frozen=True)
                  for l in trunk.layers]
-        x = predict(Network(fixed), x)
+        x = predict(Network(fixed).copy(np.float32),
+                    np.asarray(x, dtype=np.float32))
     fresh = init_mlp(np.shape(x)[1], widths, n_classes, seed=seed)
     top, report = train(fresh, x, y, cfg)
     return Network(fixed + top.layers), report
@@ -140,26 +143,26 @@ def _stable_forward(net, x):
     whatever the batch, and as an unoptimized einsum, which reduces each
     output element in a fixed order, without it. Either way a row comes
     out the same alone, in a ragged batch or pooled with other segments.
-    The two kernels agree to about 1e-15, not bit for bit. The blocks are
-    dealt out to one worker thread per CPU, at most one per block. Every
+    The two kernels agree to float32 rounding, not bit for bit. The blocks
+    are dealt out to one worker thread per CPU, at most one per block. Every
     buffer a worker writes is allocated here, before the workers start:
     glibc keeps what a thread allocates in that thread's malloc arena,
     where later stages on the main thread cannot reuse it. The BLAS thread
     count is process-global; calls take turns holding one lock that pins
-    it and restores it on leaving, even if the call raises. The
-    weights are cast with `copy=False`, so the float64 filter that
-    `load_model` returns is not copied.
+    it and restores it on leaving, even if the call raises. Everything
+    runs in float32: the weights are cast once per call, float64 rows are
+    rounded as they are copied into a block, and the result is float32.
     """
-    a = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    layers = [(l.w.astype(np.float64, copy=False),
-               l.b.astype(np.float64, copy=False), l.activation)
+    a = _as_batch(x)
+    layers = [(l.w.astype(np.float32), l.b.astype(np.float32), l.activation)
               for l in net.layers]
-    out = np.empty((len(a), layers[-1][0].shape[0]))
+    out = np.empty((len(a), layers[-1][0].shape[0]), dtype=np.float32)
     starts = range(0, len(a), BLOCK_ROWS)
     n = max(1, min(_cpu_count(), len(starts)))
     # per worker: the input block, then one pre-activation per layer
-    buffers = [[np.empty((BLOCK_ROWS, a.shape[1]))]
-               + [np.empty((BLOCK_ROWS, w.shape[0])) for w, _, _ in layers]
+    buffers = [[np.empty((BLOCK_ROWS, a.shape[1]), dtype=np.float32)]
+               + [np.empty((BLOCK_ROWS, w.shape[0]), dtype=np.float32)
+                  for w, _, _ in layers]
                for _ in range(n)]
 
     def forward_blocks(k):

@@ -53,9 +53,10 @@ def pca_fit(values, out_dim=50):
     """Top eigenvectors of the sample covariance (denominator rows-1).
 
     The sign of each component is fixed so its largest-magnitude entry is
-    positive, making the fit deterministic.
+    positive, making the fit deterministic. The fit runs in float64 whatever
+    the input dtype.
     """
-    values = np.atleast_2d(values)
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     rows, dims = values.shape
     if rows < out_dim + 1:
         raise AecError(f"need at least {out_dim + 1} rows, got {rows}")

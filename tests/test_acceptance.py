@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from aecfeat.audio import AudioSegment, mix_noise
 from aecfeat.classifiers import KernelRows, rbf_kernel, smo_solve
@@ -365,6 +366,7 @@ def test_ablation_link():
     fm = FeatureMatrix(rng.standard_normal((100, 6)))
     a = extract(build_filter(comp, "A"), fm).values
     c = extract(build_filter(comp, "C"), fm).values
-    gap = float(np.max(np.abs(a - 1.0 / (1.0 + np.exp(-c)))))
-    check("ablation-link", gap <= 1e-9,
-          f"max |A - sigmoid(C)| {gap:.2e} (<= 1e-9) on 100 frames")
+    # A and C compute the same pre-activation, so A is sigmoid(C) exactly
+    gap = float(np.max(np.abs(a - expit(c))))
+    check("ablation-link", np.array_equal(a, expit(c)),
+          f"max |A - sigmoid(C)| {gap:.2e} (== 0) on 100 frames")

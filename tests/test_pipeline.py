@@ -12,7 +12,8 @@ import pytest
 from aecfeat.audio import AudioSegment, read_wav, write_wav
 from aecfeat.classifiers import svm_fit
 from aecfeat.errors import AecError, StageError
-from aecfeat.frontend import MODE_DIMS, FeatureMatrix, FrontendConfig, NormStats
+from aecfeat.frontend import (MODE_DIMS, FeatureMatrix, FrontendConfig,
+                              NormStats, apply_norm, splice)
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import Network, TrainConfig, init_mlp
 from aecfeat.pipeline import RunConfig, default_svm_grid, run_pipeline
@@ -1077,3 +1078,66 @@ class TestParallelExtract:
         assert not (out / "features_eval.npz").exists()
         assert (blas and blas.scipy_openblas_get_num_threads64_()) == blas_before
         assert threading.active_count() == threads_before
+
+
+class TestFloat32Frames:
+    """Frames are normalized and spliced in float64 and rounded to float32
+    once; the trainer, the fixed trunk, the filter and the features file
+    see float32 from there on."""
+
+    def test_features_file_holds_float32_taps(self, staged_out):
+        for split in ("train", "eval"):
+            with np.load(staged_out / f"features_{split}.npz") as data:
+                assert data["taps"].dtype == np.float32, split
+
+    @pytest.mark.parametrize("variant, stage, module", [
+        ("C", "train-source", pl), ("B", "adapt", transfer)],
+        ids=["source-net", "variant-b-adapt"])
+    def test_train_gets_the_float64_frames_rounded_once(
+            self, tiny_corpus, tmp_path, monkeypatch, variant, stage, module):
+        _, manifest = tiny_corpus
+        cfg = replace(tiny_config(tmp_path / "out", variant=variant),
+                      frontend=FrontendConfig(input_mode="dft_mag",
+                                              splice_context=3))
+        os.makedirs(cfg.out_dir)
+        seen, real_train = [], module.train
+
+        def recording_train(net, x, y, train_cfg):
+            seen.append(x)
+            return real_train(net, x, y, train_cfg)
+
+        monkeypatch.setattr(module, "train", recording_train)
+        pl.stage_train_source(cfg, manifest)
+        if stage == "adapt":
+            pl.stage_adapt(cfg, manifest)
+        entries = (manifest.select("source") if stage == "train-source"
+                   else manifest.select("target", "train"))
+        stats = pl._load(cfg, "norm_stats", NormStats)
+        expected = np.vstack([splice(apply_norm(fm, stats), 3).values
+                              for fm in pl.frontend_features(cfg, entries)])
+        assert len(seen) == 1 and seen[0].dtype == np.float32
+        assert np.array_equal(seen[0], expected.astype(np.float32))
+
+    def test_pca_transform_does_not_depend_on_blas_threads(self, tmp_path):
+        lib = transfer._OPENBLAS
+        if lib is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded")
+        cfg = replace(tiny_config(tmp_path), tl2_dim=150, transform="pca",
+                      transform_dim=50)
+        # whitened taps: their covariance is the identity up to rounding,
+        # so the order in which the GEMM sums sets the components
+        z = np.random.default_rng(0).standard_normal((7360, 150))
+        z -= z.mean(axis=0)
+        values, vectors = np.linalg.eigh(z.T @ z / (len(z) - 1))
+        taps = (z @ vectors / np.sqrt(values)).astype(np.float32)
+        save_features(pl.artifact_path(cfg, "features_train.npz"), [taps],
+                      ["tgt00"])
+        files, old = [], lib.scipy_openblas_get_num_threads64_()
+        try:
+            for threads in (1, 2):
+                lib.scipy_openblas_set_num_threads64_(threads)
+                pl.stage_fit_transform(cfg)
+                files.append((tmp_path / "transform.aecf").read_bytes())
+        finally:
+            lib.scipy_openblas_set_num_threads64_(old)
+        assert files[0] == files[1]

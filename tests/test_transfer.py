@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from aecfeat import transfer
 from aecfeat.errors import AecError
@@ -172,7 +173,8 @@ class TestBuildFilter:
         fm = FeatureMatrix(x)
         a = extract(build_filter(comp, "A"), fm).values
         c = extract(build_filter(comp, "C"), fm).values
-        assert np.max(np.abs(a - 1.0 / (1.0 + np.exp(-c)))) <= 1e-9
+        # the same pre-activation, so bit for bit
+        assert np.array_equal(a, expit(c))
 
     def test_unknown_variant(self):
         comp, _ = adapted(epochs=30)
@@ -255,7 +257,16 @@ class TestExtract:
         gemm = extract(filt, fm).values
         monkeypatch.setattr(transfer, "_OPENBLAS", None)
         einsum = extract(filt, fm).values
-        assert np.abs(gemm - einsum).max() <= 1e-12
+        # both run in float32 and sum in different orders
+        assert np.abs(gemm - einsum).max() <= 1e-5 * np.abs(gemm).max()
+
+    def test_float32_taps_agree_with_float64_predict(self):
+        filt = e2e_filter()
+        x = np.random.default_rng(4).standard_normal((200, E2E_DIMS))
+        taps = extract(filt, FeatureMatrix(x)).values
+        exact = predict(filt, x)
+        assert taps.dtype == np.float32 and exact.dtype == np.float64
+        assert np.abs(taps - exact).max() <= 1e-5 * np.abs(exact).max()
 
     @pytest.mark.parametrize("cpus, kernel", [
         ({0}, "default"), ({0, 1, 2, 3, 4, 5, 6}, "default"),
