@@ -27,23 +27,23 @@ print("segment:", len(segment), "samples,", segment.duration_s, "s")
 
 for mode in ("dft_mag", "waveform", "dft_real_imag", "concat"):
     cfg = FrontendConfig(input_mode=mode)
-    fm = make_frontend_features(segment, cfg)
-    print(f"{mode:>14}: {fm.rows} frames x {fm.dims} dims")
+    frames, dims = make_frontend_features(segment, cfg).values.shape
+    print(f"{mode:>14}: {frames} frames x {dims} dims")
 
 # the tone lands in DFT bin 1000 / 16000 * 1024 = 64
 cfg = FrontendConfig(input_mode="dft_mag")
-fm = make_frontend_features(segment, cfg)
-peak_bin = int(np.argmax(fm.values.mean(axis=0)))
+x = make_frontend_features(segment, cfg).values
+peak_bin = int(np.argmax(x.mean(axis=0)))
 print("strongest magnitude bin:", peak_bin, "(1 kHz -> bin 64)")
 
 # splicing concatenates each frame with its temporal context
 for context in (1, 3, 5, 7):
-    sp = splice(fm, context)
-    print(f"splice context {context}: {sp.rows} frames x {sp.dims} dims")
+    frames, dims = splice(x, context).shape
+    print(f"splice context {context}: {frames} frames x {dims} dims")
 
 # normalization statistics are fitted on training material only
-stats = fit_norm_stats([fm])
-normed = apply_norm(fm, stats)
+stats = fit_norm_stats([x])
+normed = apply_norm(x, stats)
 print("after z-score: per-dim mean ~",
-      float(np.abs(normed.values.mean(axis=0)).max()),
-      " std ~", float(normed.values.std(axis=0).mean()))
+      float(np.abs(normed.mean(axis=0)).max()),
+      " std ~", float(normed.std(axis=0).mean()))

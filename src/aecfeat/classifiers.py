@@ -202,14 +202,17 @@ def smo_solve(kmat, y, c, tol=1e-3):
     the bias is the mean score over free alphas (the midpoint of score[i]
     and score[j] if none is free), so every margin meets its KKT condition
     to within tol. There is no iteration cap, which would stop a solve
-    short of that: for tol > 0 the loop ends in finitely many steps
-    (Keerthi & Gilbert, 2002). Negating y picks the same pair, swapped,
-    and takes the same step, so it negates the bias and keeps the alphas.
+    short of that: for tol > 0 and a finite c > 0 the loop ends in
+    finitely many steps (Keerthi & Gilbert, 2002). Negating y picks the
+    same pair, swapped, and takes the same step, so it negates the bias
+    and keeps the alphas.
 
     Returns (alpha, bias) for f(x) = sum_i alpha_i y_i k(x_i, x) + bias.
     """
     if not tol > 0:
         raise AecError(f"tol must be > 0, got {tol}")
+    if not 0 < c < np.inf:
+        raise AecError(f"c must be finite and > 0, got {c}")
     y = np.asarray(y, dtype=np.float64)
     pos = y > 0
     alpha = np.zeros(len(y))
@@ -248,6 +251,8 @@ def svm_fit(features, labels, c=10.0, gamma=0.01):
     x = np.atleast_2d(np.ascontiguousarray(features, dtype=np.float64))
     if not np.isfinite(x).all():
         raise AecError("SVM training frames contain non-finite values")
+    if not 0 < gamma < np.inf:
+        raise AecError(f"gamma must be finite and > 0, got {gamma}")
     labels = np.asarray(labels)
     if len(labels) != len(x):
         raise AecError(f"{len(x)} frames but {len(labels)} labels")
@@ -278,11 +283,8 @@ def svm_score_matrix(model, values):
     cols = []
     for label in model.classes:
         m = model.machines[label]
-        if len(m.dual_coef):
-            k = rbf_kernel(x, m.support_vectors, model.gamma)
-            cols.append(k @ m.dual_coef + m.bias)
-        else:
-            cols.append(np.full(x.shape[0], m.bias))
+        k = rbf_kernel(x, m.support_vectors, model.gamma)
+        cols.append(k @ m.dual_coef + m.bias)
     return np.column_stack(cols)
 
 

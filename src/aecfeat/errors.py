@@ -7,6 +7,7 @@ with the name of the pipeline stage it occurred in; the CLI prints it and
 exits with code 2.
 """
 
+import sys
 from dataclasses import fields
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -29,14 +30,15 @@ class StageError(AecError):
 
 
 def _is_number(value, kind):
-    return isinstance(value, _NUMBER_TYPES[kind]) and not isinstance(value, bool)
+    return (isinstance(value, _NUMBER_TYPES[kind]) and not isinstance(value, bool)
+            and (kind is int or abs(value) <= sys.float_info.max))
 
 
 def check_field_types(config):
     """Raise an AecError naming the first field of the dataclass `config`
     whose value does not fit its annotation: `int` needs an int and
-    `float` an int or a float, neither a bool; `Tuple[int, ...]` needs a
-    tuple or list of such ints, and `Optional[...]` also admits None.
+    `float` a finite int or float, neither a bool; `Tuple[int, ...]` needs
+    a tuple or list of such ints, and `Optional[...]` also admits None.
     Fields of any other type are left to the config's own checks."""
     hints = get_type_hints(type(config))
     for f in fields(config):
@@ -51,7 +53,8 @@ def check_field_types(config):
                   and all(_is_number(v, kind) for v in value))
             need = f"a sequence of {kind.__name__}"
         elif hint in _NUMBER_TYPES:
-            ok, need = _is_number(value, hint), hint.__name__
+            ok = _is_number(value, hint)
+            need = "a finite float" if hint is float else "int"
         else:
             continue
         if not ok:

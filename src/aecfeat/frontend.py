@@ -61,25 +61,14 @@ class FrontendConfig:
 
 @dataclass
 class FeatureMatrix:
-    """Frames x dims matrix: float32 values stay float32, anything else
-    becomes float64."""
+    """A frames x dims array. Only `make_frontend_features` and `extract`
+    return one, because the benchmark's row counters read its `.rows`."""
 
     values: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        self.values = (values if values.dtype == np.float32
-                       else values.astype(np.float64, copy=False))
-        if self.values.ndim != 2:
-            raise AecError(f"feature matrix must be 2-D, got {self.values.ndim}-D")
-
     @property
     def rows(self):
-        return self.values.shape[0]
-
-    @property
-    def dims(self):
-        return self.values.shape[1]
+        return len(self.values)
 
 
 @dataclass
@@ -124,8 +113,8 @@ def dft_half_spectrum(frames):
 
 
 def make_frontend_features(segment, cfg):
-    """Frame a segment and build the per-frame representation for
-    cfg.input_mode (splicing is a separate step)."""
+    """Frame a segment and build the cfg.input_mode representation of each
+    frame, a float64 frames x dims `FeatureMatrix` (splicing is separate)."""
     frames = frame_signal(segment, cfg)
     mode = cfg.input_mode
     if mode == "waveform":
@@ -141,50 +130,47 @@ def make_frontend_features(segment, cfg):
     return FeatureMatrix(values)
 
 
-def splice(fm, context):
-    """Concatenate each frame with its symmetric temporal context.
+def splice(values, context):
+    """Concatenate each row of a frames x dims array with its symmetric
+    temporal context: a frames x (context * dims) array.
 
     Out-of-range neighbours are replaced by the nearest valid frame, so the
     row count is preserved.
     """
     if context not in (1, 3, 5, 7):
         raise AecError(f"context must be odd in 1..7, got {context}")
-    if fm.rows < 1:
+    if len(values) < 1:
         raise AecError("no frames to splice")
     half = context // 2
-    padded = np.pad(fm.values, ((half, half), (0, 0)), mode="edge")
-    return FeatureMatrix(np.hstack([padded[off:off + fm.rows]
-                                    for off in range(context)]))
+    padded = np.pad(values, ((half, half), (0, 0)), mode="edge")
+    return np.hstack([padded[off:off + len(values)] for off in range(context)])
 
 
 def fit_norm_stats(matrices):
-    """Per-dimension mean/std over the pooled frames of several matrices.
+    """Per-dimension mean/std over the pooled rows of several 2-D arrays.
 
     The caller pools only source-domain and target-training frames, never
     evaluation frames.
     """
     matrices = list(matrices)
-    if not matrices or sum(m.rows for m in matrices) == 0:
+    n = sum(len(m) for m in matrices)
+    if n == 0:
         raise AecError("no frames to fit normalization statistics")
-    dims = matrices[0].dims
+    dims = matrices[0].shape[1]
+    total, total_sq = np.zeros(dims), np.zeros(dims)
     for m in matrices:
-        if m.dims != dims:
-            raise AecError(f"dims {m.dims} != {dims}")
-    n = sum(m.rows for m in matrices)
-    total = np.zeros(dims)
-    total_sq = np.zeros(dims)
-    for m in matrices:
-        total += m.values.sum(axis=0)
-        total_sq += np.square(m.values).sum(axis=0)
+        if m.shape[1] != dims:
+            raise AecError(f"dims {m.shape[1]} != {dims}")
+        total += m.sum(axis=0)
+        total_sq += np.square(m).sum(axis=0)
     mean = total / n
     var = np.maximum(total_sq / n - mean ** 2, 0.0)
     std = np.maximum(np.sqrt(var), STD_FLOOR)
     return NormStats(mean, std)
 
 
-def apply_norm(fm, stats):
-    """Z-score a feature matrix with previously fitted statistics."""
-    if fm.dims != stats.mean.shape[0]:
-        raise AecError(f"matrix dims {fm.dims} != stats dims {stats.mean.shape[0]}")
-    values = (fm.values - stats.mean) / stats.std
-    return FeatureMatrix(values)
+def apply_norm(values, stats):
+    """Z-score a frames x dims array with previously fitted statistics."""
+    if values.shape[1] != len(stats.mean):
+        raise AecError(f"matrix dims {values.shape[1]} != stats dims {len(stats.mean)}")
+    return (values - stats.mean) / stats.std

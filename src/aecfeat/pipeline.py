@@ -24,8 +24,8 @@ from .classifiers import (GmmModel, SvmModel, classify_segment,
                           dnn_score_matrix, gmm_fit, gmm_score_matrix,
                           svm_fit, svm_score_matrix)
 from .errors import AecError, StageError, check_field_types
-from .frontend import (FeatureMatrix, FrontendConfig, NormStats, apply_norm,
-                       fit_norm_stats, make_frontend_features, splice)
+from .frontend import (FrontendConfig, NormStats, apply_norm, fit_norm_stats,
+                       make_frontend_features, splice)
 from .network import Network, TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
@@ -196,8 +196,8 @@ def _reduced_features(cfg, split):
 
 
 def frontend_features(cfg, entries):
-    """Unspliced frontend features per manifest entry."""
-    return [make_frontend_features(read_wav(e.wav_path), cfg.frontend)
+    """The unspliced frontend frames x dims array of each manifest entry."""
+    return [make_frontend_features(read_wav(e.wav_path), cfg.frontend).values
             for e in entries]
 
 
@@ -206,11 +206,10 @@ def _input_fingerprint(cfg, stats):
 
 
 def _norm_and_splice(mats, stats, cfg):
-    """The normalized, spliced values of each feature matrix, computed in
-    float64 and rounded to float32 once: the precision `train` and
-    `extract` run in."""
-    return [splice(apply_norm(fm, stats), cfg.frontend.splice_context)
-            .values.astype(np.float32) for fm in mats]
+    """Each frontend array normalized and spliced, computed in float64 and
+    rounded to float32 once: the precision `train` and `extract` run in."""
+    return [splice(apply_norm(m, stats), cfg.frontend.splice_context)
+            .astype(np.float32) for m in mats]
 
 
 def _pooled(arrays, labels):
@@ -338,10 +337,10 @@ def stage_extract(cfg, manifest, split):
             buffer[fill:fill + m] = x[start:start + m]
             start, fill = start + m, fill + m
             if fill == len(buffer):
-                taps.append(extract(filt, FeatureMatrix(buffer)).values)
+                taps.append(extract(filt, buffer).values)
                 fill = 0
     if fill:
-        taps.append(extract(filt, FeatureMatrix(buffer[:fill])).values)
+        taps.append(extract(filt, buffer[:fill]).values)
     path = artifact_path(cfg, f"features_{split}.npz")
     np.savez(path, taps=np.concatenate(taps), lengths=np.array(lengths),
              labels=np.array([e.label for e in entries]),

@@ -141,7 +141,7 @@ def load_model(path, with_meta=False):
     arrays = {}
     offset = 12 + head_len
     for spec in header["arrays"]:
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
+        count = int(np.prod(spec["shape"]))
         nbytes = 4 * count
         if offset + nbytes > len(data) - 4:
             raise AecError(f"{path}: parameter block overruns file")

@@ -186,11 +186,14 @@ def _stable_forward(net, x):
     return out
 
 
-def extract(filt, fm):
-    """Tap TL#2 for every frame of a spliced, normalized feature matrix;
-    `filt` is a filter network from `build_filter`."""
+def extract(filt, x):
+    """Tap TL#2 for every row of `x`, a spliced, normalized frames x dims
+    array; `filt` is a filter network from `build_filter`. The taps come
+    back as a float32 `FeatureMatrix`."""
     if filt.layers[-1].activation == "softmax":
         raise AecError("filter must not end in a softmax layer")
-    if fm.dims != filt.in_dim:
-        raise AecError(f"feature dims {fm.dims} != filter input {filt.in_dim}")
-    return FeatureMatrix(_stable_forward(filt, fm.values))
+    if np.ndim(x) != 2:
+        raise AecError(f"features must be 2-D, got {np.ndim(x)}-D")
+    if np.shape(x)[1] != filt.in_dim:
+        raise AecError(f"feature dims {np.shape(x)[1]} != filter input {filt.in_dim}")
+    return FeatureMatrix(_stable_forward(filt, x))

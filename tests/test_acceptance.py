@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from aecfeat.audio import AudioSegment, mix_noise
 from aecfeat.classifiers import KernelRows, rbf_kernel, smo_solve
-from aecfeat.frontend import FeatureMatrix, FrontendConfig
+from aecfeat.frontend import FrontendConfig
 from aecfeat.network import (
     TrainConfig,
     cross_entropy,
@@ -363,9 +363,9 @@ def test_ablation_link():
     comp, _ = adapt(trunk, x, y, (8, 6), 3,
                     TrainConfig(lr0=0.2, max_epochs_per_stage=20, seed=0),
                     seed=0)
-    fm = FeatureMatrix(rng.standard_normal((100, 6)))
-    a = extract(build_filter(comp, "A"), fm).values
-    c = extract(build_filter(comp, "C"), fm).values
+    x = rng.standard_normal((100, 6))
+    a = extract(build_filter(comp, "A"), x).values
+    c = extract(build_filter(comp, "C"), x).values
     # A and C compute the same pre-activation, so A is sigmoid(C) exactly
     gap = float(np.max(np.abs(a - expit(c))))
     check("ablation-link", np.array_equal(a, expit(c)),

@@ -192,6 +192,17 @@ class TestSmo:
         with pytest.raises(AecError, match="tol must be > 0"):
             smo_solve(kmat, np.array([1.0, -1.0]), c=1.0, tol=0)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan, np.inf])
+    def test_c_outside_zero_to_infinity_rejected(self, c):
+        # with c = inf the solve for x = [[0], [0], [1]] never ends, so a
+        # kernel row that is read at all fails the test at once
+        class UnreadRows:
+            def __getitem__(self, i):
+                pytest.fail(f"kernel row {i} read with c = {c}")
+
+        with pytest.raises(AecError, match=f"c must be finite and > 0, got {c}"):
+            smo_solve(UnreadRows(), np.array([1.0, -1.0, 1.0]), c=c)
+
     def test_conflicting_duplicates_bounded(self):
         x = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([1.0, -1.0, 1.0, -1.0])
@@ -276,6 +287,33 @@ class TestSvmModel:
         x[4, 1] = bad
         with pytest.raises(AecError, match="non-finite"):
             svm_fit(x, np.arange(20) % 2, c=1.0, gamma=1.0)
+
+    @pytest.mark.parametrize("c, gamma, bad", [
+        (0.0, 1.0, "c"), (-1.0, 1.0, "c"), (np.nan, 1.0, "c"),
+        (1.0, 0.0, "gamma"), (1.0, -1.0, "gamma"), (1.0, np.nan, "gamma"),
+        (1.0, np.inf, "gamma")])
+    def test_c_or_gamma_outside_zero_to_infinity_rejected(self, c, gamma, bad,
+                                                          monkeypatch):
+        # each c used to fit machines with no support vectors; a NaN kernel
+        # row from gamma would keep SMO's gap from closing, so none is made
+        def no_kernel(a, b, gamma):
+            pytest.fail("kernel row computed for a bad c or gamma")
+
+        monkeypatch.setattr(classifiers, "rbf_kernel", no_kernel)
+        x = np.random.default_rng(0).standard_normal((40, 3))
+        with pytest.raises(AecError, match=f"{bad} must be finite and > 0"):
+            svm_fit(x, np.arange(40) % 2, c=c, gamma=gamma)
+
+    def test_machine_without_support_vectors_scores_its_bias(self):
+        from aecfeat.classifiers import BinarySvm, SvmModel
+
+        model = SvmModel(
+            classes=[0, 1],
+            machines={0: BinarySvm(np.empty((0, 2)), np.empty(0), 0.375),
+                      1: BinarySvm(np.array([[1.0, 2.0]]), np.array([1.0]), 0.0)},
+            gamma=0.3, c=1.0)
+        scores = svm_score_matrix(model, np.random.default_rng(2).standard_normal((5, 2)))
+        assert np.array_equal(scores[:, 0], np.full(5, 0.375))
 
     def test_empty_model_errors(self):
         from aecfeat.classifiers import SvmModel

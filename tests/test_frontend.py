@@ -4,7 +4,6 @@ import pytest
 from aecfeat.audio import AudioSegment
 from aecfeat.errors import AecError
 from aecfeat.frontend import (
-    FeatureMatrix,
     FrontendConfig,
     apply_norm,
     dft_half_spectrum,
@@ -109,19 +108,20 @@ class TestDftMagnitude:
 class TestModes:
     def test_dft_mag_dims(self):
         fm = make_frontend_features(seg(np.random.default_rng(2).standard_normal(48000) * 0.1), RECT)
-        assert (fm.rows, fm.dims) == (92, 512)
+        assert fm.values.shape == (92, 512)
+        assert fm.rows == 92
 
     def test_waveform_zero_signal(self):
         cfg = FrontendConfig(window="rectangular", input_mode="waveform")
         fm = make_frontend_features(seg(np.zeros(48000)), cfg)
-        assert (fm.rows, fm.dims) == (92, 1024)
+        assert fm.values.shape == (92, 1024)
         assert not fm.values.any()
 
     def test_real_imag_packing(self):
         cfg = FrontendConfig(window="rectangular", input_mode="dft_real_imag")
         x = np.random.default_rng(3).standard_normal(2048) * 0.1
         fm = make_frontend_features(seg(x), cfg)
-        assert fm.dims == 1024
+        assert fm.values.shape[1] == 1024
         spec = np.fft.rfft(x[:1024])[:512]
         assert np.allclose(fm.values[0, :512], spec.real)
         assert np.allclose(fm.values[0, 512:], spec.imag)
@@ -130,32 +130,27 @@ class TestModes:
         # magnitude | waveform | real | imag = 512 + 1024 + 512 + 512
         cfg = FrontendConfig(window="rectangular", input_mode="concat")
         fm = make_frontend_features(seg(np.zeros(48000)), cfg)
-        assert (fm.rows, fm.dims) == (92, 2560)
+        assert fm.values.shape == (92, 2560)
 
 
 class TestSplice:
     def test_context_one_is_identity(self):
-        fm = FeatureMatrix(np.random.default_rng(4).standard_normal((10, 5)))
-        out = splice(fm, 1)
-        assert np.array_equal(out.values, fm.values)
+        x = np.random.default_rng(4).standard_normal((10, 5))
+        assert np.array_equal(splice(x, 1), x)
 
     def test_dims_and_rows(self):
-        fm = FeatureMatrix(np.zeros((92, 512)))
-        out = splice(fm, 3)
-        assert (out.rows, out.dims) == (92, 1536)
+        assert splice(np.zeros((92, 512)), 3).shape == (92, 1536)
 
     @pytest.mark.parametrize("context", [1, 3, 5, 7])
     def test_row_count_preserved(self, context):
-        fm = FeatureMatrix(np.random.default_rng(5).standard_normal((9, 4)))
-        assert splice(fm, context).rows == 9
+        x = np.random.default_rng(5).standard_normal((9, 4))
+        assert len(splice(x, context)) == 9
 
     def test_edge_replication(self):
-        fm = FeatureMatrix(np.arange(12.0).reshape(4, 3))
-        out = splice(fm, 3)
-        f0, f1 = fm.values[0], fm.values[1]
-        assert np.array_equal(out.values[0], np.concatenate([f0, f0, f1]))
-        f2, f3 = fm.values[2], fm.values[3]
-        assert np.array_equal(out.values[-1], np.concatenate([f2, f3, f3]))
+        x = np.arange(12.0).reshape(4, 3)
+        out = splice(x, 3)
+        assert np.array_equal(out[0], np.concatenate([x[0], x[0], x[1]]))
+        assert np.array_equal(out[-1], np.concatenate([x[2], x[3], x[3]]))
 
     @pytest.mark.parametrize("rows", [1, 2, 9])
     @pytest.mark.parametrize("context", [1, 3, 5, 7])
@@ -166,51 +161,54 @@ class TestSplice:
             np.concatenate([values[min(max(i + off, 0), rows - 1)]
                             for off in range(-half, half + 1)])
             for i in range(rows)])
-        out = splice(FeatureMatrix(values), context)
-        assert np.array_equal(out.values, reference)
+        assert np.array_equal(splice(values, context), reference)
 
     def test_bad_context(self):
-        fm = FeatureMatrix(np.zeros((3, 2)))
+        x = np.zeros((3, 2))
         with pytest.raises(AecError, match="context must be odd in 1..7, got 2"):
-            splice(fm, 2)
+            splice(x, 2)
         with pytest.raises(AecError, match="context must be odd in 1..7, got 0"):
-            splice(fm, 0)
+            splice(x, 0)
+
+    def test_no_frames(self):
+        with pytest.raises(AecError, match="no frames to splice"):
+            splice(np.zeros((0, 2)), 3)
 
 
 class TestNormalization:
     def test_simple_z_score(self):
-        fm = FeatureMatrix(np.array([[0.0], [4.0]]))
-        stats = fit_norm_stats([fm])
-        out = apply_norm(FeatureMatrix(np.array([[4.0]])), stats)
-        assert out.values[0, 0] == pytest.approx((4.0 - 2.0) / 2.0)
+        stats = fit_norm_stats([np.array([[0.0], [4.0]])])
+        out = apply_norm(np.array([[4.0]]), stats)
+        assert out[0, 0] == pytest.approx((4.0 - 2.0) / 2.0)
 
     def test_pooled_fit(self):
-        a = FeatureMatrix(np.array([[0.0], [2.0]]))
-        b = FeatureMatrix(np.array([[4.0], [6.0]]))
-        stats = fit_norm_stats([a, b])
+        stats = fit_norm_stats([np.array([[0.0], [2.0]]),
+                                np.array([[4.0], [6.0]])])
         assert stats.mean[0] == pytest.approx(3.0)
         assert stats.std[0] == pytest.approx(np.sqrt(5.0), abs=1e-9)
 
     def test_constant_dim_floors_to_zero_output(self):
-        fm = FeatureMatrix(np.full((5, 2), 7.0))
-        stats = fit_norm_stats([fm])
-        out = apply_norm(fm, stats)
-        assert np.array_equal(out.values, np.zeros((5, 2)))
+        x = np.full((5, 2), 7.0)
+        out = apply_norm(x, fit_norm_stats([x]))
+        assert np.array_equal(out, np.zeros((5, 2)))
 
     def test_self_normalization_property(self):
-        rng = np.random.default_rng(6)
-        fm = FeatureMatrix(rng.standard_normal((500, 8)) * 3 + 1)
-        stats = fit_norm_stats([fm])
-        out = apply_norm(fm, stats)
-        assert np.max(np.abs(out.values.mean(axis=0))) <= 1e-9
-        assert np.allclose(out.values.std(axis=0), 1.0, atol=1e-6)
+        x = np.random.default_rng(6).standard_normal((500, 8)) * 3 + 1
+        out = apply_norm(x, fit_norm_stats([x]))
+        assert np.max(np.abs(out.mean(axis=0))) <= 1e-9
+        assert np.allclose(out.std(axis=0), 1.0, atol=1e-6)
 
     def test_empty_input(self):
         with pytest.raises(AecError, match="no frames to fit normalization"):
             fit_norm_stats([])
+        with pytest.raises(AecError, match="no frames to fit normalization"):
+            fit_norm_stats([np.zeros((0, 3))])
 
     def test_dim_mismatch(self):
-        a = FeatureMatrix(np.zeros((2, 3)))
-        b = FeatureMatrix(np.zeros((2, 4)))
         with pytest.raises(AecError, match="dims 4 != 3"):
-            fit_norm_stats([a, b])
+            fit_norm_stats([np.zeros((2, 3)), np.zeros((2, 4))])
+
+    def test_apply_dim_mismatch(self):
+        stats = fit_norm_stats([np.zeros((2, 3))])
+        with pytest.raises(AecError, match="matrix dims 4 != stats dims 3"):
+            apply_norm(np.zeros((2, 4)), stats)

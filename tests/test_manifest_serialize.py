@@ -7,7 +7,7 @@ import pytest
 
 from aecfeat.classifiers import gmm_fit, svm_fit
 from aecfeat.errors import AecError
-from aecfeat.frontend import FeatureMatrix, fit_norm_stats
+from aecfeat.frontend import fit_norm_stats
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import Network, TrainConfig, init_mlp, train
 from aecfeat.serialize import load_model, save_model
@@ -175,7 +175,7 @@ class TestSerialize:
 
     def test_earlier_norm_stats_keys_ignored(self, tmp_path):
         path = tmp_path / "n.aecf"
-        stats = fit_norm_stats([FeatureMatrix(np.eye(3))])
+        stats = fit_norm_stats([np.eye(3)])
         save_model(path, stats)
         # earlier versions stored the pooled frame count, which nothing read
         rewrite_header(path, meta={"n_frames": 3})
@@ -188,7 +188,7 @@ class TestSerialize:
         constant = values.copy()
         constant[:, 2] = 0.0  # its std is floored, as for DFT bin 0's imag
         for v in (values, constant):
-            stats = fit_norm_stats([FeatureMatrix(v)])
+            stats = fit_norm_stats([v])
             save_model(tmp_path / "n.aecf", stats)
             loaded = load_model(tmp_path / "n.aecf")
             assert np.array_equal(loaded.mean, as_f32(stats.mean))

@@ -4,6 +4,7 @@ import shutil
 import threading
 import types
 from dataclasses import fields, replace
+from math import inf, nan
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 from aecfeat.audio import AudioSegment, read_wav, write_wav
 from aecfeat.classifiers import svm_fit
 from aecfeat.errors import AecError, StageError
-from aecfeat.frontend import (MODE_DIMS, FeatureMatrix, FrontendConfig,
-                              NormStats, apply_norm, splice)
+from aecfeat.frontend import (FRAME_LEN, MODE_DIMS, FrontendConfig, NormStats,
+                              apply_norm, splice)
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import Network, TrainConfig, init_mlp
 from aecfeat.pipeline import RunConfig, default_svm_grid, run_pipeline
@@ -501,7 +502,8 @@ class TestRunConfigValidation:
             if f.name == "svm_gamma"
             or type(f.default) in (int, float, tuple)}
         cases = ([(n, v) for n in ints for v in (2.5, 3.0, True, "3", None)]
-                 + [(n, v) for n in floats for v in (True, "0.5", [0.5])]
+                 + [(n, v) for n in floats
+                    for v in (True, "0.5", [0.5], nan, inf, -inf)]
                  + [(n, v) for n in sequences
                     for v in ((8, 2.5), (8, True), ("8",), 8)]
                  + [(n, None) for n in floats if n != "svm_gamma"])
@@ -593,17 +595,33 @@ class TestRunPipeline:
     @pytest.mark.parametrize("variant", ["C", "B"])
     def test_traced_benchmark_smoke(self, tiny_corpus, tmp_path, variant):
         # the per-layer benchmark wraps these functions from outside and
-        # reads their arguments and results, `layer.frozen` included
+        # reads their arguments and results: `layer.frozen`, and `.rows` of
+        # what `make_frontend_features` and `extract` return
         spans = load_spans()
         _, manifest = tiny_corpus
+        cfg = tiny_config(tmp_path / "run", variant=variant)
         with spans.Tracer() as tracer:
-            pl.run_pipeline(tiny_config(tmp_path / "run", variant=variant),
-                            manifest)
+            pl.run_pipeline(cfg, manifest)
         metrics = spans.per_layer_metrics(tracer)
         for name in ("network.grad.calls", "network.train.epochs",
                      "network.grad.gflop", "transfer.adapt.s",
                      "transforms.dct_apply.s"):
             assert metrics[name]["value"] > 0, name
+        taps = 0
+        for split in ("train", "eval"):
+            with np.load(tmp_path / "run" / f"features_{split}.npz") as data:
+                taps += data["lengths"].sum()
+        assert metrics["transfer.extract.rows"]["value"] == taps
+
+        def frames(*select):
+            return sum((len(read_wav(e.wav_path)) - FRAME_LEN)
+                       // cfg.frontend.hop + 1 for e in manifest.select(*select))
+
+        # train-source reads the source and target-train frames, adapt and
+        # extract read target-train again, and extract reads eval
+        expected = (frames("source") + 3 * frames("target", "train")
+                    + frames("target", "eval"))
+        assert metrics["frontend.make_frontend_features.rows"]["value"] == expected
 
 
 class TestCli:
@@ -704,7 +722,9 @@ class TestCli:
         {"target_train": {"n_lr_stages": 0}},
         {"source_train": {"val_ratio": -0.5}},
         {"svm_frame_step": 2.5}, {"frontend": {"hop": 256.5}},
-        {"target_train": {"batch_size": 12.5}}])
+        {"target_train": {"batch_size": 12.5}},
+        # json.dumps writes these as NaN and Infinity, which json reads back
+        {"svm_c": nan}, {"target_train": {"lr0": inf}}])
     def test_invalid_config_exits_before_any_artifact(self, tiny_corpus,
                                                       tmp_path, capsys, bad):
         root, _ = tiny_corpus
@@ -1002,7 +1022,7 @@ class TestParallelExtract:
             write_wav(path, AudioSegment(0.3 * np.tanh(rng.standard_normal(n))))
             entries.append(ManifestEntry(str(path), f"tgt{i % 2:02d}",
                                          "target", "eval", "clean"))
-        x = np.vstack([m.values for m in pl.frontend_features(cfg, entries)])
+        x = np.vstack(pl.frontend_features(cfg, entries))
         stats = pl.store(cfg, "norm_stats", NormStats(x.mean(0), x.std(0)))
         net = init_mlp(cfg.frontend.dims, (16, 16, 16, 12, 10), 2, seed=0)
         pl.store(cfg, "filter", build_filter(net, "C"), stats)
@@ -1014,8 +1034,8 @@ class TestParallelExtract:
         filt = pl._load(cfg, "filter", Network, stats)
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            return [extract(filt, FeatureMatrix(pl._norm_and_splice(
-                        pl.frontend_features(cfg, [e]), stats, cfg)[0])).values
+            return [extract(filt, pl._norm_and_splice(
+                        pl.frontend_features(cfg, [e]), stats, cfg)[0]).values
                     for e in entries]
 
     # buffers of 64 and 128 rows fill several times and cut the 65-, 92-
@@ -1113,8 +1133,8 @@ class TestFloat32Frames:
         entries = (manifest.select("source") if stage == "train-source"
                    else manifest.select("target", "train"))
         stats = pl._load(cfg, "norm_stats", NormStats)
-        expected = np.vstack([splice(apply_norm(fm, stats), 3).values
-                              for fm in pl.frontend_features(cfg, entries)])
+        expected = np.vstack([splice(apply_norm(m, stats), 3)
+                              for m in pl.frontend_features(cfg, entries)])
         assert len(seen) == 1 and seen[0].dtype == np.float32
         assert np.array_equal(seen[0], expected.astype(np.float32))
 
