@@ -53,8 +53,8 @@ print(f"adapted network: {rep.final_epoch} epochs, target accuracy {acc:.2f}, "
 filt_c = build_filter(comp, "C")
 print("variant C filter layers:",
       [(l.out_dim, l.activation) for l in filt_c.layers])
-feat_c = extract(filt_c, xt[:5]).values                   # pre-activation tap
-feat_a = extract(build_filter(comp, "A"), xt[:5]).values  # post-sigmoid tap
+feat_c = extract(filt_c, [xt[:5]]).values                   # pre-activation tap
+feat_a = extract(build_filter(comp, "A"), [xt[:5]]).values  # post-sigmoid tap
 print("variant C (linear tap) range:",
       float(feat_c.min()), "..", float(feat_c.max()))
 print("variant A (sigmoid tap) range:",

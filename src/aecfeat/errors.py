@@ -38,8 +38,8 @@ def check_field_types(config):
     """Raise an AecError naming the first field of the dataclass `config`
     whose value does not fit its annotation: `int` needs an int and
     `float` a finite int or float, neither a bool; `Tuple[int, ...]` needs
-    a tuple or list of such ints, and `Optional[...]` also admits None.
-    Fields of any other type are left to the config's own checks."""
+    a tuple or list of such ints, and any other type, such as `str` or a
+    nested config, an instance of it; `Optional[...]` also admits None."""
     hints = get_type_hints(type(config))
     for f in fields(config):
         hint, value = hints[f.name], getattr(config, f.name)
@@ -56,7 +56,8 @@ def check_field_types(config):
             ok = _is_number(value, hint)
             need = "a finite float" if hint is float else "int"
         else:
-            continue
+            ok = isinstance(value, hint)
+            need = "a " + hint.__name__
         if not ok:
             raise AecError(f"{type(config).__name__}.{f.name} must be {need}, "
                            f"got {value!r}")

@@ -130,6 +130,13 @@ def make_frontend_features(segment, cfg):
     return FeatureMatrix(values)
 
 
+def _as_2d(values):
+    values = np.asarray(values)
+    if values.ndim != 2:
+        raise AecError(f"features must be 2-D, got {values.ndim}-D")
+    return values
+
+
 def splice(values, context):
     """Concatenate each row of a frames x dims array with its symmetric
     temporal context: a frames x (context * dims) array.
@@ -139,6 +146,7 @@ def splice(values, context):
     """
     if context not in (1, 3, 5, 7):
         raise AecError(f"context must be odd in 1..7, got {context}")
+    values = _as_2d(values)
     if len(values) < 1:
         raise AecError("no frames to splice")
     half = context // 2
@@ -152,7 +160,7 @@ def fit_norm_stats(matrices):
     The caller pools only source-domain and target-training frames, never
     evaluation frames.
     """
-    matrices = list(matrices)
+    matrices = [_as_2d(m) for m in matrices]
     n = sum(len(m) for m in matrices)
     if n == 0:
         raise AecError("no frames to fit normalization statistics")
@@ -171,6 +179,7 @@ def fit_norm_stats(matrices):
 
 def apply_norm(values, stats):
     """Z-score a frames x dims array with previously fitted statistics."""
+    values = _as_2d(values)
     if values.shape[1] != len(stats.mean):
         raise AecError(f"matrix dims {values.shape[1]} != stats dims {len(stats.mean)}")
     return (values - stats.mean) / stats.std

@@ -29,13 +29,9 @@ from .frontend import (FrontendConfig, NormStats, apply_norm, fit_norm_stats,
 from .network import Network, TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
-from .transfer import (BLOCK_ROWS, _one_blas_thread, adapt, build_filter,
-                       extract, strip_output)
+from .transfer import (_one_blas_thread, adapt, build_filter, extract,
+                       strip_output)
 from .transforms import DctSpec, PcaModel, dct_apply, pca_apply, pca_fit
-
-# rows per `extract` call in stage_extract: 16 blocks, enough to keep the
-# CPUs of a small machine busy; 6.3 MB of float32 input at 1,536 dims
-EXTRACT_ROWS = 16 * BLOCK_ROWS
 
 
 @dataclass
@@ -313,36 +309,29 @@ def stage_extract(cfg, manifest, split):
     """Stage 4: filter taps for every frame of each target segment of
     `split`, saved losslessly to features_<split>.npz: one float32 tap
     matrix in manifest order, each segment's frame count, label and
-    condition, and the split. Segments stream one at a time through
-    frontend, normalization and splicing into a float32 buffer of
-    EXTRACT_ROWS rows, packed across segment boundaries; `extract` runs on
-    every CPU each time the buffer fills, and once on the rows left at the
-    end. Only taps are kept, never the split's spliced input. A row's taps
-    depend only on that row, so the file is byte-identical whatever the CPU
-    count and buffer size, to taps extracted a segment at a time, and run
-    to run."""
+    condition, and the split. One `extract` call taps the split from a
+    generator that streams each segment through frontend, normalization
+    and splicing and records its frame count; that work runs on the
+    calling thread inside `extract`, under its BLAS pin. Only taps are
+    kept, never the split's spliced input. A row's taps depend only on
+    that row, so the file is byte-identical whatever the CPU count and
+    buffer size, to taps extracted a segment at a time, and run to run."""
     entries = manifest.select("target", split)
     if not entries:
         raise AecError(f"no target {split} entries")
     stats = _load(cfg, "norm_stats", NormStats)
     filt = _load(cfg, "filter", Network, stats)
-    buffer = np.empty((EXTRACT_ROWS, filt.in_dim), dtype=np.float32)
-    taps, lengths, fill = [], [], 0
-    for e in entries:
-        x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)[0]
-        lengths.append(len(x))
-        start = 0
-        while start < len(x):
-            m = min(len(buffer) - fill, len(x) - start)
-            buffer[fill:fill + m] = x[start:start + m]
-            start, fill = start + m, fill + m
-            if fill == len(buffer):
-                taps.append(extract(filt, buffer).values)
-                fill = 0
-    if fill:
-        taps.append(extract(filt, buffer[:fill]).values)
+    lengths = []
+
+    def segments():
+        for e in entries:
+            x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)[0]
+            lengths.append(len(x))
+            yield x
+
+    taps = extract(filt, segments()).values
     path = artifact_path(cfg, f"features_{split}.npz")
-    np.savez(path, taps=np.concatenate(taps), lengths=np.array(lengths),
+    np.savez(path, taps=taps, lengths=np.array(lengths),
              labels=np.array([e.label for e in entries]),
              conditions=np.array([e.condition for e in entries]),
              split=np.array(split))

@@ -22,12 +22,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import AecError
-from .frontend import FeatureMatrix
-from .network import (Layer, Network, _activate, _as_batch, init_mlp,
-                      predict, train)
+from .frontend import FeatureMatrix, _as_2d
+from .network import Layer, Network, _activate, init_mlp, predict, train
 
 VARIANTS = ("A", "B", "C")
 BLOCK_ROWS = 64
+# blocks in `extract`'s staging buffer: enough to keep the CPUs of a small
+# machine busy; 6.3 MB of float32 input at 1,536 dims
+BUFFER_BLOCKS = 16
 
 
 def _bundled_openblas():
@@ -133,67 +135,72 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _stable_forward(net, x):
-    """Forward pass whose result is bitwise independent of the batch size
-    and of the thread count.
+def extract(filt, segments):
+    """Tap TL#2 for every row of `segments`, an iterable of spliced,
+    normalized frames x dims arrays; `filt` is a filter network from
+    `build_filter`. The taps of all rows come back in order as one float32
+    `FeatureMatrix`.
 
-    Every layer runs over blocks of BLOCK_ROWS rows, the last block
-    zero-padded: as a GEMM on one BLAS thread with numpy's bundled
-    OpenBLAS, so the kernel sees one matrix shape and one thread count
-    whatever the batch, and as an unoptimized einsum, which reduces each
-    output element in a fixed order, without it. Either way a row comes
-    out the same alone, in a ragged batch or pooled with other segments.
-    The two kernels agree to float32 rounding, not bit for bit. The blocks
-    are dealt out to one worker thread per CPU, at most one per block. Every
-    buffer a worker writes is allocated here, before the workers start:
-    glibc keeps what a thread allocates in that thread's malloc arena,
-    where later stages on the main thread cannot reuse it. The BLAS thread
-    count is process-global; calls take turns holding one lock that pins
-    it and restores it on leaving, even if the call raises. Everything
-    runs in float32: the weights are cast once per call, float64 rows are
-    rounded as they are copied into a block, and the result is float32.
+    Each row is copied once, rounded to float32, into a staging buffer of
+    BUFFER_BLOCKS blocks of BLOCK_ROWS rows, packed across segment
+    boundaries. Each time it fills, and once at the end, every layer runs
+    over its blocks, the last one zero-padded: as a GEMM on one BLAS
+    thread with numpy's bundled OpenBLAS, so the kernel sees one matrix
+    shape and one thread count whatever the batch, and as an unoptimized
+    einsum, which reduces each output element in a fixed order, without
+    it. Either way a row comes out the same alone, in a ragged batch or
+    pooled with other segments; the kernels agree to float32 rounding, not
+    bit for bit. One pool of worker threads, one per CPU and at most
+    BUFFER_BLOCKS, serves the whole call and runs only layer arithmetic.
+    Every buffer a worker writes is allocated on the calling thread: glibc
+    keeps what a thread allocates in that thread's malloc arena, where
+    later stages on the main thread cannot reuse it. The BLAS thread count
+    is process-global; calls take turns holding one lock that pins it and
+    restores it on leaving, even if the call raises. `segments` is read on
+    the calling thread inside that lock, so a generator's work runs there.
+    The weights are cast to float32 once.
     """
-    a = _as_batch(x)
+    if filt.layers[-1].activation == "softmax":
+        raise AecError("filter must not end in a softmax layer")
     layers = [(l.w.astype(np.float32), l.b.astype(np.float32), l.activation)
-              for l in net.layers]
-    out = np.empty((len(a), layers[-1][0].shape[0]), dtype=np.float32)
-    starts = range(0, len(a), BLOCK_ROWS)
-    n = max(1, min(_cpu_count(), len(starts)))
-    # per worker: the input block, then one pre-activation per layer
-    buffers = [[np.empty((BLOCK_ROWS, a.shape[1]), dtype=np.float32)]
-               + [np.empty((BLOCK_ROWS, w.shape[0]), dtype=np.float32)
-                  for w, _, _ in layers]
-               for _ in range(n)]
+              for l in filt.layers]
+    buffer = np.empty((BUFFER_BLOCKS * BLOCK_ROWS, filt.in_dim), np.float32)
+    n = min(_cpu_count(), BUFFER_BLOCKS)
+    # per worker: one pre-activation block per layer
+    pre = [[np.empty((BLOCK_ROWS, w.shape[0]), dtype=np.float32)
+            for w, _, _ in layers] for _ in range(n)]
+    taps = []
 
-    def forward_blocks(k):
-        block, *pre = buffers[k]
-        for start in starts[k::n]:
-            rows = a[start:start + BLOCK_ROWS]
-            block[:len(rows)] = rows
-            block[len(rows):] = 0.0
-            h = block
-            for (w, b, activation), z in zip(layers, pre):
+    def forward_blocks(k, out):
+        for start in range(k * BLOCK_ROWS, len(out), n * BLOCK_ROWS):
+            h = buffer[start:start + BLOCK_ROWS]
+            for (w, b, activation), z in zip(layers, pre[k]):
                 if _OPENBLAS is None:
                     np.einsum("nd,md->nm", h, w, out=z, optimize=False)
                 else:
                     np.matmul(h, w.T, out=z)
                 z += b
                 h = _activate(z, activation)
-            out[start:start + len(rows)] = h[:len(rows)]
+            out[start:start + BLOCK_ROWS] = h[:len(out) - start]
+
+    def run(pool, fill):
+        # taps of the buffer's first `fill` rows, if any; zero-pads the tail
+        buffer[fill:-(-fill // BLOCK_ROWS) * BLOCK_ROWS] = 0.0
+        taps.append(np.empty((fill, filt.out_dim), dtype=np.float32))
+        list(pool.map(forward_blocks, range(n), [taps[-1]] * n))
 
     with _one_blas_thread(), ThreadPoolExecutor(n) as pool:
-        list(pool.map(forward_blocks, range(n)))
-    return out
-
-
-def extract(filt, x):
-    """Tap TL#2 for every row of `x`, a spliced, normalized frames x dims
-    array; `filt` is a filter network from `build_filter`. The taps come
-    back as a float32 `FeatureMatrix`."""
-    if filt.layers[-1].activation == "softmax":
-        raise AecError("filter must not end in a softmax layer")
-    if np.ndim(x) != 2:
-        raise AecError(f"features must be 2-D, got {np.ndim(x)}-D")
-    if np.shape(x)[1] != filt.in_dim:
-        raise AecError(f"feature dims {np.shape(x)[1]} != filter input {filt.in_dim}")
-    return FeatureMatrix(_stable_forward(filt, x))
+        fill = 0
+        for x in segments:
+            x = _as_2d(x)
+            if x.shape[1] != filt.in_dim:
+                raise AecError(f"feature dims {x.shape[1]} != filter input {filt.in_dim}")
+            while len(x):
+                m = min(len(buffer) - fill, len(x))
+                buffer[fill:fill + m] = x[:m]
+                x, fill = x[m:], fill + m
+                if fill == len(buffer):
+                    run(pool, fill)
+                    fill = 0
+        run(pool, fill)
+    return FeatureMatrix(np.concatenate(taps))

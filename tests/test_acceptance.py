@@ -364,8 +364,8 @@ def test_ablation_link():
                     TrainConfig(lr0=0.2, max_epochs_per_stage=20, seed=0),
                     seed=0)
     x = rng.standard_normal((100, 6))
-    a = extract(build_filter(comp, "A"), x).values
-    c = extract(build_filter(comp, "C"), x).values
+    a = extract(build_filter(comp, "A"), [x]).values
+    c = extract(build_filter(comp, "C"), [x]).values
     # A and C compute the same pre-activation, so A is sigmoid(C) exactly
     gap = float(np.max(np.abs(a - expit(c))))
     check("ablation-link", np.array_equal(a, expit(c)),

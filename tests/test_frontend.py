@@ -174,6 +174,12 @@ class TestSplice:
         with pytest.raises(AecError, match="no frames to splice"):
             splice(np.zeros((0, 2)), 3)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_not_2d_rejected(self, shape):
+        with pytest.raises(AecError,
+                           match=f"features must be 2-D, got {len(shape)}-D"):
+            splice(np.zeros(shape), 3)
+
 
 class TestNormalization:
     def test_simple_z_score(self):
@@ -212,3 +218,14 @@ class TestNormalization:
         stats = fit_norm_stats([np.zeros((2, 3))])
         with pytest.raises(AecError, match="matrix dims 4 != stats dims 3"):
             apply_norm(np.zeros((2, 4)), stats)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_not_2d_rejected(self, shape):
+        match = f"features must be 2-D, got {len(shape)}-D"
+        with pytest.raises(AecError, match=match):
+            fit_norm_stats([np.zeros((2, 3)), np.zeros(shape)])
+        with pytest.raises(AecError, match=match):
+            fit_norm_stats([np.zeros(shape)])
+        stats = fit_norm_stats([np.zeros((2, 3))])
+        with pytest.raises(AecError, match=match):
+            apply_norm(np.zeros(shape), stats)

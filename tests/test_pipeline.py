@@ -475,6 +475,18 @@ class TestRunConfigValidation:
         with pytest.raises(AecError):
             RunConfig(**bad)
 
+    @pytest.mark.parametrize("config, name, value, need", [
+        (RunConfig, "frontend", 5, "FrontendConfig"),
+        (RunConfig, "frontend", None, "FrontendConfig"),
+        (RunConfig, "source_train", "x", "TrainConfig"),
+        (RunConfig, "out_dir", 5, "str"), (RunConfig, "transform", None, "str"),
+        (FrontendConfig, "window", 1, "str")])
+    def test_nested_config_or_str_field_of_wrong_type_rejected(
+            self, config, name, value, need):
+        with pytest.raises(AecError, match=rf"{config.__name__}\.{name} must "
+                                           rf"be a {need}, got {value!r}"):
+            config(**{name: value})
+
     def test_transform_dim_unchecked_without_transform(self):
         RunConfig(transform="none", transform_dim=20, tl2_dim=10)
 
@@ -596,7 +608,8 @@ class TestRunPipeline:
     def test_traced_benchmark_smoke(self, tiny_corpus, tmp_path, variant):
         # the per-layer benchmark wraps these functions from outside and
         # reads their arguments and results: `layer.frozen`, and `.rows` of
-        # what `make_frontend_features` and `extract` return
+        # what `make_frontend_features` and `extract` return; `extract`
+        # takes a split's segments, so one call taps each split
         spans = load_spans()
         _, manifest = tiny_corpus
         cfg = tiny_config(tmp_path / "run", variant=variant)
@@ -612,6 +625,7 @@ class TestRunPipeline:
             with np.load(tmp_path / "run" / f"features_{split}.npz") as data:
                 taps += data["lengths"].sum()
         assert metrics["transfer.extract.rows"]["value"] == taps
+        assert metrics["transfer.extract.calls"]["value"] == 2
 
         def frames(*select):
             return sum((len(read_wav(e.wav_path)) - FRAME_LEN)
@@ -724,7 +738,9 @@ class TestCli:
         {"svm_frame_step": 2.5}, {"frontend": {"hop": 256.5}},
         {"target_train": {"batch_size": 12.5}},
         # json.dumps writes these as NaN and Infinity, which json reads back
-        {"svm_c": nan}, {"target_train": {"lr0": inf}}])
+        {"svm_c": nan}, {"target_train": {"lr0": inf}},
+        {"frontend": 5}, {"frontend": None}, {"source_train": "x"},
+        {"out_dir": 5}])
     def test_invalid_config_exits_before_any_artifact(self, tiny_corpus,
                                                       tmp_path, capsys, bad):
         root, _ = tiny_corpus
@@ -1001,10 +1017,10 @@ class TestCli:
 
 
 class TestParallelExtract:
-    """`stage_extract` packs rows across segment boundaries into buffers
-    of EXTRACT_ROWS rows, and `extract` spreads each buffer's blocks over
-    one thread per CPU in the affinity mask; the taps must depend on
-    neither."""
+    """`extract` packs a split's rows across segment boundaries into a
+    staging buffer of BUFFER_BLOCKS blocks, and spreads each buffer's
+    blocks over one thread per CPU in the affinity mask; the taps must
+    depend on neither."""
 
     FRAMES = (1, 63, 64, 65, 92, 130)  # ragged around the 64-row block
 
@@ -1035,13 +1051,14 @@ class TestParallelExtract:
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
             return [extract(filt, pl._norm_and_splice(
-                        pl.frontend_features(cfg, [e]), stats, cfg)[0]).values
+                        pl.frontend_features(cfg, [e]), stats, cfg)).values
                     for e in entries]
 
     # buffers of 64 and 128 rows fill several times and cut the 65-, 92-
     # and 130-frame segments; the default buffer holds the whole split,
     # seven blocks, so at 8 CPUs there are fewer blocks than CPUs
-    @pytest.mark.parametrize("buffer_rows", [64, 128, pl.EXTRACT_ROWS])
+    @pytest.mark.parametrize("buffer_rows", [
+        64, 128, transfer.BUFFER_BLOCKS * transfer.BLOCK_ROWS])
     @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}, set(range(8))],
                              ids=["1-cpu", "3-cpus", "8-cpus"])
     def test_taps_equal_per_segment_extract(self, ragged, monkeypatch, cpus,
@@ -1049,7 +1066,8 @@ class TestParallelExtract:
         cfg, entries = ragged
         expected = self.reference(cfg, entries, monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        monkeypatch.setattr(pl, "EXTRACT_ROWS", buffer_rows)
+        monkeypatch.setattr(transfer, "BUFFER_BLOCKS",
+                            buffer_rows // transfer.BLOCK_ROWS)
         pl.stage_extract(cfg, Manifest(entries), "eval")
         with np.load(pl.artifact_path(cfg, "features_eval.npz")) as data:
             assert data["lengths"].tolist() == list(self.FRAMES)
@@ -1085,7 +1103,7 @@ class TestParallelExtract:
         evals[mid] = replace(evals[mid], wav_path=str(bad))
         save_manifest(Manifest(evals), tmp_path / "eval.csv")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(pl, "EXTRACT_ROWS", 128)
+        monkeypatch.setattr(transfer, "BUFFER_BLOCKS", 2)
         blas = transfer._OPENBLAS
         blas_before = blas and blas.scipy_openblas_get_num_threads64_()
         threads_before = threading.active_count()

@@ -165,13 +165,13 @@ class TestBuildFilter:
     def test_variant_a_keeps_sigmoid(self):
         comp, x = adapted(epochs=30)
         filt = build_filter(comp, "A")
-        out = extract(filt, x)
+        out = extract(filt, [x])
         assert np.all((out.values > 0) & (out.values < 1))
 
     def test_variant_link_a_equals_sigmoid_of_c(self):
         comp, x = adapted(epochs=30)
-        a = extract(build_filter(comp, "A"), x).values
-        c = extract(build_filter(comp, "C"), x).values
+        a = extract(build_filter(comp, "A"), [x]).values
+        c = extract(build_filter(comp, "C"), [x]).values
         # the same pre-activation, so bit for bit
         assert np.array_equal(a, expit(c))
 
@@ -193,7 +193,7 @@ class TestBuildFilter:
 class TestExtract:
     def test_shape(self):
         filt = build_filter(adapted()[0], "C")
-        out = extract(filt, np.random.default_rng(0).standard_normal((92, 6)))
+        out = extract(filt, [np.random.default_rng(0).standard_normal((92, 6))])
         assert out.values.shape == (92, 6)
         assert out.rows == 92
 
@@ -203,17 +203,17 @@ class TestExtract:
         last.w[:] = 0.0
         last.b[:] = np.arange(6.0)
         # zero the incoming weights so only TL#2's bias survives
-        out = extract(filt, np.zeros((3, 6)))
+        out = extract(filt, [np.zeros((3, 6))])
         assert np.allclose(out.values, np.arange(6.0))
 
     def test_purity_and_batch_independence(self):
         filt = build_filter(adapted()[0], "C")
         x = np.random.default_rng(1).standard_normal((20, 6))
-        full = extract(filt, x).values
-        again = extract(filt, x).values
+        full = extract(filt, [x]).values
+        again = extract(filt, [x]).values
         assert np.array_equal(full, again)
         one_at_a_time = np.vstack([
-            extract(filt, x[i : i + 1]).values
+            extract(filt, [x[i : i + 1]]).values
             for i in range(len(x))
         ])
         assert np.array_equal(full, one_at_a_time)
@@ -221,20 +221,20 @@ class TestExtract:
     def test_dim_mismatch(self):
         filt = build_filter(adapted()[0], "C")
         with pytest.raises(AecError, match="feature dims 9 != filter input"):
-            extract(filt, np.zeros((2, 9)))
+            extract(filt, [np.zeros((2, 9))])
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3, 6)])
     def test_not_2d_rejected(self, shape):
         filt = build_filter(adapted()[0], "C")
         with pytest.raises(AecError, match=f"features must be 2-D, got {len(shape)}-D"):
-            extract(filt, np.zeros(shape))
+            extract(filt, [np.zeros(shape)])
 
     def test_softmax_network_rejected(self):
         # the composite still has its head: it classifies, it is no filter
         comp, x = adapted()
         with pytest.raises(AecError,
                            match="filter must not end in a softmax layer"):
-            extract(comp, x)
+            extract(comp, [x])
 
     # 200 rows: three full GEMM blocks and a ragged tail of 8
     @pytest.mark.parametrize("kernel", ["default", "gemm-2-threads", "einsum"])
@@ -247,11 +247,11 @@ class TestExtract:
             monkeypatch.setattr(transfer, "_OPENBLAS", None)
         filt = e2e_filter()
         x = np.random.default_rng(2).standard_normal((200, E2E_DIMS))
-        full = extract(filt, x).values
-        one_at_a_time = np.vstack([extract(filt, x[i:i + 1]).values
+        full = extract(filt, [x]).values
+        one_at_a_time = np.vstack([extract(filt, [x[i:i + 1]]).values
                                    for i in range(len(x))])
-        two_segments = np.vstack([extract(filt, x[:92]).values,
-                                  extract(filt, x[92:]).values])
+        two_segments = np.vstack([extract(filt, [x[:92]]).values,
+                                  extract(filt, [x[92:]]).values])
         assert full.shape == (200, 150)
         assert np.array_equal(full, one_at_a_time)
         assert np.array_equal(full, two_segments)
@@ -259,16 +259,16 @@ class TestExtract:
     def test_einsum_fallback_agrees_with_gemm(self, monkeypatch):
         filt = e2e_filter()
         x = np.random.default_rng(3).standard_normal((200, E2E_DIMS))
-        gemm = extract(filt, x).values
+        gemm = extract(filt, [x]).values
         monkeypatch.setattr(transfer, "_OPENBLAS", None)
-        einsum = extract(filt, x).values
+        einsum = extract(filt, [x]).values
         # both run in float32 and sum in different orders
         assert np.abs(gemm - einsum).max() <= 1e-5 * np.abs(gemm).max()
 
     def test_float32_taps_agree_with_float64_predict(self):
         filt = e2e_filter()
         x = np.random.default_rng(4).standard_normal((200, E2E_DIMS))
-        taps = extract(filt, x).values
+        taps = extract(filt, [x]).values
         exact = predict(filt, x)
         assert taps.dtype == np.float32 and exact.dtype == np.float64
         assert np.abs(taps - exact).max() <= 1e-5 * np.abs(exact).max()
@@ -282,10 +282,38 @@ class TestExtract:
             monkeypatch.setattr(transfer, "_OPENBLAS", None)
         filt = e2e_filter()
         x = np.random.default_rng(6).standard_normal((1000, E2E_DIMS))
-        serial = np.vstack([extract(filt, x[i:i + 64]).values
+        serial = np.vstack([extract(filt, [x[i:i + 64]]).values
                             for i in range(0, len(x), 64)])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        assert np.array_equal(extract(filt, x).values, serial)
+        assert np.array_equal(extract(filt, [x]).values, serial)
+
+    FRAMES = (1, 63, 64, 65, 92, 130)  # ragged around the 64-row block
+
+    # one block, two blocks and the default buffer: the first two fill
+    # several times and cut segments, the last holds all 415 rows
+    @pytest.mark.parametrize("blocks", [1, 2, transfer.BUFFER_BLOCKS])
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}, set(range(8))],
+                             ids=["1-cpu", "3-cpus", "8-cpus"])
+    @pytest.mark.parametrize("source", ["list", "generator"])
+    def test_segments_pooled_equal_per_segment_extract(
+            self, monkeypatch, blocks, cpus, source):
+        filt = e2e_filter()
+        rng = np.random.default_rng(5)
+        xs = [rng.standard_normal((n, E2E_DIMS)) for n in self.FRAMES]
+        expected = np.vstack([extract(filt, [x]).values for x in xs])
+        monkeypatch.setattr(transfer, "BUFFER_BLOCKS", blocks)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        segments = xs if source == "list" else (x for x in xs)
+        taps = extract(filt, segments).values
+        assert taps.dtype == np.float32
+        assert np.array_equal(taps, expected)
+
+    def test_no_segments_give_no_rows(self):
+        filt = e2e_filter()
+        for segments in ([], iter(()), [np.zeros((0, E2E_DIMS))]):
+            out = extract(filt, segments)
+            assert out.values.shape == (0, 150)
+            assert out.values.dtype == np.float32
 
     def test_blas_thread_count_restored(self, blas_threads, monkeypatch):
         # 70 rows are two blocks, so two worker threads run them
@@ -293,13 +321,27 @@ class TestExtract:
         threads = threading.active_count()
         blas_threads.scipy_openblas_set_num_threads64_(2)
         filt = e2e_filter()
-        extract(filt, np.zeros((70, E2E_DIMS)))
+        extract(filt, [np.zeros((70, E2E_DIMS))])
         assert blas_threads.scipy_openblas_get_num_threads64_() == 2
+        # a wrong-width segment after a full buffer has run on the workers
+        monkeypatch.setattr(transfer, "BUFFER_BLOCKS", 2)
+        inside = []
+
+        def segments():
+            yield np.zeros((130, E2E_DIMS))  # fills the 128-row buffer
+            inside.append(threading.active_count())
+            yield np.zeros((5, E2E_DIMS - 1))
+
+        with pytest.raises(AecError, match="feature dims 1535 != filter"):
+            extract(filt, segments())
+        assert inside[0] > threads
+        assert blas_threads.scipy_openblas_get_num_threads64_() == 2
+        assert threading.active_count() == threads
         # TL#1 expects 256 inputs; 255 make the GEMM raise inside the pin
         tl1 = filt.layers[3]
         filt.layers[3] = Layer(tl1.w[:, :255], tl1.b, tl1.activation)
         with pytest.raises(ValueError):
-            extract(filt, np.zeros((70, E2E_DIMS)))
+            extract(filt, [np.zeros((70, E2E_DIMS))])
         assert blas_threads.scipy_openblas_get_num_threads64_() == 2
         assert threading.active_count() == threads
 
@@ -313,7 +355,7 @@ class TestExtract:
         filt = e2e_filter()
         xs = [np.random.default_rng(s).standard_normal((384, E2E_DIMS))
               for s in range(4)]
-        serial = [extract(filt, x).values for x in xs]
+        serial = [extract(filt, [x]).values for x in xs]
         nets = [filt] * 4
         if odd_threads == "raise":  # TL#1 expects 256 inputs; 255 raise
             tl1 = filt.layers[3]
@@ -328,7 +370,7 @@ class TestExtract:
                 def work(i):
                     start.wait()
                     try:
-                        out[i] = extract(nets[i], xs[i]).values
+                        out[i] = extract(nets[i], [xs[i]]).values
                     except ValueError as e:
                         out[i] = e
 
