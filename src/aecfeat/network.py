@@ -7,9 +7,10 @@ stage). `train` updates every layer it is given; `Layer.frozen` only marks
 the trunk layers that `transfer.adapt` keeps out of training. Everything is
 deterministic for a given seed.
 
-Training runs in float32: `train` casts features, targets, parameters and
-velocities down once and returns float32 parameters (every stage already
-stores its parameters as float32 in `.aecf` files). `forward` and `grad`
+Training runs in float32: `train` reads float32 features in place (any
+other dtype is cast down once), casts targets, parameters and velocities
+down once and returns float32 parameters (every stage already stores its
+parameters as float32 in `.aecf` files). `forward` and `grad`
 compute in the dtype of their input and parameters, so float64 callers get
 float64 results. Losses are accumulated in float64.
 """
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import AecError, check_field_types
+from .frontend import _as_2d
 
 
 @dataclass
@@ -246,19 +248,31 @@ def train(net, features, labels, cfg):
     measured before that minibatch's update; the validation split is the
     only data forwarded again after an epoch.
 
-    Training runs in float32 on float32 copies of the features, targets and
-    parameters, and the returned snapshot holds float32 parameters; with a
-    zero-epoch cap a copy of the starting network, in its own dtype, is
-    handed back.
+    Training runs in float32 and the returned snapshot holds float32
+    parameters; with a zero-epoch cap a copy of the starting network, in
+    its own dtype, is handed back. Minibatches are gathered by index from
+    the caller's features, which are read in place when they are float32
+    (any other dtype is cast down once); only the validation rows are
+    copied. Features must be a finite 2-D array and labels integer class
+    indices >= 0.
     """
-    x = np.asarray(features)
-    labels = np.asarray(labels, dtype=int)
+    x = _as_2d(features).astype(np.float32, copy=False)
+    # a NaN or inf anywhere makes the sum non-finite; finite float32 values
+    # cannot overflow a float64 sum, and the reduction copies nothing
+    if not np.isfinite(x.sum(dtype=np.float64)):
+        raise AecError("features contain non-finite values")
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iuf" or np.any(labels % 1 != 0):
+        raise AecError("labels must be integer class indices")
+    labels = labels.astype(int)
     if x.shape[0] != len(labels):
         raise AecError("features/labels length mismatch")
     classes = np.unique(labels)
     if len(classes) < 2:
         raise AecError("need at least 2 classes")
     n_classes = net.out_dim
+    if classes[0] < 0:
+        raise AecError(f"label index {classes[0]} is negative")
     if labels.max() >= n_classes:
         raise AecError("label index exceeds network output dim")
     if net.layers[-1].activation != "softmax":
@@ -270,11 +284,8 @@ def train(net, features, labels, cfg):
         if not np.any(labels[train_idx] == c):
             raise AecError(f"class {c} has no training samples after the split")
 
-    x = x.astype(np.float32, copy=False)
     y = one_hot(labels, n_classes).astype(np.float32)
-    x_tr, y_tr = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
-    del x  # only the two splits are needed from here on
 
     start = net
     net = net.copy(np.float32)
@@ -290,15 +301,15 @@ def train(net, features, labels, cfg):
         prev_ce = None
         stall = 0
         for _ in range(cfg.max_epochs_per_stage):
-            order = rng.permutation(len(x_tr))
+            order = train_idx[rng.permutation(len(train_idx))]
             ce_sum = 0.0
             for lo in range(0, len(order), cfg.batch_size):
-                sel = order[lo : lo + cfg.batch_size]
-                g, loss = grad(net, x_tr[sel], y_tr[sel])
+                rows = order[lo : lo + cfg.batch_size]
+                g, loss = grad(net, x[rows], y[rows])
                 ce_sum += loss
                 for layer, gl, vel in zip(net.layers, g, velocity):
                     sgd_step(layer, gl, vel, lr, cfg.momentum, cfg.weight_decay)
-            train_ce = ce_sum / len(x_tr)
+            train_ce = ce_sum / len(order)
             if len(x_val):
                 val_ce = cross_entropy(predict(net, x_val), y_val)
             else:

@@ -202,23 +202,33 @@ def _input_fingerprint(cfg, stats):
 
 
 def _norm_and_splice(mats, stats, cfg):
-    """Each frontend array normalized and spliced, computed in float64 and
-    rounded to float32 once: the precision `train` and `extract` run in."""
-    return [splice(apply_norm(m, stats), cfg.frontend.splice_context)
-            .astype(np.float32) for m in mats]
+    """The frontend arrays normalized and spliced into one float32
+    (total rows, dims) matrix, rows in order: the matrix `train` and
+    `extract` read. It is allocated once, and each array's rows, computed
+    in float64, are rounded into their slice, as `.astype(np.float32)`
+    rounds them; an empty list gives 0 rows."""
+    context = cfg.frontend.splice_context
+    x = np.empty((sum(len(m) for m in mats), len(stats.mean) * context),
+                 dtype=np.float32)
+    lo = 0
+    for m in mats:
+        x[lo:lo + len(m)] = splice(apply_norm(m, stats), context)
+        lo += len(m)
+    return x
 
 
-def _pooled(arrays, labels):
-    """All frames stacked, the index of each frame's label in the sorted
-    label set, and that set."""
+def _frame_labels(arrays, labels):
+    """The index of each frame's label in the sorted label set, for one
+    label per array, and that set."""
     classes = sorted(set(labels))
     y = np.repeat([classes.index(l) for l in labels], [len(a) for a in arrays])
-    return np.vstack(arrays), y, classes
+    return y, classes
 
 
 def fit_classifier(cfg, taps, labels):
     """The back-end classifier on the training segments' tap arrays."""
-    x, y, classes = _pooled(taps, labels)
+    x = np.vstack(taps)
+    y, classes = _frame_labels(taps, labels)
     if cfg.classifier == "gmm":
         per_class = {label: x[y == idx] for idx, label in enumerate(classes)}
         return gmm_fit(per_class, k=cfg.gmm_k, seed=cfg.seed)
@@ -263,20 +273,24 @@ def evaluate(cfg, clf, taps, labels, conditions, classes):
 def stage_train_source(cfg, manifest):
     """Stages 1-2: z-score statistics pooled over source and target-train
     frames only, never eval; for variants A/C also the source network,
-    stamped with their input fingerprint."""
+    stamped with their input fingerprint. The network trains on one
+    float32 matrix of the source frames; the float64 frontend arrays are
+    released before it trains."""
     source_entries = manifest.select("source")
     if any(e.split == "eval" for e in source_entries):
         raise AecError("refusing to fit normalization on evaluation frames")
     source_mats = frontend_features(cfg, source_entries)
     train_mats = frontend_features(cfg, manifest.select("target", "train"))
     stats = store(cfg, "norm_stats", fit_norm_stats(source_mats + train_mats))
+    del train_mats
     paths = {"norm_stats": artifact_path(cfg, "norm_stats.aecf")}
     if cfg.variant == "B":  # the source network is a variant A/C artifact
         return paths
     if not source_entries:
         raise AecError("variants A/C require source-domain entries")
-    x, y, classes = _pooled(_norm_and_splice(source_mats, stats, cfg),
-                            [e.label for e in source_entries])
+    y, classes = _frame_labels(source_mats, [e.label for e in source_entries])
+    x = _norm_and_splice(source_mats, stats, cfg)
+    del source_mats
     net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
     net, _ = train(net, x, y, cfg.source_train)
     store(cfg, "source_model", net, stats)
@@ -286,7 +300,9 @@ def stage_train_source(cfg, manifest):
 def stage_adapt(cfg, manifest):
     """Stage 3: the filter. Variants A/C train TL#1, TL#2 and a head over
     the source network's fixed trunk; variant B trains the whole five-layer
-    stack on target data only. Both are one `adapt` call."""
+    stack on target data only. Both are one `adapt` call, on one float32
+    matrix of the target-train frames; the float64 frontend arrays are
+    released once it is built."""
     entries = manifest.select("target", "train")
     if not entries:
         raise AecError("no target training entries")
@@ -296,9 +312,10 @@ def stage_adapt(cfg, manifest):
     else:
         trunk = strip_output(_load(cfg, "source_model", Network, stats))
         widths = (cfg.tl1_dim, cfg.tl2_dim)
-    x, y, classes = _pooled(
-        _norm_and_splice(frontend_features(cfg, entries), stats, cfg),
-        [e.label for e in entries])
+    mats = frontend_features(cfg, entries)
+    y, classes = _frame_labels(mats, [e.label for e in entries])
+    x = _norm_and_splice(mats, stats, cfg)
+    del mats
     composite, _ = adapt(trunk, x, y, widths, len(classes), cfg.target_train,
                          seed=cfg.seed)
     store(cfg, "filter", build_filter(composite, cfg.variant), stats)
@@ -325,7 +342,7 @@ def stage_extract(cfg, manifest, split):
 
     def segments():
         for e in entries:
-            x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)[0]
+            x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)
             lengths.append(len(x))
             yield x
 

@@ -25,7 +25,8 @@ from aecfeat.network import (
     one_hot,
     predict,
 )
-from aecfeat.pipeline import RunConfig, run_pipeline, stage_extract
+from aecfeat.pipeline import (RunConfig, frontend_features, run_pipeline,
+                              stage_adapt, stage_extract, stage_train_source)
 from aecfeat.report import render_table
 from aecfeat.synthetic import generate_dataset
 from aecfeat.transfer import adapt, build_filter, extract, strip_output
@@ -314,18 +315,23 @@ def test_synthetic_end_to_end(e2e):
           f"{identical}, total runtime {e2e['elapsed']:.0f} s (< 600 s)")
 
 
+def traced_peak(fn, *args):
+    """The peak of the memory tracemalloc traces while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_extraction_memory_bounded(e2e, tmp_path):
     # extraction streams segment by segment, so it never holds the split's
     # spliced frontend input at once
     cfg = e2e_config(tmp_path, "B")
     for name in ("norm_stats.aecf", "filter.aecf"):
         shutil.copy(e2e["root"] / "b" / name, tmp_path)
-    tracemalloc.start()
-    try:
-        stage_extract(cfg, e2e["manifest"], "eval")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(stage_extract, cfg, e2e["manifest"], "eval")
     with np.load(tmp_path / "features_eval.npz") as data:
         rows = len(data["taps"])
     spliced = rows * cfg.frontend.dims * 8
@@ -333,6 +339,35 @@ def test_extraction_memory_bounded(e2e, tmp_path):
           peak < spliced,
           f"eval extraction traced peak {peak / 1e6:.1f} MB (< spliced "
           f"input {spliced / 1e6:.1f} MB, {rows} frames)")
+
+
+@pytest.mark.parametrize("stage, variant, inputs", [
+    (stage_train_source, "C", ()),
+    (stage_adapt, "C", ("norm_stats.aecf", "source_model.aecf")),
+    (stage_adapt, "B", ("norm_stats.aecf",)),
+], ids=["train-source-C", "adapt-C", "adapt-B"])
+def test_training_memory_bounded(e2e, tmp_path, stage, variant, inputs):
+    # a training stage holds its float64 frontend frames and one float32
+    # matrix of the spliced frames it trains on; `train` reads that matrix
+    # by index, so neither stacked nor split copies of it appear
+    cfg = e2e_config(tmp_path, variant)
+    manifest = e2e["manifest"]
+    for name in inputs:
+        shutil.copy(e2e["root"] / {"C": "c1", "B": "b"}[variant] / name,
+                    tmp_path)
+    source, target = (sum(map(len, frontend_features(cfg, manifest.select(*s))))
+                      for s in (("source",), ("target", "train")))
+    read, trained = ((source + target, source) if stage is stage_train_source
+                     else (target, target))
+    frontend = read * cfg.frontend.dims // cfg.frontend.splice_context * 8
+    spliced = trained * cfg.frontend.dims * 4
+    bound = frontend + 1.25 * spliced
+    peak = traced_peak(stage, cfg, manifest)
+    check("training-memory",
+          peak < bound,
+          f"{stage.__name__} {variant} traced peak {peak / 1e6:.1f} MB (< "
+          f"{bound / 1e6:.1f} MB: float64 frontend frames {frontend / 1e6:.1f} "
+          f"MB + 1.25 x float32 spliced frames {spliced / 1e6:.1f} MB)")
 
 
 # --- 9. accuracy-table arithmetic fixture -----------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,60 @@ class TestTrain:
             epoch = batches[3 * e : 3 * e + 3]
             assert [n for n, _ in epoch] == [12, 12, 8]
             assert ce == sum(loss for _, loss in epoch) / 32
+
+    @pytest.mark.parametrize("labels, match", [
+        ([0, -1] * 5, "negative"),
+        ([0, 1.5] * 5, "integer class indices"),
+        ([0.0, np.nan] * 5, "integer class indices"),
+        (["a", "b"] * 5, "integer class indices"),
+    ], ids=["negative", "fractional", "nan", "strings"])
+    def test_bad_labels_rejected(self, labels, match):
+        with pytest.raises(AecError, match=match):
+            train(init_mlp(4, (3,), 2), np.zeros((10, 4)), labels,
+                  TrainConfig())
+
+    def test_integral_float_labels_accepted(self):
+        x, y = xor_data(5)
+        a = train(small_net([2, 4, 2]), x, y, TrainConfig(max_epochs_per_stage=2))
+        b = train(small_net([2, 4, 2]), x, y.astype(float),
+                  TrainConfig(max_epochs_per_stage=2))
+        assert np.array_equal(a[0].layers[0].w, b[0].layers[0].w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x, y = xor_data(5)
+        one_row = x.copy()
+        one_row[7] = bad
+        for features in (np.full_like(x, bad), one_row):
+            with pytest.raises(AecError, match="non-finite"):
+                train(small_net([2, 4, 2]), features, y, TrainConfig())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_float64_beyond_float32_range_rejected(self):
+        x, y = xor_data(5)
+        x[3, 1] = 1e300
+        with pytest.raises(AecError, match="non-finite"):
+            train(small_net([2, 4, 2]), x, y, TrainConfig())
+
+    @pytest.mark.parametrize("shape", [(10,), (10, 4, 1)])
+    def test_features_not_2d_rejected(self, shape):
+        with pytest.raises(AecError, match="features must be 2-D"):
+            train(init_mlp(4, (3,), 2), np.zeros(shape), [0, 1] * 5,
+                  TrainConfig())
+
+    def test_trains_from_the_callers_float32_matrix_without_copying_it(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((20000, 256), dtype=np.float32)
+        y = np.arange(20000) % 2
+        cfg = TrainConfig(batch_size=256, max_epochs_per_stage=1,
+                          n_lr_stages=1, seed=0)
+        tracemalloc.start()
+        try:
+            train(init_mlp(256, (8,), 2), x, y, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 2, (peak, x.nbytes)
 
     def test_degenerate_labels(self):
         net = small_net([2, 3, 2])

@@ -1050,8 +1050,8 @@ class TestParallelExtract:
         filt = pl._load(cfg, "filter", Network, stats)
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            return [extract(filt, pl._norm_and_splice(
-                        pl.frontend_features(cfg, [e]), stats, cfg)).values
+            return [extract(filt, [pl._norm_and_splice(
+                        pl.frontend_features(cfg, [e]), stats, cfg)]).values
                     for e in entries]
 
     # buffers of 64 and 128 rows fill several times and cut the 65-, 92-
@@ -1120,8 +1120,29 @@ class TestParallelExtract:
 
 class TestFloat32Frames:
     """Frames are normalized and spliced in float64 and rounded to float32
-    once; the trainer, the fixed trunk, the filter and the features file
-    see float32 from there on."""
+    once, into one matrix per stage; the trainer, the fixed trunk, the
+    filter and the features file see float32 from there on."""
+
+    @pytest.mark.parametrize("context", [1, 3, 7])
+    def test_norm_and_splice_is_one_matrix_of_rounded_rows(self, tmp_path,
+                                                             context):
+        cfg = replace(tiny_config(tmp_path), frontend=FrontendConfig(
+            input_mode="dft_mag", splice_context=context))
+        rng = np.random.default_rng(0)
+        mats = [rng.standard_normal((n, 512)) * 3.0 + 1.0
+                for n in (1, 2, 7, 92)]
+        stats = NormStats(rng.standard_normal(512), rng.uniform(0.5, 2.0, 512))
+        x = pl._norm_and_splice(mats, stats, cfg)
+        expected = np.vstack([splice(apply_norm(m, stats), context)
+                              .astype(np.float32) for m in mats])
+        assert x.dtype == np.float32 and x.flags.c_contiguous
+        assert np.array_equal(x, expected)
+
+    def test_norm_and_splice_of_no_arrays_has_no_rows(self, tmp_path):
+        cfg = replace(tiny_config(tmp_path), frontend=FrontendConfig(
+            input_mode="dft_mag", splice_context=3))
+        x = pl._norm_and_splice([], NormStats(np.zeros(512), np.ones(512)), cfg)
+        assert x.shape == (0, 3 * 512) and x.dtype == np.float32
 
     def test_features_file_holds_float32_taps(self, staged_out):
         for split in ("train", "eval"):
