@@ -33,10 +33,11 @@ acc = np.mean(np.argmax(predict(source, xs), axis=1) == ys)
 print(f"source network: {rep.final_epoch} epochs, train accuracy {acc:.2f}")
 
 # 2. surgery and adaptation: drop the head, keep what remains fixed, and
-#    train TL#1 (12), TL#2 (10) and a new head on the 3 target classes
+#    train TL#1 (12), TL#2 (10) and a new head on the 3 target classes,
+#    over the trunk's outputs for the target frames
 trunk = strip_output(source)
 xt, yt = blobs(3, 40, 8, seed=7)
-comp, rep = adapt(trunk, xt, yt, (12, 10), 3,
+comp, rep = adapt(trunk, extract(trunk, [xt]).values, yt, (12, 10), 3,
                   TrainConfig(lr0=0.3, max_epochs_per_stage=100, seed=0),
                   seed=0)
 print("composite layers:",

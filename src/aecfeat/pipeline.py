@@ -10,6 +10,7 @@ fingerprint. A split's taps are stored as one matrix plus per-segment
 frame counts; the back end, `cross_validate` included, gets them as
 per-segment views, projected once at load."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -103,14 +104,38 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _malloc_trim():
+    """glibc's malloc_trim, typed, or None on another C library."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _malloc_trim()
+
+
 @contextmanager
 def _stage(name):
+    """Run one stage, raising its failures as a StageError that names it.
+    When the stage ends, the heap memory it freed goes back to the OS.
+    glibc raises its mmap threshold to the largest array freed so far (up
+    to 32 MB), so later arrays below it come from the heap, and the free
+    memory they leave there may stay resident; how much depends on the
+    heap's layout, which differs from run to run. Without the trim, the
+    next stage started on top of that memory and the process's resident
+    peak moved by about 22 MB between runs of the same operation."""
     try:
         yield
     except StageError:
         raise
     except Exception as e:
         raise StageError(name, e) from e
+    finally:
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
 
 
 def artifact_path(cfg, name):
@@ -217,18 +242,29 @@ def _norm_and_splice(mats, stats, cfg):
     return x
 
 
-def _frame_labels(arrays, labels):
+def _frame_labels(lengths, labels):
     """The index of each frame's label in the sorted label set, for one
-    label per array, and that set."""
+    label per run of `lengths` frames, and that set."""
     classes = sorted(set(labels))
-    y = np.repeat([classes.index(l) for l in labels], [len(a) for a in arrays])
+    y = np.repeat([classes.index(l) for l in labels], lengths)
     return y, classes
+
+
+def _spliced_segments(cfg, entries, stats, lengths):
+    """Each entry's frames through frontend, normalization and splicing,
+    one float32 array per entry, in order; each array's frame count is
+    appended to `lengths` as it is yielded. Only one entry's frontend
+    arrays are held at a time."""
+    for e in entries:
+        x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)
+        lengths.append(len(x))
+        yield x
 
 
 def fit_classifier(cfg, taps, labels):
     """The back-end classifier on the training segments' tap arrays."""
     x = np.vstack(taps)
-    y, classes = _frame_labels(taps, labels)
+    y, classes = _frame_labels([len(t) for t in taps], labels)
     if cfg.classifier == "gmm":
         per_class = {label: x[y == idx] for idx, label in enumerate(classes)}
         return gmm_fit(per_class, k=cfg.gmm_k, seed=cfg.seed)
@@ -288,7 +324,8 @@ def stage_train_source(cfg, manifest):
         return paths
     if not source_entries:
         raise AecError("variants A/C require source-domain entries")
-    y, classes = _frame_labels(source_mats, [e.label for e in source_entries])
+    y, classes = _frame_labels([len(m) for m in source_mats],
+                               [e.label for e in source_entries])
     x = _norm_and_splice(source_mats, stats, cfg)
     del source_mats
     net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
@@ -299,23 +336,30 @@ def stage_train_source(cfg, manifest):
 
 def stage_adapt(cfg, manifest):
     """Stage 3: the filter. Variants A/C train TL#1, TL#2 and a head over
-    the source network's fixed trunk; variant B trains the whole five-layer
-    stack on target data only. Both are one `adapt` call, on one float32
-    matrix of the target-train frames; the float64 frontend arrays are
-    released once it is built."""
+    the source network's fixed trunk: one `extract` call forwards the
+    trunk over the target-train frames, streamed a segment at a time as
+    `stage_extract` streams them, and `adapt` trains on those outputs, so
+    the spliced frames are never held together. Variant B trains the whole
+    five-layer stack on target data only, by one `adapt` call on one
+    float32 matrix of the target-train frames; the float64 frontend arrays
+    are released once it is built."""
     entries = manifest.select("target", "train")
     if not entries:
         raise AecError("no target training entries")
     stats = _load(cfg, "norm_stats", NormStats)
     if cfg.variant == "B":
         trunk, widths = None, (*cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim)
+        mats = frontend_features(cfg, entries)
+        lengths = [len(m) for m in mats]
+        x = _norm_and_splice(mats, stats, cfg)
+        del mats
     else:
         trunk = strip_output(_load(cfg, "source_model", Network, stats))
         widths = (cfg.tl1_dim, cfg.tl2_dim)
-    mats = frontend_features(cfg, entries)
-    y, classes = _frame_labels(mats, [e.label for e in entries])
-    x = _norm_and_splice(mats, stats, cfg)
-    del mats
+        lengths = []
+        segments = _spliced_segments(cfg, entries, stats, lengths)
+        x = extract(trunk, segments).values
+    y, classes = _frame_labels(lengths, [e.label for e in entries])
     composite, _ = adapt(trunk, x, y, widths, len(classes), cfg.target_train,
                          seed=cfg.seed)
     store(cfg, "filter", build_filter(composite, cfg.variant), stats)
@@ -326,11 +370,11 @@ def stage_extract(cfg, manifest, split):
     """Stage 4: filter taps for every frame of each target segment of
     `split`, saved losslessly to features_<split>.npz: one float32 tap
     matrix in manifest order, each segment's frame count, label and
-    condition, and the split. One `extract` call taps the split from a
-    generator that streams each segment through frontend, normalization
-    and splicing and records its frame count; that work runs on the
-    calling thread inside `extract`, under its BLAS pin. Only taps are
-    kept, never the split's spliced input. A row's taps depend only on
+    condition, and the split. One `extract` call taps the split from
+    `_spliced_segments`, which streams each segment through frontend,
+    normalization and splicing and records its frame count; that work runs
+    on the calling thread inside `extract`, under its BLAS pin. Only taps
+    are kept, never the split's spliced input. A row's taps depend only on
     that row, so the file is byte-identical whatever the CPU count and
     buffer size, to taps extracted a segment at a time, and run to run."""
     entries = manifest.select("target", split)
@@ -339,14 +383,8 @@ def stage_extract(cfg, manifest, split):
     stats = _load(cfg, "norm_stats", NormStats)
     filt = _load(cfg, "filter", Network, stats)
     lengths = []
-
-    def segments():
-        for e in entries:
-            x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)
-            lengths.append(len(x))
-            yield x
-
-    taps = extract(filt, segments()).values
+    segments = _spliced_segments(cfg, entries, stats, lengths)
+    taps = extract(filt, segments).values
     path = artifact_path(cfg, f"features_{split}.npz")
     np.savez(path, taps=taps, lengths=np.array(lengths),
              labels=np.array([e.label for e in entries]),

@@ -3,13 +3,13 @@
 A source network (SL#1-3 + softmax head) is trained on the large source
 task. Its head is removed and the remaining layers kept as a fixed trunk;
 `adapt` trains fresh sigmoid layers (TL#1-2) and a new softmax head on the
-trunk's outputs for the target data, computed once, and never updates the
-trunk. Variant B is the same call with no trunk: the whole five-layer stack
-is fresh and trained on target data only. The filter taps the last fresh
-layer: pre-activation for the proposed variant (C) and for B,
-post-sigmoid for ablation A. The source network, the composite and the
-filter are all plain `Network`s; the filter is the composite with its
-softmax head cut off.
+trunk's outputs for the target data, which the caller computes once with
+`extract`, and never updates the trunk. Variant B is the same call with no
+trunk: the whole five-layer stack is fresh and trained on target data
+only. The filter taps the last fresh layer: pre-activation for the
+proposed variant (C) and for B, post-sigmoid for ablation A. The source
+network, the composite and the filter are all plain `Network`s; the
+filter is the composite with its softmax head cut off.
 """
 
 import contextlib
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AecError
 from .frontend import FeatureMatrix, _as_2d
-from .network import Layer, Network, _activate, init_mlp, predict, train
+from .network import Layer, Network, _activate, init_mlp, train
 
 VARIANTS = ("A", "B", "C")
 BLOCK_ROWS = 64
@@ -65,23 +65,25 @@ def strip_output(net):
 
 
 def adapt(trunk, x, y, widths, n_classes, cfg, seed=0):
-    """Train fresh sigmoid layers `widths` and a softmax head over a fixed
-    trunk on target data; return (Network(trunk + trained layers),
+    """Train fresh sigmoid layers `widths` and a softmax head on `x` and
+    put them over a fixed trunk; return (Network(trunk + trained layers),
     TrainReport).
 
-    The trunk is forwarded once over all of `x`, in float32 (a float32
-    copy of it, over `x` cast to float32), and `train` sees only the fresh
-    layers and those fixed outputs, so the trunk comes back bit-identical,
-    its copies marked frozen. With `trunk=None` the fresh layers are
-    trained on `x` itself.
+    With a trunk, `x` is the trunk's outputs for the target frames, as
+    `extract(trunk, segments)` computes them, and must be as wide as the
+    trunk's last layer; only the fresh layers train, and the trunk comes
+    back bit-identical, its copies marked frozen. With `trunk=None`, `x`
+    is the frames themselves and every layer is fresh.
     """
+    x = _as_2d(x)
     fixed = []
     if trunk is not None:
+        if x.shape[1] != trunk.out_dim:
+            raise AecError(f"adaptation input width {x.shape[1]} != trunk "
+                           f"output width {trunk.out_dim}")
         fixed = [Layer(l.w.copy(), l.b.copy(), l.activation, frozen=True)
                  for l in trunk.layers]
-        x = predict(Network(fixed).copy(np.float32),
-                    np.asarray(x, dtype=np.float32))
-    fresh = init_mlp(np.shape(x)[1], widths, n_classes, seed=seed)
+    fresh = init_mlp(x.shape[1], widths, n_classes, seed=seed)
     top, report = train(fresh, x, y, cfg)
     return Network(fixed + top.layers), report
 
@@ -138,8 +140,9 @@ def _cpu_count():
 def extract(filt, segments):
     """Tap TL#2 for every row of `segments`, an iterable of spliced,
     normalized frames x dims arrays; `filt` is a filter network from
-    `build_filter`. The taps of all rows come back in order as one float32
-    `FeatureMatrix`.
+    `build_filter`, or a source trunk from `strip_output`, whose last
+    layer's outputs `adapt` trains on. The taps of all rows come back in
+    order as one float32 `FeatureMatrix`.
 
     Each row is copied once, rounded to float32, into a staging buffer of
     BUFFER_BLOCKS blocks of BLOCK_ROWS rows, packed across segment

@@ -11,7 +11,7 @@ from aecfeat.frontend import fit_norm_stats
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import Network, TrainConfig, init_mlp, train
 from aecfeat.serialize import load_model, save_model
-from aecfeat.transfer import adapt, build_filter, strip_output
+from aecfeat.transfer import adapt, build_filter, extract, strip_output
 from aecfeat.transforms import DctSpec, pca_fit
 
 
@@ -91,8 +91,8 @@ def make_composite():
     """A frozen three-layer trunk under untrained TL#1, TL#2 and head."""
     trunk = strip_output(init_mlp(6, (8, 8, 8), 5, seed=0))
     x = np.random.default_rng(0).standard_normal((30, 6))
-    comp, _ = adapt(trunk, x, np.arange(30) % 3, (5, 4), 3,
-                    TrainConfig(max_epochs_per_stage=0), seed=0)
+    comp, _ = adapt(trunk, extract(trunk, [x]).values, np.arange(30) % 3,
+                    (5, 4), 3, TrainConfig(max_epochs_per_stage=0), seed=0)
     return comp
 
 

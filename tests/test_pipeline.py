@@ -542,6 +542,20 @@ class TestRunPipeline:
         assert set(report.classes) == {"tgt00", "tgt01"}
         assert 0.0 <= report.grand_average() <= 100.0
 
+    def test_every_stage_trims_the_heap(self, tiny_corpus, tmp_path,
+                                        monkeypatch):
+        trims = []
+        monkeypatch.setattr(pl, "_MALLOC_TRIM", trims.append)
+        run_pipeline(tiny_config(tmp_path / "run"), tiny_corpus[1])
+        # load-manifest, train-source, adapt, 2 x extract, fit-transform,
+        # fit-classifier, evaluate
+        assert trims == [0] * 8
+        trims.clear()
+        with pytest.raises(StageError):
+            with pl._stage("adapt"):
+                raise AecError("boom")
+        assert trims == [0]
+
     def test_every_artifact_is_stamped(self, tiny_corpus, tmp_path):
         cfg = tiny_config(tmp_path / "run")
         run_pipeline(cfg, tiny_corpus[1])
@@ -609,7 +623,8 @@ class TestRunPipeline:
         # the per-layer benchmark wraps these functions from outside and
         # reads their arguments and results: `layer.frozen`, and `.rows` of
         # what `make_frontend_features` and `extract` return; `extract`
-        # takes a split's segments, so one call taps each split
+        # takes a split's segments, so one call taps each split, and for
+        # variant C one more forwards the trunk over target-train in adapt
         spans = load_spans()
         _, manifest = tiny_corpus
         cfg = tiny_config(tmp_path / "run", variant=variant)
@@ -620,16 +635,19 @@ class TestRunPipeline:
                      "network.grad.gflop", "transfer.adapt.s",
                      "transforms.dct_apply.s"):
             assert metrics[name]["value"] > 0, name
-        taps = 0
-        for split in ("train", "eval"):
-            with np.load(tmp_path / "run" / f"features_{split}.npz") as data:
-                taps += data["lengths"].sum()
-        assert metrics["transfer.extract.rows"]["value"] == taps
-        assert metrics["transfer.extract.calls"]["value"] == 2
 
         def frames(*select):
             return sum((len(read_wav(e.wav_path)) - FRAME_LEN)
                        // cfg.frontend.hop + 1 for e in manifest.select(*select))
+
+        taps = 0
+        for split in ("train", "eval"):
+            with np.load(tmp_path / "run" / f"features_{split}.npz") as data:
+                taps += data["lengths"].sum()
+        trunk = 0 if variant == "B" else frames("target", "train")
+        assert metrics["transfer.extract.rows"]["value"] == taps + trunk
+        assert metrics["transfer.extract.calls"]["value"] == (
+            2 if variant == "B" else 3)
 
         # train-source reads the source and target-train frames, adapt and
         # extract read target-train again, and extract reads eval
@@ -1086,6 +1104,23 @@ class TestParallelExtract:
             files.append((out / "features_train.npz").read_bytes())
         assert files[0] == files[1]
         assert files[0] == (staged_out / "features_train.npz").read_bytes()
+
+    def test_filter_file_is_byte_identical_for_any_cpu_count_and_buffer(
+            self, staged_out, tiny_corpus, tmp_path, monkeypatch):
+        # adapt trains on the trunk outputs `extract` computes, so the
+        # adapted filter inherits extraction's independence of both
+        _, manifest = tiny_corpus
+        files = []
+        for cpus in (1, 2):
+            for blocks in (1, 16):
+                out = tmp_path / f"cpus{cpus}_blocks{blocks}"
+                shutil.copytree(staged_out, out)
+                (out / "filter.aecf").unlink()
+                monkeypatch.setattr(transfer, "_cpu_count", lambda: cpus)
+                monkeypatch.setattr(transfer, "BUFFER_BLOCKS", blocks)
+                pl.stage_adapt(tiny_config(out), manifest)
+                files.append((out / "filter.aecf").read_bytes())
+        assert files == [(staged_out / "filter.aecf").read_bytes()] * 4
 
     def test_unreadable_wav_mid_split(self, staged_out, tiny_corpus, tmp_path,
                                       monkeypatch, capsys):

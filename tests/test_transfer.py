@@ -30,7 +30,9 @@ def adapted(tl_widths=(8, 6), n_classes=4, epochs=0, seed=0):
     """A composite: the stripped source trunk under fresh layers adapted on
     blobs for `epochs` epochs per stage (0 leaves them as initialized)."""
     x, y = blobs(n_classes=n_classes, dim=6)
-    comp, _ = adapt(strip_output(source_net()), x, y, tl_widths, n_classes,
+    trunk = strip_output(source_net())
+    comp, _ = adapt(trunk, extract(trunk, [x]).values, y, tl_widths,
+                    n_classes,
                     TrainConfig(lr0=0.3, max_epochs_per_stage=epochs, seed=0),
                     seed=seed)
     return comp, x
@@ -109,7 +111,8 @@ class TestAdapt:
         frozen_before = [(l.w.copy(), l.b.copy()) for l in trunk.layers]
         x, y = blobs(n_classes=4, dim=6)
         cfg = TrainConfig(lr0=0.3, weight_decay=0.0, max_epochs_per_stage=150, seed=0)
-        trained, report = adapt(trunk, x, y, (8, 6), 4, cfg)
+        trained, report = adapt(trunk, extract(trunk, [x]).values, y, (8, 6),
+                                4, cfg)
         for layer, (w0, b0) in zip(trained.layers[:3], frozen_before):
             assert np.array_equal(layer.w, w0)
             assert np.array_equal(layer.b, b0)
@@ -130,7 +133,7 @@ class TestAdapt:
 
         monkeypatch.setattr(network, "grad", recording_grad)
         x, y = blobs(n_classes=3, dim=6)
-        trained, _ = adapt(trunk, x, y, (5, 4), 3,
+        trained, _ = adapt(trunk, extract(trunk, [x]).values, y, (5, 4), 3,
                            TrainConfig(lr0=0.3, max_epochs_per_stage=5, seed=0))
         assert seen and set(seen) == {(3, trunk.out_dim)}
         assert [l.frozen for l in trained.layers] == [True] * 3 + [False] * 3
@@ -149,9 +152,18 @@ class TestAdapt:
         assert report_a == report_b
 
     def test_empty_target(self):
+        trunk = strip_output(source_net())
         with pytest.raises(AecError, match="need at least 2 classes"):
-            adapt(strip_output(source_net()), np.zeros((0, 6)),
+            adapt(trunk, extract(trunk, [np.zeros((0, 6))]).values,
                   np.zeros(0, dtype=int), (5, 4), 2, TrainConfig())
+
+    def test_input_must_be_trunk_output(self):
+        # with a trunk, `adapt` trains on the trunk's outputs: frames as
+        # wide as the trunk's input are rejected, naming both widths
+        x, y = blobs(n_classes=3, dim=6)
+        with pytest.raises(AecError, match="adaptation input width 6 != "
+                                           "trunk output width 8"):
+            adapt(strip_output(source_net()), x, y, (5, 4), 3, TrainConfig())
 
 
 class TestBuildFilter:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aecfeat import transforms
 from aecfeat.errors import AecError
 from aecfeat.transforms import DctSpec, dct_basis, dct_apply, pca_apply, pca_fit
 
@@ -133,3 +134,25 @@ class TestPcaApply:
         model = pca_fit(np.random.default_rng(12).standard_normal((50, 4)), out_dim=2)
         with pytest.raises(AecError, match="dims 6 != model dims 4"):
             pca_apply(model, np.zeros((1, 6)))
+
+
+class TestBlockedProjection:
+    """`dct_apply` and `pca_apply` project a block of rows at a time into
+    one float64 output; the bits must be those of one product over the
+    whole matrix."""
+
+    # three full blocks and a tail of five rows, which the last block takes
+    ROWS = 3 * transforms.PROJECT_ROWS + 5
+
+    @pytest.mark.parametrize("rows", [ROWS, 0], ids=["blocks", "empty"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_one_product(self, rows, dtype):
+        rng = np.random.default_rng(4)
+        x = (3 * rng.standard_normal((rows, 150))).astype(dtype)
+        spec = DctSpec()
+        model = pca_fit(rng.standard_normal((200, 150)), out_dim=50)
+        dct, pca = dct_apply(spec, x), pca_apply(model, x)
+        assert dct.dtype == pca.dtype == np.float64
+        assert dct.shape == pca.shape == (rows, 50)
+        assert np.array_equal(dct, x @ spec.basis.T)
+        assert np.array_equal(pca, (x - model.mean) @ model.components.T)
