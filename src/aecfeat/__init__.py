@@ -28,6 +28,7 @@ from .frontend import (
     frame_signal,
     make_frontend_features,
     splice,
+    splice_index,
 )
 from .manifest import Manifest, load_manifest, save_manifest
 from .network import (

@@ -137,40 +137,52 @@ def _as_2d(values):
     return values
 
 
-def splice(values, context):
-    """Concatenate each row of a frames x dims array with its symmetric
-    temporal context: a frames x (context * dims) array.
-
-    Out-of-range neighbours are replaced by the nearest valid frame, so the
-    row count is preserved.
-    """
+def splice_index(lengths, context):
+    """The (sum(lengths), context) neighbour index of frames stacked from
+    segments of the given lengths: row i's entry j is the frame at offset
+    j - context // 2 from frame i, clamped to frame i's own segment, so a
+    segment's edge frames stand in for the neighbours it lacks. Gathering
+    frames by it and flattening each row splices them."""
     if context not in (1, 3, 5, 7):
         raise AecError(f"context must be odd in 1..7, got {context}")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    first = np.repeat(ends - lengths, lengths)[:, None]
+    last = np.repeat(ends - 1, lengths)[:, None]
+    offsets = np.arange(-(context // 2), context // 2 + 1)
+    return np.clip(np.arange(lengths.sum())[:, None] + offsets, first, last)
+
+
+def splice(values, context):
+    """Concatenate each row of a frames x dims array with its symmetric
+    temporal context: a frames x (context * dims) array, gathered by
+    `splice_index` over one segment, so the row count is preserved."""
     values = _as_2d(values)
     if len(values) < 1:
         raise AecError("no frames to splice")
-    half = context // 2
-    padded = np.pad(values, ((half, half), (0, 0)), mode="edge")
-    return np.hstack([padded[off:off + len(values)] for off in range(context)])
+    return values[splice_index([len(values)], context)].reshape(len(values), -1)
 
 
-def fit_norm_stats(matrices):
-    """Per-dimension mean/std over the pooled rows of several 2-D arrays.
+def fit_norm_stats(arrays):
+    """Per-dimension mean/std over the pooled rows of an iterable of 2-D
+    arrays, read one at a time, so a generator never holds more than one.
 
     The caller pools only source-domain and target-training frames, never
     evaluation frames.
     """
-    matrices = [_as_2d(m) for m in matrices]
-    n = sum(len(m) for m in matrices)
-    if n == 0:
-        raise AecError("no frames to fit normalization statistics")
-    dims = matrices[0].shape[1]
-    total, total_sq = np.zeros(dims), np.zeros(dims)
-    for m in matrices:
-        if m.shape[1] != dims:
+    n, dims = 0, None
+    for m in arrays:
+        m = _as_2d(m)
+        if dims is None:
+            dims = m.shape[1]
+            total, total_sq = np.zeros(dims), np.zeros(dims)
+        elif m.shape[1] != dims:
             raise AecError(f"dims {m.shape[1]} != {dims}")
+        n += len(m)
         total += m.sum(axis=0)
         total_sq += np.square(m).sum(axis=0)
+    if n == 0:
+        raise AecError("no frames to fit normalization statistics")
     mean = total / n
     var = np.maximum(total_sq / n - mean ** 2, 0.0)
     std = np.maximum(np.sqrt(var), STD_FLOOR)

@@ -236,7 +236,21 @@ def one_hot(labels, n_classes):
     return out
 
 
-def train(net, features, labels, cfg):
+def _row_index(index, n_frames):
+    """`index` checked as the row index of `n_frames` frames: a 2-D integer
+    array whose entries are frame numbers in [0, n_frames). Numpy would
+    wrap a negative entry round to the end silently."""
+    index = np.asarray(index)
+    if index.ndim != 2 or index.dtype.kind not in "iu":
+        raise AecError(f"row index must be a 2-D integer array, got "
+                       f"{index.ndim}-D {index.dtype}")
+    if index.size and (index.min() < 0 or index.max() >= n_frames):
+        raise AecError(f"row index entries must be in [0, {n_frames}), got "
+                       f"[{index.min()}, {index.max()}]")
+    return index
+
+
+def train(net, features, labels, cfg, index=None):
     """Train with the two-stage schedule and return the parameter snapshot
     with the best validation cross-entropy.
 
@@ -248,13 +262,17 @@ def train(net, features, labels, cfg):
     measured before that minibatch's update; the validation split is the
     only data forwarded again after an epoch.
 
+    Sample i is `features[index[i]]` flattened into one row, so an (n, k)
+    `index` from `frontend.splice_index` trains on spliced frames while
+    only the unspliced frames are held; by default each sample is its own
+    row of `features`. Each minibatch, and the validation rows once, are
+    gathered through the index from the caller's features, which are read
+    in place when they are float32 (any other dtype is cast down once).
+
     Training runs in float32 and the returned snapshot holds float32
     parameters; with a zero-epoch cap a copy of the starting network, in
-    its own dtype, is handed back. Minibatches are gathered by index from
-    the caller's features, which are read in place when they are float32
-    (any other dtype is cast down once); only the validation rows are
-    copied. Features must be a finite 2-D array and labels integer class
-    indices >= 0.
+    its own dtype, is handed back. Features must be a finite 2-D array and
+    labels integer class indices >= 0, one per sample.
     """
     x = _as_2d(features).astype(np.float32, copy=False)
     # a NaN or inf anywhere makes the sum non-finite; finite float32 values
@@ -265,8 +283,20 @@ def train(net, features, labels, cfg):
     if labels.dtype.kind not in "iuf" or np.any(labels % 1 != 0):
         raise AecError("labels must be integer class indices")
     labels = labels.astype(int)
-    if x.shape[0] != len(labels):
-        raise AecError("features/labels length mismatch")
+    if index is None:
+        if x.shape[0] != len(labels):
+            raise AecError("features/labels length mismatch")
+        index = np.arange(len(x))[:, None]
+    else:
+        index = _row_index(index, len(x))
+        if len(index) != len(labels):
+            raise AecError(f"row index has {len(index)} rows but there are "
+                           f"{len(labels)} labels")
+    width = index.shape[1] * x.shape[1]
+
+    def samples(rows):
+        return x[index[rows]].reshape(len(rows), width)
+
     classes = np.unique(labels)
     if len(classes) < 2:
         raise AecError("need at least 2 classes")
@@ -285,7 +315,7 @@ def train(net, features, labels, cfg):
             raise AecError(f"class {c} has no training samples after the split")
 
     y = one_hot(labels, n_classes).astype(np.float32)
-    x_val, y_val = x[val_idx], y[val_idx]
+    x_val, y_val = samples(val_idx), y[val_idx]
 
     start = net
     net = net.copy(np.float32)
@@ -305,7 +335,7 @@ def train(net, features, labels, cfg):
             ce_sum = 0.0
             for lo in range(0, len(order), cfg.batch_size):
                 rows = order[lo : lo + cfg.batch_size]
-                g, loss = grad(net, x[rows], y[rows])
+                g, loss = grad(net, samples(rows), y[rows])
                 ce_sum += loss
                 for layer, gl, vel in zip(net.layers, g, velocity):
                     sgd_step(layer, gl, vel, lr, cfg.momentum, cfg.weight_decay)

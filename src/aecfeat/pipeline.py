@@ -16,6 +16,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from .classifiers import (GmmModel, SvmModel, classify_segment,
                           svm_fit, svm_score_matrix)
 from .errors import AecError, StageError, check_field_types
 from .frontend import (FrontendConfig, NormStats, apply_norm, fit_norm_stats,
-                       make_frontend_features, splice)
+                       make_frontend_features, splice, splice_index)
 from .network import Network, TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
@@ -217,27 +218,28 @@ def _reduced_features(cfg, split):
 
 
 def frontend_features(cfg, entries):
-    """The unspliced frontend frames x dims array of each manifest entry."""
-    return [make_frontend_features(read_wav(e.wav_path), cfg.frontend).values
-            for e in entries]
+    """The unspliced frontend frames x dims array of each manifest entry,
+    computed one at a time as they are read, in order."""
+    for e in entries:
+        yield make_frontend_features(read_wav(e.wav_path), cfg.frontend).values
 
 
 def _input_fingerprint(cfg, stats):
     return cfg.frontend.fingerprint() + ":" + stats.fingerprint()
 
 
-def _norm_and_splice(mats, stats, cfg):
-    """The frontend arrays normalized and spliced into one float32
-    (total rows, dims) matrix, rows in order: the matrix `train` and
-    `extract` read. It is allocated once, and each array's rows, computed
-    in float64, are rounded into their slice, as `.astype(np.float32)`
-    rounds them; an empty list gives 0 rows."""
-    context = cfg.frontend.splice_context
-    x = np.empty((sum(len(m) for m in mats), len(stats.mean) * context),
+def _normalized(mats, stats):
+    """The frontend arrays z-scored into one unspliced float32 (total
+    rows, dims) matrix, rows in order: `train` reads it spliced through
+    `splice_index`, and `extract` one segment's `splice` at a time. It is
+    allocated once, and each array's rows, computed in float64, are
+    rounded into their slice, as `.astype(np.float32)` rounds them;
+    splicing only copies these values. An empty list gives 0 rows."""
+    x = np.empty((sum(len(m) for m in mats), len(stats.mean)),
                  dtype=np.float32)
     lo = 0
     for m in mats:
-        x[lo:lo + len(m)] = splice(apply_norm(m, stats), context)
+        x[lo:lo + len(m)] = apply_norm(m, stats)
         lo += len(m)
     return x
 
@@ -255,10 +257,9 @@ def _spliced_segments(cfg, entries, stats, lengths):
     one float32 array per entry, in order; each array's frame count is
     appended to `lengths` as it is yielded. Only one entry's frontend
     arrays are held at a time."""
-    for e in entries:
-        x = _norm_and_splice(frontend_features(cfg, [e]), stats, cfg)
-        lengths.append(len(x))
-        yield x
+    for m in frontend_features(cfg, entries):
+        lengths.append(len(m))
+        yield splice(_normalized([m], stats), cfg.frontend.splice_context)
 
 
 def fit_classifier(cfg, taps, labels):
@@ -309,27 +310,30 @@ def evaluate(cfg, clf, taps, labels, conditions, classes):
 def stage_train_source(cfg, manifest):
     """Stages 1-2: z-score statistics pooled over source and target-train
     frames only, never eval; for variants A/C also the source network,
-    stamped with their input fingerprint. The network trains on one
-    float32 matrix of the source frames; the float64 frontend arrays are
-    released before it trains."""
+    stamped with their input fingerprint. The frontend arrays stream into
+    the statistics one at a time; A/C keep only the source arrays they
+    train on, and the network trains on one float32 matrix of them,
+    normalized and unspliced, through their splice index."""
     source_entries = manifest.select("source")
     if any(e.split == "eval" for e in source_entries):
         raise AecError("refusing to fit normalization on evaluation frames")
-    source_mats = frontend_features(cfg, source_entries)
-    train_mats = frontend_features(cfg, manifest.select("target", "train"))
-    stats = store(cfg, "norm_stats", fit_norm_stats(source_mats + train_mats))
-    del train_mats
+    source = frontend_features(cfg, source_entries)
+    if cfg.variant != "B":  # the source network is a variant A/C artifact
+        source = list(source)
+    stats = store(cfg, "norm_stats", fit_norm_stats(chain(
+        source, frontend_features(cfg, manifest.select("target", "train")))))
     paths = {"norm_stats": artifact_path(cfg, "norm_stats.aecf")}
-    if cfg.variant == "B":  # the source network is a variant A/C artifact
+    if cfg.variant == "B":
         return paths
     if not source_entries:
         raise AecError("variants A/C require source-domain entries")
-    y, classes = _frame_labels([len(m) for m in source_mats],
-                               [e.label for e in source_entries])
-    x = _norm_and_splice(source_mats, stats, cfg)
-    del source_mats
+    lengths = [len(m) for m in source]
+    y, classes = _frame_labels(lengths, [e.label for e in source_entries])
+    x = _normalized(source, stats)
+    del source
     net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
-    net, _ = train(net, x, y, cfg.source_train)
+    net, _ = train(net, x, y, cfg.source_train,
+                   splice_index(lengths, cfg.frontend.splice_context))
     store(cfg, "source_model", net, stats)
     return {**paths, "source_model": artifact_path(cfg, "source_model.aecf")}
 
@@ -341,27 +345,29 @@ def stage_adapt(cfg, manifest):
     `stage_extract` streams them, and `adapt` trains on those outputs, so
     the spliced frames are never held together. Variant B trains the whole
     five-layer stack on target data only, by one `adapt` call on one
-    float32 matrix of the target-train frames; the float64 frontend arrays
-    are released once it is built."""
+    float32 matrix of the target-train frames, normalized and unspliced,
+    through their splice index; the float64 frontend arrays are released
+    once it is built."""
     entries = manifest.select("target", "train")
     if not entries:
         raise AecError("no target training entries")
     stats = _load(cfg, "norm_stats", NormStats)
     if cfg.variant == "B":
         trunk, widths = None, (*cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim)
-        mats = frontend_features(cfg, entries)
+        mats = list(frontend_features(cfg, entries))
         lengths = [len(m) for m in mats]
-        x = _norm_and_splice(mats, stats, cfg)
+        x = _normalized(mats, stats)
         del mats
+        index = splice_index(lengths, cfg.frontend.splice_context)
     else:
         trunk = strip_output(_load(cfg, "source_model", Network, stats))
         widths = (cfg.tl1_dim, cfg.tl2_dim)
         lengths = []
         segments = _spliced_segments(cfg, entries, stats, lengths)
-        x = extract(trunk, segments).values
+        x, index = extract(trunk, segments).values, None
     y, classes = _frame_labels(lengths, [e.label for e in entries])
     composite, _ = adapt(trunk, x, y, widths, len(classes), cfg.target_train,
-                         seed=cfg.seed)
+                         seed=cfg.seed, index=index)
     store(cfg, "filter", build_filter(composite, cfg.variant), stats)
     return {"filter": artifact_path(cfg, "filter.aecf")}
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import AecError
 from .frontend import FeatureMatrix, _as_2d
-from .network import Layer, Network, _activate, init_mlp, train
+from .network import (Layer, Network, _activate, _row_index, init_mlp,
+                      train)
 
 VARIANTS = ("A", "B", "C")
 BLOCK_ROWS = 64
@@ -64,7 +65,7 @@ def strip_output(net):
                     for l in net.layers[:-1]])
 
 
-def adapt(trunk, x, y, widths, n_classes, cfg, seed=0):
+def adapt(trunk, x, y, widths, n_classes, cfg, seed=0, index=None):
     """Train fresh sigmoid layers `widths` and a softmax head on `x` and
     put them over a fixed trunk; return (Network(trunk + trained layers),
     TrainReport).
@@ -73,18 +74,22 @@ def adapt(trunk, x, y, widths, n_classes, cfg, seed=0):
     `extract(trunk, segments)` computes them, and must be as wide as the
     trunk's last layer; only the fresh layers train, and the trunk comes
     back bit-identical, its copies marked frozen. With `trunk=None`, `x`
-    is the frames themselves and every layer is fresh.
+    is the frames themselves and every layer is fresh. `index` is passed
+    to `train`: sample i is `x[index[i]]` flattened, so B can train on
+    spliced frames from the normalized, unspliced ones.
     """
     x = _as_2d(x)
+    in_dim = x.shape[1] * (1 if index is None else
+                           _row_index(index, len(x)).shape[1])
     fixed = []
     if trunk is not None:
-        if x.shape[1] != trunk.out_dim:
-            raise AecError(f"adaptation input width {x.shape[1]} != trunk "
+        if in_dim != trunk.out_dim:
+            raise AecError(f"adaptation input width {in_dim} != trunk "
                            f"output width {trunk.out_dim}")
         fixed = [Layer(l.w.copy(), l.b.copy(), l.activation, frozen=True)
                  for l in trunk.layers]
-    fresh = init_mlp(x.shape[1], widths, n_classes, seed=seed)
-    top, report = train(fresh, x, y, cfg)
+    fresh = init_mlp(in_dim, widths, n_classes, seed=seed)
+    top, report = train(fresh, x, y, cfg, index)
     return Network(fixed + top.layers), report
 
 

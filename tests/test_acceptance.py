@@ -348,28 +348,35 @@ def test_extraction_memory_bounded(e2e, tmp_path):
     (stage_adapt, "B", ("norm_stats.aecf",)),
 ], ids=["train-source-C", "adapt-C", "adapt-B"])
 def test_training_memory_bounded(e2e, tmp_path, stage, variant, inputs):
-    # a training stage holds its float64 frontend frames and one float32
-    # matrix of the spliced frames it trains on; `train` reads that matrix
-    # by index, so neither stacked nor split copies of it appear. Adapt A/C
-    # streams the target frames through the trunk with `extract` and trains
-    # on its outputs, so, like extraction, it stays below that matrix alone
+    # a training stage holds the float64 frontend frames it still needs and
+    # one float32 matrix of the normalized, unspliced frames it trains on,
+    # 1 / splice_context of their spliced matrix; `train` gathers each
+    # minibatch and, once, the validation rows spliced through the splice
+    # index, so only the val_ratio share of the spliced matrix appears.
+    # Train-source streams the target-train frames into the statistics and
+    # keeps the source frames until they are normalized; adapt B keeps the
+    # target-train frames until then. Adapt A/C streams the target frames
+    # through the trunk with `extract` and trains on its outputs, so, like
+    # extraction, it stays below the spliced matrix alone
     cfg = e2e_config(tmp_path, variant)
     manifest = e2e["manifest"]
     for name in inputs:
         shutil.copy(e2e["root"] / {"C": "c1", "B": "b"}[variant] / name,
                     tmp_path)
-    source, target = (sum(map(len, frontend_features(cfg, manifest.select(*s))))
-                      for s in (("source",), ("target", "train")))
-    read, trained = ((source + target, source) if stage is stage_train_source
-                     else (target, target))
-    frontend = read * cfg.frontend.dims // cfg.frontend.splice_context * 8
+    trained = sum(map(len, frontend_features(cfg, manifest.select(
+        *(("source",) if stage is stage_train_source else ("target", "train"))))))
+    context = cfg.frontend.splice_context
+    frontend = trained * cfg.frontend.dims // context * 8
     spliced = trained * cfg.frontend.dims * 4
     if stage is stage_adapt and variant != "B":
         bound, what = spliced, "float32 spliced frames"
     else:
-        bound = frontend + 1.25 * spliced
+        val = cfg.target_train.val_ratio if stage is stage_adapt else (
+            cfg.source_train.val_ratio)
+        bound = frontend + 1.25 * (spliced / context + val * spliced)
         what = (f"float64 frontend frames {frontend / 1e6:.1f} MB + 1.25 x "
-                f"float32 spliced frames {spliced / 1e6:.1f} MB")
+                f"(float32 frames {spliced / context / 1e6:.1f} MB + "
+                f"validation rows {val * spliced / 1e6:.1f} MB)")
     peak = traced_peak(stage, cfg, manifest)
     check("training-memory",
           peak < bound,

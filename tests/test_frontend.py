@@ -11,6 +11,7 @@ from aecfeat.frontend import (
     frame_signal,
     make_frontend_features,
     splice,
+    splice_index,
 )
 
 
@@ -180,6 +181,22 @@ class TestSplice:
                            match=f"features must be 2-D, got {len(shape)}-D"):
             splice(np.zeros(shape), 3)
 
+    @pytest.mark.parametrize("context", [1, 3, 5, 7])
+    def test_stacked_index_matches_per_segment_pad(self, context):
+        # frames stacked from ragged segments: each row's context is
+        # clamped to its own segment, as np.pad's edge mode pads one
+        rng = np.random.default_rng(8)
+        segments = [rng.standard_normal((n, 4)) for n in (1, 2, 7)]
+        half = context // 2
+        reference = np.vstack([
+            np.hstack([np.pad(s, ((half, half), (0, 0)), mode="edge")
+                       [off:off + len(s)] for off in range(context)])
+            for s in segments])
+        stacked = np.vstack(segments)
+        index = splice_index([len(s) for s in segments], context)
+        assert index.shape == (10, context)
+        assert np.array_equal(stacked[index].reshape(10, -1), reference)
+
 
 class TestNormalization:
     def test_simple_z_score(self):
@@ -213,6 +230,24 @@ class TestNormalization:
     def test_dim_mismatch(self):
         with pytest.raises(AecError, match="dims 4 != 3"):
             fit_norm_stats([np.zeros((2, 3)), np.zeros((2, 4))])
+
+    def test_generator_equals_list(self):
+        rng = np.random.default_rng(9)
+        arrays = [rng.standard_normal((n, 6)) * 4 + 2 for n in (1, 30, 7)]
+        a = fit_norm_stats(arrays)
+        b = fit_norm_stats(m for m in arrays)
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
+
+    def test_empty_generator(self):
+        with pytest.raises(AecError, match="no frames to fit normalization "
+                                           "statistics"):
+            fit_norm_stats(m for m in [])
+
+    def test_later_array_of_wrong_width_in_generator(self):
+        arrays = (np.zeros((2, 3)) if i < 2 else np.zeros((2, 5))
+                  for i in range(3))
+        with pytest.raises(AecError, match="dims 5 != 3"):
+            fit_norm_stats(arrays)
 
     def test_apply_dim_mismatch(self):
         stats = fit_norm_stats([np.zeros((2, 3))])

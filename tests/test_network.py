@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aecfeat.errors import AecError
+from aecfeat.frontend import splice, splice_index
 from aecfeat.network import (
     Layer,
     Network,
@@ -387,3 +388,48 @@ class TestTrain:
         _, report = train(net, x, y, cfg)
         diffs = np.diff(report.train_ce)
         assert np.all(diffs <= 1e-8)
+
+
+class TestTrainIndex:
+    """`train(..., index)` reads sample i as `features[index[i]]`
+    flattened, so spliced frames train from the unspliced ones."""
+
+    @pytest.mark.parametrize("context", [1, 3, 7])
+    def test_index_trains_as_the_spliced_matrix(self, context):
+        rng = np.random.default_rng(0)
+        lengths = (1, 63, 130)
+        segments = [rng.standard_normal((n, 5)).astype(np.float32)
+                    for n in lengths]
+        y = np.concatenate([np.arange(n) % 3 for n in lengths])
+        spliced = np.vstack([splice(s, context) for s in segments])
+        cfg = TrainConfig(lr0=0.1, batch_size=32, max_epochs_per_stage=3,
+                          seed=0)
+        by_index = train(small_net([5 * context, 8, 3]), np.vstack(segments),
+                         y, cfg, splice_index(lengths, context))
+        materialized = train(small_net([5 * context, 8, 3]), spliced, y, cfg)
+        for a, b in zip(by_index[0].layers, materialized[0].layers):
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
+        assert by_index[1] == materialized[1]
+
+    @pytest.mark.parametrize("index", [
+        np.zeros(10, dtype=int), np.zeros((10, 1, 1), dtype=int),
+        np.zeros((10, 1)), np.zeros((10, 1), dtype=bool)],
+        ids=["1-d", "3-d", "float", "bool"])
+    def test_index_must_be_2d_integer(self, index):
+        with pytest.raises(AecError, match="row index must be a 2-D integer"):
+            train(init_mlp(4, (3,), 2), np.zeros((10, 4)), [0, 1] * 5,
+                  TrainConfig(), index)
+
+    def test_index_rows_must_match_labels(self):
+        with pytest.raises(AecError,
+                           match="row index has 9 rows but there are 10 labels"):
+            train(init_mlp(4, (3,), 2), np.zeros((10, 4)), [0, 1] * 5,
+                  TrainConfig(), np.zeros((9, 1), dtype=int))
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_index_entries_must_be_frames(self, bad):
+        index = np.arange(10)[:, None]
+        index[4] = bad
+        with pytest.raises(AecError, match=r"must be in \[0, 10\)"):
+            train(init_mlp(4, (3,), 2), np.zeros((10, 4)), [0, 1] * 5,
+                  TrainConfig(), index)

@@ -14,7 +14,7 @@ from aecfeat.audio import AudioSegment, read_wav, write_wav
 from aecfeat.classifiers import svm_fit
 from aecfeat.errors import AecError, StageError
 from aecfeat.frontend import (FRAME_LEN, MODE_DIMS, FrontendConfig, NormStats,
-                              apply_norm, splice)
+                              apply_norm, splice, splice_index)
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import Network, TrainConfig, init_mlp
 from aecfeat.pipeline import RunConfig, default_svm_grid, run_pipeline
@@ -1056,7 +1056,7 @@ class TestParallelExtract:
             write_wav(path, AudioSegment(0.3 * np.tanh(rng.standard_normal(n))))
             entries.append(ManifestEntry(str(path), f"tgt{i % 2:02d}",
                                          "target", "eval", "clean"))
-        x = np.vstack(pl.frontend_features(cfg, entries))
+        x = np.vstack(list(pl.frontend_features(cfg, entries)))
         stats = pl.store(cfg, "norm_stats", NormStats(x.mean(0), x.std(0)))
         net = init_mlp(cfg.frontend.dims, (16, 16, 16, 12, 10), 2, seed=0)
         pl.store(cfg, "filter", build_filter(net, "C"), stats)
@@ -1068,9 +1068,9 @@ class TestParallelExtract:
         filt = pl._load(cfg, "filter", Network, stats)
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            return [extract(filt, [pl._norm_and_splice(
-                        pl.frontend_features(cfg, [e]), stats, cfg)]).values
-                    for e in entries]
+            return [extract(filt, [splice(apply_norm(frames, stats),
+                                          cfg.frontend.splice_context)]).values
+                    for frames in pl.frontend_features(cfg, entries)]
 
     # buffers of 64 and 128 rows fill several times and cut the 65-, 92-
     # and 130-frame segments; the default buffer holds the whole split,
@@ -1154,30 +1154,29 @@ class TestParallelExtract:
 
 
 class TestFloat32Frames:
-    """Frames are normalized and spliced in float64 and rounded to float32
-    once, into one matrix per stage; the trainer, the fixed trunk, the
-    filter and the features file see float32 from there on."""
+    """Frames are normalized in float64 and rounded to float32 once, into
+    one unspliced matrix per stage, and spliced by gathering through
+    `splice_index`; the trainer, the fixed trunk, the filter and the
+    features file see float32 from there on."""
 
     @pytest.mark.parametrize("context", [1, 3, 7])
-    def test_norm_and_splice_is_one_matrix_of_rounded_rows(self, tmp_path,
-                                                             context):
-        cfg = replace(tiny_config(tmp_path), frontend=FrontendConfig(
-            input_mode="dft_mag", splice_context=context))
+    def test_norm_and_splice_is_one_matrix_of_rounded_rows(self, context):
         rng = np.random.default_rng(0)
         mats = [rng.standard_normal((n, 512)) * 3.0 + 1.0
                 for n in (1, 2, 7, 92)]
         stats = NormStats(rng.standard_normal(512), rng.uniform(0.5, 2.0, 512))
-        x = pl._norm_and_splice(mats, stats, cfg)
+        x = pl._normalized(mats, stats)
+        index = splice_index([len(m) for m in mats], context)
         expected = np.vstack([splice(apply_norm(m, stats), context)
                               .astype(np.float32) for m in mats])
         assert x.dtype == np.float32 and x.flags.c_contiguous
-        assert np.array_equal(x, expected)
+        assert x.shape == (sum(map(len, mats)), 512)
+        assert np.array_equal(x[index].reshape(len(x), -1), expected)
 
-    def test_norm_and_splice_of_no_arrays_has_no_rows(self, tmp_path):
-        cfg = replace(tiny_config(tmp_path), frontend=FrontendConfig(
-            input_mode="dft_mag", splice_context=3))
-        x = pl._norm_and_splice([], NormStats(np.zeros(512), np.ones(512)), cfg)
-        assert x.shape == (0, 3 * 512) and x.dtype == np.float32
+    def test_norm_and_splice_of_no_arrays_has_no_rows(self):
+        x = pl._normalized([], NormStats(np.zeros(512), np.ones(512)))
+        assert x.shape == (0, 512) and x.dtype == np.float32
+        assert splice_index([], 3).shape == (0, 3)
 
     def test_features_file_holds_float32_taps(self, staged_out):
         for split in ("train", "eval"):
@@ -1196,9 +1195,10 @@ class TestFloat32Frames:
         os.makedirs(cfg.out_dir)
         seen, real_train = [], module.train
 
-        def recording_train(net, x, y, train_cfg):
-            seen.append(x)
-            return real_train(net, x, y, train_cfg)
+        def recording_train(net, x, y, train_cfg, index=None):
+            assert x.dtype == np.float32 and x.shape[1] == 512
+            seen.append(x[index].reshape(len(index), -1))
+            return real_train(net, x, y, train_cfg, index)
 
         monkeypatch.setattr(module, "train", recording_train)
         pl.stage_train_source(cfg, manifest)

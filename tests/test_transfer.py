@@ -8,7 +8,7 @@ from scipy.special import expit
 
 from aecfeat import transfer
 from aecfeat.errors import AecError
-from aecfeat.frontend import FrontendConfig
+from aecfeat.frontend import FrontendConfig, splice, splice_index
 from aecfeat.network import Layer, Network, TrainConfig, init_mlp, predict, train
 from aecfeat.transfer import adapt, build_filter, extract, strip_output
 
@@ -150,6 +150,19 @@ class TestAdapt:
             assert np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
             assert la.activation == lb.activation and not la.frozen
         assert report_a == report_b
+
+    def test_index_reaches_train(self):
+        # variant B on spliced frames: the stack is as wide as a spliced
+        # row, and a bad index is rejected before any layer is built
+        x, y = blobs(n_classes=3, dim=6)
+        index = splice_index([len(x)], 3)
+        cfg = TrainConfig(lr0=0.3, max_epochs_per_stage=2, seed=0)
+        a, _ = adapt(None, x, y, (8, 4), 3, cfg, seed=1, index=index)
+        b, _ = train(init_mlp(18, (8, 4), 3, seed=1), splice(x, 3), y, cfg)
+        for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
+        with pytest.raises(AecError, match="row index must be a 2-D integer"):
+            adapt(None, x, y, (8, 4), 3, cfg, index=index.ravel())
 
     def test_empty_target(self):
         trunk = strip_output(source_net())
