@@ -41,8 +41,8 @@ comp, rep = adapt(trunk, extract(trunk, [xt]).values, yt, (12, 10), 3,
                   TrainConfig(lr0=0.3, max_epochs_per_stage=100, seed=0),
                   seed=0)
 print("composite layers:",
-      [(l.out_dim, l.activation, "frozen" if l.frozen else "trained")
-       for l in comp.layers])
+      [(l.out_dim, l.activation, "fixed" if i < len(trunk.layers) else "trained")
+       for i, l in enumerate(comp.layers)])
 unchanged = all(np.array_equal(a.w, b.w)
                 for a, b in zip(comp.layers, trunk.layers))
 acc = np.mean(np.argmax(predict(comp, xt), axis=1) == yt)

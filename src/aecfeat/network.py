@@ -3,8 +3,7 @@
 Supports sigmoid/linear hidden layers and a softmax head trained on
 cross-entropy, classical momentum, weight decay on weights only, and a
 two-stage learning-rate schedule (the rate is divided by 10 for the second
-stage). `train` updates every layer it is given; `Layer.frozen` only marks
-the trunk layers that `transfer.adapt` keeps out of training. Everything is
+stage). `train` updates every layer it is given. Everything is
 deterministic for a given seed.
 
 Training runs in float32: `train` reads float32 features in place (any
@@ -16,7 +15,7 @@ float64 results. Losses are accumulated in float64.
 """
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import ClassVar, List
 
 import numpy as np
 from scipy.special import expit
@@ -30,7 +29,11 @@ class Layer:
     w: np.ndarray  # (out_dim, in_dim)
     b: np.ndarray  # (out_dim,)
     activation: str
-    frozen: bool = False
+    # not a field: `perfbench/spans.py::_layer_gflop` reads it, and that
+    # file changes only with the benchmark; ROADMAP item 5 step a removes
+    # the read and this constant together. No net passed to `grad` holds a
+    # fixed layer, so `network.grad.frozen_gflop` reads 0 either way.
+    frozen: ClassVar[bool] = False
 
     @property
     def in_dim(self):
@@ -56,8 +59,7 @@ class Network:
     def copy(self, dtype=None):
         """A copy of every parameter, cast to `dtype` if one is given."""
         return Network([Layer(l.w.astype(dtype or l.w.dtype),
-                              l.b.astype(dtype or l.b.dtype),
-                              l.activation, l.frozen)
+                              l.b.astype(dtype or l.b.dtype), l.activation)
                         for l in self.layers])
 
 

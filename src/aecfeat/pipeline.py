@@ -172,21 +172,28 @@ def _load(cfg, name, kind, stats=None):
     return model
 
 
-def _load_features(cfg, split):
-    """(taps, lengths, labels, conditions) from features_<split>.npz, its
-    one reader: the split's tap matrix in manifest order and each segment's
-    frame count, label and condition. Features enter the program here, so
-    this rejects a file of another split or an earlier layout, counts that
-    disagree and non-finite values."""
+def _read_features(cfg, split, *keys):
+    """The arrays under `keys` in features_<split>.npz; `np.load` decodes
+    only the keys read."""
     path = artifact_path(cfg, f"features_{split}.npz")
-    keys = ("taps", "lengths", "labels", "conditions", "split")
     with np.load(path, allow_pickle=False) as data:
         missing = [k for k in keys if k not in data.files]
         if missing:
             raise AecError(f"{path} has no {', '.join(missing)}: it was not "
                            f"written by this version; rerun `extract --split "
                            f"{split}`")
-        taps, lengths, labels, conditions, file_split = (data[k] for k in keys)
+        return [data[k] for k in keys]
+
+
+def _load_features(cfg, split):
+    """(taps, lengths, labels, conditions) from features_<split>.npz: the
+    split's tap matrix in manifest order and each segment's frame count,
+    label and condition. Features enter the program here, so this rejects
+    a file of another split or an earlier layout, counts that disagree and
+    non-finite values."""
+    path = artifact_path(cfg, f"features_{split}.npz")
+    taps, lengths, labels, conditions, file_split = _read_features(
+        cfg, split, "taps", "lengths", "labels", "conditions", "split")
     if str(file_split) != split:
         raise AecError(f"{path} holds split {str(file_split)!r}, not {split!r}")
     if not len(labels) == len(conditions) == len(lengths):
@@ -314,6 +321,9 @@ def stage_train_source(cfg, manifest):
     the statistics one at a time; A/C keep only the source arrays they
     train on, and the network trains on one float32 matrix of them,
     normalized and unspliced, through their splice index."""
+    target_entries = manifest.select("target", "train")
+    if not target_entries:
+        raise AecError("no target training entries")
     source_entries = manifest.select("source")
     if any(e.split == "eval" for e in source_entries):
         raise AecError("refusing to fit normalization on evaluation frames")
@@ -321,7 +331,7 @@ def stage_train_source(cfg, manifest):
     if cfg.variant != "B":  # the source network is a variant A/C artifact
         source = list(source)
     stats = store(cfg, "norm_stats", fit_norm_stats(chain(
-        source, frontend_features(cfg, manifest.select("target", "train")))))
+        source, frontend_features(cfg, target_entries))))
     paths = {"norm_stats": artifact_path(cfg, "norm_stats.aecf")}
     if cfg.variant == "B":
         return paths
@@ -424,7 +434,8 @@ def stage_evaluate(cfg):
     """Stage 7: the per-condition report, written to report.json and
     report.txt. Returns the report."""
     taps, labels, conditions = _reduced_features(cfg, "eval")
-    classes = sorted(set(_load_features(cfg, "train")[2]))
+    # the training class list is all it reads of the training features
+    classes = sorted(set(_read_features(cfg, "train", "labels")[0].tolist()))
     clf = _load(cfg, "classifier", {"gmm": GmmModel, "svm": SvmModel,
                                     "dnn": Network}[cfg.classifier])
     report = evaluate(cfg, clf, taps, labels, conditions, classes)
@@ -446,9 +457,6 @@ def run_pipeline(cfg, manifest):
     each stage under its subcommand's name, in subcommand order. Returns
     (EvalReport, {artifact name: path})."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with _stage("load-manifest"):
-        if not manifest.select("target", "train"):
-            raise AecError("no target training entries")
     paths = {}
     for command, run_stage, args in (
             ("train-source", stage_train_source, (manifest,)),

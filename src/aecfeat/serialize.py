@@ -28,29 +28,13 @@ MAGIC = b"AECF"
 VERSION = 1
 
 
-def _net_payload(net):
-    meta = {"layers": [{"in": l.in_dim, "out": l.out_dim,
-                        "activation": l.activation, "frozen": l.frozen}
-                       for l in net.layers]}
-    arrays = []
-    for i, l in enumerate(net.layers):
-        arrays.append((f"w{i}", l.w))
-        arrays.append((f"b{i}", l.b))
-    return meta, arrays
-
-
-def _net_restore(meta, arrays):
-    layers = []
-    for i, spec in enumerate(meta["layers"]):
-        layers.append(Layer(arrays[f"w{i}"], arrays[f"b{i}"],
-                            spec["activation"], spec["frozen"]))
-    return Network(layers)
-
-
 def _payload(model):
     if isinstance(model, Network):
-        meta, arrays = _net_payload(model)
-        return "network", {"net": meta}, arrays
+        layers = [{"in": l.in_dim, "out": l.out_dim, "activation": l.activation}
+                  for l in model.layers]
+        return "network", {"net": {"layers": layers}}, [
+            (f"{name}{i}", a) for i, l in enumerate(model.layers)
+            for name, a in (("w", l.w), ("b", l.b))]
     if isinstance(model, NormStats):
         return "norm_stats", {}, [("mean", model.mean), ("std", model.std)]
     if isinstance(model, DctSpec):
@@ -81,7 +65,10 @@ def _payload(model):
 
 def _restore(kind, meta, arrays):
     if kind == "network":
-        return _net_restore(meta["net"], arrays)
+        # each layer's "activation" is its only key read: any other key an
+        # earlier version wrote per layer is ignored
+        return Network([Layer(arrays[f"w{i}"], arrays[f"b{i}"], spec["activation"])
+                        for i, spec in enumerate(meta["net"]["layers"])])
     if kind == "norm_stats":
         return NormStats(arrays["mean"], arrays["std"])
     if kind == "dct":

@@ -18,13 +18,13 @@ import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import AecError
 from .frontend import FeatureMatrix, _as_2d
-from .network import (Layer, Network, _activate, _row_index, init_mlp,
-                      train)
+from .network import Network, _activate, _row_index, init_mlp, train
 
 VARIANTS = ("A", "B", "C")
 BLOCK_ROWS = 64
@@ -61,8 +61,7 @@ def strip_output(net):
         raise AecError("network has no separable output layer")
     if net.layers[-1].activation != "softmax":
         raise AecError("last layer is not a softmax head")
-    return Network([Layer(l.w.copy(), l.b.copy(), l.activation, l.frozen)
-                    for l in net.layers[:-1]])
+    return Network(net.layers[:-1]).copy()
 
 
 def adapt(trunk, x, y, widths, n_classes, cfg, seed=0, index=None):
@@ -72,11 +71,11 @@ def adapt(trunk, x, y, widths, n_classes, cfg, seed=0, index=None):
 
     With a trunk, `x` is the trunk's outputs for the target frames, as
     `extract(trunk, segments)` computes them, and must be as wide as the
-    trunk's last layer; only the fresh layers train, and the trunk comes
-    back bit-identical, its copies marked frozen. With `trunk=None`, `x`
-    is the frames themselves and every layer is fresh. `index` is passed
-    to `train`: sample i is `x[index[i]]` flattened, so B can train on
-    spliced frames from the normalized, unspliced ones.
+    trunk's last layer; only the fresh layers train, and the composite's
+    first layers are bit-identical copies of the trunk's. With
+    `trunk=None`, `x` is the frames themselves and every layer is fresh.
+    `index` is passed to `train`: sample i is `x[index[i]]` flattened, so
+    B can train on spliced frames from the normalized, unspliced ones.
     """
     x = _as_2d(x)
     in_dim = x.shape[1] * (1 if index is None else
@@ -86,8 +85,7 @@ def adapt(trunk, x, y, widths, n_classes, cfg, seed=0, index=None):
         if in_dim != trunk.out_dim:
             raise AecError(f"adaptation input width {in_dim} != trunk "
                            f"output width {trunk.out_dim}")
-        fixed = [Layer(l.w.copy(), l.b.copy(), l.activation, frozen=True)
-                 for l in trunk.layers]
+        fixed = trunk.copy().layers
     fresh = init_mlp(in_dim, widths, n_classes, seed=seed)
     top, report = train(fresh, x, y, cfg, index)
     return Network(fixed + top.layers), report
@@ -105,8 +103,7 @@ def build_filter(composite, variant):
         raise AecError(f"variant must be one of {VARIANTS}, got {variant!r}")
     trunk = strip_output(composite)
     if variant in ("B", "C"):
-        last = trunk.layers[-1]
-        trunk.layers[-1] = Layer(last.w, last.b, "linear", last.frozen)
+        trunk.layers[-1] = replace(trunk.layers[-1], activation="linear")
     return trunk
 
 

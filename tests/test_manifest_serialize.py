@@ -88,7 +88,7 @@ def as_f32(a):
 
 
 def make_composite():
-    """A frozen three-layer trunk under untrained TL#1, TL#2 and head."""
+    """A fixed three-layer trunk under untrained TL#1, TL#2 and head."""
     trunk = strip_output(init_mlp(6, (8, 8, 8), 5, seed=0))
     x = np.random.default_rng(0).standard_normal((30, 6))
     comp, _ = adapt(trunk, extract(trunk, [x]).values, np.arange(30) % 3,
@@ -121,7 +121,6 @@ class TestSerialize:
         path = tmp_path / "m.aecf"
         save_model(path, comp)
         loaded = load_model(path)
-        assert [l.frozen for l in loaded.layers] == [l.frozen for l in comp.layers]
         assert [l.activation for l in loaded.layers] == [l.activation for l in comp.layers]
         for a, b in zip(loaded.layers, comp.layers):
             assert np.array_equal(a.w, as_f32(b.w))
@@ -172,6 +171,23 @@ class TestSerialize:
         rewrite_header(path, kind=kind, meta={**meta, "fingerprint": "fp"})
         with pytest.raises(AecError, match=f"unknown model kind '{kind}'"):
             load_model(path)
+
+    def test_earlier_per_layer_frozen_keys_ignored(self, tmp_path):
+        comp = make_composite()
+        path = tmp_path / "m.aecf"
+        save_model(path, comp)
+        meta = read_header(path)["meta"]
+        assert all(set(spec) == {"in", "out", "activation"}
+                   for spec in meta["net"]["layers"])
+        # earlier versions marked each layer frozen or not, which nothing read
+        for i, spec in enumerate(meta["net"]["layers"]):
+            spec["frozen"] = i < 3
+        rewrite_header(path, meta=meta)
+        loaded = load_model(path)
+        assert [l.activation for l in loaded.layers] == [l.activation for l in comp.layers]
+        for a, b in zip(loaded.layers, comp.layers):
+            assert np.array_equal(a.w, as_f32(b.w))
+            assert np.array_equal(a.b, as_f32(b.b))
 
     def test_earlier_norm_stats_keys_ignored(self, tmp_path):
         path = tmp_path / "n.aecf"

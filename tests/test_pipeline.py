@@ -547,9 +547,9 @@ class TestRunPipeline:
         trims = []
         monkeypatch.setattr(pl, "_MALLOC_TRIM", trims.append)
         run_pipeline(tiny_config(tmp_path / "run"), tiny_corpus[1])
-        # load-manifest, train-source, adapt, 2 x extract, fit-transform,
-        # fit-classifier, evaluate
-        assert trims == [0] * 8
+        # train-source, adapt, 2 x extract, fit-transform, fit-classifier,
+        # evaluate
+        assert trims == [0] * 7
         trims.clear()
         with pytest.raises(StageError):
             with pl._stage("adapt"):
@@ -605,9 +605,11 @@ class TestRunPipeline:
     def test_stage_error_names_stage(self, tiny_corpus, tmp_path):
         _, manifest = tiny_corpus
         no_target = Manifest([e for e in manifest.entries if e.domain == "source"])
-        with pytest.raises(StageError) as e:
+        with pytest.raises(StageError,
+                           match="no target training entries") as e:
             run_pipeline(tiny_config(tmp_path / "x"), no_target)
-        assert "load-manifest" in str(e.value)
+        assert e.value.stage == "train-source"
+        assert os.listdir(tmp_path / "x") == []
 
     def test_empty_eval_split_fails_in_extract(self, tiny_corpus, tmp_path):
         _, manifest = tiny_corpus
@@ -621,10 +623,12 @@ class TestRunPipeline:
     @pytest.mark.parametrize("variant", ["C", "B"])
     def test_traced_benchmark_smoke(self, tiny_corpus, tmp_path, variant):
         # the per-layer benchmark wraps these functions from outside and
-        # reads their arguments and results: `layer.frozen`, and `.rows` of
-        # what `make_frontend_features` and `extract` return; `extract`
-        # takes a split's segments, so one call taps each split, and for
-        # variant C one more forwards the trunk over target-train in adapt
+        # reads their arguments and results: the class constant
+        # `Layer.frozen` of each layer `grad` is given, which is False for
+        # every layer, and `.rows` of what `make_frontend_features` and
+        # `extract` return; `extract` takes a split's segments, so one call
+        # taps each split, and for variant C one more forwards the trunk
+        # over target-train in adapt
         spans = load_spans()
         _, manifest = tiny_corpus
         cfg = tiny_config(tmp_path / "run", variant=variant)
@@ -635,6 +639,7 @@ class TestRunPipeline:
                      "network.grad.gflop", "transfer.adapt.s",
                      "transforms.dct_apply.s"):
             assert metrics[name]["value"] > 0, name
+        assert metrics["network.grad.frozen_gflop"]["value"] == 0
 
         def frames(*select):
             return sum((len(read_wav(e.wav_path)) - FRAME_LEN)
@@ -722,6 +727,22 @@ class TestCli:
         assert ("stage 'train-source' failed: refusing to fit normalization "
                 "on evaluation frames") in err
         assert not (tmp_path / "out" / "norm_stats.aecf").exists()
+
+    def test_train_source_refuses_no_target_train_entries(self, tiny_corpus,
+                                                          tmp_path, capsys):
+        # as `run` does: nothing is read or written before the refusal
+        _, manifest = tiny_corpus
+        save_manifest(Manifest([e for e in manifest.entries
+                                if e.domain == "source"]),
+                      tmp_path / "no_target.csv")
+        codes = run_staged(tiny_config(tmp_path / "out"),
+                           tmp_path / "no_target.csv", tmp_path / "cfg.json",
+                           chain=STAGED_CHAIN[:1])
+        assert codes == [2]
+        err = capsys.readouterr().err
+        assert ("stage 'train-source' failed: no target training entries"
+                in err)
+        assert os.listdir(tmp_path / "out") == []
 
     def test_relative_out_writes_loadable_manifests(self, tmp_path,
                                                     monkeypatch, capsys):
@@ -861,11 +882,13 @@ class TestCli:
         for name in ("classifier.aecf", "report.json"):
             assert (out / name).read_bytes() == (staged_out / name).read_bytes()
 
-    @pytest.mark.parametrize("split,stage", [
-        ("eval", "evaluate"), ("train", "fit-classifier"),
-        ("train", "evaluate")])
-    @pytest.mark.parametrize("damage", ["fewer-rows", "more-rows",
-                                        "empty-segment", "old-layout"])
+    # evaluate reads only the labels of features_train.npz, so of the
+    # damaged training files only one without them reaches it
+    @pytest.mark.parametrize("damage,split,stage", [
+        (damage, split, stage)
+        for split, stage in (("eval", "evaluate"), ("train", "fit-classifier"))
+        for damage in ("fewer-rows", "more-rows", "empty-segment", "old-layout")
+    ] + [("old-layout", "train", "evaluate")])
     def test_damaged_features_file_is_rejected_at_load(self, staged_out,
                                                        tmp_path, capsys,
                                                        split, stage, damage):
@@ -898,6 +921,23 @@ class TestCli:
         assert "Traceback" not in err
         for name in ("classifier.aecf", "report.json"):
             assert (out / name).read_bytes() == (staged_out / name).read_bytes()
+
+    def test_evaluate_reads_only_the_training_labels(self, staged_out,
+                                                     tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        real = pl._load_features
+
+        def eval_only(cfg, split):
+            if split == "train":
+                raise AssertionError("evaluate decoded the training taps")
+            return real(cfg, split)
+
+        monkeypatch.setattr(pl, "_load_features", eval_only)
+        os.remove(out / "report.json")
+        pl.stage_evaluate(tiny_config(out))
+        assert ((out / "report.json").read_bytes()
+                == (staged_out / "report.json").read_bytes())
 
     def test_report_prints_what_evaluate_printed(self, staged_out, tmp_path,
                                                  capsys):

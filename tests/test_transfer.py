@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -83,7 +84,13 @@ class TestSurgery:
         comp, _ = adapted(tl_widths=(5, 4), n_classes=3, epochs=1)
         dims = [l.out_dim for l in comp.layers]
         assert dims == [8, 8, 8, 5, 4, 3]
-        assert [l.frozen for l in comp.layers] == [True] * 3 + [False] * 3
+        # a layer is fixed or trained by its position, and a layer is only
+        # its parameters and activation: the trunk comes back bit-identical
+        trunk = strip_output(source_net())
+        for a, b in zip(comp.layers[:3], trunk.layers):
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
+            assert a.w.dtype == b.w.dtype and a.activation == b.activation
+        assert [f.name for f in fields(Layer)] == ["w", "b", "activation"]
         assert comp.layers[-1].activation == "softmax"
         assert comp.layers[-2].activation == "sigmoid"
 
@@ -136,7 +143,9 @@ class TestAdapt:
         trained, _ = adapt(trunk, extract(trunk, [x]).values, y, (5, 4), 3,
                            TrainConfig(lr0=0.3, max_epochs_per_stage=5, seed=0))
         assert seen and set(seen) == {(3, trunk.out_dim)}
-        assert [l.frozen for l in trained.layers] == [True] * 3 + [False] * 3
+        for a, b in zip(trained.layers[:3], trunk.layers):
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
+            assert a.w is not b.w and a.b is not b.b
 
     def test_without_trunk_matches_train(self):
         # variant B: no trunk, every layer fresh; exactly `train` on an
@@ -148,7 +157,7 @@ class TestAdapt:
         assert len(a.layers) == len(b.layers) == 6
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
-            assert la.activation == lb.activation and not la.frozen
+            assert la.activation == lb.activation
         assert report_a == report_b
 
     def test_index_reaches_train(self):
