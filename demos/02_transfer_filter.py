@@ -37,7 +37,7 @@ print(f"source network: {rep.final_epoch} epochs, train accuracy {acc:.2f}")
 #    over the trunk's outputs for the target frames
 trunk = strip_output(source)
 xt, yt = blobs(3, 40, 8, seed=7)
-comp, rep = adapt(trunk, extract(trunk, [xt]).values, yt, (12, 10), 3,
+comp, rep = adapt(trunk, extract(trunk, [xt], len(xt)).values, yt, (12, 10), 3,
                   TrainConfig(lr0=0.3, max_epochs_per_stage=100, seed=0),
                   seed=0)
 print("composite layers:",
@@ -54,8 +54,8 @@ print(f"adapted network: {rep.final_epoch} epochs, target accuracy {acc:.2f}, "
 filt_c = build_filter(comp, "C")
 print("variant C filter layers:",
       [(l.out_dim, l.activation) for l in filt_c.layers])
-feat_c = extract(filt_c, [xt[:5]]).values                   # pre-activation tap
-feat_a = extract(build_filter(comp, "A"), [xt[:5]]).values  # post-sigmoid tap
+feat_c = extract(filt_c, [xt[:5]], 5).values                      # pre-activation tap
+feat_a = extract(build_filter(comp, "A"), [xt[:5]], 5).values  # post-sigmoid tap
 print("variant C (linear tap) range:",
       float(feat_c.min()), "..", float(feat_c.max()))
 print("variant A (sigmoid tap) range:",

@@ -2,12 +2,14 @@
 reverberation).
 
 All segments are 16 kHz mono. A segment's samples must be finite, and
-`read_wav` accepts only 16-bit mono 16 kHz PCM files; anything else is
-rejected with an error naming the offending property.
+`read_wav` accepts only 16-bit mono 16 kHz PCM files whose data holds
+every sample their header declares; anything else is rejected with an
+error naming the offending property.
 """
 
 import logging
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +38,10 @@ class AudioSegment:
         return len(self.samples) / SAMPLE_RATE
 
 
-def read_wav(path):
-    """Read a RIFF PCM wav file: 16-bit little-endian, mono, 16000 Hz."""
+@contextmanager
+def _open_wav(path):
+    """`path` opened with `wave` for the block, once its header passes
+    `read_wav`'s checks: mono, 16-bit, 16000 Hz, no compression."""
     try:
         f = wave.open(str(path), "rb")
     except FileNotFoundError:
@@ -53,7 +57,27 @@ def read_wav(path):
             raise AecError(f"{path}: sample width {f.getsampwidth()} bytes, need 2 (16-bit)")
         if f.getframerate() != SAMPLE_RATE:
             raise AecError(f"{path}: sample rate {f.getframerate()}, need {SAMPLE_RATE}")
-        raw = f.readframes(f.getnframes())
+        yield f
+
+
+def wav_samples(path):
+    """The sample count a wav's header declares, after `read_wav`'s
+    checks; the data is not read. `read_wav` rejects a file whose data
+    holds fewer samples, so any file it reads holds exactly this many."""
+    with _open_wav(path) as f:
+        return f.getnframes()
+
+
+def read_wav(path):
+    """Read a RIFF PCM wav file: 16-bit little-endian, mono, 16000 Hz. A
+    file whose data holds fewer samples than its header declares is
+    rejected."""
+    with _open_wav(path) as f:
+        declared = f.getnframes()
+        raw = f.readframes(declared)
+    if len(raw) != 2 * declared:
+        raise AecError(f"{path}: truncated: its header declares {declared} "
+                       f"samples but its data holds {len(raw) // 2}")
     pcm = np.frombuffer(raw, dtype="<i2")
     samples = pcm.astype(np.float64) / 32768.0
     return AudioSegment(samples)

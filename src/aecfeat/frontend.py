@@ -91,15 +91,22 @@ class NormStats:
         return h.hexdigest()[:16]
 
 
+def frame_count(n_samples, cfg):
+    """The number of frames `frame_signal` cuts from `n_samples` samples:
+    floor((n_samples - FRAME_LEN)/hop) + 1, at least one."""
+    if n_samples < FRAME_LEN:
+        raise AecError(f"segment has {n_samples} samples, need at least "
+                       f"{FRAME_LEN}")
+    return (n_samples - FRAME_LEN) // cfg.hop + 1
+
+
 def frame_signal(segment, cfg):
     """Slice a segment into overlapping windowed frames.
 
     Returns an (n_frames, FRAME_LEN) array with
-    n_frames = floor((len - FRAME_LEN)/hop) + 1.
+    n_frames = frame_count(len(segment), cfg).
     """
-    n = len(segment)
-    if n < FRAME_LEN:
-        raise AecError(f"segment has {n} samples, need at least {FRAME_LEN}")
+    frame_count(len(segment), cfg)  # rejects a segment shorter than a frame
     window = np.hamming(FRAME_LEN) if cfg.window == "hamming" else np.ones(FRAME_LEN)
     return sliding_window_view(segment.samples, FRAME_LEN)[::cfg.hop] * window
 

@@ -14,6 +14,7 @@ import ctypes
 import hashlib
 import json
 import os
+import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
@@ -21,13 +22,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .audio import read_wav
+from .audio import read_wav, wav_samples
 from .classifiers import (GmmModel, SvmModel, classify_segment,
                           dnn_score_matrix, gmm_fit, gmm_score_matrix,
                           svm_fit, svm_score_matrix)
 from .errors import AecError, StageError, check_field_types
 from .frontend import (FrontendConfig, NormStats, apply_norm, fit_norm_stats,
-                       make_frontend_features, splice, splice_index)
+                       frame_count, make_frontend_features, splice,
+                       splice_index)
 from .network import Network, TrainConfig, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
@@ -259,14 +261,38 @@ def _frame_labels(lengths, labels):
     return y, classes
 
 
-def _spliced_segments(cfg, entries, stats, lengths):
+def _frame_counts(cfg, entries):
+    """Each entry's frame count, from its wav's header alone."""
+    return [frame_count(wav_samples(e.wav_path), cfg.frontend)
+            for e in entries]
+
+
+def _spliced_segments(cfg, entries, stats, counts):
     """Each entry's frames through frontend, normalization and splicing,
-    one float32 array per entry, in order; each array's frame count is
-    appended to `lengths` as it is yielded. Only one entry's frontend
-    arrays are held at a time."""
-    for m in frontend_features(cfg, entries):
-        lengths.append(len(m))
+    one float32 array per entry, in order. `counts` holds each entry's
+    frame count as `_frame_counts` reads it from the wav header; an entry
+    whose frames differ from its count raises an `AecError` naming its
+    wav. Only one entry's frontend arrays are held at a time."""
+    for e, n, m in zip(entries, counts, frontend_features(cfg, entries)):
+        if len(m) != n:
+            raise AecError(f"{e.wav_path}: {len(m)} frames, but its header "
+                           f"gives {n}")
         yield splice(_normalized([m], stats), cfg.frontend.splice_context)
+
+
+def _write_npz(path, **arrays):
+    """`np.savez(path, **arrays)` byte for byte, for C-contiguous arrays
+    that hold no objects, without its copy: each member is a stored zip64
+    entry of the array's format 1.0 header followed by the array's own
+    buffer. Both get zip's fixed 1980 timestamp."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED,
+                         allowZip64=True) as zf:
+        for key, value in arrays.items():
+            value = np.require(value, requirements="C")
+            with zf.open(key + ".npy", "w", force_zip64=True) as f:
+                np.lib.format.write_array_header_1_0(
+                    f, np.lib.format.header_data_from_array_1_0(value))
+                f.write(value.reshape(-1).view(np.uint8))
 
 
 def fit_classifier(cfg, taps, labels):
@@ -352,8 +378,9 @@ def stage_adapt(cfg, manifest):
     """Stage 3: the filter. Variants A/C train TL#1, TL#2 and a head over
     the source network's fixed trunk: one `extract` call forwards the
     trunk over the target-train frames, streamed a segment at a time as
-    `stage_extract` streams them, and `adapt` trains on those outputs, so
-    the spliced frames are never held together. Variant B trains the whole
+    `stage_extract` streams them, into one matrix sized from the wav
+    headers' frame counts, and `adapt` trains on those outputs, so the
+    spliced frames are never held together. Variant B trains the whole
     five-layer stack on target data only, by one `adapt` call on one
     float32 matrix of the target-train frames, normalized and unspliced,
     through their splice index; the float64 frontend arrays are released
@@ -372,9 +399,9 @@ def stage_adapt(cfg, manifest):
     else:
         trunk = strip_output(_load(cfg, "source_model", Network, stats))
         widths = (cfg.tl1_dim, cfg.tl2_dim)
-        lengths = []
+        lengths = _frame_counts(cfg, entries)
         segments = _spliced_segments(cfg, entries, stats, lengths)
-        x, index = extract(trunk, segments).values, None
+        x, index = extract(trunk, segments, sum(lengths)).values, None
     y, classes = _frame_labels(lengths, [e.label for e in entries])
     composite, _ = adapt(trunk, x, y, widths, len(classes), cfg.target_train,
                          seed=cfg.seed, index=index)
@@ -386,26 +413,29 @@ def stage_extract(cfg, manifest, split):
     """Stage 4: filter taps for every frame of each target segment of
     `split`, saved losslessly to features_<split>.npz: one float32 tap
     matrix in manifest order, each segment's frame count, label and
-    condition, and the split. One `extract` call taps the split from
+    condition, and the split. Each segment's frame count comes from its
+    wav header before anything is extracted, so one `extract` call writes
+    every tap once into one matrix of the split's size, from
     `_spliced_segments`, which streams each segment through frontend,
-    normalization and splicing and records its frame count; that work runs
-    on the calling thread inside `extract`, under its BLAS pin. Only taps
-    are kept, never the split's spliced input. A row's taps depend only on
-    that row, so the file is byte-identical whatever the CPU count and
-    buffer size, to taps extracted a segment at a time, and run to run."""
+    normalization and splicing; that work runs on the calling thread
+    inside `extract`, under its BLAS pin. Only taps are kept, never the
+    split's spliced input, and `_write_npz` writes them without a copy. A
+    row's taps depend only on that row, so the file is byte-identical
+    whatever the CPU count and buffer size, to taps extracted a segment at
+    a time, and run to run."""
     entries = manifest.select("target", split)
     if not entries:
         raise AecError(f"no target {split} entries")
     stats = _load(cfg, "norm_stats", NormStats)
     filt = _load(cfg, "filter", Network, stats)
-    lengths = []
+    lengths = _frame_counts(cfg, entries)
     segments = _spliced_segments(cfg, entries, stats, lengths)
-    taps = extract(filt, segments).values
+    taps = extract(filt, segments, sum(lengths)).values
     path = artifact_path(cfg, f"features_{split}.npz")
-    np.savez(path, taps=taps, lengths=np.array(lengths),
-             labels=np.array([e.label for e in entries]),
-             conditions=np.array([e.condition for e in entries]),
-             split=np.array(split))
+    _write_npz(path, taps=taps, lengths=np.array(lengths),
+               labels=np.array([e.label for e in entries]),
+               conditions=np.array([e.condition for e in entries]),
+               split=np.array(split))
     return {f"features_{split}": path}
 
 

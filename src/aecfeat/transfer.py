@@ -70,9 +70,9 @@ def adapt(trunk, x, y, widths, n_classes, cfg, seed=0, index=None):
     TrainReport).
 
     With a trunk, `x` is the trunk's outputs for the target frames, as
-    `extract(trunk, segments)` computes them, and must be as wide as the
-    trunk's last layer; only the fresh layers train, and the composite's
-    first layers are bit-identical copies of the trunk's. With
+    `extract(trunk, segments, rows)` computes them, and must be as wide as
+    the trunk's last layer; only the fresh layers train, and the
+    composite's first layers are bit-identical copies of the trunk's. With
     `trunk=None`, `x` is the frames themselves and every layer is fresh.
     `index` is passed to `train`: sample i is `x[index[i]]` flattened, so
     B can train on spliced frames from the normalized, unspliced ones.
@@ -139,12 +139,15 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def extract(filt, segments):
+def extract(filt, segments, rows):
     """Tap TL#2 for every row of `segments`, an iterable of spliced,
-    normalized frames x dims arrays; `filt` is a filter network from
-    `build_filter`, or a source trunk from `strip_output`, whose last
-    layer's outputs `adapt` trains on. The taps of all rows come back in
-    order as one float32 `FeatureMatrix`.
+    normalized frames x dims arrays that hold `rows` rows in all; `filt`
+    is a filter network from `build_filter`, or a source trunk from
+    `strip_output`, whose last layer's outputs `adapt` trains on. The taps
+    of all rows come back in order as one float32 `FeatureMatrix`, a
+    (rows, out_dim) matrix allocated once, into which every tap is written
+    once. Segments that hold more or fewer rows than `rows` raise an
+    `AecError`.
 
     Each row is copied once, rounded to float32, into a staging buffer of
     BUFFER_BLOCKS blocks of BLOCK_ROWS rows, packed across segment
@@ -169,12 +172,12 @@ def extract(filt, segments):
         raise AecError("filter must not end in a softmax layer")
     layers = [(l.w.astype(np.float32), l.b.astype(np.float32), l.activation)
               for l in filt.layers]
+    taps = np.empty((rows, filt.out_dim), dtype=np.float32)
     buffer = np.empty((BUFFER_BLOCKS * BLOCK_ROWS, filt.in_dim), np.float32)
     n = min(_cpu_count(), BUFFER_BLOCKS)
     # per worker: one pre-activation block per layer
     pre = [[np.empty((BLOCK_ROWS, w.shape[0]), dtype=np.float32)
             for w, _, _ in layers] for _ in range(n)]
-    taps = []
 
     def forward_blocks(k, out):
         for start in range(k * BLOCK_ROWS, len(out), n * BLOCK_ROWS):
@@ -188,24 +191,31 @@ def extract(filt, segments):
                 h = _activate(z, activation)
             out[start:start + BLOCK_ROWS] = h[:len(out) - start]
 
-    def run(pool, fill):
-        # taps of the buffer's first `fill` rows, if any; zero-pads the tail
+    def run(pool, done, fill):
+        # taps of the buffer's first `fill` rows, if any, into taps[done:];
+        # zero-pads the tail of the last block
         buffer[fill:-(-fill // BLOCK_ROWS) * BLOCK_ROWS] = 0.0
-        taps.append(np.empty((fill, filt.out_dim), dtype=np.float32))
-        list(pool.map(forward_blocks, range(n), [taps[-1]] * n))
+        out = taps[done:done + fill]
+        list(pool.map(forward_blocks, range(n), [out] * n))
 
     with _one_blas_thread(), ThreadPoolExecutor(n) as pool:
-        fill = 0
+        done = fill = 0
         for x in segments:
             x = _as_2d(x)
             if x.shape[1] != filt.in_dim:
                 raise AecError(f"feature dims {x.shape[1]} != filter input {filt.in_dim}")
+            if done + fill + len(x) > rows:
+                raise AecError(f"segments hold more than the {rows} rows "
+                               f"given to extract")
             while len(x):
                 m = min(len(buffer) - fill, len(x))
                 buffer[fill:fill + m] = x[:m]
                 x, fill = x[m:], fill + m
                 if fill == len(buffer):
-                    run(pool, fill)
-                    fill = 0
-        run(pool, fill)
-    return FeatureMatrix(np.concatenate(taps))
+                    run(pool, done, fill)
+                    done, fill = done + fill, 0
+        if done + fill != rows:
+            raise AecError(f"segments hold {done + fill} rows, not the "
+                           f"{rows} rows given to extract")
+        run(pool, done, fill)
+    return FeatureMatrix(taps)

@@ -129,8 +129,8 @@ def test_freeze_invariant():
     y = np.repeat(np.arange(3), 40)
     cfg = TrainConfig(lr0=0.2, max_epochs_per_stage=25, n_lr_stages=2,
                       patience_epochs=10 ** 6, seed=0)
-    trained, report = adapt(trunk, extract(trunk, [x]).values, y, (8, 6), 3,
-                            cfg, seed=0)
+    trained, report = adapt(trunk, extract(trunk, [x], len(x)).values, y,
+                            (8, 6), 3, cfg, seed=0)
 
     identical = all(np.array_equal(l.w, w0) and np.array_equal(l.b, b0)
                     for l, (w0, b0) in zip(trained.layers[:3], before))
@@ -409,12 +409,12 @@ def test_ablation_link():
     trunk = strip_output(init_mlp(6, (10, 10, 10), 5, seed=0))
     x = rng.standard_normal((200, 6))
     y = rng.integers(0, 3, 200)
-    comp, _ = adapt(trunk, extract(trunk, [x]).values, y, (8, 6), 3,
+    comp, _ = adapt(trunk, extract(trunk, [x], len(x)).values, y, (8, 6), 3,
                     TrainConfig(lr0=0.2, max_epochs_per_stage=20, seed=0),
                     seed=0)
     x = rng.standard_normal((100, 6))
-    a = extract(build_filter(comp, "A"), [x]).values
-    c = extract(build_filter(comp, "C"), [x]).values
+    a = extract(build_filter(comp, "A"), [x], len(x)).values
+    c = extract(build_filter(comp, "C"), [x], len(x)).values
     # A and C compute the same pre-activation, so A is sigmoid(C) exactly
     gap = float(np.max(np.abs(a - expit(c))))
     check("ablation-link", np.array_equal(a, expit(c)),

@@ -8,6 +8,7 @@ from aecfeat.audio import (
     mix_noise,
     read_wav,
     synth_rir,
+    wav_samples,
     write_wav,
 )
 from aecfeat.errors import AecError
@@ -66,6 +67,38 @@ class TestWavIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(AecError, match="no such file"):
             read_wav(tmp_path / "nope.wav")
+        with pytest.raises(AecError, match="no such file"):
+            wav_samples(tmp_path / "nope.wav")
+
+    def test_header_count_equals_samples_read(self, tmp_path):
+        path = tmp_path / "a.wav"
+        write_wav(path, seg(np.zeros(4321)))
+        assert wav_samples(path) == len(read_wav(path)) == 4321
+
+    def test_header_count_checks_the_format(self, tmp_path):
+        import wave
+
+        path = tmp_path / "8k.wav"
+        with wave.open(str(path), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(8000)
+            f.writeframes(b"\x00\x00" * 100)
+        with pytest.raises(AecError, match="sample rate 8000"):
+            wav_samples(path)
+
+    # 4,000 samples are 8,000 data bytes; an odd cut leaves half a sample
+    @pytest.mark.parametrize("cut, held", [(3000, 2500), (3001, 2499)])
+    def test_rejects_truncated_data(self, tmp_path, cut, held):
+        path = tmp_path / "cut.wav"
+        write_wav(path, seg(np.zeros(4000)))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(AecError, match=rf"cut\.wav: truncated: its header "
+                                           rf"declares 4000 samples but its "
+                                           rf"data holds {held}$"):
+            read_wav(path)
+        # the header alone still declares the full count
+        assert wav_samples(path) == 4000
 
 
 class TestMixNoise:

@@ -8,6 +8,7 @@ from aecfeat.frontend import (
     apply_norm,
     dft_half_spectrum,
     fit_norm_stats,
+    frame_count,
     frame_signal,
     make_frontend_features,
     splice,
@@ -50,6 +51,14 @@ class TestFraming:
     def test_too_short(self):
         with pytest.raises(AecError, match="1000 samples, need at least 1024"):
             frame_signal(seg(np.zeros(1000)), RECT)
+        with pytest.raises(AecError, match="1000 samples, need at least 1024"):
+            frame_count(1000, RECT)
+
+    @pytest.mark.parametrize("hop", [1, 300, 512, 1024])
+    @pytest.mark.parametrize("n", [1024, 1025, 1323, 1324, 2048, 5000])
+    def test_frame_count_matches_frame_signal(self, n, hop):
+        cfg = FrontendConfig(hop=hop)
+        assert frame_count(n, cfg) == len(frame_signal(seg(np.zeros(n)), cfg))
 
     def test_hamming_window_applied(self):
         cfg = FrontendConfig(window="hamming")

@@ -91,7 +91,7 @@ def make_composite():
     """A fixed three-layer trunk under untrained TL#1, TL#2 and head."""
     trunk = strip_output(init_mlp(6, (8, 8, 8), 5, seed=0))
     x = np.random.default_rng(0).standard_normal((30, 6))
-    comp, _ = adapt(trunk, extract(trunk, [x]).values, np.arange(30) % 3,
+    comp, _ = adapt(trunk, extract(trunk, [x], 30).values, np.arange(30) % 3,
                     (5, 4), 3, TrainConfig(max_epochs_per_stage=0), seed=0)
     return comp
 

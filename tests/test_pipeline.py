@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import threading
+import tracemalloc
 import types
 from dataclasses import fields, replace
 from math import inf, nan
@@ -620,6 +621,21 @@ class TestRunPipeline:
         assert not (tmp_path / "x" / "features_eval.npz").exists()
         assert not (tmp_path / "x" / "report.json").exists()
 
+    def test_truncated_eval_wav_fails_in_extract(self, tiny_corpus, tmp_path):
+        # the frame counts come from the wav headers, so a file whose data
+        # is shorter than its header declares must fail when it is read
+        _, manifest = tiny_corpus
+        entries = list(manifest.entries)
+        i = next(k for k, e in enumerate(entries) if e.split == "eval")
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(Path(entries[i].wav_path).read_bytes()[:-3000])
+        entries[i] = replace(entries[i], wav_path=str(cut))
+        with pytest.raises(StageError, match=r"cut\.wav: truncated") as e:
+            run_pipeline(tiny_config(tmp_path / "x"), Manifest(entries))
+        assert e.value.stage == "extract"
+        assert not (tmp_path / "x" / "features_eval.npz").exists()
+        assert not (tmp_path / "x" / "report.json").exists()
+
     @pytest.mark.parametrize("variant", ["C", "B"])
     def test_traced_benchmark_smoke(self, tiny_corpus, tmp_path, variant):
         # the per-layer benchmark wraps these functions from outside and
@@ -1109,7 +1125,8 @@ class TestParallelExtract:
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
             return [extract(filt, [splice(apply_norm(frames, stats),
-                                          cfg.frontend.splice_context)]).values
+                                          cfg.frontend.splice_context)],
+                            len(frames)).values
                     for frames in pl.frontend_features(cfg, entries)]
 
     # buffers of 64 and 128 rows fill several times and cut the 65-, 92-
@@ -1130,6 +1147,16 @@ class TestParallelExtract:
         with np.load(pl.artifact_path(cfg, "features_eval.npz")) as data:
             assert data["lengths"].tolist() == list(self.FRAMES)
             assert np.array_equal(data["taps"], np.vstack(expected))
+
+    def test_frames_must_match_header_counts(self, ragged):
+        cfg, entries = ragged
+        stats = pl._load(cfg, "norm_stats", NormStats)
+        counts = pl._frame_counts(cfg, entries)
+        assert counts == list(self.FRAMES)
+        counts[2] += 1
+        with pytest.raises(AecError, match=r"seg2\.wav: 64 frames, but its "
+                                           r"header gives 65"):
+            list(pl._spliced_segments(cfg, entries, stats, counts))
 
     def test_features_file_is_byte_identical_for_any_cpu_count(
             self, staged_out, tiny_corpus, tmp_path, monkeypatch):
@@ -1275,3 +1302,34 @@ class TestFloat32Frames:
         finally:
             lib.scipy_openblas_set_num_threads64_(old)
         assert files[0] == files[1]
+
+
+class TestWriteNpz:
+    """`stage_extract` writes features_<split>.npz with `_write_npz`, which
+    must write what `np.savez` writes, without its copy of each array."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 130])
+    def test_bytes_equal_savez(self, tmp_path, rows):
+        rng = np.random.default_rng(0)
+        arrays = dict(
+            taps=rng.standard_normal((rows, 10)).astype(np.float32),
+            lengths=np.array([rows]),
+            labels=np.array(["tgt00"]),
+            conditions=np.array(["living_5dB"]),
+            split=np.array("eval"))
+        np.savez(tmp_path / "savez.npz", **arrays)
+        pl._write_npz(tmp_path / "write.npz", **arrays)
+        assert ((tmp_path / "savez.npz").read_bytes()
+                == (tmp_path / "write.npz").read_bytes())
+
+    def test_writes_without_a_copy(self, tmp_path):
+        taps = np.zeros((40000, 150), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            pl._write_npz(tmp_path / "f.npz", taps=taps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+        with np.load(tmp_path / "f.npz") as data:
+            assert np.array_equal(data["taps"], taps)

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -32,7 +33,7 @@ def adapted(tl_widths=(8, 6), n_classes=4, epochs=0, seed=0):
     blobs for `epochs` epochs per stage (0 leaves them as initialized)."""
     x, y = blobs(n_classes=n_classes, dim=6)
     trunk = strip_output(source_net())
-    comp, _ = adapt(trunk, extract(trunk, [x]).values, y, tl_widths,
+    comp, _ = adapt(trunk, extract(trunk, [x], len(x)).values, y, tl_widths,
                     n_classes,
                     TrainConfig(lr0=0.3, max_epochs_per_stage=epochs, seed=0),
                     seed=seed)
@@ -118,7 +119,8 @@ class TestAdapt:
         frozen_before = [(l.w.copy(), l.b.copy()) for l in trunk.layers]
         x, y = blobs(n_classes=4, dim=6)
         cfg = TrainConfig(lr0=0.3, weight_decay=0.0, max_epochs_per_stage=150, seed=0)
-        trained, report = adapt(trunk, extract(trunk, [x]).values, y, (8, 6),
+        trained, report = adapt(trunk, extract(trunk, [x], len(x)).values, y,
+                                (8, 6),
                                 4, cfg)
         for layer, (w0, b0) in zip(trained.layers[:3], frozen_before):
             assert np.array_equal(layer.w, w0)
@@ -140,7 +142,8 @@ class TestAdapt:
 
         monkeypatch.setattr(network, "grad", recording_grad)
         x, y = blobs(n_classes=3, dim=6)
-        trained, _ = adapt(trunk, extract(trunk, [x]).values, y, (5, 4), 3,
+        trained, _ = adapt(trunk, extract(trunk, [x], len(x)).values, y,
+                           (5, 4), 3,
                            TrainConfig(lr0=0.3, max_epochs_per_stage=5, seed=0))
         assert seen and set(seen) == {(3, trunk.out_dim)}
         for a, b in zip(trained.layers[:3], trunk.layers):
@@ -176,7 +179,7 @@ class TestAdapt:
     def test_empty_target(self):
         trunk = strip_output(source_net())
         with pytest.raises(AecError, match="need at least 2 classes"):
-            adapt(trunk, extract(trunk, [np.zeros((0, 6))]).values,
+            adapt(trunk, extract(trunk, [np.zeros((0, 6))], 0).values,
                   np.zeros(0, dtype=int), (5, 4), 2, TrainConfig())
 
     def test_input_must_be_trunk_output(self):
@@ -199,13 +202,13 @@ class TestBuildFilter:
     def test_variant_a_keeps_sigmoid(self):
         comp, x = adapted(epochs=30)
         filt = build_filter(comp, "A")
-        out = extract(filt, [x])
+        out = extract(filt, [x], len(x))
         assert np.all((out.values > 0) & (out.values < 1))
 
     def test_variant_link_a_equals_sigmoid_of_c(self):
         comp, x = adapted(epochs=30)
-        a = extract(build_filter(comp, "A"), [x]).values
-        c = extract(build_filter(comp, "C"), [x]).values
+        a = extract(build_filter(comp, "A"), [x], len(x)).values
+        c = extract(build_filter(comp, "C"), [x], len(x)).values
         # the same pre-activation, so bit for bit
         assert np.array_equal(a, expit(c))
 
@@ -227,7 +230,8 @@ class TestBuildFilter:
 class TestExtract:
     def test_shape(self):
         filt = build_filter(adapted()[0], "C")
-        out = extract(filt, [np.random.default_rng(0).standard_normal((92, 6))])
+        x = np.random.default_rng(0).standard_normal((92, 6))
+        out = extract(filt, [x], 92)
         assert out.values.shape == (92, 6)
         assert out.rows == 92
 
@@ -237,17 +241,17 @@ class TestExtract:
         last.w[:] = 0.0
         last.b[:] = np.arange(6.0)
         # zero the incoming weights so only TL#2's bias survives
-        out = extract(filt, [np.zeros((3, 6))])
+        out = extract(filt, [np.zeros((3, 6))], 3)
         assert np.allclose(out.values, np.arange(6.0))
 
     def test_purity_and_batch_independence(self):
         filt = build_filter(adapted()[0], "C")
         x = np.random.default_rng(1).standard_normal((20, 6))
-        full = extract(filt, [x]).values
-        again = extract(filt, [x]).values
+        full = extract(filt, [x], len(x)).values
+        again = extract(filt, [x], len(x)).values
         assert np.array_equal(full, again)
         one_at_a_time = np.vstack([
-            extract(filt, [x[i : i + 1]]).values
+            extract(filt, [x[i : i + 1]], 1).values
             for i in range(len(x))
         ])
         assert np.array_equal(full, one_at_a_time)
@@ -255,20 +259,20 @@ class TestExtract:
     def test_dim_mismatch(self):
         filt = build_filter(adapted()[0], "C")
         with pytest.raises(AecError, match="feature dims 9 != filter input"):
-            extract(filt, [np.zeros((2, 9))])
+            extract(filt, [np.zeros((2, 9))], 2)
 
     @pytest.mark.parametrize("shape", [(6,), (2, 3, 6)])
     def test_not_2d_rejected(self, shape):
         filt = build_filter(adapted()[0], "C")
         with pytest.raises(AecError, match=f"features must be 2-D, got {len(shape)}-D"):
-            extract(filt, [np.zeros(shape)])
+            extract(filt, [np.zeros(shape)], shape[0])
 
     def test_softmax_network_rejected(self):
         # the composite still has its head: it classifies, it is no filter
         comp, x = adapted()
         with pytest.raises(AecError,
                            match="filter must not end in a softmax layer"):
-            extract(comp, [x])
+            extract(comp, [x], len(x))
 
     # 200 rows: three full GEMM blocks and a ragged tail of 8
     @pytest.mark.parametrize("kernel", ["default", "gemm-2-threads", "einsum"])
@@ -281,11 +285,11 @@ class TestExtract:
             monkeypatch.setattr(transfer, "_OPENBLAS", None)
         filt = e2e_filter()
         x = np.random.default_rng(2).standard_normal((200, E2E_DIMS))
-        full = extract(filt, [x]).values
-        one_at_a_time = np.vstack([extract(filt, [x[i:i + 1]]).values
+        full = extract(filt, [x], len(x)).values
+        one_at_a_time = np.vstack([extract(filt, [x[i:i + 1]], 1).values
                                    for i in range(len(x))])
-        two_segments = np.vstack([extract(filt, [x[:92]]).values,
-                                  extract(filt, [x[92:]]).values])
+        two_segments = np.vstack([extract(filt, [x[:92]], 92).values,
+                                  extract(filt, [x[92:]], 108).values])
         assert full.shape == (200, 150)
         assert np.array_equal(full, one_at_a_time)
         assert np.array_equal(full, two_segments)
@@ -293,16 +297,16 @@ class TestExtract:
     def test_einsum_fallback_agrees_with_gemm(self, monkeypatch):
         filt = e2e_filter()
         x = np.random.default_rng(3).standard_normal((200, E2E_DIMS))
-        gemm = extract(filt, [x]).values
+        gemm = extract(filt, [x], len(x)).values
         monkeypatch.setattr(transfer, "_OPENBLAS", None)
-        einsum = extract(filt, [x]).values
+        einsum = extract(filt, [x], len(x)).values
         # both run in float32 and sum in different orders
         assert np.abs(gemm - einsum).max() <= 1e-5 * np.abs(gemm).max()
 
     def test_float32_taps_agree_with_float64_predict(self):
         filt = e2e_filter()
         x = np.random.default_rng(4).standard_normal((200, E2E_DIMS))
-        taps = extract(filt, [x]).values
+        taps = extract(filt, [x], len(x)).values
         exact = predict(filt, x)
         assert taps.dtype == np.float32 and exact.dtype == np.float64
         assert np.abs(taps - exact).max() <= 1e-5 * np.abs(exact).max()
@@ -316,10 +320,11 @@ class TestExtract:
             monkeypatch.setattr(transfer, "_OPENBLAS", None)
         filt = e2e_filter()
         x = np.random.default_rng(6).standard_normal((1000, E2E_DIMS))
-        serial = np.vstack([extract(filt, [x[i:i + 64]]).values
+        serial = np.vstack([extract(filt, [x[i:i + 64]],
+                                    len(x[i:i + 64])).values
                             for i in range(0, len(x), 64)])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        assert np.array_equal(extract(filt, [x]).values, serial)
+        assert np.array_equal(extract(filt, [x], len(x)).values, serial)
 
     FRAMES = (1, 63, 64, 65, 92, 130)  # ragged around the 64-row block
 
@@ -334,20 +339,47 @@ class TestExtract:
         filt = e2e_filter()
         rng = np.random.default_rng(5)
         xs = [rng.standard_normal((n, E2E_DIMS)) for n in self.FRAMES]
-        expected = np.vstack([extract(filt, [x]).values for x in xs])
+        expected = np.vstack([extract(filt, [x], len(x)).values for x in xs])
         monkeypatch.setattr(transfer, "BUFFER_BLOCKS", blocks)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         segments = xs if source == "list" else (x for x in xs)
-        taps = extract(filt, segments).values
+        taps = extract(filt, segments, sum(self.FRAMES)).values
         assert taps.dtype == np.float32
         assert np.array_equal(taps, expected)
 
     def test_no_segments_give_no_rows(self):
         filt = e2e_filter()
         for segments in ([], iter(()), [np.zeros((0, E2E_DIMS))]):
-            out = extract(filt, segments)
+            out = extract(filt, segments, 0)
             assert out.values.shape == (0, 150)
             assert out.values.dtype == np.float32
+
+    @pytest.mark.parametrize("rows", [69, 71])
+    def test_rows_must_match_segments(self, rows):
+        # the segments hold 70 rows: one more, or one fewer, than `rows`
+        filt = e2e_filter()
+        segments = [np.zeros((30, E2E_DIMS)), np.zeros((40, E2E_DIMS))]
+        with pytest.raises(AecError, match=f"the {rows} rows given to extract"):
+            extract(filt, segments, rows)
+
+    def test_taps_are_held_once(self):
+        # every tap is written once into one matrix: the traced peak is
+        # the taps, not the taps plus a copy of them
+        filt = build_filter(init_mlp(6, (32, 64), 2, seed=0), "C")
+
+        def segments():
+            rng = np.random.default_rng(0)
+            for _ in range(600):
+                yield rng.standard_normal((100, 6))
+
+        tracemalloc.start()
+        try:
+            taps = extract(filt, segments(), 60000).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert taps.shape == (60000, 64)
+        assert peak <= 1.1 * taps.nbytes, (peak, taps.nbytes)
 
     def test_blas_thread_count_restored(self, blas_threads, monkeypatch):
         # 70 rows are two blocks, so two worker threads run them
@@ -355,7 +387,7 @@ class TestExtract:
         threads = threading.active_count()
         blas_threads.scipy_openblas_set_num_threads64_(2)
         filt = e2e_filter()
-        extract(filt, [np.zeros((70, E2E_DIMS))])
+        extract(filt, [np.zeros((70, E2E_DIMS))], 70)
         assert blas_threads.scipy_openblas_get_num_threads64_() == 2
         # a wrong-width segment after a full buffer has run on the workers
         monkeypatch.setattr(transfer, "BUFFER_BLOCKS", 2)
@@ -367,7 +399,7 @@ class TestExtract:
             yield np.zeros((5, E2E_DIMS - 1))
 
         with pytest.raises(AecError, match="feature dims 1535 != filter"):
-            extract(filt, segments())
+            extract(filt, segments(), 135)
         assert inside[0] > threads
         assert blas_threads.scipy_openblas_get_num_threads64_() == 2
         assert threading.active_count() == threads
@@ -375,7 +407,7 @@ class TestExtract:
         tl1 = filt.layers[3]
         filt.layers[3] = Layer(tl1.w[:, :255], tl1.b, tl1.activation)
         with pytest.raises(ValueError):
-            extract(filt, [np.zeros((70, E2E_DIMS))])
+            extract(filt, [np.zeros((70, E2E_DIMS))], 70)
         assert blas_threads.scipy_openblas_get_num_threads64_() == 2
         assert threading.active_count() == threads
 
@@ -389,7 +421,7 @@ class TestExtract:
         filt = e2e_filter()
         xs = [np.random.default_rng(s).standard_normal((384, E2E_DIMS))
               for s in range(4)]
-        serial = [extract(filt, [x]).values for x in xs]
+        serial = [extract(filt, [x], len(x)).values for x in xs]
         nets = [filt] * 4
         if odd_threads == "raise":  # TL#1 expects 256 inputs; 255 raise
             tl1 = filt.layers[3]
@@ -404,7 +436,7 @@ class TestExtract:
                 def work(i):
                     start.wait()
                     try:
-                        out[i] = extract(nets[i], [xs[i]]).values
+                        out[i] = extract(nets[i], [xs[i]], 384).values
                     except ValueError as e:
                         out[i] = e
 
