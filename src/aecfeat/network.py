@@ -12,9 +12,31 @@ down once and returns float32 parameters (every stage already stores its
 parameters as float32 in `.aecf` files). `forward` and `grad`
 compute in the dtype of their input and parameters, so float64 callers get
 float64 results. Losses are accumulated in float64.
+
+Training uses two CPUs on one BLAS thread. `train` pins numpy's bundled
+OpenBLAS to one thread for its loop and, when that library is loaded and
+the process may use two CPUs or more, starts one worker thread. While it
+runs, `forward`, `grad` and `sgd_step` split each wide layer's float32
+work in two halves by output unit (the forward product, bias and
+activation, the weight gradient and the momentum update of the weight
+rows) and the error back-propagated through it by input unit: the worker
+runs one half and the calling thread the other. Everywhere else, on one
+CPU and outside `train`, every layer runs whole. Each output element of a
+split product is summed over the same terms in the same order as in one
+product over the whole layer (checked with the bundled OpenBLAS), so what
+`train` returns depends neither on the CPU count nor on
+OPENBLAS_NUM_THREADS. With another BLAS, `train` runs on the calling
+thread alone at that BLAS's own thread count.
 """
 
+import contextlib
+import ctypes
+import glob
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import ClassVar, List
 
 import numpy as np
@@ -22,6 +44,118 @@ from scipy.special import expit
 
 from .errors import AecError, check_field_types
 from .frontend import _as_2d
+
+# A wide layer, one with at least _WIDE weights (256 x 256 and up) and
+# _NARROW units or more on either side, splits its float32 products and
+# its weight update by output unit: one half on the calling thread, one on
+# the worker thread `train` starts. A product over fewer than _NARROW rows
+# runs whole. Each half of a split product is then a matrix product of
+# over a million multiply-adds with 32 or more rows and columns, which
+# OpenBLAS sums in the order it sums the whole product; a narrower half
+# can reach numpy's matrix-vector path or OpenBLAS's small-matrix
+# kernels, which sum in other orders.
+_WIDE = 1 << 16
+_NARROW = 64
+
+
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS with its thread-count functions typed, or
+    None when this numpy ships another BLAS or the symbols are missing."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                           "numpy.libs", "libscipy_openblas64_-*.so")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+# numpy has already loaded this library; opening it again only finds it
+_OPENBLAS = _bundled_openblas()
+_pin_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread and
+    restore its count after; without that library, do nothing.
+
+    The count is process-global, so one lock is held for the whole block:
+    concurrent callers take turns, each restores the count it found, and
+    no thread's GEMM sees the count change while it runs."""
+    lib = _OPENBLAS
+    if lib is None:
+        yield
+        return
+    with _pin_lock:
+        saved = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(1)
+        try:
+            yield
+        finally:
+            lib.scipy_openblas_set_num_threads64_(saved)
+
+
+def _cpu_count():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# .pool: the one-thread executor `train` runs on this thread, if any
+_worker = threading.local()
+
+
+@contextlib.contextmanager
+def _worker_thread():
+    """Give `_halves` calls made on this thread one worker thread while
+    the block runs, when numpy's bundled OpenBLAS is loaded (so that both
+    threads run it on one BLAS thread) and this process may use two CPUs
+    or more; the thread is joined on leaving, even if the block raises."""
+    if _OPENBLAS is None or _cpu_count() < 2:
+        yield
+        return
+    with ThreadPoolExecutor(1) as pool:
+        _worker.pool = pool
+        try:
+            yield
+        finally:
+            _worker.pool = None
+
+
+def _halves(split, work, *sizes):
+    """Call `work` with one slice per size: when `split` and `train` runs
+    a worker thread for this thread, once with the lower half of each here
+    and once with the upper half on the worker; else once with the whole
+    of each. Returns when both are done; a failure in either is raised
+    here. The worker runs only `work`, which writes into arrays the caller
+    allocated."""
+    pool = getattr(_worker, "pool", None)
+    if not split or pool is None:
+        work(*(slice(0, n) for n in sizes))
+        return
+    upper_done = pool.submit(work, *(slice(n // 2, n) for n in sizes))
+    try:
+        work(*(slice(0, n // 2) for n in sizes))
+    finally:
+        upper_done.exception()  # waits: that half writes into our arrays
+    upper_done.result()
+
+
+def _wide(layer, *arrays):
+    """Whether `layer`'s products with `arrays`, or its update from them,
+    are split: the layer is wide and they are all float32 (the float64
+    kernels sum a split product's edge tiles in another order)."""
+    return (layer.w.size >= _WIDE and min(layer.w.shape) >= _NARROW
+            and all(a.dtype == np.float32 for a in (layer.w, *arrays)))
 
 
 @dataclass
@@ -133,6 +267,16 @@ def _as_batch(x):
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
+def _forward_units(layer, a, z, units):
+    """Outputs z[:, units] of `layer` for inputs `a`; a softmax is left to
+    the caller, since it normalizes over every unit."""
+    z = z[:, units]
+    np.matmul(a, layer.w[units].T, out=z)
+    z += layer.b[units]
+    if layer.activation != "softmax":
+        _activate(z, layer.activation)
+
+
 def forward(net, x):
     """Per-layer post-activation outputs for a batch (rows = samples)."""
     x = _as_batch(x)
@@ -141,9 +285,12 @@ def forward(net, x):
     acts = []
     a = x
     for layer in net.layers:
-        z = a @ layer.w.T
-        z += layer.b
-        a = _activate(z, layer.activation)
+        z = np.empty((len(a), layer.out_dim), np.result_type(a, layer.w))
+        _halves(_wide(layer, a) and len(a) >= _NARROW,
+                partial(_forward_units, layer, a, z), layer.out_dim)
+        if layer.activation == "softmax":
+            _activate(z, "softmax")
+        a = z
         acts.append(a)
     return acts
 
@@ -163,6 +310,14 @@ def _summed_ce(probs, one_hot):
 def cross_entropy(probs, one_hot):
     """Mean cross-entropy over the batch, clipped away from log(0)."""
     return _summed_ce(probs, one_hot) / probs.shape[0]
+
+
+def _backward_units(layer, delta, a_prev, dw, below, units, inputs):
+    """Weight-gradient rows dw[units] and, unless `below` is None, the
+    error back-propagated to inputs `inputs`, below[:, inputs]."""
+    np.matmul(delta[:, units].T, a_prev, out=dw[units])
+    if below is not None:
+        np.matmul(delta, layer.w[:, inputs], out=below[:, inputs])
 
 
 def grad(net, x, one_hot):
@@ -186,9 +341,15 @@ def grad(net, x, one_hot):
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         a_prev = acts[k - 1] if k > 0 else x
-        grads[k] = (delta.T @ a_prev, delta.sum(axis=0))
+        dw = np.empty(layer.w.shape, np.result_type(delta, a_prev))
+        below = (np.empty((n, layer.in_dim), np.result_type(delta, layer.w))
+                 if k > 0 else None)
+        _halves(_wide(layer, delta, a_prev) and n >= _NARROW,
+                partial(_backward_units, layer, delta, a_prev, dw, below),
+                layer.out_dim, layer.in_dim)
+        grads[k] = (dw, delta.sum(axis=0))
         if k > 0:
-            delta = delta @ layer.w
+            delta = below
             prev = net.layers[k - 1]
             if prev.activation == "sigmoid":
                 delta *= a_prev
@@ -196,6 +357,19 @@ def grad(net, x, one_hot):
             elif prev.activation == "softmax":
                 raise AecError("softmax only allowed as the final layer")
     return grads, loss
+
+
+def _update_rows(layer, dw, vw, scratch, lr, momentum, weight_decay, rows):
+    """`sgd_step`'s update of weight rows `rows`, in place through
+    `scratch`: element for element the same operations, in the same
+    order, as the formula in its docstring."""
+    w, v, t = layer.w[rows], vw[rows], scratch[rows]
+    np.multiply(w, weight_decay, out=t)
+    t += dw[rows]
+    v *= momentum
+    v += t
+    np.multiply(v, lr, out=t)
+    w -= t
 
 
 def sgd_step(layer, grads, velocity, lr, momentum, weight_decay):
@@ -208,11 +382,11 @@ def sgd_step(layer, grads, velocity, lr, momentum, weight_decay):
     vw, vb = velocity
     if dw.shape != layer.w.shape or db.shape != layer.b.shape:
         raise AecError("gradient/parameter shape mismatch")
-    vw *= momentum
-    vw += dw + weight_decay * layer.w
+    _halves(_wide(layer, dw, vw),
+            partial(_update_rows, layer, dw, vw, np.empty_like(vw), lr,
+                    momentum, weight_decay), layer.out_dim)
     vb *= momentum
     vb += db
-    layer.w -= lr * vw
     layer.b -= lr * vb
 
 
@@ -271,9 +445,12 @@ def train(net, features, labels, cfg, index=None):
     gathered through the index from the caller's features, which are read
     in place when they are float32 (any other dtype is cast down once).
 
-    Training runs in float32 and the returned snapshot holds float32
-    parameters; with a zero-epoch cap a copy of the starting network, in
-    its own dtype, is handed back. Features must be a finite 2-D array and
+    The loop runs with numpy's bundled OpenBLAS on one thread and, with
+    that library on two CPUs or more, one worker thread that takes half of
+    each wide layer's work (see the module docstring). Training runs in
+    float32 and the returned snapshot holds float32 parameters; with a
+    zero-epoch cap a copy of the starting network, in its own dtype, is
+    handed back. Features must be a finite 2-D array and
     labels integer class indices >= 0, one per sample.
     """
     x = _as_2d(features).astype(np.float32, copy=False)
@@ -326,38 +503,39 @@ def train(net, features, labels, cfg, index=None):
     best_val = np.inf
     epoch = 0
 
-    for stage in range(cfg.n_lr_stages):
-        lr = cfg.lr0 / (10.0 ** stage)
-        report.stage_boundaries.append(epoch)
-        velocity = [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in net.layers]
-        prev_ce = None
-        stall = 0
-        for _ in range(cfg.max_epochs_per_stage):
-            order = train_idx[rng.permutation(len(train_idx))]
-            ce_sum = 0.0
-            for lo in range(0, len(order), cfg.batch_size):
-                rows = order[lo : lo + cfg.batch_size]
-                g, loss = grad(net, samples(rows), y[rows])
-                ce_sum += loss
-                for layer, gl, vel in zip(net.layers, g, velocity):
-                    sgd_step(layer, gl, vel, lr, cfg.momentum, cfg.weight_decay)
-            train_ce = ce_sum / len(order)
-            if len(x_val):
-                val_ce = cross_entropy(predict(net, x_val), y_val)
-            else:
-                val_ce = train_ce
-            report.train_ce.append(train_ce)
-            report.val_ce.append(val_ce)
-            epoch += 1
-            if val_ce < best_val:
-                best_val = val_ce
-                best = net.copy()
-            if prev_ce is not None:
-                rel = (prev_ce - train_ce) / max(abs(prev_ce), 1e-300)
-                stall = stall + 1 if rel < cfg.min_rel_improve else 0
-            prev_ce = train_ce
-            if stall >= cfg.patience_epochs:
-                break
+    with _one_blas_thread(), _worker_thread():
+        for stage in range(cfg.n_lr_stages):
+            lr = cfg.lr0 / (10.0 ** stage)
+            report.stage_boundaries.append(epoch)
+            velocity = [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in net.layers]
+            prev_ce = None
+            stall = 0
+            for _ in range(cfg.max_epochs_per_stage):
+                order = train_idx[rng.permutation(len(train_idx))]
+                ce_sum = 0.0
+                for lo in range(0, len(order), cfg.batch_size):
+                    rows = order[lo : lo + cfg.batch_size]
+                    g, loss = grad(net, samples(rows), y[rows])
+                    ce_sum += loss
+                    for layer, gl, vel in zip(net.layers, g, velocity):
+                        sgd_step(layer, gl, vel, lr, cfg.momentum, cfg.weight_decay)
+                train_ce = ce_sum / len(order)
+                if len(x_val):
+                    val_ce = cross_entropy(predict(net, x_val), y_val)
+                else:
+                    val_ce = train_ce
+                report.train_ce.append(train_ce)
+                report.val_ce.append(val_ce)
+                epoch += 1
+                if val_ce < best_val:
+                    best_val = val_ce
+                    best = net.copy()
+                if prev_ce is not None:
+                    rel = (prev_ce - train_ce) / max(abs(prev_ce), 1e-300)
+                    stall = stall + 1 if rel < cfg.min_rel_improve else 0
+                prev_ce = train_ce
+                if stall >= cfg.patience_epochs:
+                    break
 
     report.final_epoch = epoch
     if not report.train_ce:  # zero-epoch cap: hand back the starting point

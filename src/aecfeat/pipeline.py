@@ -30,11 +30,11 @@ from .errors import AecError, StageError, check_field_types
 from .frontend import (FrontendConfig, NormStats, apply_norm, fit_norm_stats,
                        frame_count, make_frontend_features, splice,
                        splice_index)
-from .network import Network, TrainConfig, init_mlp, train
+from .manifest import Manifest
+from .network import Network, TrainConfig, _one_blas_thread, init_mlp, train
 from .report import EvalReport, render_report
 from .serialize import load_model, save_model
-from .transfer import (_one_blas_thread, adapt, build_filter, extract,
-                       strip_output)
+from .transfer import adapt, build_filter, extract, strip_output
 from .transforms import DctSpec, PcaModel, dct_apply, pca_apply, pca_fit
 
 
@@ -226,11 +226,21 @@ def _reduced_features(cfg, split):
     return np.split(taps, np.cumsum(lengths))[:-1], labels, conditions
 
 
+def _frame_count(path, n_samples, cfg):
+    """`frame_count` of the wav at `path`, which a too-short error names."""
+    try:
+        return frame_count(n_samples, cfg.frontend)
+    except AecError as e:
+        raise AecError(f"{path}: {e}") from None
+
+
 def frontend_features(cfg, entries):
     """The unspliced frontend frames x dims array of each manifest entry,
     computed one at a time as they are read, in order."""
     for e in entries:
-        yield make_frontend_features(read_wav(e.wav_path), cfg.frontend).values
+        segment = read_wav(e.wav_path)
+        _frame_count(e.wav_path, len(segment), cfg)
+        yield make_frontend_features(segment, cfg.frontend).values
 
 
 def _input_fingerprint(cfg, stats):
@@ -263,7 +273,7 @@ def _frame_labels(lengths, labels):
 
 def _frame_counts(cfg, entries):
     """Each entry's frame count, from its wav's header alone."""
-    return [frame_count(wav_samples(e.wav_path), cfg.frontend)
+    return [_frame_count(e.wav_path, wav_samples(e.wav_path), cfg)
             for e in entries]
 
 
@@ -486,6 +496,10 @@ def run_pipeline(cfg, manifest):
     """Run the staged chain on one manifest (source + target entries):
     each stage under its subcommand's name, in subcommand order. Returns
     (EvalReport, {artifact name: path})."""
+    if not isinstance(manifest, Manifest):
+        raise AecError(f"run_pipeline takes a Manifest, not a "
+                       f"{type(manifest).__name__} ({manifest!r:.80}); load a "
+                       f"manifest file with manifest.load_manifest")
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = {}
     for command, run_stage, args in (

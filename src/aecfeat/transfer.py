@@ -12,11 +12,6 @@ network, the composite and the filter are all plain `Network`s; the
 filter is the composite with its softmax head cut off.
 """
 
-import contextlib
-import ctypes
-import glob
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -24,35 +19,14 @@ import numpy as np
 
 from .errors import AecError
 from .frontend import FeatureMatrix, _as_2d
-from .network import Network, _activate, _row_index, init_mlp, train
+from .network import (_OPENBLAS, Network, _activate, _cpu_count,
+                      _one_blas_thread, _row_index, init_mlp, train)
 
 VARIANTS = ("A", "B", "C")
 BLOCK_ROWS = 64
 # blocks in `extract`'s staging buffer: enough to keep the CPUs of a small
 # machine busy; 6.3 MB of float32 input at 1,536 dims
 BUFFER_BLOCKS = 16
-
-
-def _bundled_openblas():
-    """numpy's bundled OpenBLAS with its thread-count functions typed, or
-    None when this numpy ships another BLAS or the symbols are missing."""
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
-                           "numpy.libs", "libscipy_openblas64_-*.so")
-    for path in sorted(glob.glob(pattern)):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return lib
-    return None
-
-
-# numpy has already loaded this library; opening it again only finds it
-_OPENBLAS = _bundled_openblas()
 
 
 def strip_output(net):
@@ -105,38 +79,6 @@ def build_filter(composite, variant):
     if variant in ("B", "C"):
         trunk.layers[-1] = replace(trunk.layers[-1], activation="linear")
     return trunk
-
-
-_pin_lock = threading.Lock()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's bundled OpenBLAS on one thread and
-    restore its count after; without that library, do nothing.
-
-    The count is process-global, so one lock is held for the whole block:
-    concurrent callers take turns, each restores the count it found, and
-    no thread's GEMM sees the count change while it runs."""
-    lib = _OPENBLAS
-    if lib is None:
-        yield
-        return
-    with _pin_lock:
-        saved = lib.scipy_openblas_get_num_threads64_()
-        lib.scipy_openblas_set_num_threads64_(1)
-        try:
-            yield
-        finally:
-            lib.scipy_openblas_set_num_threads64_(saved)
-
-
-def _cpu_count():
-    """CPUs this process may run on: its affinity mask where the platform
-    has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def extract(filt, segments, rows):

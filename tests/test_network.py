@@ -1,8 +1,11 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from aecfeat import network
 from aecfeat.errors import AecError
 from aecfeat.frontend import splice, splice_index
 from aecfeat.network import (
@@ -433,3 +436,114 @@ class TestTrainIndex:
         with pytest.raises(AecError, match=r"must be in \[0, 10\)"):
             train(init_mlp(4, (3,), 2), np.zeros((10, 4)), [0, 1] * 5,
                   TrainConfig(), index)
+
+
+def wide_net(seed=0):
+    """512 inputs, two wide layers of 150 and 512 units (76,800 weights
+    each) and a 3-class head; float32, so their products are split."""
+    return init_mlp(512, (150, 512), 3, seed=seed).copy(np.float32)
+
+
+def wide_data(rows, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((rows, 512)).astype(np.float32),
+            rng.integers(0, 3, rows))
+
+
+def assert_same_net(a, b):
+    for la, lb in zip(a.layers, b.layers):
+        assert np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A worker thread for `train`, even on a machine with one CPU."""
+    monkeypatch.setattr(network, "_cpu_count", lambda: 2)
+
+
+class TestSplitLayers:
+    """Wide layers split their float32 products and updates by output
+    unit between the calling thread and one worker thread; each output
+    element is still summed over the same terms in the same order."""
+
+    def test_the_test_net_is_split(self, monkeypatch):
+        flags, real_halves = [], network._halves
+
+        def recording_halves(split, work, *sizes):
+            flags.append((split, sizes))
+            return real_halves(split, work, *sizes)
+
+        monkeypatch.setattr(network, "_halves", recording_halves)
+        net = wide_net()
+        x, y = wide_data(97)
+        grad(net, x, one_hot(y, 3).astype(np.float32))
+        # forward: 512 -> 150, 150 -> 512 split, the head whole; backward:
+        # the head whole, then 75 + 75 and 256 + 256 units
+        assert flags == [(True, (150,)), (True, (512,)), (False, (3,)),
+                         (False, (3, 512)), (True, (512, 150)),
+                         (True, (150, 512))]
+
+    def test_split_agrees_with_whole_products(self, monkeypatch, two_cpus):
+        net = wide_net()
+        x, y = wide_data(97)
+        y = one_hot(y, 3).astype(np.float32)
+
+        def run():
+            acts = forward(net, x)
+            g, loss = grad(net, x, y)
+            stepped = net.copy()
+            rng = np.random.default_rng(1)
+            vel = [(rng.standard_normal(l.w.shape).astype(np.float32),
+                    np.zeros_like(l.b)) for l in stepped.layers]
+            for layer, gl, v in zip(stepped.layers, g, vel):
+                sgd_step(layer, gl, v, 0.05, 0.9, 0.0005)
+            return acts, g, loss, stepped, vel
+
+        with network._worker_thread():
+            split = run()
+        monkeypatch.setattr(network, "_WIDE", np.inf)
+        whole = run()
+        assert all(np.array_equal(a, b) for a, b in zip(split[0], whole[0]))
+        for (dw, db), (ew, eb) in zip(split[1], whole[1]):
+            assert np.array_equal(dw, ew) and np.array_equal(db, eb)
+        assert split[2] == whole[2]
+        assert_same_net(split[3], whole[3])
+        for (vw, vb), (uw, ub) in zip(split[4], whole[4]):
+            assert np.array_equal(vw, uw) and np.array_equal(vb, ub)
+
+    def test_train_is_the_same_on_one_cpu_and_unsplit(self, monkeypatch,
+                                                      two_cpus):
+        x, y = wide_data(600)
+        cfg = TrainConfig(lr0=0.05, max_epochs_per_stage=2, seed=0)
+        # switch threads often, so a half read before it was written shows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [train(wide_net(), x, y, cfg)]
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(network, "_cpu_count", lambda: 1)
+        runs.append(train(wide_net(), x, y, cfg))
+        monkeypatch.setattr(network, "_WIDE", np.inf)
+        runs.append(train(wide_net(), x, y, cfg))
+        for net, report in runs[1:]:
+            assert_same_net(net, runs[0][0])
+            assert report == runs[0][1]
+
+    def test_worker_failure_reaches_the_caller(self, monkeypatch, two_cpus):
+        caller, real_activate = threading.get_ident(), network._activate
+
+        def failing_on_the_worker(z, kind):
+            if threading.get_ident() != caller:
+                raise AecError("worker half failed")
+            return real_activate(z, kind)
+
+        x, y = wide_data(300)
+        cfg = TrainConfig(max_epochs_per_stage=1, seed=0)
+        threads = threading.active_count()
+        train(wide_net(), x, y, cfg)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(network, "_activate", failing_on_the_worker)
+        with pytest.raises(AecError, match="worker half failed"):
+            train(wide_net(), x, y, cfg)
+        assert threading.active_count() == threads

@@ -636,6 +636,54 @@ class TestRunPipeline:
         assert not (tmp_path / "x" / "features_eval.npz").exists()
         assert not (tmp_path / "x" / "report.json").exists()
 
+    def test_eval_wav_shorter_than_a_frame_is_named(
+            self, tiny_corpus, staged_out, tmp_path, capsys):
+        # `run` and the staged `extract --split eval` both count the
+        # split's frames from the wav headers before extracting
+        _, manifest = tiny_corpus
+        entries = list(manifest.entries)
+        i = next(k for k, e in enumerate(entries) if e.split == "eval")
+        short = tmp_path / "short.wav"
+        write_wav(short, AudioSegment(np.full(1000, 0.1)))
+        entries[i] = replace(entries[i], wav_path=str(short))
+        save_manifest(Manifest(entries), tmp_path / "short.csv")
+        staged = tmp_path / "staged"
+        shutil.copytree(staged_out, staged)
+        (staged / "features_eval.npz").unlink()
+        for cfg, chain in ((tiny_config(tmp_path / "run"), [["run", "MANIFEST"]]),
+                           (tiny_config(staged), [STAGED_CHAIN[3]])):
+            rc = run_staged(cfg, tmp_path / "short.csv", tmp_path / "cfg.json",
+                            chain=chain)
+            assert rc == [2]
+            err = capsys.readouterr().err
+            assert (f"{short}: segment has 1000 samples, need at least "
+                    f"{FRAME_LEN}") in err
+            assert not (Path(cfg.out_dir) / "features_eval.npz").exists()
+
+    def test_training_wav_shorter_than_a_frame_is_named(self, tiny_corpus,
+                                                        tmp_path):
+        # the statistics read every training wav's samples, not its header
+        _, manifest = tiny_corpus
+        entries = list(manifest.entries)
+        i = next(k for k, e in enumerate(entries) if e.domain == "source")
+        short = tmp_path / "short.wav"
+        write_wav(short, AudioSegment(np.full(1000, 0.1)))
+        entries[i] = replace(entries[i], wav_path=str(short))
+        with pytest.raises(StageError, match=rf"short\.wav: segment has 1000 "
+                                             rf"samples, need at least "
+                                             rf"{FRAME_LEN}") as e:
+            run_pipeline(tiny_config(tmp_path / "x"), Manifest(entries))
+        assert e.value.stage == "train-source"
+
+    def test_manifest_path_is_rejected_up_front(self, tiny_corpus, tmp_path):
+        root, _ = tiny_corpus
+        path = str(root / "manifest.csv")
+        with pytest.raises(AecError, match="load_manifest") as e:
+            run_pipeline(tiny_config(tmp_path / "x"), path)
+        assert not isinstance(e.value, StageError)
+        assert path in str(e.value)
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("variant", ["C", "B"])
     def test_traced_benchmark_smoke(self, tiny_corpus, tmp_path, variant):
         # the per-layer benchmark wraps these functions from outside and
