@@ -13,20 +13,21 @@ parameters as float32 in `.aecf` files). `forward` and `grad`
 compute in the dtype of their input and parameters, so float64 callers get
 float64 results. Losses are accumulated in float64.
 
-Training uses two CPUs on one BLAS thread. `train` pins numpy's bundled
-OpenBLAS to one thread for its loop and, when that library is loaded and
-the process may use two CPUs or more, starts one worker thread. While it
-runs, `forward`, `grad` and `sgd_step` split each wide layer's float32
-work in two halves by output unit (the forward product, bias and
-activation, the weight gradient and the momentum update of the weight
-rows) and the error back-propagated through it by input unit: the worker
-runs one half and the calling thread the other. Everywhere else, on one
-CPU and outside `train`, every layer runs whole. Each output element of a
+Training and feature extraction use two CPUs on one BLAS thread. `train`
+and `transfer.extract` pin numpy's bundled OpenBLAS to one thread for
+their loop and, when that library is loaded and the process may use two
+CPUs or more, start one worker thread. While it runs, `forward`, `grad`
+and `sgd_step` split each wide layer's float32 work in two halves by
+output unit (the forward product, bias and activation, the weight
+gradient and the momentum update of the weight rows) and the error
+back-propagated through it by input unit: the worker runs one half and
+the calling thread the other. Everywhere else, on one CPU and outside
+`train` and `extract`, every layer runs whole. Each output element of a
 split product is summed over the same terms in the same order as in one
 product over the whole layer (checked with the bundled OpenBLAS), so what
-`train` returns depends neither on the CPU count nor on
-OPENBLAS_NUM_THREADS. With another BLAS, `train` runs on the calling
-thread alone at that BLAS's own thread count.
+`train` and `extract` return depends neither on the CPU count nor on
+OPENBLAS_NUM_THREADS. With another BLAS, they run on the calling thread
+alone at that BLAS's own thread count.
 """
 
 import contextlib
@@ -48,8 +49,8 @@ from .frontend import _as_2d
 # A wide layer, one with at least _WIDE weights (256 x 256 and up) and
 # _NARROW units or more on either side, splits its float32 products and
 # its weight update by output unit: one half on the calling thread, one on
-# the worker thread `train` starts. A product over fewer than _NARROW rows
-# runs whole. Each half of a split product is then a matrix product of
+# the worker thread `train` or `transfer.extract` starts. A product over
+# fewer than _NARROW rows runs whole. Each half of a split product is then a matrix product of
 # over a million multiply-adds with 32 or more rows and columns, which
 # OpenBLAS sums in the order it sums the whole product; a narrower half
 # can reach numpy's matrix-vector path or OpenBLAS's small-matrix
@@ -110,7 +111,8 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-# .pool: the one-thread executor `train` runs on this thread, if any
+# .pool: the one-thread executor `train` or `transfer.extract` runs on
+# this thread, if any
 _worker = threading.local()
 
 
@@ -132,10 +134,10 @@ def _worker_thread():
 
 
 def _halves(split, work, *sizes):
-    """Call `work` with one slice per size: when `split` and `train` runs
-    a worker thread for this thread, once with the lower half of each here
-    and once with the upper half on the worker; else once with the whole
-    of each. Returns when both are done; a failure in either is raised
+    """Call `work` with one slice per size: when `split` and `train` or
+    `extract` runs a worker thread for this thread, once with the lower
+    half of each here and once with the upper half on the worker; else
+    once with the whole of each. Returns when both are done; a failure in either is raised
     here. The worker runs only `work`, which writes into arrays the caller
     allocated."""
     pool = getattr(_worker, "pool", None)

@@ -390,7 +390,8 @@ def stage_adapt(cfg, manifest):
     trunk over the target-train frames, streamed a segment at a time as
     `stage_extract` streams them, into one matrix sized from the wav
     headers' frame counts, and `adapt` trains on those outputs, so the
-    spliced frames are never held together. Variant B trains the whole
+    spliced frames are never held together and the filter does not depend
+    on the CPU count or segment packing. Variant B trains the whole
     five-layer stack on target data only, by one `adapt` call on one
     float32 matrix of the target-train frames, normalized and unspliced,
     through their splice index; the float64 frontend arrays are released
@@ -431,8 +432,8 @@ def stage_extract(cfg, manifest, split):
     inside `extract`, under its BLAS pin. Only taps are kept, never the
     split's spliced input, and `_write_npz` writes them without a copy. A
     row's taps depend only on that row, so the file is byte-identical
-    whatever the CPU count and buffer size, to taps extracted a segment at
-    a time, and run to run."""
+    whatever the CPU count and segment packing, to taps extracted a
+    segment at a time, and run to run."""
     entries = manifest.select("target", split)
     if not entries:
         raise AecError(f"no target {split} entries")

@@ -12,21 +12,20 @@ network, the composite and the filter are all plain `Network`s; the
 filter is the composite with its softmax head cut off.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from .errors import AecError
 from .frontend import FeatureMatrix, _as_2d
-from .network import (_OPENBLAS, Network, _activate, _cpu_count,
-                      _one_blas_thread, _row_index, init_mlp, train)
+from .network import (Network, _one_blas_thread, _row_index, _worker_thread,
+                      forward, init_mlp, train)
 
 VARIANTS = ("A", "B", "C")
-BLOCK_ROWS = 64
-# blocks in `extract`'s staging buffer: enough to keep the CPUs of a small
-# machine busy; 6.3 MB of float32 input at 1,536 dims
-BUFFER_BLOCKS = 16
+# rows in `extract`'s staging buffer, all forwarded each time so that
+# every product has one shape per filter: 6.3 MB of float32 input at
+# 1,536 dims
+BUFFER_ROWS = 1024
 
 
 def strip_output(net):
@@ -92,55 +91,32 @@ def extract(filt, segments, rows):
     `AecError`.
 
     Each row is copied once, rounded to float32, into a staging buffer of
-    BUFFER_BLOCKS blocks of BLOCK_ROWS rows, packed across segment
-    boundaries. Each time it fills, and once at the end, every layer runs
-    over its blocks, the last one zero-padded: as a GEMM on one BLAS
-    thread with numpy's bundled OpenBLAS, so the kernel sees one matrix
-    shape and one thread count whatever the batch, and as an unoptimized
-    einsum, which reduces each output element in a fixed order, without
-    it. Either way a row comes out the same alone, in a ragged batch or
-    pooled with other segments; the kernels agree to float32 rounding, not
-    bit for bit. One pool of worker threads, one per CPU and at most
-    BUFFER_BLOCKS, serves the whole call and runs only layer arithmetic.
-    Every buffer a worker writes is allocated on the calling thread: glibc
-    keeps what a thread allocates in that thread's malloc arena, where
-    later stages on the main thread cannot reuse it. The BLAS thread count
-    is process-global; calls take turns holding one lock that pins it and
-    restores it on leaving, even if the call raises. `segments` is read on
-    the calling thread inside that lock, so a generator's work runs there.
-    The weights are cast to float32 once.
+    BUFFER_ROWS rows, packed across segment boundaries. Each time it
+    fills, and once at the end with its unused tail zero-filled, the
+    whole buffer goes through `network.forward`, with numpy's bundled
+    OpenBLAS on one thread and the trainer's worker thread taking half of
+    each wide layer, as in `train`. Every product then has one shape per
+    filter and one BLAS thread count whatever the batch, so a row comes
+    out the same alone, in a ragged batch or pooled with other segments,
+    and on any CPU count. Without that library the buffer is forwarded on
+    the calling thread alone, unpinned. The BLAS thread count is
+    process-global; calls take turns holding one lock that pins it and
+    restores it on leaving, even if the call raises. `segments` is read
+    on the calling thread inside that lock, so a generator's work runs
+    there. The weights are cast to float32 once.
     """
     if filt.layers[-1].activation == "softmax":
         raise AecError("filter must not end in a softmax layer")
-    layers = [(l.w.astype(np.float32), l.b.astype(np.float32), l.activation)
-              for l in filt.layers]
+    filt = filt.copy(np.float32)
     taps = np.empty((rows, filt.out_dim), dtype=np.float32)
-    buffer = np.empty((BUFFER_BLOCKS * BLOCK_ROWS, filt.in_dim), np.float32)
-    n = min(_cpu_count(), BUFFER_BLOCKS)
-    # per worker: one pre-activation block per layer
-    pre = [[np.empty((BLOCK_ROWS, w.shape[0]), dtype=np.float32)
-            for w, _, _ in layers] for _ in range(n)]
+    buffer = np.empty((BUFFER_ROWS, filt.in_dim), np.float32)
 
-    def forward_blocks(k, out):
-        for start in range(k * BLOCK_ROWS, len(out), n * BLOCK_ROWS):
-            h = buffer[start:start + BLOCK_ROWS]
-            for (w, b, activation), z in zip(layers, pre[k]):
-                if _OPENBLAS is None:
-                    np.einsum("nd,md->nm", h, w, out=z, optimize=False)
-                else:
-                    np.matmul(h, w.T, out=z)
-                z += b
-                h = _activate(z, activation)
-            out[start:start + BLOCK_ROWS] = h[:len(out) - start]
+    def run(done, fill):
+        # taps of the buffer's first `fill` rows into taps[done:]
+        buffer[fill:] = 0.0
+        taps[done:done + fill] = forward(filt, buffer)[-1][:fill]
 
-    def run(pool, done, fill):
-        # taps of the buffer's first `fill` rows, if any, into taps[done:];
-        # zero-pads the tail of the last block
-        buffer[fill:-(-fill // BLOCK_ROWS) * BLOCK_ROWS] = 0.0
-        out = taps[done:done + fill]
-        list(pool.map(forward_blocks, range(n), [out] * n))
-
-    with _one_blas_thread(), ThreadPoolExecutor(n) as pool:
+    with _one_blas_thread(), _worker_thread():
         done = fill = 0
         for x in segments:
             x = _as_2d(x)
@@ -154,10 +130,11 @@ def extract(filt, segments, rows):
                 buffer[fill:fill + m] = x[:m]
                 x, fill = x[m:], fill + m
                 if fill == len(buffer):
-                    run(pool, done, fill)
+                    run(done, fill)
                     done, fill = done + fill, 0
         if done + fill != rows:
             raise AecError(f"segments hold {done + fill} rows, not the "
                            f"{rows} rows given to extract")
-        run(pool, done, fill)
+        if fill:
+            run(done, fill)
     return FeatureMatrix(taps)

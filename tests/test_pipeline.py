@@ -24,7 +24,7 @@ from aecfeat.serialize import load_model
 from aecfeat.report import EvalReport, render_report, render_table
 from aecfeat.synthetic import generate_dataset, generate_noise_wav
 from aecfeat.transfer import build_filter, extract
-from aecfeat import cli, transfer
+from aecfeat import cli, network, transfer
 from aecfeat import pipeline as pl
 
 
@@ -1140,11 +1140,11 @@ class TestCli:
 
 class TestParallelExtract:
     """`extract` packs a split's rows across segment boundaries into a
-    staging buffer of BUFFER_BLOCKS blocks, and spreads each buffer's
-    blocks over one thread per CPU in the affinity mask; the taps must
-    depend on neither."""
+    staging buffer of BUFFER_ROWS rows and forwards each buffer with the
+    trainer's worker thread when the affinity mask holds two CPUs or more;
+    the taps must depend on neither the packing nor the CPU count."""
 
-    FRAMES = (1, 63, 64, 65, 92, 130)  # ragged around the 64-row block
+    FRAMES = (1, 63, 64, 65, 92, 130)  # ragged around 64 rows
 
     @pytest.fixture
     def ragged(self, tmp_path):
@@ -1167,7 +1167,8 @@ class TestParallelExtract:
         return cfg, entries
 
     def reference(self, cfg, entries, monkeypatch):
-        """Taps extracted one segment at a time on one thread."""
+        """Taps extracted one segment at a time on one thread, at the
+        current BUFFER_ROWS."""
         stats = pl._load(cfg, "norm_stats", NormStats)
         filt = pl._load(cfg, "filter", Network, stats)
         with monkeypatch.context() as m:
@@ -1178,19 +1179,16 @@ class TestParallelExtract:
                     for frames in pl.frontend_features(cfg, entries)]
 
     # buffers of 64 and 128 rows fill several times and cut the 65-, 92-
-    # and 130-frame segments; the default buffer holds the whole split,
-    # seven blocks, so at 8 CPUs there are fewer blocks than CPUs
-    @pytest.mark.parametrize("buffer_rows", [
-        64, 128, transfer.BUFFER_BLOCKS * transfer.BLOCK_ROWS])
+    # and 130-frame segments; the default buffer holds the whole split
+    @pytest.mark.parametrize("buffer_rows", [64, 128, transfer.BUFFER_ROWS])
     @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}, set(range(8))],
                              ids=["1-cpu", "3-cpus", "8-cpus"])
     def test_taps_equal_per_segment_extract(self, ragged, monkeypatch, cpus,
                                             buffer_rows):
         cfg, entries = ragged
+        monkeypatch.setattr(transfer, "BUFFER_ROWS", buffer_rows)
         expected = self.reference(cfg, entries, monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        monkeypatch.setattr(transfer, "BUFFER_BLOCKS",
-                            buffer_rows // transfer.BLOCK_ROWS)
         pl.stage_extract(cfg, Manifest(entries), "eval")
         with np.load(pl.artifact_path(cfg, "features_eval.npz")) as data:
             assert data["lengths"].tolist() == list(self.FRAMES)
@@ -1223,24 +1221,23 @@ class TestParallelExtract:
     def test_filter_file_is_byte_identical_for_any_cpu_count_and_buffer(
             self, staged_out, tiny_corpus, tmp_path, monkeypatch):
         # adapt trains on the trunk outputs `extract` computes, so the
-        # adapted filter inherits extraction's independence of both
+        # adapted filter inherits extraction's independence of the CPU
+        # count; the buffer size is fixed, BUFFER_ROWS, and no longer varied
         _, manifest = tiny_corpus
         files = []
         for cpus in (1, 2):
-            for blocks in (1, 16):
-                out = tmp_path / f"cpus{cpus}_blocks{blocks}"
-                shutil.copytree(staged_out, out)
-                (out / "filter.aecf").unlink()
-                monkeypatch.setattr(transfer, "_cpu_count", lambda: cpus)
-                monkeypatch.setattr(transfer, "BUFFER_BLOCKS", blocks)
-                pl.stage_adapt(tiny_config(out), manifest)
-                files.append((out / "filter.aecf").read_bytes())
-        assert files == [(staged_out / "filter.aecf").read_bytes()] * 4
+            out = tmp_path / f"cpus{cpus}"
+            shutil.copytree(staged_out, out)
+            (out / "filter.aecf").unlink()
+            monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+            pl.stage_adapt(tiny_config(out), manifest)
+            files.append((out / "filter.aecf").read_bytes())
+        assert files == [(staged_out / "filter.aecf").read_bytes()] * 2
 
     def test_unreadable_wav_mid_split(self, staged_out, tiny_corpus, tmp_path,
                                       monkeypatch, capsys):
         # 12 segments of 14 frames come before the bad wav, so a buffer of
-        # two blocks has already run on two worker threads
+        # 128 rows has already been forwarded
         root, manifest = tiny_corpus
         out = tmp_path / "out"
         shutil.copytree(staged_out, out)
@@ -1253,8 +1250,8 @@ class TestParallelExtract:
         evals[mid] = replace(evals[mid], wav_path=str(bad))
         save_manifest(Manifest(evals), tmp_path / "eval.csv")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(transfer, "BUFFER_BLOCKS", 2)
-        blas = transfer._OPENBLAS
+        monkeypatch.setattr(transfer, "BUFFER_ROWS", 128)
+        blas = network._OPENBLAS
         blas_before = blas and blas.scipy_openblas_get_num_threads64_()
         threads_before = threading.active_count()
         rc = run_staged(tiny_config(out), tmp_path / "eval.csv",
@@ -1328,7 +1325,7 @@ class TestFloat32Frames:
         assert np.array_equal(seen[0], expected.astype(np.float32))
 
     def test_pca_transform_does_not_depend_on_blas_threads(self, tmp_path):
-        lib = transfer._OPENBLAS
+        lib = network._OPENBLAS
         if lib is None:
             pytest.skip("numpy's bundled OpenBLAS is not loaded")
         cfg = replace(tiny_config(tmp_path), tl2_dim=150, transform="pca",

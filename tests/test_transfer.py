@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from aecfeat import transfer
+from aecfeat import network, transfer
 from aecfeat.errors import AecError
 from aecfeat.frontend import FrontendConfig, splice, splice_index
 from aecfeat.network import Layer, Network, TrainConfig, init_mlp, predict, train
@@ -55,7 +55,7 @@ def e2e_filter():
 def blas_threads():
     """The bundled OpenBLAS handle; its thread count is restored after the
     test."""
-    lib = transfer._OPENBLAS
+    lib = network._OPENBLAS
     if lib is None:
         pytest.skip("numpy's bundled OpenBLAS is not loaded")
     old = lib.scipy_openblas_get_num_threads64_()
@@ -274,15 +274,16 @@ class TestExtract:
                            match="filter must not end in a softmax layer"):
             extract(comp, [x], len(x))
 
-    # 200 rows: three full GEMM blocks and a ragged tail of 8
+    # 200 rows: one buffer, its tail zero-filled; "einsum" is the path
+    # without numpy's bundled OpenBLAS: no pin and no worker thread
     @pytest.mark.parametrize("kernel", ["default", "gemm-2-threads", "einsum"])
     def test_batch_independence_at_e2e_widths(self, kernel, monkeypatch,
                                               request):
         if kernel == "gemm-2-threads":
             request.getfixturevalue("blas_threads")
-            transfer._OPENBLAS.scipy_openblas_set_num_threads64_(2)
+            network._OPENBLAS.scipy_openblas_set_num_threads64_(2)
         if kernel == "einsum":
-            monkeypatch.setattr(transfer, "_OPENBLAS", None)
+            monkeypatch.setattr(network, "_OPENBLAS", None)
         filt = e2e_filter()
         x = np.random.default_rng(2).standard_normal((200, E2E_DIMS))
         full = extract(filt, [x], len(x)).values
@@ -293,15 +294,6 @@ class TestExtract:
         assert full.shape == (200, 150)
         assert np.array_equal(full, one_at_a_time)
         assert np.array_equal(full, two_segments)
-
-    def test_einsum_fallback_agrees_with_gemm(self, monkeypatch):
-        filt = e2e_filter()
-        x = np.random.default_rng(3).standard_normal((200, E2E_DIMS))
-        gemm = extract(filt, [x], len(x)).values
-        monkeypatch.setattr(transfer, "_OPENBLAS", None)
-        einsum = extract(filt, [x], len(x)).values
-        # both run in float32 and sum in different orders
-        assert np.abs(gemm - einsum).max() <= 1e-5 * np.abs(gemm).max()
 
     def test_float32_taps_agree_with_float64_predict(self):
         filt = e2e_filter()
@@ -316,8 +308,8 @@ class TestExtract:
         ({0}, "einsum"), ({0, 1, 2, 3, 4, 5, 6}, "einsum")],
         ids=["1-cpu", "7-cpus", "1-cpu-einsum", "7-cpus-einsum"])
     def test_cpu_count_does_not_change_taps(self, monkeypatch, cpus, kernel):
-        if kernel == "einsum":
-            monkeypatch.setattr(transfer, "_OPENBLAS", None)
+        if kernel == "einsum":  # no bundled OpenBLAS: no pin, no worker
+            monkeypatch.setattr(network, "_OPENBLAS", None)
         filt = e2e_filter()
         x = np.random.default_rng(6).standard_normal((1000, E2E_DIMS))
         serial = np.vstack([extract(filt, [x[i:i + 64]],
@@ -326,11 +318,12 @@ class TestExtract:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         assert np.array_equal(extract(filt, [x], len(x)).values, serial)
 
-    FRAMES = (1, 63, 64, 65, 92, 130)  # ragged around the 64-row block
+    FRAMES = (1, 63, 64, 65, 92, 130)  # ragged around 64 rows
 
-    # one block, two blocks and the default buffer: the first two fill
-    # several times and cut segments, the last holds all 415 rows
-    @pytest.mark.parametrize("blocks", [1, 2, transfer.BUFFER_BLOCKS])
+    # buffers of 64, 128 and 1,024 rows: the first two fill several times
+    # and cut segments, the last holds all 415 rows; the per-segment
+    # reference is extracted at the same buffer size
+    @pytest.mark.parametrize("blocks", [1, 2, 16])
     @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}, set(range(8))],
                              ids=["1-cpu", "3-cpus", "8-cpus"])
     @pytest.mark.parametrize("source", ["list", "generator"])
@@ -339,12 +332,33 @@ class TestExtract:
         filt = e2e_filter()
         rng = np.random.default_rng(5)
         xs = [rng.standard_normal((n, E2E_DIMS)) for n in self.FRAMES]
+        monkeypatch.setattr(transfer, "BUFFER_ROWS", 64 * blocks)
         expected = np.vstack([extract(filt, [x], len(x)).values for x in xs])
-        monkeypatch.setattr(transfer, "BUFFER_BLOCKS", blocks)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         segments = xs if source == "list" else (x for x in xs)
         taps = extract(filt, segments, sum(self.FRAMES)).values
         assert taps.dtype == np.float32
+        assert np.array_equal(taps, expected)
+
+    # whole buffers only: nothing is left for a zero-filled tail
+    @pytest.mark.parametrize("sizes", [(1, 700, 316, 7), (1000, 1, 1040, 7)],
+                             ids=["1024-rows", "2048-rows"])
+    def test_whole_buffers_run_no_final_forward(self, monkeypatch, sizes):
+        filt = e2e_filter()
+        rng = np.random.default_rng(7)
+        rows = sum(sizes)
+        assert rows % transfer.BUFFER_ROWS == 0
+        xs = [rng.standard_normal((n, E2E_DIMS)) for n in sizes]
+        expected = np.vstack([extract(filt, [x], len(x)).values for x in xs])
+        calls, real_forward = [], transfer.forward
+
+        def counting_forward(net, x):
+            calls.append(len(x))
+            return real_forward(net, x)
+
+        monkeypatch.setattr(transfer, "forward", counting_forward)
+        taps = extract(filt, (x for x in xs), rows).values
+        assert calls == [transfer.BUFFER_ROWS] * (rows // transfer.BUFFER_ROWS)
         assert np.array_equal(taps, expected)
 
     def test_no_segments_give_no_rows(self):
@@ -382,15 +396,15 @@ class TestExtract:
         assert peak <= 1.1 * taps.nbytes, (peak, taps.nbytes)
 
     def test_blas_thread_count_restored(self, blas_threads, monkeypatch):
-        # 70 rows are two blocks, so two worker threads run them
+        # the worker thread takes half of each wide layer of the 70 rows
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         threads = threading.active_count()
         blas_threads.scipy_openblas_set_num_threads64_(2)
         filt = e2e_filter()
         extract(filt, [np.zeros((70, E2E_DIMS))], 70)
         assert blas_threads.scipy_openblas_get_num_threads64_() == 2
-        # a wrong-width segment after a full buffer has run on the workers
-        monkeypatch.setattr(transfer, "BUFFER_BLOCKS", 2)
+        # a wrong-width segment after a full buffer has run on the worker
+        monkeypatch.setattr(transfer, "BUFFER_ROWS", 128)
         inside = []
 
         def segments():
@@ -410,6 +424,26 @@ class TestExtract:
             extract(filt, [np.zeros((70, E2E_DIMS))], 70)
         assert blas_threads.scipy_openblas_get_num_threads64_() == 2
         assert threading.active_count() == threads
+
+    def test_at_most_one_extra_thread(self, monkeypatch):
+        # eight CPUs in the mask: the trainer's one worker, not one per CPU
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        threads = threading.active_count()
+        filt = e2e_filter()
+        inside = []
+
+        def segments(last_width):
+            yield np.zeros((transfer.BUFFER_ROWS + 3, E2E_DIMS))
+            inside.append(threading.active_count())
+            yield np.zeros((5, last_width))
+
+        rows = transfer.BUFFER_ROWS + 8
+        extract(filt, segments(E2E_DIMS), rows)
+        assert threading.active_count() == threads
+        with pytest.raises(AecError, match="feature dims 1535 != filter"):
+            extract(filt, segments(E2E_DIMS - 1), rows)
+        assert threading.active_count() == threads
+        assert len(inside) == 2 and max(inside) <= threads + 1
 
     @pytest.mark.parametrize("odd_threads", ["extract", "raise"])
     def test_concurrent_extracts_share_the_pin(self, blas_threads,
