@@ -1,16 +1,63 @@
 """Dataset preparation: per-class length normalization of the source
 corpus (random cuts / reverberant copies to hit a fixed audio budget) and
-noisy evaluation conditions at fixed SNRs."""
+noisy evaluation conditions at fixed SNRs.
+
+`prepare_conditions`, like `synthetic.generate_dataset`, makes and writes
+its wavs on one thread per CPU in the process's affinity mask (none on one
+CPU). Each wav depends only on its own seed, so the files are the same
+bytes whatever the CPU count; `mix_noise`'s clipping warnings may come in
+another order across segments.
+"""
 
 import os
 import zlib
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
+from . import network
 from .audio import (SAMPLE_RATE, AudioSegment, convolve_rir, mix_noise,
-                    read_wav, synth_rir, write_wav)
+                    read_wav, synth_rir, wav_samples, write_wav)
 from .errors import AecError
 from .manifest import Manifest, ManifestEntry
+
+# Data preparation runs on at most this many threads, and each has at most
+# _JOBS_PER_THREAD jobs submitted and unfinished, so the inputs taken ahead
+# of the writes (a segment's noise, say) stay few. With glibc each thread
+# also leaves its malloc arena behind, and the arena's free top stays
+# resident for the rest of the process; malloc_trim does not return it.
+_MAX_THREADS = 8
+_JOBS_PER_THREAD = 2
+
+
+def _run_jobs(jobs):
+    """Call each job of the iterable `jobs` (callables of no argument),
+    taken from it in order on the calling thread. With two CPUs or more in
+    the affinity mask, the jobs run on one thread per CPU, up to
+    _MAX_THREADS, and `jobs` is advanced only while fewer than
+    _JOBS_PER_THREAD per thread are unfinished; on one CPU each runs in
+    turn on the calling thread and no thread starts. The first failure in
+    job order is raised: the jobs after it that have not started are
+    dropped, and every thread is joined before this returns or raises."""
+    n_threads = min(network._cpu_count(), _MAX_THREADS)
+    if n_threads < 2:
+        for job in jobs:
+            job()
+        return
+    unfinished = deque()
+    with ThreadPoolExecutor(n_threads) as pool:
+        try:
+            for job in jobs:
+                unfinished.append(pool.submit(job))
+                if len(unfinished) == n_threads * _JOBS_PER_THREAD:
+                    unfinished.popleft().result()
+            while unfinished:
+                unfinished.popleft().result()
+        finally:
+            for later in unfinished:
+                later.cancel()
 
 
 def _class_groups(entries):
@@ -81,33 +128,44 @@ def prepare_source(manifest, out_dir, target_seconds=800.0, rir=None, seed=0):
 def prepare_conditions(manifest, noise_paths, out_dir, snrs=(5, 10, 15), seed=0):
     """Create one noisy condition per (noise, SNR) for target evaluation
     segments; clean entries pass through unchanged. Conditions are named
-    by noise file stem and SNR, so both must be unique."""
+    by noise file stem and SNR, so both must be unique, and every noise
+    must be at least as long as every segment; nothing is written unless
+    both hold. Each segment is read once and mixed with every condition
+    by one job of `_run_jobs`."""
     stems = [os.path.splitext(os.path.basename(p))[0] for p in noise_paths]
     for what, values in (("noise file stem", stems), ("SNR", list(snrs))):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise AecError(f"{what} {repeated[0]!r} is given more than once")
-    os.makedirs(out_dir, exist_ok=True)
     noises = {stem: read_wav(p) for stem, p in zip(stems, noise_paths)}
-    out_entries = list(manifest.entries)
+    conditions = [(name, noise, snr, f"{name}_{snr:g}dB")
+                  for name, noise in sorted(noises.items()) for snr in snrs]
+    # without a condition no segment is read
     eval_entries = [e for e in manifest.select("target", "eval")
-                    if e.condition == "clean"]
-    for noise_name, noise in sorted(noises.items()):
-        for snr in snrs:
-            tag = f"{noise_name}_{snr:g}dB"
-            for i, e in enumerate(eval_entries):
-                seg = read_wav(e.wav_path)
-                if len(noise) < len(seg):
-                    raise AecError(
-                        f"noise {noise_name} ({len(noise)} samples) shorter "
-                        f"than {e.wav_path} ({len(seg)})"
-                    )
-                tag_id = zlib.crc32(tag.encode()) & 0xFFFF
-                mixed = mix_noise(seg, noise, snr,
-                                  seed=int(np.random.SeedSequence(
-                                      [seed, tag_id, i]).generate_state(1)[0]))
-                path = os.path.join(out_dir, f"{tag}_{i:04d}.wav")
-                write_wav(path, mixed)
-                out_entries.append(ManifestEntry(path, e.label, e.domain,
-                                                 e.split, tag))
-    return Manifest(out_entries)
+                    if e.condition == "clean" and conditions]
+    lengths = [wav_samples(e.wav_path) for e in eval_entries]
+    for name, noise, _, _ in conditions:
+        for e, n in zip(eval_entries, lengths):
+            if len(noise) < n:
+                raise AecError(
+                    f"noise {name} ({len(noise)} samples) shorter "
+                    f"than {e.wav_path} ({n})"
+                )
+    os.makedirs(out_dir, exist_ok=True)
+
+    def noisy_path(tag, i):
+        return os.path.join(out_dir, f"{tag}_{i:04d}.wav")
+
+    def mix(i, entry):
+        seg = read_wav(entry.wav_path)
+        for _, noise, snr, tag in conditions:
+            tag_id = zlib.crc32(tag.encode()) & 0xFFFF
+            mixed = mix_noise(seg, noise, snr,
+                              seed=int(np.random.SeedSequence(
+                                  [seed, tag_id, i]).generate_state(1)[0]))
+            write_wav(noisy_path(tag, i), mixed)
+
+    _run_jobs(partial(mix, i, e) for i, e in enumerate(eval_entries))
+    return Manifest(list(manifest.entries) + [
+        ManifestEntry(noisy_path(tag, i), e.label, e.domain, e.split, tag)
+        for *_, tag in conditions for i, e in enumerate(eval_entries)])

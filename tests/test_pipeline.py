@@ -1,10 +1,13 @@
+import hashlib
 import json
 import os
 import shutil
 import threading
+import time
 import tracemalloc
 import types
 from dataclasses import fields, replace
+from functools import partial
 from math import inf, nan
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from aecfeat.serialize import load_model
 from aecfeat.report import EvalReport, render_report, render_table
 from aecfeat.synthetic import generate_dataset, generate_noise_wav
 from aecfeat.transfer import build_filter, extract
-from aecfeat import cli, network, transfer
+from aecfeat import cli, network, prepare, transfer
 from aecfeat import pipeline as pl
 
 
@@ -178,6 +181,145 @@ class TestPrepareConditions:
             prepare_conditions(man, noises, tmp_path / "cond", snrs=snrs,
                                seed=0)
         assert not (tmp_path / "cond").exists()
+
+    def test_short_noise_rejected_before_any_output(self, tmp_path):
+        # the 1 s segment comes second, after a 0.5 s one the noise covers
+        man = self.make_manifest(tmp_path, n_eval=1)
+        long_seg = write_tone_wav(tmp_path / "long.wav", 1.0, seed=3)
+        man = Manifest(man.entries[:1]
+                       + [ManifestEntry(long_seg, "x", "target", "eval", "clean")]
+                       + man.entries[1:])
+        noise = write_tone_wav(tmp_path / "short.wav", 0.5, seed=1)
+        with pytest.raises(AecError, match=r"noise short \(8000 samples\) "
+                                           r"shorter than .*long\.wav \(16000\)"):
+            prepare_conditions(man, [noise], tmp_path / "cond", snrs=(5,),
+                               seed=0)
+        assert not (tmp_path / "cond").exists()
+
+
+GOLDEN_CORPUS = Path(__file__).resolve().parent / "golden_corpus_sha256.json"
+
+
+def golden_corpora(root):
+    """Build the small corpora whose bytes `GOLDEN_CORPUS` pins under
+    `root`; returns {case: {path relative to the case's directory: SHA-256
+    of the file}}, every wav and manifest.csv included."""
+    root = Path(root)
+    sizes = dict(n_source_classes=3, n_target_classes=2,
+                 source_segments_per_class=2, target_train_per_class=3,
+                 target_eval_per_class=2, segment_s=0.5)
+    manifests = {seed: generate_dataset(root / f"dataset_seed{seed}", seed=seed,
+                                        **sizes)
+                 for seed in (0, 1)}
+    generate_noise_wav(root / "noise", seed=99)
+    noises = []
+    for name, seed in (("hum", 5), ("babble", 6)):
+        path = generate_noise_wav(root / f"noise_{name}", seed=seed)
+        noises.append(os.path.join(os.path.dirname(path), f"{name}.wav"))
+        os.replace(path, noises[-1])
+    conditions = prepare_conditions(manifests[0], noises, root / "conditions",
+                                    snrs=(0, 5, 10), seed=3)
+    save_manifest(conditions, root / "conditions" / "manifest.csv")
+    return {case: {str(p.relative_to(root / case)):
+                   hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted((root / case).iterdir())}
+            for case in ("dataset_seed0", "dataset_seed1", "noise",
+                         "conditions")}
+
+
+class TestRunJobs:
+    """`prepare._run_jobs`, which writes the corpus and the noisy
+    conditions on one thread per CPU."""
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_first_failure_in_job_order_is_raised(self, monkeypatch, cpus):
+        monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+        later_failed = threading.Event()
+
+        def job(k):
+            if k == 3:
+                # job 5 fails first in time; job 3 fails first in order
+                assert later_failed.wait(timeout=10)
+                raise AecError("job 3")
+            if k == 5:
+                later_failed.set()
+                raise AecError("job 5")
+
+        before = threading.active_count()
+        with pytest.raises(AecError, match="job 3"):
+            prepare._run_jobs(partial(job, k) for k in range(12))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_jobs_taken_ahead_are_bounded(self, monkeypatch, cpus):
+        monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+        lock, done, ahead, ran = threading.Lock(), [0], [], []
+
+        def job(k):
+            time.sleep(0.002)
+            with lock:
+                done[0] += 1
+                ran.append(k)
+
+        def jobs():
+            for k in range(40):
+                with lock:
+                    ahead.append(k - done[0])
+                yield partial(job, k)
+
+        before = threading.active_count()
+        prepare._run_jobs(jobs())
+        assert threading.active_count() == before
+        assert sorted(ran) == list(range(40))
+        assert max(ahead) <= cpus * prepare._JOBS_PER_THREAD
+        assert max(ahead) > 1  # the jobs did run side by side
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(network, "_cpu_count", lambda: 1)
+        before, seen = threading.active_count(), []
+
+        def job(k):
+            seen.append((k, threading.current_thread(),
+                         threading.active_count()))
+
+        prepare._run_jobs(partial(job, k) for k in range(5))
+        assert seen == [(k, threading.current_thread(), before)
+                        for k in range(5)]
+
+
+class TestGoldenCorpus:
+    """The synthetic corpus, its noise and the noisy conditions are
+    written with the same bytes on any CPU count, and as the one-thread
+    writer of earlier versions wrote them."""
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_bytes_are_pinned(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+        expected = json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8"))
+        assert golden_corpora(tmp_path) == expected
+
+    def test_noise_is_drawn_on_the_calling_thread(self, tmp_path,
+                                                  monkeypatch):
+        # the threads only shape and write, so their scheduling cannot
+        # change which draw a segment gets
+        monkeypatch.setattr(network, "_cpu_count", lambda: 4)
+        default_rng, draws = np.random.default_rng, []
+
+        class RecordingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, n):
+                draws.append(threading.current_thread())
+                return self.rng.standard_normal(n)
+
+        monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+        manifest = generate_dataset(tmp_path, n_source_classes=2,
+                                    n_target_classes=2,
+                                    source_segments_per_class=3,
+                                    target_train_per_class=3,
+                                    target_eval_per_class=3, segment_s=0.25)
+        assert draws == [threading.current_thread()] * len(manifest.entries)
 
 
 class TestCrossValidate:
