@@ -28,6 +28,10 @@ product over the whole layer (checked with the bundled OpenBLAS), so what
 `train` and `extract` return depends neither on the CPU count nor on
 OPENBLAS_NUM_THREADS. With another BLAS, they run on the calling thread
 alone at that BLAS's own thread count.
+
+`_run_jobs` runs data preparation's per-wav jobs on one thread per CPU,
+at most two, and on none on one CPU; `_cpu_count` is the one CPU-count
+rule for both mechanisms.
 """
 
 import contextlib
@@ -35,6 +39,7 @@ import ctypes
 import glob
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -131,6 +136,45 @@ def _worker_thread():
             yield
         finally:
             _worker.pool = None
+
+
+# Data preparation (`synthetic.generate_dataset`,
+# `prepare.prepare_conditions`) runs on at most _MAX_THREADS threads, the two
+# CPUs its set-up time and memory were measured on, and each has at most _JOBS_PER_THREAD jobs
+# submitted and unfinished, so the inputs taken ahead of the writes (a
+# segment's noise, say) stay few. With glibc each thread also leaves its
+# malloc arena behind, and the arena's free top stays resident for the rest
+# of the process; malloc_trim does not return it.
+_MAX_THREADS = 2
+_JOBS_PER_THREAD = 2
+
+
+def _run_jobs(jobs):
+    """Call each job of the iterable `jobs` (callables of no argument),
+    taken from it in order on the calling thread. With two CPUs or more in
+    the affinity mask, the jobs run on one thread per CPU, up to
+    _MAX_THREADS, and `jobs` is advanced only while fewer than
+    _JOBS_PER_THREAD per thread are unfinished; on one CPU each runs in
+    turn on the calling thread and no thread starts. The first failure in
+    job order is raised: the jobs after it that have not started are
+    dropped, and every thread is joined before this returns or raises."""
+    n_threads = min(_cpu_count(), _MAX_THREADS)
+    if n_threads < 2:
+        for job in jobs:
+            job()
+        return
+    unfinished = deque()
+    with ThreadPoolExecutor(n_threads) as pool:
+        try:
+            for job in jobs:
+                unfinished.append(pool.submit(job))
+                if len(unfinished) == n_threads * _JOBS_PER_THREAD:
+                    unfinished.popleft().result()
+            while unfinished:
+                unfinished.popleft().result()
+        finally:
+            for later in unfinished:
+                later.cancel()
 
 
 def _halves(split, work, *sizes):

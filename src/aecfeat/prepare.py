@@ -3,61 +3,23 @@ corpus (random cuts / reverberant copies to hit a fixed audio budget) and
 noisy evaluation conditions at fixed SNRs.
 
 `prepare_conditions`, like `synthetic.generate_dataset`, makes and writes
-its wavs on one thread per CPU in the process's affinity mask (none on one
-CPU). Each wav depends only on its own seed, so the files are the same
-bytes whatever the CPU count; `mix_noise`'s clipping warnings may come in
-another order across segments.
+its wavs on one thread per CPU in the process's affinity mask, at most two
+(none on one CPU). Each wav depends only on its own seed, so the files are
+the same bytes whatever the CPU count; `mix_noise`'s clipping warnings may
+come in another order across segments.
 """
 
 import os
 import zlib
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 
-from . import network
 from .audio import (SAMPLE_RATE, AudioSegment, convolve_rir, mix_noise,
                     read_wav, synth_rir, wav_samples, write_wav)
 from .errors import AecError
 from .manifest import Manifest, ManifestEntry
-
-# Data preparation runs on at most this many threads, and each has at most
-# _JOBS_PER_THREAD jobs submitted and unfinished, so the inputs taken ahead
-# of the writes (a segment's noise, say) stay few. With glibc each thread
-# also leaves its malloc arena behind, and the arena's free top stays
-# resident for the rest of the process; malloc_trim does not return it.
-_MAX_THREADS = 8
-_JOBS_PER_THREAD = 2
-
-
-def _run_jobs(jobs):
-    """Call each job of the iterable `jobs` (callables of no argument),
-    taken from it in order on the calling thread. With two CPUs or more in
-    the affinity mask, the jobs run on one thread per CPU, up to
-    _MAX_THREADS, and `jobs` is advanced only while fewer than
-    _JOBS_PER_THREAD per thread are unfinished; on one CPU each runs in
-    turn on the calling thread and no thread starts. The first failure in
-    job order is raised: the jobs after it that have not started are
-    dropped, and every thread is joined before this returns or raises."""
-    n_threads = min(network._cpu_count(), _MAX_THREADS)
-    if n_threads < 2:
-        for job in jobs:
-            job()
-        return
-    unfinished = deque()
-    with ThreadPoolExecutor(n_threads) as pool:
-        try:
-            for job in jobs:
-                unfinished.append(pool.submit(job))
-                if len(unfinished) == n_threads * _JOBS_PER_THREAD:
-                    unfinished.popleft().result()
-            while unfinished:
-                unfinished.popleft().result()
-        finally:
-            for later in unfinished:
-                later.cancel()
+from .network import _run_jobs
 
 
 def _class_groups(entries):
@@ -131,7 +93,7 @@ def prepare_conditions(manifest, noise_paths, out_dir, snrs=(5, 10, 15), seed=0)
     by noise file stem and SNR, so both must be unique, and every noise
     must be at least as long as every segment; nothing is written unless
     both hold. Each segment is read once and mixed with every condition
-    by one job of `_run_jobs`."""
+    by one job of `network._run_jobs`."""
     stems = [os.path.splitext(os.path.basename(p))[0] for p in noise_paths]
     for what, values in (("noise file stem", stems), ("SNR", list(snrs))):
         repeated = sorted({v for v in values if values.count(v) > 1})

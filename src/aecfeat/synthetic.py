@@ -9,7 +9,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, AudioSegment, write_wav
 from .manifest import Manifest, ManifestEntry, save_manifest
-from .prepare import _run_jobs
+from .network import _run_jobs
 
 
 def _class_envelope(n_bins, centers, width, floor=0.02):
@@ -70,9 +70,9 @@ def generate_dataset(out_dir, n_source_classes=8, n_target_classes=4,
 
     Each segment is white noise drawn from one generator, segment after
     segment on the calling thread, then shaped by its class's envelope and
-    written by a job of `prepare._run_jobs`, on one thread per CPU in the
-    affinity mask. The wavs and the manifest are the same bytes whatever
-    the CPU count.
+    written by a job of `network._run_jobs`, on one thread per CPU in the
+    affinity mask, at most two. The wavs and the manifest are the same
+    bytes whatever the CPU count.
     """
     os.makedirs(out_dir, exist_ok=True)
     n_samples = int(segment_s * SAMPLE_RATE)

@@ -228,7 +228,7 @@ def golden_corpora(root):
 
 
 class TestRunJobs:
-    """`prepare._run_jobs`, which writes the corpus and the noisy
+    """`network._run_jobs`, which writes the corpus and the noisy
     conditions on one thread per CPU."""
 
     @pytest.mark.parametrize("cpus", [2, 4])
@@ -247,7 +247,7 @@ class TestRunJobs:
 
         before = threading.active_count()
         with pytest.raises(AecError, match="job 3"):
-            prepare._run_jobs(partial(job, k) for k in range(12))
+            network._run_jobs(partial(job, k) for k in range(12))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [2, 4])
@@ -268,10 +268,11 @@ class TestRunJobs:
                 yield partial(job, k)
 
         before = threading.active_count()
-        prepare._run_jobs(jobs())
+        network._run_jobs(jobs())
         assert threading.active_count() == before
         assert sorted(ran) == list(range(40))
-        assert max(ahead) <= cpus * prepare._JOBS_PER_THREAD
+        assert max(ahead) <= (min(cpus, network._MAX_THREADS)
+                              * network._JOBS_PER_THREAD)
         assert max(ahead) > 1  # the jobs did run side by side
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
@@ -282,7 +283,7 @@ class TestRunJobs:
             seen.append((k, threading.current_thread(),
                          threading.active_count()))
 
-        prepare._run_jobs(partial(job, k) for k in range(5))
+        network._run_jobs(partial(job, k) for k in range(5))
         assert seen == [(k, threading.current_thread(), before)
                         for k in range(5)]
 
