@@ -4,7 +4,7 @@ accumulation.
 Three families:
   * per-class Gaussian mixtures with diagonal covariance, fitted by EM;
   * one-vs-rest support vector machines with RBF kernels, fitted by
-    sequential minimal optimization (SMO) to the KKT conditions within tol;
+    sequential minimal optimization (SMO) to the KKT conditions;
   * a dense softmax network (300-300-100 hidden), which
     `pipeline.fit_classifier` builds with `init_mlp` and trains with `train`.
 
@@ -65,6 +65,7 @@ def _gmm_log_prob(x, weights, means, variances):
 GMM_MAX_ITER = 200
 GMM_REL_TOL = 1e-6     # EM stops when the relative log-likelihood gain is less
 GMM_FLOOR_FRAC = 1e-3  # variance floor, as a fraction of the global variance
+SMO_TOL = 1e-3         # SMO stops when its largest KKT violation is less
 
 
 def _fit_one_gmm(x, k, rng):
@@ -184,33 +185,31 @@ class KernelRows(dict):
         return row
 
 
-def smo_solve(kmat, y, c, tol=1e-3):
+def smo_solve(kmat, y, c):
     """SMO taking the maximal violating pair at every step (WSS1 of Fan,
     Chen & Lin, JMLR 2005). `kmat[i]` must give kernel row i, and only
     rows i and j of each step are read. `kmat` may be a dense matrix or
     the `KernelRows` that `svm_fit`'s one-vs-rest machines share, where a
     row is computed on first read; a row computed alone differs from the
     dense GEMM by about 1e-15, so the two can take different paths within
-    tol, but each is bit-identical run to run.
+    SMO_TOL, but each is bit-identical run to run.
 
     Minimizes 1/2 a'Qa - sum(a), Q = yy' * K, over 0 <= a <= c, y'a = 0,
     tracking score = -y * (Qa - 1). Each step solves the two-variable
     subproblem of i = argmax score over I_up (y > 0 and a < c, or y < 0
     and a > 0) and j = argmin score over I_low (y > 0 and a > 0, or y < 0
     and a < c) exactly, clipped to the box; an alpha that reaches a bound
-    is set to exactly 0 or c. It stops when score[i] - score[j] < tol, and
-    the bias is the mean score over free alphas (the midpoint of score[i]
-    and score[j] if none is free), so every margin meets its KKT condition
-    to within tol. There is no iteration cap, which would stop a solve
-    short of that: for tol > 0 and a finite c > 0 the loop ends in
-    finitely many steps (Keerthi & Gilbert, 2002). Negating y picks the
-    same pair, swapped, and takes the same step, so it negates the bias
-    and keeps the alphas.
+    is set to exactly 0 or c. It stops when score[i] - score[j] < SMO_TOL,
+    and the bias is the mean score over free alphas (the midpoint of
+    score[i] and score[j] if none is free), so every margin meets its KKT
+    condition to within SMO_TOL. There is no iteration cap, which would
+    stop a solve short of that: for SMO_TOL > 0 and a finite c > 0 the loop
+    ends in finitely many steps (Keerthi & Gilbert, 2002). Negating y picks
+    the same pair, swapped, and takes the same step, so it negates the
+    bias and keeps the alphas.
 
     Returns (alpha, bias) for f(x) = sum_i alpha_i y_i k(x_i, x) + bias.
     """
-    if not tol > 0:
-        raise AecError(f"tol must be > 0, got {tol}")
     if not 0 < c < np.inf:
         raise AecError(f"c must be finite and > 0, got {c}")
     y = np.asarray(y, dtype=np.float64)
@@ -223,7 +222,7 @@ def smo_solve(kmat, y, c, tol=1e-3):
         i = int(np.argmax(np.where(up, score, -np.inf)))
         j = int(np.argmin(np.where(low, score, np.inf)))
         gap = score[i] - score[j]
-        if gap < tol:
+        if gap < SMO_TOL:
             break
         # move alpha_i by y_i t and alpha_j by -y_j t, which keeps y'a = 0
         ki, kj = kmat[i], kmat[j]
@@ -240,12 +239,12 @@ def smo_solve(kmat, y, c, tol=1e-3):
 
 
 def svm_fit(features, labels, c=10.0, gamma=0.01):
-    """One-vs-rest RBF SVMs, one SMO solve per class to `smo_solve`'s
-    default tol. The machines share one `KernelRows`, so a kernel row is
-    computed once, when SMO first reads it, and the fit never builds the
-    n x n kernel. A row computed alone differs from the same row of a
-    dense GEMM by about 1e-15, so SMO may take another path within tol
-    than a dense-kernel fit; run to run the fit is bit-identical."""
+    """One-vs-rest RBF SVMs, one SMO solve per class to SMO_TOL. The
+    machines share one `KernelRows`, so a kernel row is computed once, when
+    SMO first reads it, and the fit never builds the n x n kernel. A row
+    computed alone differs from the same row of a dense GEMM by about
+    1e-15, so SMO may take another path within SMO_TOL than a dense-kernel
+    fit; run to run the fit is bit-identical."""
     # `fit_classifier` passes every n-th frame as a strided view, which
     # every kernel row would otherwise read through a copy
     x = np.atleast_2d(np.ascontiguousarray(features, dtype=np.float64))

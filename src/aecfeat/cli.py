@@ -2,17 +2,16 @@
 
 Every subcommand reads a JSON config mirroring RunConfig (--config), takes
 --seed and --out overrides, and exits with code 2 and a stage-named message
-on failure. Each staged subcommand calls one stage function of `pipeline`,
-which loads its inputs from the output directory (*.aecf models,
-features_*.npz) and stores its outputs there, and prints what it wrote;
-`run` runs every stage in order through `pipeline.run_pipeline`. `report`
-prints a saved report.json as `evaluate` printed it.
-"""
+on failure. The staged subcommands are the rows of `pipeline.stages()`,
+each run by one handler that prints the paths its stage wrote; `run` runs
+every row through `pipeline.run_pipeline`. `report` prints a saved
+report.json as `evaluate` printed it."""
 
 import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import pipeline as pl
 from .audio import read_wav, synth_rir
@@ -34,11 +33,6 @@ def _load_cfg(args):
         cfg.out_dir = args.out
     os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg
-
-
-def _print_paths(paths):
-    for path in paths.values():
-        print(path)
 
 
 def cmd_synth_data(args, cfg):
@@ -79,42 +73,19 @@ def cmd_run(args, cfg):
     print(paths["report_json"])
 
 
-def cmd_train_source(args, cfg):
-    _print_paths(pl.stage_train_source(cfg, load_manifest(args.manifest)))
-
-
-def cmd_adapt(args, cfg):
-    _print_paths(pl.stage_adapt(cfg, load_manifest(args.manifest)))
-
-
-def cmd_extract(args, cfg):
-    _print_paths(pl.stage_extract(cfg, load_manifest(args.manifest),
-                                  args.split))
-
-
-def cmd_fit_transform(args, cfg):
-    paths = pl.stage_fit_transform(cfg)
-    if not paths:
-        print("no transform configured")
-    _print_paths(paths)
-
-
-def cmd_fit_classifier(args, cfg):
-    _print_paths(pl.stage_fit_classifier(cfg))
-
-
-def cmd_evaluate(args, cfg):
-    print(render_report(pl.stage_evaluate(cfg)))
+def _cmd_stage(stage, args, cfg):
+    """Run one row of `pipeline.stages()` and print what it wrote."""
+    manifest = load_manifest(args.manifest) if stage.reads_manifest else None
+    paths = stage.call(cfg, manifest, args.split if stage.splits else None)
+    if "report_json" in paths:
+        print(render_report(EvalReport.from_json(paths["report_json"])))
+    else:
+        print("\n".join(paths.values()) or stage.if_none)
 
 
 def cmd_report(args, cfg):
     path = args.report or os.path.join(cfg.out_dir, "report.json")
-    with open(path, encoding="utf-8") as f:
-        d = json.load(f)
-    print(render_report(EvalReport(conditions=d["conditions"],
-                                   classes=d["classes"],
-                                   confusion=d["confusion"],
-                                   variant=d["variant"])))
+    print(render_report(EvalReport.from_json(path)))
 
 
 def cmd_cross_validate(args, cfg):
@@ -152,17 +123,12 @@ def build_parser():
     s.add_argument("--noise", nargs="+", required=True)
     s.add_argument("--snr", nargs="+", type=float, default=[5, 10, 15])
     add("run", cmd_run, "run every stage end to end")
-    add("train-source", cmd_train_source,
-        "fit norm stats and, for variants A/C, the source network")
-    add("adapt", cmd_adapt, "surgery + target adaptation, builds the filter")
-    s = add("extract", cmd_extract, "tap filter features for a manifest split")
-    s.add_argument("--split", choices=["train", "eval"], default="train")
-    add("fit-transform", cmd_fit_transform, "fit DCT/PCA on training features",
-        manifest=False)
-    add("fit-classifier", cmd_fit_classifier, "fit the back-end classifier",
-        manifest=False)
-    add("evaluate", cmd_evaluate, "score eval features per condition",
-        manifest=False)
+    for stage in pl.stages():
+        s = add(stage.command, partial(_cmd_stage, stage), stage.help,
+                manifest=stage.reads_manifest)
+        if stage.splits:
+            s.add_argument("--split", choices=list(stage.splits),
+                           default=stage.splits[0])
     s = add("report", cmd_report, "render a saved report.json", manifest=False)
     s.add_argument("--report", default=None)
     s = add("cross-validate", cmd_cross_validate,

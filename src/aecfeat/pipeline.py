@@ -1,10 +1,9 @@
-"""The pipeline as one chain of stages, one function per staged
-subcommand: train-source (normalization and source network) -> adapt
-(surgery and adaptation) -> extract (filter taps) -> fit-transform ->
-fit-classifier -> evaluate. Each stage loads its inputs from the output
-directory and stores its outputs there, stamped by the config fingerprint
-and seed; `run_pipeline` runs the stages in that order and the staged CLI
-runs one at a time, so both go through the same stored artifacts. `_load`
+"""The pipeline as one chain of stages, listed once, in order, by the
+stage table `stages()`. Each stage function loads its inputs from the
+output directory, stores its outputs there, stamped by the config
+fingerprint and seed, and returns {artifact name: path} for what it
+wrote. `run_pipeline` runs every row of the table and the staged CLI one
+row per subcommand, so both go through the same stored artifacts. `_load`
 checks each model's type and the source network's and filter's input
 fingerprint. A split's taps are stored as one matrix plus per-segment
 frame counts; the back end, `cross_validate` included, gets them as
@@ -18,7 +17,7 @@ import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
-from typing import Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -347,11 +346,8 @@ def evaluate(cfg, clf, taps, labels, conditions, classes):
                       config_fingerprint=cfg.fingerprint(), variant=cfg.variant)
 
 
-# Stages: each loads its inputs from cfg.out_dir, stores its outputs there
-# and returns {artifact name: path} for what it wrote.
-
 def stage_train_source(cfg, manifest):
-    """Stages 1-2: z-score statistics pooled over source and target-train
+    """The z-score statistics pooled over source and target-train
     frames only, never eval; for variants A/C also the source network,
     stamped with their input fingerprint. The frontend arrays stream into
     the statistics one at a time; A/C keep only the source arrays they
@@ -385,7 +381,7 @@ def stage_train_source(cfg, manifest):
 
 
 def stage_adapt(cfg, manifest):
-    """Stage 3: the filter. Variants A/C train TL#1, TL#2 and a head over
+    """The filter. Variants A/C train TL#1, TL#2 and a head over
     the source network's fixed trunk: one `extract` call forwards the
     trunk over the target-train frames, streamed a segment at a time as
     `stage_extract` streams them, into one matrix sized from the wav
@@ -421,7 +417,7 @@ def stage_adapt(cfg, manifest):
 
 
 def stage_extract(cfg, manifest, split):
-    """Stage 4: filter taps for every frame of each target segment of
+    """Filter taps for every frame of each target segment of
     `split`, saved losslessly to features_<split>.npz: one float32 tap
     matrix in manifest order, each segment's frame count, label and
     condition, and the split. Each segment's frame count comes from its
@@ -451,7 +447,7 @@ def stage_extract(cfg, manifest, split):
 
 
 def stage_fit_transform(cfg):
-    """Stage 5: the DCT or PCA model; nothing for transform 'none'."""
+    """The DCT or PCA model; nothing for transform 'none'."""
     taps = _load_features(cfg, "train")[0]
     if cfg.transform == "none":
         return {}
@@ -465,26 +461,66 @@ def stage_fit_transform(cfg):
 
 
 def stage_fit_classifier(cfg):
-    """Stage 6: the back-end classifier."""
+    """The back-end classifier."""
     taps, labels, _ = _reduced_features(cfg, "train")
     store(cfg, "classifier", fit_classifier(cfg, taps, labels))
     return {"classifier": artifact_path(cfg, "classifier.aecf")}
 
 
 def stage_evaluate(cfg):
-    """Stage 7: the per-condition report, written to report.json and
-    report.txt. Returns the report."""
+    """The per-condition report, written to report.json and, as
+    `render_report` draws it, report.txt."""
     taps, labels, conditions = _reduced_features(cfg, "eval")
     # the training class list is all it reads of the training features
     classes = sorted(set(_read_features(cfg, "train", "labels")[0].tolist()))
     clf = _load(cfg, "classifier", {"gmm": GmmModel, "svm": SvmModel,
                                     "dnn": Network}[cfg.classifier])
     report = evaluate(cfg, clf, taps, labels, conditions, classes)
-    with open(artifact_path(cfg, "report.json"), "w", encoding="utf-8") as f:
+    paths = {"report_json": artifact_path(cfg, "report.json"),
+             "report_txt": artifact_path(cfg, "report.txt")}
+    with open(paths["report_json"], "w", encoding="utf-8") as f:
         f.write(report.to_json())
-    with open(artifact_path(cfg, "report.txt"), "w", encoding="utf-8") as f:
+    with open(paths["report_txt"], "w", encoding="utf-8") as f:
         f.write(render_report(report) + "\n")
-    return report
+    return paths
+
+
+class Stage(NamedTuple):
+    """A row of the stage table. `run_pipeline` runs the stage for each of
+    its splits in turn, the CLI for the one `--split` names; the CLI then
+    prints the report it wrote, else the paths, else `if_none`."""
+    command: str
+    run: Callable[..., Dict[str, str]]
+    reads_manifest: bool
+    splits: Tuple[str, ...]
+    help: str
+    if_none: str = ""
+
+    def call(self, cfg, manifest, split):
+        """Run the stage with `manifest` and `split` if it reads them."""
+        args = [manifest] if self.reads_manifest else []
+        if self.splits:
+            args.append(split)
+        return self.run(cfg, *args)
+
+
+def stages():
+    """The stage table: the staged subcommands in chain order. It is built
+    per call, so a stage function rebound on this module is the one run."""
+    return (
+        Stage("train-source", stage_train_source, True, (),
+              "fit norm stats and, for variants A/C, the source network"),
+        Stage("adapt", stage_adapt, True, (),
+              "surgery + target adaptation, builds the filter"),
+        Stage("extract", stage_extract, True, ("train", "eval"),
+              "tap filter features for a manifest split"),
+        Stage("fit-transform", stage_fit_transform, False, (),
+              "fit DCT/PCA on training features", "no transform configured"),
+        Stage("fit-classifier", stage_fit_classifier, False, (),
+              "fit the back-end classifier"),
+        Stage("evaluate", stage_evaluate, False, (),
+              "score eval features per condition"),
+    )
 
 
 def stage_cross_validate(cfg, k=5):
@@ -495,28 +531,19 @@ def stage_cross_validate(cfg, k=5):
 
 def run_pipeline(cfg, manifest):
     """Run the staged chain on one manifest (source + target entries):
-    each stage under its subcommand's name, in subcommand order. Returns
-    (EvalReport, {artifact name: path})."""
+    `stages()` in order, each under its subcommand's name. Returns the
+    report as report.json holds it, and {artifact name: path}."""
     if not isinstance(manifest, Manifest):
         raise AecError(f"run_pipeline takes a Manifest, not a "
                        f"{type(manifest).__name__} ({manifest!r:.80}); load a "
                        f"manifest file with manifest.load_manifest")
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = {}
-    for command, run_stage, args in (
-            ("train-source", stage_train_source, (manifest,)),
-            ("adapt", stage_adapt, (manifest,)),
-            ("extract", stage_extract, (manifest, "train")),
-            ("extract", stage_extract, (manifest, "eval")),
-            ("fit-transform", stage_fit_transform, ()),
-            ("fit-classifier", stage_fit_classifier, ())):
-        with _stage(command):
-            paths.update(run_stage(cfg, *args))
-    with _stage("evaluate"):
-        report = stage_evaluate(cfg)
-    paths.update(report_json=artifact_path(cfg, "report.json"),
-                 report_txt=artifact_path(cfg, "report.txt"))
-    return report, paths
+    for stage in stages():
+        for split in stage.splits or (None,):
+            with _stage(stage.command):
+                paths.update(stage.call(cfg, manifest, split))
+    return EvalReport.from_json(paths["report_json"]), paths
 
 
 def default_svm_grid(feature_dim):

@@ -2,7 +2,7 @@
 methods as rows, trailing unweighted average column)."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List
 
 import numpy as np
@@ -61,6 +61,13 @@ class EvalReport:
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+    @classmethod
+    def from_json(cls, path):
+        """The report that `to_json` wrote to the file at `path`."""
+        with open(path, encoding="utf-8") as f:
+            d = json.load(f)
+        return cls(**{x.name: d[x.name] for x in fields(cls)})
 
 
 def render_table(rows, conditions, title=""):

@@ -15,7 +15,7 @@ import pytest
 from scipy.special import expit
 
 from aecfeat.audio import AudioSegment, mix_noise
-from aecfeat.classifiers import KernelRows, rbf_kernel, smo_solve
+from aecfeat.classifiers import SMO_TOL, KernelRows, rbf_kernel, smo_solve
 from aecfeat.frontend import FrontendConfig
 from aecfeat.network import (
     TrainConfig,
@@ -207,11 +207,11 @@ def test_svm_oracle():
         for trial in range(trials):
             x = rng.standard_normal((n, d))
             y = np.where(x[:, 0] + noise * rng.standard_normal(n) > 0, 1.0, -1.0)
-            tol = 1e-3
+            tol = SMO_TOL
             kmat = rbf_kernel(x, x, gamma)
             # the dense matrix and the rows-on-demand cache `svm_fit` uses
             for kernel in (kmat, KernelRows(x, gamma)):
-                alpha, bias = smo_solve(kernel, y, c, tol=tol)
+                alpha, bias = smo_solve(kernel, y, c)
                 margins = y * (kmat @ (alpha * y) + bias)
                 for a, m in zip(alpha, margins):
                     if a < 1e-9:

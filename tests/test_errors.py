@@ -43,6 +43,60 @@ def test_no_unused_imports():
     assert not unused, f"unused imports: {unused}"
 
 
+def _defaulted_parameters(tree):
+    """(line, function name, parameter, position) of every parameter with a
+    default of every function a module defines; position is the index of
+    the argument that passes it positionally (None for keyword-only), not
+    counting `self` or `cls`, and an `__init__` is named after its class."""
+    owner = {fn: cls.name for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for fn in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        name = owner.get(fn, fn.name) if fn.name == "__init__" else fn.name
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        skip = int(bool(positional) and positional[0].arg in ("self", "cls"))
+        first = len(positional) - len(a.defaults)
+        for i, p in enumerate(positional[first:], start=first):
+            yield fn.lineno, name, p.arg, i - skip
+        for p, d in zip(a.kwonlyargs, a.kw_defaults):
+            if d is not None:
+                yield fn.lineno, name, p.arg, None
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a parameter with a default that no call in the package, the demos or
+    # the benchmark passes is set only by tests: a setting nothing uses.
+    # Calls are matched by the called name alone, so this can miss a dead
+    # parameter whose name another function shares, never flag a live one
+    # passed by a direct call
+    passed = set()  # (function name, parameter or position)
+    everything = set()  # names called with *args or **kwargs
+    repo = SRC.parents[1]
+    for path in sorted([*SRC.glob("*.py"), *(repo / "demos").glob("*.py"),
+                        *(repo / "perfbench").glob("*.py")]):
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords)):
+                everything.add(name)
+            passed.update((name, i) for i in range(len(call.args)))
+            passed.update((name, k.arg) for k in call.keywords)
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unpassed += [f"{path.name}:{line} {name}({param})"
+                     for line, name, param, i in _defaulted_parameters(tree)
+                     if name not in everything and (name, param) not in passed
+                     and (name, i) not in passed]
+    assert not unpassed, f"defaulted parameters only tests pass: {unpassed}"
+
+
 def _module_level_names(tree):
     """(line, name) of every name a module's top-level statements bind
     other than by import."""

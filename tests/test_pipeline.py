@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -50,9 +51,19 @@ class TestPrepareSource:
                                  "a", "source", "train", "clean")
                    for i in range(3)]
         man = Manifest(entries)
-        out = prepare_source(man, tmp_path / "prep", target_seconds=4.0, seed=0)
-        # 6 s of audio trimmed to the 4 s budget (within one sample)
-        assert total_seconds(out, "a") == pytest.approx(4.0, abs=1e-3)
+        out = prepare_source(man, tmp_path / "prep", target_seconds=5.0,
+                             seed=0)
+        # a0 and a1 fill 4 s of the budget whole, and a2 gives a 1 s cut
+        assert total_seconds(out, "a") == pytest.approx(5.0, abs=1e-3)
+        cut = tmp_path / "prep" / "a_cut_4.wav"
+        assert [e.wav_path for e in out.entries] == [entries[0].wav_path,
+                                                     entries[1].wav_path,
+                                                     str(cut)]
+        samples = read_wav(cut).samples
+        assert len(samples) == 16000
+        whole = read_wav(entries[2].wav_path).samples
+        assert any(np.array_equal(whole[i:i + len(samples)], samples)
+                   for i in np.flatnonzero(whole == samples[0]))
 
     def test_under_budget_class_gets_reverberant_copies(self, tmp_path):
         entries = [ManifestEntry(write_tone_wav(tmp_path / "b0.wav", 1.0),
@@ -700,6 +711,24 @@ class TestRunPipeline:
                 raise AecError("boom")
         assert trims == [0]
 
+    def test_stage_table_reads_the_rebound_stage_functions(
+            self, tiny_corpus, tmp_path, monkeypatch):
+        # the benchmark's tracer rebinds the stage functions on `pipeline`,
+        # and `run` and the staged CLI must both reach the rebound ones
+        calls = []
+        real = pl.stage_fit_classifier
+
+        def recording(cfg):
+            calls.append(cfg.out_dir)
+            return real(cfg)
+
+        monkeypatch.setattr(pl, "stage_fit_classifier", recording)
+        cfg = tiny_config(tmp_path / "run")
+        run_pipeline(cfg, tiny_corpus[1])
+        assert run_staged(cfg, None, tmp_path / "cfg.json",
+                          chain=[["fit-classifier"]]) == [0]
+        assert calls == [cfg.out_dir] * 2
+
     def test_every_artifact_is_stamped(self, tiny_corpus, tmp_path):
         cfg = tiny_config(tmp_path / "run")
         run_pipeline(cfg, tiny_corpus[1])
@@ -902,6 +931,90 @@ class TestCli:
         assert cli.main(base + ["cross-validate", "--k", "2"]) == 0
         best = json.loads(capsys.readouterr().out)["best"]
         assert best in default_svm_grid(cfg.transform_dim)
+
+    # (subcommand, help, arguments) in `aecfeat --help` order, each argument
+    # as `_arguments` records it; the global arguments come first, as None
+    SURFACE = [
+        (None, None, [(["--config"], None, None, None, None, False),
+                      (["--seed"], "int", None, None, None, False),
+                      (["--out"], None, None, None, None, False)]),
+        ("synth-data", "generate the synthetic benchmark corpus", []),
+        ("prepare-source", "normalize source classes to a length budget",
+         [("manifest", None, None, None, None, True),
+          (["--target-seconds"], "float", None, None, 800.0, False),
+          (["--rir-wav"], None, None, None, None, False),
+          (["--rt60"], "float", None, None, 0.7, False),
+          (["--rir-length"], "float", None, None, 0.5, False)]),
+        ("prepare-conditions", "create noisy eval conditions",
+         [("manifest", None, None, None, None, True),
+          (["--noise"], None, "+", None, None, True),
+          (["--snr"], "float", "+", None, [5, 10, 15], False)]),
+        ("run", "run every stage end to end",
+         [("manifest", None, None, None, None, True)]),
+        ("train-source",
+         "fit norm stats and, for variants A/C, the source network",
+         [("manifest", None, None, None, None, True)]),
+        ("adapt", "surgery + target adaptation, builds the filter",
+         [("manifest", None, None, None, None, True)]),
+        ("extract", "tap filter features for a manifest split",
+         [("manifest", None, None, None, None, True),
+          (["--split"], None, None, ["train", "eval"], "train", False)]),
+        ("fit-transform", "fit DCT/PCA on training features", []),
+        ("fit-classifier", "fit the back-end classifier", []),
+        ("evaluate", "score eval features per condition", []),
+        ("report", "render a saved report.json",
+         [(["--report"], None, None, None, None, False)]),
+        ("cross-validate", "5-fold SVM hyperparameter search",
+         [(["--k"], "int", None, None, 5, False)]),
+    ]
+
+    # each staged subcommand's exit code and stdout on `tiny_corpus` at
+    # `tiny_config`, the output directory written as OUT
+    STAGED_STDOUT = [
+        (0, "OUT/norm_stats.aecf\nOUT/source_model.aecf\n"),
+        (0, "OUT/filter.aecf\n"),
+        (0, "OUT/features_train.npz\n"),
+        (0, "OUT/features_eval.npz\n"),
+        (0, "OUT/transform.aecf\n"),
+        (0, "OUT/classifier.aecf\n"),
+        (0, "Average classification rate [%] per condition\n"
+            "method      clean  average\n"
+            "--------------------------\n"
+            "C            75.0     75.0\n"),
+    ]
+
+    @staticmethod
+    def _arguments(parser):
+        """Each argument of `parser` but -h and the subcommands: its option
+        strings (a positional's name), type, nargs, choices, default and
+        whether it is required."""
+        return [(a.option_strings or a.dest, getattr(a.type, "__name__", None),
+                 a.nargs, None if a.choices is None else list(a.choices),
+                 a.default, a.required)
+                for a in parser._actions
+                if not isinstance(a, (argparse._HelpAction,
+                                      argparse._SubParsersAction))]
+
+    def test_surface_is_unchanged(self, tiny_corpus, tmp_path, capsys):
+        # the parser's structure rather than its formatted --help text,
+        # which differs between Python versions
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        surface = [(None, None, self._arguments(parser))]
+        surface += [(c.dest, c.help, self._arguments(sub.choices[c.dest]))
+                    for c in sub._choices_actions]
+        assert surface == self.SURFACE
+
+        root, _ = tiny_corpus
+        cfg = tiny_config(tmp_path / "out")
+        printed = []
+        for argv in STAGED_CHAIN:
+            code, = run_staged(cfg, root / "manifest.csv",
+                               tmp_path / "cfg.json", chain=[argv])
+            printed.append((code, capsys.readouterr().out.replace(cfg.out_dir,
+                                                                  "OUT")))
+        assert printed == self.STAGED_STDOUT
 
     def test_extract_empty_split_exits_2(self, tiny_corpus, tmp_path, capsys):
         root, manifest = tiny_corpus
@@ -1197,20 +1310,31 @@ class TestCli:
         assert "eval labels ['tgt02'] are not training classes" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("corpus,variant", [
-        ("tiny_corpus", "C"), ("tiny_corpus", "B"),
-        ("one_eval_class_corpus", "C")])
-    def test_staged_chain_matches_run(self, corpus, variant, request, tmp_path):
+    @pytest.mark.parametrize("corpus,variant,transform", [
+        ("tiny_corpus", "C", "dct"), ("tiny_corpus", "B", "dct"),
+        ("one_eval_class_corpus", "C", "dct"), ("tiny_corpus", "C", "none")],
+        ids=["tiny_corpus-C", "tiny_corpus-B", "one_eval_class_corpus-C",
+             "tiny_corpus-C-no-transform"])
+    def test_staged_chain_matches_run(self, corpus, variant, transform,
+                                      request, tmp_path, capsys):
         root, manifest = request.getfixturevalue(corpus)
-        _, paths = run_pipeline(tiny_config(tmp_path / "run", variant=variant),
-                                manifest)
+        cfg = replace(tiny_config(tmp_path / "run", variant=variant),
+                      transform=transform)
+        _, paths = run_pipeline(cfg, manifest)
         staged = tmp_path / "staged"
-        codes = run_staged(tiny_config(staged, variant=variant),
+        capsys.readouterr()
+        codes = run_staged(replace(cfg, out_dir=str(staged)),
                            root / "manifest.csv", tmp_path / "cfg.json")
         assert codes == [0] * len(STAGED_CHAIN)
         assert ((staged / "report.json").read_text()
                 == open(paths["report_json"]).read())
-        names = ["norm_stats", "filter", "transform", "classifier"]
+        names = ["norm_stats", "filter", "classifier"]
+        if transform == "none":
+            assert "transform" not in paths
+            assert not (staged / "transform.aecf").exists()
+            assert "no transform configured\n" in capsys.readouterr().out
+        else:
+            names.append("transform")
         if variant == "C":
             names.append("source_model")
         else:
@@ -1220,6 +1344,43 @@ class TestCli:
         for name in names:
             assert ((staged / f"{name}.aecf").read_bytes()
                     == open(paths[name], "rb").read()), name
+
+    def test_seed_flag_sets_every_seed(self, tiny_corpus, tmp_path):
+        # --seed 3 on a seed-0 config file is tiny_config(seed=3): the run
+        # seed and both training seeds, so every stamp and model agrees
+        root, manifest = tiny_corpus
+        _, paths = run_pipeline(tiny_config(tmp_path / "lib", seed=3),
+                                manifest)
+        chains = {"run": [["run", "MANIFEST"]], "staged": STAGED_CHAIN}
+        for name, chain in chains.items():
+            out = tmp_path / name
+            (tmp_path / "cfg.json").write_text(
+                json.dumps(tiny_config(out).to_dict()))
+            argv = ["--config", str(tmp_path / "cfg.json"), "--seed", "3",
+                    "--out", str(out)]
+            assert [cli.main(argv + [str(root / "manifest.csv")
+                                     if a == "MANIFEST" else a for a in step])
+                    for step in chain] == [0] * len(chain)
+            for key in ("norm_stats", "source_model", "filter", "transform",
+                        "classifier", "report_json"):
+                assert ((out / os.path.basename(paths[key])).read_bytes()
+                        == open(paths[key], "rb").read()), (name, key)
+
+    @pytest.mark.parametrize("variant", ["A", "C"])
+    def test_source_variant_without_source_entries_exits_2(
+            self, tiny_corpus, tmp_path, capsys, variant):
+        _, manifest = tiny_corpus
+        save_manifest(Manifest([e for e in manifest.entries
+                                if e.domain == "target"]),
+                      tmp_path / "target_only.csv")
+        codes = run_staged(tiny_config(tmp_path / "out", variant),
+                           tmp_path / "target_only.csv", tmp_path / "cfg.json",
+                           chain=[["run", "MANIFEST"]])
+        assert codes == [2]
+        err = capsys.readouterr().err
+        assert ("stage 'train-source' failed: variants A/C require "
+                "source-domain entries") in err
+        assert "Traceback" not in err
 
     def test_staged_stages_rerun_on_run_output(self, tiny_corpus, tmp_path):
         # `run` leaves every artifact the staged chain reads, features too
