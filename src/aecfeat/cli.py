@@ -44,12 +44,8 @@ def cmd_synth_data(args, cfg):
 
 def cmd_prepare_source(args, cfg):
     manifest = load_manifest(args.manifest)
-    rir = None
-    if args.rir_wav:
-        rir = read_wav(args.rir_wav).samples
-    elif args.rt60 is not None:
-        rir = synth_rir(rt60_s=args.rt60, length_s=args.rir_length,
-                        seed=cfg.seed)
+    rir = (read_wav(args.rir_wav).samples if args.rir_wav else
+           synth_rir(rt60_s=args.rt60, length_s=args.rir_length, seed=cfg.seed))
     out = prepare_source(manifest, os.path.join(cfg.out_dir, "source_prep"),
                          target_seconds=args.target_seconds, rir=rir,
                          seed=cfg.seed)

@@ -5,9 +5,11 @@ fingerprint and seed, and returns {artifact name: path} for what it
 wrote. `run_pipeline` runs every row of the table and the staged CLI one
 row per subcommand, so both go through the same stored artifacts. `_load`
 checks each model's type and the source network's and filter's input
-fingerprint. A split's taps are stored as one matrix plus per-segment
-frame counts; the back end, `cross_validate` included, gets them as
-per-segment views, projected once at load."""
+fingerprint. `_training_frames` builds the frames a network trained from
+scratch reads, and `_taps` streams them through a fixed one, the source
+trunk or the filter. A split's taps are stored as one matrix plus
+per-segment frame counts; the back end, `cross_validate` included, gets
+them as per-segment views, projected once at load."""
 
 import ctypes
 import hashlib
@@ -15,7 +17,7 @@ import json
 import os
 import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -96,8 +98,21 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path):
+        """The config in the JSON object at `path`; a file that holds
+        another JSON value, unknown fields or a bad value raises an
+        AecError naming the file."""
         with open(path, encoding="utf-8") as f:
-            return cls(**json.load(f))
+            d = json.load(f)
+        if not isinstance(d, dict):
+            raise AecError(f"{path} must hold a JSON object of config fields")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise AecError(f"{path} has unknown RunConfig fields: "
+                           f"{', '.join(unknown)}")
+        try:
+            return cls(**d)
+        except (TypeError, AecError) as e:  # a nested config's too
+            raise AecError(f"{path}: {e}") from e
 
     def fingerprint(self):
         d = self.to_dict()
@@ -246,22 +261,6 @@ def _input_fingerprint(cfg, stats):
     return cfg.frontend.fingerprint() + ":" + stats.fingerprint()
 
 
-def _normalized(mats, stats):
-    """The frontend arrays z-scored into one unspliced float32 (total
-    rows, dims) matrix, rows in order: `train` reads it spliced through
-    `splice_index`, and `extract` one segment's `splice` at a time. It is
-    allocated once, and each array's rows, computed in float64, are
-    rounded into their slice, as `.astype(np.float32)` rounds them;
-    splicing only copies these values. An empty list gives 0 rows."""
-    x = np.empty((sum(len(m) for m in mats), len(stats.mean)),
-                 dtype=np.float32)
-    lo = 0
-    for m in mats:
-        x[lo:lo + len(m)] = apply_norm(m, stats)
-        lo += len(m)
-    return x
-
-
 def _frame_labels(lengths, labels):
     """The index of each frame's label in the sorted label set, for one
     label per run of `lengths` frames, and that set."""
@@ -270,23 +269,44 @@ def _frame_labels(lengths, labels):
     return y, classes
 
 
-def _frame_counts(cfg, entries):
-    """Each entry's frame count, from its wav's header alone."""
-    return [_frame_count(e.wav_path, wav_samples(e.wav_path), cfg)
-            for e in entries]
+def _training_frames(cfg, mats, labels, stats):
+    """(x, index, y, classes) for a network trained from scratch on the
+    frontend arrays `mats`, one per segment, labelled `labels`: x holds
+    their rows in order, unspliced, z-scored in float64 and rounded once
+    into one float32 matrix allocated once; `train` splices it through
+    `index`, their `splice_index`; y and classes are `_frame_labels`'. An
+    empty list gives 0 rows."""
+    lengths = [len(m) for m in mats]
+    x = np.empty((sum(lengths), len(stats.mean)), dtype=np.float32)
+    lo = 0
+    for m in mats:
+        x[lo:lo + len(m)] = apply_norm(m, stats)
+        lo += len(m)
+    y, classes = _frame_labels(lengths, labels)
+    return x, splice_index(lengths, cfg.frontend.splice_context), y, classes
 
 
-def _spliced_segments(cfg, entries, stats, counts):
-    """Each entry's frames through frontend, normalization and splicing,
-    one float32 array per entry, in order. `counts` holds each entry's
-    frame count as `_frame_counts` reads it from the wav header; an entry
-    whose frames differ from its count raises an `AecError` naming its
-    wav. Only one entry's frontend arrays are held at a time."""
-    for e, n, m in zip(entries, counts, frontend_features(cfg, entries)):
-        if len(m) != n:
-            raise AecError(f"{e.wav_path}: {len(m)} frames, but its header "
-                           f"gives {n}")
-        yield splice(_normalized([m], stats), cfg.frontend.splice_context)
+def _taps(cfg, entries, stats, net):
+    """(taps, lengths): `net`'s float32 outputs, the filter's or the source
+    trunk's, for every frame of `entries` in order, and their frame counts,
+    read from the wav headers, so one `extract` call writes every row once
+    into one matrix. Each entry streams through frontend, z-score, float32
+    rounding and splicing on the calling thread inside `extract`, under its
+    BLAS pin, one at a time; one whose frames differ from its header count
+    raises an AecError naming its wav. A row's output depends only on that
+    row, so the matrix does not depend on the CPU count or segment packing."""
+    lengths = [_frame_count(e.wav_path, wav_samples(e.wav_path), cfg)
+               for e in entries]
+
+    def segments():
+        for e, n, m in zip(entries, lengths, frontend_features(cfg, entries)):
+            if len(m) != n:
+                raise AecError(f"{e.wav_path}: {len(m)} frames, but its "
+                               f"header gives {n}")
+            yield splice(apply_norm(m, stats).astype(np.float32),
+                         cfg.frontend.splice_context)
+
+    return extract(net, segments(), sum(lengths)).values, lengths
 
 
 def _write_npz(path, **arrays):
@@ -350,9 +370,8 @@ def stage_train_source(cfg, manifest):
     """The z-score statistics pooled over source and target-train
     frames only, never eval; for variants A/C also the source network,
     stamped with their input fingerprint. The frontend arrays stream into
-    the statistics one at a time; A/C keep only the source arrays they
-    train on, and the network trains on one float32 matrix of them,
-    normalized and unspliced, through their splice index."""
+    the statistics one at a time; A/C keep only the source arrays, which
+    they train on through `_training_frames`."""
     target_entries = manifest.select("target", "train")
     if not target_entries:
         raise AecError("no target training entries")
@@ -369,47 +388,36 @@ def stage_train_source(cfg, manifest):
         return paths
     if not source_entries:
         raise AecError("variants A/C require source-domain entries")
-    lengths = [len(m) for m in source]
-    y, classes = _frame_labels(lengths, [e.label for e in source_entries])
-    x = _normalized(source, stats)
+    x, index, y, classes = _training_frames(
+        cfg, source, [e.label for e in source_entries], stats)
     del source
     net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
-    net, _ = train(net, x, y, cfg.source_train,
-                   splice_index(lengths, cfg.frontend.splice_context))
+    net, _ = train(net, x, y, cfg.source_train, index)
     store(cfg, "source_model", net, stats)
     return {**paths, "source_model": artifact_path(cfg, "source_model.aecf")}
 
 
 def stage_adapt(cfg, manifest):
-    """The filter. Variants A/C train TL#1, TL#2 and a head over
-    the source network's fixed trunk: one `extract` call forwards the
-    trunk over the target-train frames, streamed a segment at a time as
-    `stage_extract` streams them, into one matrix sized from the wav
-    headers' frame counts, and `adapt` trains on those outputs, so the
-    spliced frames are never held together and the filter does not depend
-    on the CPU count or segment packing. Variant B trains the whole
-    five-layer stack on target data only, by one `adapt` call on one
-    float32 matrix of the target-train frames, normalized and unspliced,
-    through their splice index; the float64 frontend arrays are released
-    once it is built."""
+    """The filter, from one `adapt` call for every variant. Variants A/C
+    train TL#1, TL#2 and a head over the source network's fixed trunk, on
+    the trunk's outputs for the target-train frames, `_taps`; variant B
+    trains the whole five-layer stack on the target-train frames alone,
+    `_training_frames`."""
     entries = manifest.select("target", "train")
     if not entries:
         raise AecError("no target training entries")
     stats = _load(cfg, "norm_stats", NormStats)
+    labels = [e.label for e in entries]
     if cfg.variant == "B":
         trunk, widths = None, (*cfg.sl_widths, cfg.tl1_dim, cfg.tl2_dim)
-        mats = list(frontend_features(cfg, entries))
-        lengths = [len(m) for m in mats]
-        x = _normalized(mats, stats)
-        del mats
-        index = splice_index(lengths, cfg.frontend.splice_context)
+        # the float64 list is dropped as soon as the matrix is built
+        x, index, y, classes = _training_frames(
+            cfg, list(frontend_features(cfg, entries)), labels, stats)
     else:
         trunk = strip_output(_load(cfg, "source_model", Network, stats))
         widths = (cfg.tl1_dim, cfg.tl2_dim)
-        lengths = _frame_counts(cfg, entries)
-        segments = _spliced_segments(cfg, entries, stats, lengths)
-        x, index = extract(trunk, segments, sum(lengths)).values, None
-    y, classes = _frame_labels(lengths, [e.label for e in entries])
+        x, lengths = _taps(cfg, entries, stats, trunk)
+        index, (y, classes) = None, _frame_labels(lengths, labels)
     composite, _ = adapt(trunk, x, y, widths, len(classes), cfg.target_train,
                          seed=cfg.seed, index=index)
     store(cfg, "filter", build_filter(composite, cfg.variant), stats)
@@ -417,27 +425,16 @@ def stage_adapt(cfg, manifest):
 
 
 def stage_extract(cfg, manifest, split):
-    """Filter taps for every frame of each target segment of
-    `split`, saved losslessly to features_<split>.npz: one float32 tap
-    matrix in manifest order, each segment's frame count, label and
-    condition, and the split. Each segment's frame count comes from its
-    wav header before anything is extracted, so one `extract` call writes
-    every tap once into one matrix of the split's size, from
-    `_spliced_segments`, which streams each segment through frontend,
-    normalization and splicing; that work runs on the calling thread
-    inside `extract`, under its BLAS pin. Only taps are kept, never the
-    split's spliced input, and `_write_npz` writes them without a copy. A
-    row's taps depend only on that row, so the file is byte-identical
-    whatever the CPU count and segment packing, to taps extracted a
-    segment at a time, and run to run."""
+    """The filter's `_taps` for every target segment of `split`, saved
+    losslessly to features_<split>.npz by `_write_npz`, without a copy:
+    the tap matrix in manifest order, each segment's frame count, label
+    and condition, and the split."""
     entries = manifest.select("target", split)
     if not entries:
         raise AecError(f"no target {split} entries")
     stats = _load(cfg, "norm_stats", NormStats)
-    filt = _load(cfg, "filter", Network, stats)
-    lengths = _frame_counts(cfg, entries)
-    segments = _spliced_segments(cfg, entries, stats, lengths)
-    taps = extract(filt, segments, sum(lengths)).values
+    taps, lengths = _taps(cfg, entries, stats,
+                          _load(cfg, "filter", Network, stats))
     path = artifact_path(cfg, f"features_{split}.npz")
     _write_npz(path, taps=taps, lengths=np.array(lengths),
                labels=np.array([e.label for e in entries]),

@@ -64,10 +64,39 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, path):
-        """The report that `to_json` wrote to the file at `path`."""
+        """The report that `to_json` wrote to the file at `path`. A file
+        that is not a JSON object, lacks a field, lists no condition, or
+        whose `confusion` is not one classes x classes matrix of counts per
+        listed condition raises an AecError naming the file."""
         with open(path, encoding="utf-8") as f:
             d = json.load(f)
-        return cls(**{x.name: d[x.name] for x in fields(cls)})
+        if not isinstance(d, dict):
+            raise AecError(f"{path} holds a JSON {type(d).__name__}, not a "
+                           f"report object")
+        missing = [x.name for x in fields(cls) if x.name not in d]
+        if missing:
+            raise AecError(f"{path} has no {', '.join(missing)}")
+        report = cls(**{x.name: d[x.name] for x in fields(cls)})
+        if not report.conditions or not all(
+                isinstance(v, list) and all(isinstance(name, str) for name in v)
+                for v in (report.conditions, report.classes)):
+            raise AecError(f"{path}: conditions and classes must be lists "
+                           f"of names, with at least one condition")
+        n = len(report.classes)
+        confusion = report.confusion if isinstance(report.confusion, dict) else {}
+        bad = [c for c in report.conditions
+               if not _is_counts(confusion.get(c), n)]
+        if bad:
+            raise AecError(f"{path}: confusion needs one {n} x {n} matrix of "
+                           f"counts per condition; {', '.join(bad)} has none")
+        return report
+
+
+def _is_counts(rows, n):
+    """Whether `rows` is an n x n list of lists of int counts."""
+    return (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n
+                    and all(type(v) is int for v in r) for r in rows))
 
 
 def render_table(rows, conditions, title=""):

@@ -84,6 +84,29 @@ class TestPrepareSource:
         for e in copies:
             assert np.array_equal(read_wav(e.wav_path).samples, original)
 
+    def test_cli_default_rir_is_prepare_sources(self, tmp_path):
+        # one under-budget class: 6 s of audio, filled to 30 s with copies
+        # reverberated by the response the flags describe
+        man = Manifest([ManifestEntry(write_tone_wav(tmp_path / f"d{i}.wav",
+                                                     3.0, seed=i),
+                                      "d", "source", "train", "clean")
+                        for i in range(2)])
+        save_manifest(man, tmp_path / "m.csv")
+        prepare_source(man, tmp_path / "ref", target_seconds=30.0, seed=0)
+        copies = sorted(os.listdir(tmp_path / "ref"))
+        assert len(copies) == 8
+        written = {}
+        for name, flags in (("default", []), ("short", ["--rir-length", "0.25"])):
+            assert cli.main(["--out", str(tmp_path / name), "prepare-source",
+                             str(tmp_path / "m.csv"), "--target-seconds", "30"]
+                            + flags) == 0
+            prep = tmp_path / name / "source_prep"
+            assert sorted(os.listdir(prep)) == copies
+            written[name] = [(prep / c).read_bytes() for c in copies]
+        assert written["default"] == [(tmp_path / "ref" / c).read_bytes()
+                                      for c in copies]
+        assert all(a != b for a, b in zip(written["default"], written["short"]))
+
     def test_non_source_entries_pass_through(self, tmp_path):
         src = write_tone_wav(tmp_path / "s.wav", 1.0)
         tgt = write_tone_wav(tmp_path / "t.wav", 1.0, seed=1)
@@ -1099,9 +1122,11 @@ class TestCli:
         # json.dumps writes these as NaN and Infinity, which json reads back
         {"svm_c": nan}, {"target_train": {"lr0": inf}},
         {"frontend": 5}, {"frontend": None}, {"source_train": "x"},
-        {"out_dir": 5}])
+        {"out_dir": 5}, {"bogus": 1, "bogus2": 2}])
     def test_invalid_config_exits_before_any_artifact(self, tiny_corpus,
                                                       tmp_path, capsys, bad):
+        # the message names the file and each bad field, a nested one by
+        # its own name
         root, _ = tiny_corpus
         d = tiny_config(tmp_path / "out").to_dict()
         for key, value in bad.items():
@@ -1113,7 +1138,41 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "stage 'run'" in err and "Traceback" not in err
+        assert str(cfg_path) in err
+        assert all(name in err for key, value in bad.items()
+                   for name in (value if isinstance(value, dict) else [key]))
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("report, named", [
+        ({"classes": []}, "conditions"),
+        ([1, 2], "list"),
+        ({"conditions": ["clean"], "classes": ["a", "b"],
+          "confusion": {"clean": [[1, 0]]}, "config_fingerprint": "",
+          "variant": "C"}, "clean"),
+        ({"conditions": ["clean", "babble"], "classes": ["a"],
+          "confusion": {"clean": [[1]]}, "config_fingerprint": "",
+          "variant": "C"}, "babble"),
+        ({"conditions": "clean", "classes": ["a"], "confusion": {},
+          "config_fingerprint": "", "variant": "C"}, "lists of names"),
+        ({"conditions": [], "classes": ["a"], "confusion": {},
+          "config_fingerprint": "", "variant": "C"}, "at least one condition")],
+        ids=["missing-keys", "not-an-object", "short-matrix", "no-matrix",
+             "names-not-a-list", "no-conditions"])
+    def test_bad_report_json_is_named(self, tmp_path, capsys, report, named):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(report))
+        rc = cli.main(["--out", str(tmp_path / "o"), "report", "--report",
+                       str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err and "Traceback" not in err
+
+    def test_config_that_is_not_an_object_is_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1]")
+        assert cli.main(["--config", str(cfg_path), "report"]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and "JSON object" in err
 
     def test_non_finite_features_are_rejected_at_load(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1498,15 +1557,35 @@ class TestParallelExtract:
             assert data["lengths"].tolist() == list(self.FRAMES)
             assert np.array_equal(data["taps"], np.vstack(expected))
 
-    def test_frames_must_match_header_counts(self, ragged):
+    @staticmethod
+    def one_frame_more_in_seg2_header(cfg, monkeypatch):
+        real = pl.wav_samples
+        monkeypatch.setattr(pl, "wav_samples", lambda path: real(path) + (
+            cfg.frontend.hop if Path(path).name == "seg2.wav" else 0))
+
+    def test_frames_must_match_header_counts(self, ragged, monkeypatch):
         cfg, entries = ragged
         stats = pl._load(cfg, "norm_stats", NormStats)
-        counts = pl._frame_counts(cfg, entries)
-        assert counts == list(self.FRAMES)
-        counts[2] += 1
+        filt = pl._load(cfg, "filter", Network, stats)
+        taps, lengths = pl._taps(cfg, entries, stats, filt)
+        assert lengths == list(self.FRAMES)
+        assert taps.shape == (sum(self.FRAMES), 10)
+        self.one_frame_more_in_seg2_header(cfg, monkeypatch)
         with pytest.raises(AecError, match=r"seg2\.wav: 64 frames, but its "
                                            r"header gives 65"):
-            list(pl._spliced_segments(cfg, entries, stats, counts))
+            pl._taps(cfg, entries, stats, filt)
+
+    def test_trunk_frames_must_match_header_counts(self, ragged, monkeypatch):
+        # variant C's trunk pass in `adapt` checks the counts too
+        cfg, entries = ragged
+        stats = pl._load(cfg, "norm_stats", NormStats)
+        pl.store(cfg, "source_model",
+                 init_mlp(cfg.frontend.dims, cfg.sl_widths, 2, seed=0), stats)
+        train = Manifest([replace(e, split="train") for e in entries])
+        self.one_frame_more_in_seg2_header(cfg, monkeypatch)
+        with pytest.raises(AecError, match=r"seg2\.wav: 64 frames, but its "
+                                           r"header gives 65"):
+            pl.stage_adapt(cfg, train)
 
     def test_features_file_is_byte_identical_for_any_cpu_count(
             self, staged_out, tiny_corpus, tmp_path, monkeypatch):
@@ -1578,21 +1657,28 @@ class TestFloat32Frames:
     @pytest.mark.parametrize("context", [1, 3, 7])
     def test_norm_and_splice_is_one_matrix_of_rounded_rows(self, context):
         rng = np.random.default_rng(0)
-        mats = [rng.standard_normal((n, 512)) * 3.0 + 1.0
-                for n in (1, 2, 7, 92)]
+        lengths = (1, 2, 7, 92)
+        mats = [rng.standard_normal((n, 512)) * 3.0 + 1.0 for n in lengths]
         stats = NormStats(rng.standard_normal(512), rng.uniform(0.5, 2.0, 512))
-        x = pl._normalized(mats, stats)
-        index = splice_index([len(m) for m in mats], context)
+        cfg = replace(tiny_config("out"), frontend=FrontendConfig(
+            input_mode="dft_mag", splice_context=context))
+        x, index, y, classes = pl._training_frames(
+            cfg, mats, ["b", "a", "b", "c"], stats)
         expected = np.vstack([splice(apply_norm(m, stats), context)
                               .astype(np.float32) for m in mats])
         assert x.dtype == np.float32 and x.flags.c_contiguous
-        assert x.shape == (sum(map(len, mats)), 512)
+        assert x.shape == (sum(lengths), 512)
         assert np.array_equal(x[index].reshape(len(x), -1), expected)
+        assert classes == ["a", "b", "c"]
+        assert np.array_equal(y, np.repeat([1, 0, 1, 2], lengths))
 
     def test_norm_and_splice_of_no_arrays_has_no_rows(self):
-        x = pl._normalized([], NormStats(np.zeros(512), np.ones(512)))
+        cfg = replace(tiny_config("out"), frontend=FrontendConfig(
+            input_mode="dft_mag", splice_context=3))
+        x, index, y, classes = pl._training_frames(
+            cfg, [], [], NormStats(np.zeros(512), np.ones(512)))
         assert x.shape == (0, 512) and x.dtype == np.float32
-        assert splice_index([], 3).shape == (0, 3)
+        assert index.shape == (0, 3) and len(y) == 0 and classes == []
 
     def test_features_file_holds_float32_taps(self, staged_out):
         for split in ("train", "eval"):
