@@ -1,5 +1,5 @@
-"""The package's two error types, and the type check every config runs
-when it is built.
+"""The package's two error types, the type check every config runs when
+it is built, and the JSON reader of config and report files.
 
 Every failure the package detects raises `AecError`, a `ValueError` whose
 message names the bad value, file or line. `StageError` wraps a failure
@@ -7,6 +7,7 @@ with the name of the pipeline stage it occurred in; the CLI prints it and
 exits with code 2.
 """
 
+import json
 import sys
 from dataclasses import fields
 from typing import Union, get_args, get_origin, get_type_hints
@@ -61,3 +62,13 @@ def check_field_types(config):
         if not ok:
             raise AecError(f"{type(config).__name__}.{f.name} must be {need}, "
                            f"got {value!r}")
+
+
+def read_json(path):
+    """The JSON value in the file at `path`; a file that is not UTF-8 JSON
+    raises an AecError naming it, with the decoder's line and column."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise AecError(f"{path} is not valid JSON: {e}") from e

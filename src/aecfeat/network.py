@@ -13,16 +13,15 @@ parameters as float32 in `.aecf` files). `forward` and `grad`
 compute in the dtype of their input and parameters, so float64 callers get
 float64 results. Losses are accumulated in float64.
 
-Training and feature extraction use two CPUs on one BLAS thread. `train`
-and `transfer.extract` pin numpy's bundled OpenBLAS to one thread for
-their loop and, when that library is loaded and the process may use two
-CPUs or more, start one worker thread. While it runs, `forward`, `grad`
-and `sgd_step` split each wide layer's float32 work in two halves by
-output unit (the forward product, bias and activation, the weight
-gradient and the momentum update of the weight rows) and the error
-back-propagated through it by input unit: the worker runs one half and
-the calling thread the other. Everywhere else, on one CPU and outside
-`train` and `extract`, every layer runs whole. Each output element of a
+Training and feature extraction use two CPUs on one BLAS thread: `train`
+and `transfer.extract` run their loop in `_one_blas_thread()`, which pins
+numpy's bundled OpenBLAS to one thread and, when that library is loaded
+and the process may use two CPUs or more, lends one worker thread. Only
+there do `forward`, `grad` and `sgd_step` split each wide layer's float32
+work in two halves by output unit (the forward product, bias and
+activation, the weight gradient and the momentum update of the weight
+rows) and the error back-propagated through it by input unit: the worker
+runs one half and the calling thread the other. Each output element of a
 split product is summed over the same terms in the same order as in one
 product over the whole layer (checked with the bundled OpenBLAS), so what
 `train` and `extract` return depends neither on the CPU count nor on
@@ -54,9 +53,9 @@ from .frontend import _as_2d
 # A wide layer, one with at least _WIDE weights (256 x 256 and up) and
 # _NARROW units or more on either side, splits its float32 products and
 # its weight update by output unit: one half on the calling thread, one on
-# the worker thread `train` or `transfer.extract` starts. A product over
-# fewer than _NARROW rows runs whole. Each half of a split product is then a matrix product of
-# over a million multiply-adds with 32 or more rows and columns, which
+# the worker thread `_one_blas_thread` lends. A product over fewer than
+# _NARROW rows runs whole. Each half of a split product is then a matrix
+# product of over a million multiply-adds with 32 or more rows and columns, which
 # OpenBLAS sums in the order it sums the whole product; a narrower half
 # can reach numpy's matrix-vector path or OpenBLAS's small-matrix
 # kernels, which sum in other orders.
@@ -87,10 +86,24 @@ _OPENBLAS = _bundled_openblas()
 _pin_lock = threading.Lock()
 
 
+def _cpu_count():
+    """CPUs this process may run on: its affinity mask where the platform
+    has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# .pool: the one-thread executor `_one_blas_thread` lends this thread, if any
+_worker = threading.local()
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with numpy's bundled OpenBLAS on one thread and
-    restore its count after; without that library, do nothing.
+    """Run the block with numpy's bundled OpenBLAS on one thread and, on
+    two CPUs or more, lend `_halves` calls made on this thread one worker,
+    started by the first split; on leaving, even if the block raises, join
+    it, then restore the count. Without that library, do nothing.
 
     The count is process-global, so one lock is held for the whole block:
     concurrent callers take turns, each restores the count it found, and
@@ -103,39 +116,15 @@ def _one_blas_thread():
         saved = lib.scipy_openblas_get_num_threads64_()
         lib.scipy_openblas_set_num_threads64_(1)
         try:
-            yield
+            with (ThreadPoolExecutor(1) if _cpu_count() >= 2
+                  else contextlib.nullcontext()) as pool:
+                _worker.pool = pool
+                try:
+                    yield
+                finally:
+                    _worker.pool = None
         finally:
             lib.scipy_openblas_set_num_threads64_(saved)
-
-
-def _cpu_count():
-    """CPUs this process may run on: its affinity mask where the platform
-    has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# .pool: the one-thread executor `train` or `transfer.extract` runs on
-# this thread, if any
-_worker = threading.local()
-
-
-@contextlib.contextmanager
-def _worker_thread():
-    """Give `_halves` calls made on this thread one worker thread while
-    the block runs, when numpy's bundled OpenBLAS is loaded (so that both
-    threads run it on one BLAS thread) and this process may use two CPUs
-    or more; the thread is joined on leaving, even if the block raises."""
-    if _OPENBLAS is None or _cpu_count() < 2:
-        yield
-        return
-    with ThreadPoolExecutor(1) as pool:
-        _worker.pool = pool
-        try:
-            yield
-        finally:
-            _worker.pool = None
 
 
 # Data preparation (`synthetic.generate_dataset`,
@@ -178,8 +167,8 @@ def _run_jobs(jobs):
 
 
 def _halves(split, work, *sizes):
-    """Call `work` with one slice per size: when `split` and `train` or
-    `extract` runs a worker thread for this thread, once with the lower
+    """Call `work` with one slice per size: when `split` and
+    `_one_blas_thread` lends this thread a worker, once with the lower
     half of each here and once with the upper half on the worker; else
     once with the whole of each. Returns when both are done; a failure in either is raised
     here. The worker runs only `work`, which writes into arrays the caller
@@ -491,12 +480,10 @@ def train(net, features, labels, cfg, index=None):
     gathered through the index from the caller's features, which are read
     in place when they are float32 (any other dtype is cast down once).
 
-    The loop runs with numpy's bundled OpenBLAS on one thread and, with
-    that library on two CPUs or more, one worker thread that takes half of
-    each wide layer's work (see the module docstring). Training runs in
-    float32 and the returned snapshot holds float32 parameters; with a
-    zero-epoch cap a copy of the starting network, in its own dtype, is
-    handed back. Features must be a finite 2-D array and
+    The loop runs in `_one_blas_thread()` (see the module docstring).
+    Training runs in float32 and the returned snapshot holds float32
+    parameters; with a zero-epoch cap a copy of the starting network, in
+    its own dtype, is handed back. Features must be a finite 2-D array and
     labels integer class indices >= 0, one per sample.
     """
     x = _as_2d(features).astype(np.float32, copy=False)
@@ -549,7 +536,7 @@ def train(net, features, labels, cfg, index=None):
     best_val = np.inf
     epoch = 0
 
-    with _one_blas_thread(), _worker_thread():
+    with _one_blas_thread():
         for stage in range(cfg.n_lr_stages):
             lr = cfg.lr0 / (10.0 ** stage)
             report.stage_boundaries.append(epoch)

@@ -3,13 +3,14 @@ stage table `stages()`. Each stage function loads its inputs from the
 output directory, stores its outputs there, stamped by the config
 fingerprint and seed, and returns {artifact name: path} for what it
 wrote. `run_pipeline` runs every row of the table and the staged CLI one
-row per subcommand, so both go through the same stored artifacts. `_load`
-checks each model's type and the source network's and filter's input
-fingerprint. `_training_frames` builds the frames a network trained from
-scratch reads, and `_taps` streams them through a fixed one, the source
-trunk or the filter. A split's taps are stored as one matrix plus
-per-segment frame counts; the back end, `cross_validate` included, gets
-them as per-segment views, projected once at load."""
+row per subcommand, so both go through the same stored artifacts. `store`
+only writes; `_load` is the one `.aecf` reader, and checks each model's
+type and the source network's and filter's input fingerprint.
+`_training_frames` builds the frames a network trained from scratch
+reads, and `_taps` streams them through a fixed one, the source trunk or
+the filter. A split's taps are stored as one matrix plus per-segment
+frame counts; the back end, `cross_validate` included, gets them as
+per-segment views, projected once at load."""
 
 import ctypes
 import hashlib
@@ -27,7 +28,7 @@ from .audio import read_wav, wav_samples
 from .classifiers import (GmmModel, SvmModel, classify_segment,
                           dnn_score_matrix, gmm_fit, gmm_score_matrix,
                           svm_fit, svm_score_matrix)
-from .errors import AecError, StageError, check_field_types
+from .errors import AecError, StageError, check_field_types, read_json
 from .frontend import (FrontendConfig, NormStats, apply_norm, fit_norm_stats,
                        frame_count, make_frontend_features, splice,
                        splice_index)
@@ -98,11 +99,10 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path):
-        """The config in the JSON object at `path`; a file that holds
-        another JSON value, unknown fields or a bad value raises an
-        AecError naming the file."""
-        with open(path, encoding="utf-8") as f:
-            d = json.load(f)
+        """The config in the JSON object at `path`; a file that is not
+        JSON or holds another JSON value, unknown fields or a bad value
+        raises an AecError naming the file."""
+        d = read_json(path)
         if not isinstance(d, dict):
             raise AecError(f"{path} must hold a JSON object of config fields")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
@@ -161,16 +161,16 @@ def artifact_path(cfg, name):
 
 def store(cfg, name, model, stats=None):
     """Save `model` as <out_dir>/<name>.aecf, stamped with the config
-    fingerprint, the seed and, given `stats`, the input fingerprint; return
-    it as stored: every stage consumes the float32 parameters the file
-    holds, never the in-memory ones, so the `.aecf` files reproduce the run
-    that wrote them."""
+    fingerprint, the seed and, given `stats`, the input fingerprint, and
+    return {name: its path}. Stages read models only through `_load`, so
+    they consume the float32 parameters the file holds, never the in-memory
+    ones, and the `.aecf` files reproduce the run that wrote them."""
     path = artifact_path(cfg, name + ".aecf")
     stamp = {"config_fingerprint": cfg.fingerprint(), "seed": cfg.seed}
     if stats is not None:
         stamp["input_fingerprint"] = _input_fingerprint(cfg, stats)
     save_model(path, model, stamp)
-    return load_model(path)
+    return {name: path}
 
 
 def _load(cfg, name, kind, stats=None):
@@ -205,13 +205,16 @@ def _load_features(cfg, split):
     """(taps, lengths, labels, conditions) from features_<split>.npz: the
     split's tap matrix in manifest order and each segment's frame count,
     label and condition. Features enter the program here, so this rejects
-    a file of another split or an earlier layout, counts that disagree and
-    non-finite values."""
+    a file of another split or an earlier layout, taps that are not
+    tl2_dim wide, counts that disagree and non-finite values."""
     path = artifact_path(cfg, f"features_{split}.npz")
     taps, lengths, labels, conditions, file_split = _read_features(
         cfg, split, "taps", "lengths", "labels", "conditions", "split")
     if str(file_split) != split:
         raise AecError(f"{path} holds split {str(file_split)!r}, not {split!r}")
+    if taps.ndim != 2 or taps.shape[1] != cfg.tl2_dim:
+        raise AecError(f"{path} holds taps of shape {taps.shape}, not tl2_dim "
+                       f"{cfg.tl2_dim} wide; rerun `extract --split {split}`")
     if not len(labels) == len(conditions) == len(lengths):
         raise AecError(f"{path} holds {len(lengths)} segments but "
                        f"{len(labels)} labels and {len(conditions)} conditions")
@@ -381,20 +384,19 @@ def stage_train_source(cfg, manifest):
     source = frontend_features(cfg, source_entries)
     if cfg.variant != "B":  # the source network is a variant A/C artifact
         source = list(source)
-    stats = store(cfg, "norm_stats", fit_norm_stats(chain(
+    paths = store(cfg, "norm_stats", fit_norm_stats(chain(
         source, frontend_features(cfg, target_entries))))
-    paths = {"norm_stats": artifact_path(cfg, "norm_stats.aecf")}
     if cfg.variant == "B":
         return paths
     if not source_entries:
         raise AecError("variants A/C require source-domain entries")
+    stats = _load(cfg, "norm_stats", NormStats)
     x, index, y, classes = _training_frames(
         cfg, source, [e.label for e in source_entries], stats)
     del source
     net = init_mlp(cfg.frontend.dims, cfg.sl_widths, len(classes), seed=cfg.seed)
     net, _ = train(net, x, y, cfg.source_train, index)
-    store(cfg, "source_model", net, stats)
-    return {**paths, "source_model": artifact_path(cfg, "source_model.aecf")}
+    return {**paths, **store(cfg, "source_model", net, stats)}
 
 
 def stage_adapt(cfg, manifest):
@@ -420,8 +422,7 @@ def stage_adapt(cfg, manifest):
         index, (y, classes) = None, _frame_labels(lengths, labels)
     composite, _ = adapt(trunk, x, y, widths, len(classes), cfg.target_train,
                          seed=cfg.seed, index=index)
-    store(cfg, "filter", build_filter(composite, cfg.variant), stats)
-    return {"filter": artifact_path(cfg, "filter.aecf")}
+    return store(cfg, "filter", build_filter(composite, cfg.variant), stats)
 
 
 def stage_extract(cfg, manifest, split):
@@ -444,24 +445,23 @@ def stage_extract(cfg, manifest, split):
 
 
 def stage_fit_transform(cfg):
-    """The DCT or PCA model; nothing for transform 'none'."""
-    taps = _load_features(cfg, "train")[0]
+    """The DCT of the tl2_dim-wide taps or the PCA fit to the training
+    taps, the only transform that reads them; nothing for 'none'."""
     if cfg.transform == "none":
         return {}
     if cfg.transform == "dct":
-        transform = DctSpec(n_points=taps.shape[1], n_keep=cfg.transform_dim)
+        transform = DctSpec(n_points=cfg.tl2_dim, n_keep=cfg.transform_dim)
     else:
+        taps = _load_features(cfg, "train")[0]
         with _one_blas_thread():  # a fixed summation order, so a fixed fit
             transform = pca_fit(taps, out_dim=cfg.transform_dim)
-    store(cfg, "transform", transform)
-    return {"transform": artifact_path(cfg, "transform.aecf")}
+    return store(cfg, "transform", transform)
 
 
 def stage_fit_classifier(cfg):
     """The back-end classifier."""
     taps, labels, _ = _reduced_features(cfg, "train")
-    store(cfg, "classifier", fit_classifier(cfg, taps, labels))
-    return {"classifier": artifact_path(cfg, "classifier.aecf")}
+    return store(cfg, "classifier", fit_classifier(cfg, taps, labels))
 
 
 def stage_evaluate(cfg):

@@ -90,15 +90,16 @@ def prepare_source(manifest, out_dir, target_seconds=800.0, rir=None, seed=0):
 def prepare_conditions(manifest, noise_paths, out_dir, snrs=(5, 10, 15), seed=0):
     """Create one noisy condition per (noise, SNR) for target evaluation
     segments; clean entries pass through unchanged. Conditions are named
-    by noise file stem and SNR, so both must be unique, and every noise
-    must be at least as long as every segment; nothing is written unless
-    both hold. Each segment is read once and mixed with every condition
-    by one job of `network._run_jobs`."""
+    by noise file stem and SNR (as `f"{snr:g}"` writes it), so both must
+    be unique, and every noise must be at least as long as every segment;
+    nothing is written unless both hold. Each segment is read once and
+    mixed with every condition by one job of `network._run_jobs`."""
     stems = [os.path.splitext(os.path.basename(p))[0] for p in noise_paths]
-    for what, values in (("noise file stem", stems), ("SNR", list(snrs))):
+    for what, values in (("noise file stem", [repr(s) for s in stems]),
+                         ("SNR", [f"{snr:g}" for snr in snrs])):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
-            raise AecError(f"{what} {repeated[0]!r} is given more than once")
+            raise AecError(f"{what} {repeated[0]} is given more than once")
     noises = {stem: read_wav(p) for stem, p in zip(stems, noise_paths)}
     conditions = [(name, noise, snr, f"{name}_{snr:g}dB")
                   for name, noise in sorted(noises.items()) for snr in snrs]

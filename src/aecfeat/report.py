@@ -7,7 +7,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .errors import AecError
+from .errors import AecError, read_json
 
 
 @dataclass
@@ -68,8 +68,7 @@ class EvalReport:
         that is not a JSON object, lacks a field, lists no condition, or
         whose `confusion` is not one classes x classes matrix of counts per
         listed condition raises an AecError naming the file."""
-        with open(path, encoding="utf-8") as f:
-            d = json.load(f)
+        d = read_json(path)
         if not isinstance(d, dict):
             raise AecError(f"{path} holds a JSON {type(d).__name__}, not a "
                            f"report object")

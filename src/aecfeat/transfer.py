@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import AecError
 from .frontend import FeatureMatrix, _as_2d
-from .network import (Network, _one_blas_thread, _row_index, _worker_thread,
-                      forward, init_mlp, train)
+from .network import (Network, _one_blas_thread, _row_index, forward,
+                      init_mlp, train)
 
 VARIANTS = ("A", "B", "C")
 # rows in `extract`'s staging buffer, all forwarded each time so that
@@ -93,17 +93,13 @@ def extract(filt, segments, rows):
     Each row is copied once, rounded to float32, into a staging buffer of
     BUFFER_ROWS rows, packed across segment boundaries. Each time it
     fills, and once at the end with its unused tail zero-filled, the
-    whole buffer goes through `network.forward`, with numpy's bundled
-    OpenBLAS on one thread and the trainer's worker thread taking half of
-    each wide layer, as in `train`. Every product then has one shape per
-    filter and one BLAS thread count whatever the batch, so a row comes
-    out the same alone, in a ragged batch or pooled with other segments,
-    and on any CPU count. Without that library the buffer is forwarded on
-    the calling thread alone, unpinned. The BLAS thread count is
-    process-global; calls take turns holding one lock that pins it and
-    restores it on leaving, even if the call raises. `segments` is read
-    on the calling thread inside that lock, so a generator's work runs
-    there. The weights are cast to float32 once.
+    whole buffer goes through `network.forward` inside
+    `network._one_blas_thread()`, as in `train`. Every product then has
+    one shape per filter and one BLAS thread count whatever the batch, so
+    a row comes out the same alone, in a ragged batch or pooled with
+    other segments, and on any CPU count. `segments` is read on the
+    calling thread inside that context, so a generator's work runs there.
+    The weights are cast to float32 once.
     """
     if filt.layers[-1].activation == "softmax":
         raise AecError("filter must not end in a softmax layer")
@@ -116,7 +112,7 @@ def extract(filt, segments, rows):
         buffer[fill:] = 0.0
         taps[done:done + fill] = forward(filt, buffer)[-1][:fill]
 
-    with _one_blas_thread(), _worker_thread():
+    with _one_blas_thread():
         done = fill = 0
         for x in segments:
             x = _as_2d(x)

@@ -21,6 +21,7 @@ from aecfeat.network import (
     sgd_step,
     train,
 )
+from aecfeat.transfer import build_filter, extract
 
 
 def small_net(dims, seed=0):
@@ -499,7 +500,7 @@ class TestSplitLayers:
                 sgd_step(layer, gl, v, 0.05, 0.9, 0.0005)
             return acts, g, loss, stepped, vel
 
-        with network._worker_thread():
+        with network._one_blas_thread():
             split = run()
         monkeypatch.setattr(network, "_WIDE", np.inf)
         whole = run()
@@ -529,6 +530,35 @@ class TestSplitLayers:
         for net, report in runs[1:]:
             assert_same_net(net, runs[0][0])
             assert report == runs[0][1]
+
+    def test_worker_halves_run_under_the_blas_pin(self, monkeypatch,
+                                                   two_cpus):
+        # `train` and `extract` lend the worker only inside the one context
+        # that pins the BLAS, so every half it runs sees one BLAS thread
+        lib = network._OPENBLAS
+        if lib is None:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded")
+        caller, real_forward_units = threading.get_ident(), network._forward_units
+        seen = []
+
+        def recording(*args):
+            if threading.get_ident() != caller:
+                seen.append(lib.scipy_openblas_get_num_threads64_())
+            return real_forward_units(*args)
+
+        monkeypatch.setattr(network, "_forward_units", recording)
+        x, y = wide_data(300)
+        old = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            train(wide_net(), x, y, TrainConfig(max_epochs_per_stage=1, seed=0))
+            in_train = len(seen)
+            extract(build_filter(wide_net(), "C"), [x], len(x))
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            lib.scipy_openblas_set_num_threads64_(old)
+        assert 0 < in_train < len(seen)
+        assert set(seen) == {1}
 
     def test_worker_failure_reaches_the_caller(self, monkeypatch, two_cpus):
         caller, real_activate = threading.get_ident(), network._activate

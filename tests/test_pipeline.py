@@ -207,7 +207,8 @@ class TestPrepareConditions:
                                seed=0)
         assert not (tmp_path / "cond").exists()
 
-    @pytest.mark.parametrize("snrs", [(5, 5), (5, 10, 5.0)])
+    # 5 and 5.0000001 both name the condition office_5dB
+    @pytest.mark.parametrize("snrs", [(5, 5), (5, 10, 5.0), (5, 5.0000001)])
     def test_repeated_snr_rejected(self, tmp_path, snrs):
         man = self.make_manifest(tmp_path, n_eval=4)
         noises = [self.noise(tmp_path, "office", 1)]
@@ -1167,6 +1168,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(path) in err and named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, decoder", [
+        ('{"seed": 1,', "line 1 column 12"), (b"\xff{}", "utf-8")],
+        ids=["truncated", "not-utf-8"])
+    @pytest.mark.parametrize("argv", [["--config", "PATH", "report"],
+                                      ["report", "--report", "PATH"]],
+                             ids=["config", "report"])
+    def test_json_that_does_not_parse_is_named(self, tmp_path, capsys, argv,
+                                               text, decoder):
+        path = tmp_path / "bad.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        argv = [str(path) if a == "PATH" else a for a in argv]
+        assert cli.main(["--out", str(tmp_path / "o"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "not valid JSON" in err
+        assert decoder in err and "Traceback" not in err
+
     def test_config_that_is_not_an_object_is_named(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("[1]")
@@ -1212,6 +1232,26 @@ class TestCli:
                           chain=[[stage]]) == [2]
         err = capsys.readouterr().err
         assert f"stage '{stage}'" in err and f"{artifact}.aecf" in err
+        assert "Traceback" not in err
+        for name in ("classifier.aecf", "report.json"):
+            assert (out / name).read_bytes() == (staged_out / name).read_bytes()
+
+    def test_taps_of_another_width_are_rejected_at_load(
+            self, staged_out, tiny_corpus, tmp_path, capsys):
+        # adapt reruns with a narrower TL#2, but the taps are the old ones
+        root, _ = tiny_corpus
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        cfg = replace(tiny_config(out), tl2_dim=8, transform="none")
+        codes = run_staged(cfg, root / "manifest.csv", tmp_path / "cfg.json",
+                           chain=STAGED_CHAIN[1:2] + STAGED_CHAIN[4:])
+        assert codes == [0, 0, 2, 2]
+        err = capsys.readouterr().err
+        for split, stage in (("train", "fit-classifier"), ("eval", "evaluate")):
+            assert (f"stage '{stage}' failed: {out / f'features_{split}.npz'} "
+                    f"holds taps of shape (") in err
+            assert (f"not tl2_dim 8 wide; rerun `extract --split {split}`"
+                    in err)
         assert "Traceback" not in err
         for name in ("classifier.aecf", "report.json"):
             assert (out / name).read_bytes() == (staged_out / name).read_bytes()
@@ -1524,7 +1564,8 @@ class TestParallelExtract:
             entries.append(ManifestEntry(str(path), f"tgt{i % 2:02d}",
                                          "target", "eval", "clean"))
         x = np.vstack(list(pl.frontend_features(cfg, entries)))
-        stats = pl.store(cfg, "norm_stats", NormStats(x.mean(0), x.std(0)))
+        pl.store(cfg, "norm_stats", NormStats(x.mean(0), x.std(0)))
+        stats = pl._load(cfg, "norm_stats", NormStats)
         net = init_mlp(cfg.frontend.dims, (16, 16, 16, 12, 10), 2, seed=0)
         pl.store(cfg, "filter", build_filter(net, "C"), stats)
         return cfg, entries
@@ -1729,6 +1770,7 @@ class TestFloat32Frames:
         save_features(pl.artifact_path(cfg, "features_train.npz"), [taps],
                       ["tgt00"])
         files, old = [], lib.scipy_openblas_get_num_threads64_()
+        threads_before = threading.active_count()
         try:
             for threads in (1, 2):
                 lib.scipy_openblas_set_num_threads64_(threads)
@@ -1737,6 +1779,21 @@ class TestFloat32Frames:
         finally:
             lib.scipy_openblas_set_num_threads64_(old)
         assert files[0] == files[1]
+        # the PCA splits no layer, so the pin lends no worker a thread
+        assert threading.active_count() == threads_before
+
+    def test_dct_and_none_read_no_taps(self, staged_out, tmp_path):
+        # a DCT takes tl2_dim points; no features_train.npz is there
+        out = tmp_path / "out"
+        out.mkdir()
+        assert pl.stage_fit_transform(tiny_config(out)) == {
+            "transform": str(out / "transform.aecf")}
+        assert ((out / "transform.aecf").read_bytes()
+                == (staged_out / "transform.aecf").read_bytes())
+        (out / "transform.aecf").unlink()
+        assert pl.stage_fit_transform(
+            replace(tiny_config(out), transform="none")) == {}
+        assert os.listdir(out) == []
 
 
 class TestWriteNpz:
