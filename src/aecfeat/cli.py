@@ -31,7 +31,6 @@ def _load_cfg(args):
         cfg.target_train.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    os.makedirs(cfg.out_dir, exist_ok=True)
     return cfg
 
 

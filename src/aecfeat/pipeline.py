@@ -5,7 +5,8 @@ fingerprint and seed, and returns {artifact name: path} for what it
 wrote. `run_pipeline` runs every row of the table and the staged CLI one
 row per subcommand, so both go through the same stored artifacts. `store`
 only writes; `_load` is the one `.aecf` reader, and checks each model's
-type and the source network's and filter's input fingerprint.
+type and the source network's and filter's input fingerprint; models and
+features alike go through `serialize`'s one writer and one reader.
 `_training_frames` builds the frames a network trained from scratch
 reads, and `_taps` streams them through a fixed one, the source trunk or
 the filter. A split's taps are stored as one matrix plus per-segment
@@ -16,7 +17,6 @@ import ctypes
 import hashlib
 import json
 import os
-import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
@@ -35,7 +35,7 @@ from .frontend import (FrontendConfig, NormStats, apply_norm, fit_norm_stats,
 from .manifest import Manifest
 from .network import Network, TrainConfig, _one_blas_thread, init_mlp, train
 from .report import EvalReport, render_report
-from .serialize import load_model, save_model
+from .serialize import load_model, open_npz, save_model, write_npz
 from .transfer import adapt, build_filter, extract, strip_output
 from .transforms import DctSpec, PcaModel, dct_apply, pca_apply, pca_fit
 
@@ -189,10 +189,10 @@ def _load(cfg, name, kind, stats=None):
 
 
 def _read_features(cfg, split, *keys):
-    """The arrays under `keys` in features_<split>.npz; `np.load` decodes
-    only the keys read."""
+    """The arrays under `keys` in features_<split>.npz; `open_npz`
+    decodes only the keys read."""
     path = artifact_path(cfg, f"features_{split}.npz")
-    with np.load(path, allow_pickle=False) as data:
+    with open_npz(path) as data:
         missing = [k for k in keys if k not in data.files]
         if missing:
             raise AecError(f"{path} has no {', '.join(missing)}: it was not "
@@ -312,21 +312,6 @@ def _taps(cfg, entries, stats, net):
     return extract(net, segments(), sum(lengths)).values, lengths
 
 
-def _write_npz(path, **arrays):
-    """`np.savez(path, **arrays)` byte for byte, for C-contiguous arrays
-    that hold no objects, without its copy: each member is a stored zip64
-    entry of the array's format 1.0 header followed by the array's own
-    buffer. Both get zip's fixed 1980 timestamp."""
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED,
-                         allowZip64=True) as zf:
-        for key, value in arrays.items():
-            value = np.require(value, requirements="C")
-            with zf.open(key + ".npy", "w", force_zip64=True) as f:
-                np.lib.format.write_array_header_1_0(
-                    f, np.lib.format.header_data_from_array_1_0(value))
-                f.write(value.reshape(-1).view(np.uint8))
-
-
 def fit_classifier(cfg, taps, labels):
     """The back-end classifier on the training segments' tap arrays."""
     x = np.vstack(taps)
@@ -381,6 +366,8 @@ def stage_train_source(cfg, manifest):
     source_entries = manifest.select("source")
     if any(e.split == "eval" for e in source_entries):
         raise AecError("refusing to fit normalization on evaluation frames")
+    if cfg.variant != "B" and not source_entries:
+        raise AecError("variants A/C require source-domain entries")
     source = frontend_features(cfg, source_entries)
     if cfg.variant != "B":  # the source network is a variant A/C artifact
         source = list(source)
@@ -388,8 +375,6 @@ def stage_train_source(cfg, manifest):
         source, frontend_features(cfg, target_entries))))
     if cfg.variant == "B":
         return paths
-    if not source_entries:
-        raise AecError("variants A/C require source-domain entries")
     stats = _load(cfg, "norm_stats", NormStats)
     x, index, y, classes = _training_frames(
         cfg, source, [e.label for e in source_entries], stats)
@@ -427,7 +412,7 @@ def stage_adapt(cfg, manifest):
 
 def stage_extract(cfg, manifest, split):
     """The filter's `_taps` for every target segment of `split`, saved
-    losslessly to features_<split>.npz by `_write_npz`, without a copy:
+    losslessly to features_<split>.npz by `write_npz`, without a copy:
     the tap matrix in manifest order, each segment's frame count, label
     and condition, and the split."""
     entries = manifest.select("target", split)
@@ -437,10 +422,10 @@ def stage_extract(cfg, manifest, split):
     taps, lengths = _taps(cfg, entries, stats,
                           _load(cfg, "filter", Network, stats))
     path = artifact_path(cfg, f"features_{split}.npz")
-    _write_npz(path, taps=taps, lengths=np.array(lengths),
-               labels=np.array([e.label for e in entries]),
-               conditions=np.array([e.condition for e in entries]),
-               split=np.array(split))
+    write_npz(path, taps=taps, lengths=np.array(lengths),
+              labels=np.array([e.label for e in entries]),
+              conditions=np.array([e.condition for e in entries]),
+              split=np.array(split))
     return {f"features_{split}": path}
 
 
@@ -494,7 +479,9 @@ class Stage(NamedTuple):
     if_none: str = ""
 
     def call(self, cfg, manifest, split):
-        """Run the stage with `manifest` and `split` if it reads them."""
+        """Run the stage with `manifest` and `split` if it reads them, into
+        cfg.out_dir, which it creates."""
+        os.makedirs(cfg.out_dir, exist_ok=True)
         args = [manifest] if self.reads_manifest else []
         if self.splits:
             args.append(split)
@@ -534,7 +521,6 @@ def run_pipeline(cfg, manifest):
         raise AecError(f"run_pipeline takes a Manifest, not a "
                        f"{type(manifest).__name__} ({manifest!r:.80}); load a "
                        f"manifest file with manifest.load_manifest")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     paths = {}
     for stage in stages():
         for split in stage.splits or (None,):

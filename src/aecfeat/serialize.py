@@ -1,20 +1,20 @@
-"""Binary model files for every fitted artifact.
+"""One archive format for every artifact: an npz file, a zip of stored
+`.npy` members with a CRC-32 each. `write_npz` writes models and features
+alike, and `open_npz` reads them, naming a damaged file.
 
-Layout: magic ``AECF`` | version u32 LE | header length u32 LE | JSON
-header (UTF-8) | raw little-endian float32 parameter blocks, row-major, in
-header order | CRC32 (u32 LE) over everything before it.
-
-Parameters are stored in 32-bit floats; loading yields exactly the stored
-values, so save/load round-trips are bit-exact after the first save.
-Every network (the source network, the filter and the DNN back end) is
-kind ``network``; the kinds ``source_model`` and ``dnn_filter`` of earlier
-versions are rejected as unknown. The header's ``extra`` mapping carries
-the caller's stamps, returned by ``load_model(..., with_meta=True)``.
+A model file (`.aecf`) holds a `header` member, the JSON of its kind,
+`VERSION`, meta and the caller's stamps (`extra`, which
+`load_model(..., with_meta=True)` returns), then one little-endian float32
+member per `_payload` block. Loading yields the stored values in float64,
+so round trips are bit-exact after the first save. A file of another
+version, as is every one written before version 2, is rejected. Every
+network is kind `network`; the kinds `source_model` and `dnn_filter` of
+earlier versions are rejected as unknown.
 """
 
 import json
-import struct
-import zlib
+import zipfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -24,8 +24,40 @@ from .frontend import NormStats
 from .network import Layer, Network
 from .transforms import DctSpec, PcaModel
 
-MAGIC = b"AECF"
-VERSION = 1
+VERSION = 2
+
+
+def write_npz(path, **arrays):
+    """`np.savez(path, **arrays)` byte for byte, for C-contiguous arrays
+    that hold no objects, without its copy: each member is a stored zip64
+    entry of the array's format 1.0 header followed by the array's own
+    buffer. Both get zip's fixed 1980 timestamp."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED,
+                         allowZip64=True) as zf:
+        for key, value in arrays.items():
+            value = np.require(value, requirements="C")
+            with zf.open(key + ".npy", "w", force_zip64=True) as f:
+                np.lib.format.write_array_header_1_0(
+                    f, np.lib.format.header_data_from_array_1_0(value))
+                f.write(value.reshape(-1).view(np.uint8))
+
+
+@contextmanager
+def open_npz(path):
+    """The npz archive at `path`, open to decode the members read. A file
+    that is not an intact archive, lacks a member read or holds one that
+    fails its CRC-32 raises an AecError naming it; a missing one raises as
+    `open` does."""
+    with open(path, "rb") as f:
+        try:
+            with np.lib.npyio.NpzFile(f) as data:  # no pickle, no .npy
+                yield data
+        except AecError:
+            raise
+        except (zipfile.BadZipFile, EOFError, NotImplementedError, OSError,
+                ValueError, KeyError) as e:
+            raise AecError(f"{path} is not an intact npz archive ({e}); "
+                           f"rerun the stage that wrote it") from e
 
 
 def _payload(model):
@@ -95,47 +127,21 @@ def _restore(kind, meta, arrays):
 
 def save_model(path, model, extra_meta=None):
     kind, meta, arrays = _payload(model)
-    header = {
-        "kind": kind,
-        "meta": meta,
-        "extra": extra_meta or {},
-        "arrays": [{"name": n, "shape": list(np.asarray(a).shape)}
-                   for n, a in arrays],
-    }
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes()
-                    for _, a in arrays)
-    payload = MAGIC + struct.pack("<II", VERSION, len(head)) + head + body
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    with open(path, "wb") as f:
-        f.write(payload + struct.pack("<I", crc))
+    header = {"kind": kind, "version": VERSION, "meta": meta,
+              "extra": extra_meta or {}}
+    write_npz(path, header=np.array(json.dumps(header, sort_keys=True)),
+              **{name: np.asarray(a, dtype="<f4") for name, a in arrays})
 
 
 def load_model(path, with_meta=False):
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 12 or data[:4] != MAGIC:
-        raise AecError(f"{path}: not an AECF model file")
-    version, head_len = struct.unpack("<II", data[4:12])
-    if version != VERSION:
-        raise AecError(f"{path}: file version {version}, expected {VERSION}")
-    if len(data) < 12 + head_len + 4:
-        raise AecError(f"{path}: truncated file")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise AecError(f"{path}: CRC mismatch")
-    header = json.loads(data[12 : 12 + head_len].decode("utf-8"))
-    arrays = {}
-    offset = 12 + head_len
-    for spec in header["arrays"]:
-        count = int(np.prod(spec["shape"]))
-        nbytes = 4 * count
-        if offset + nbytes > len(data) - 4:
-            raise AecError(f"{path}: parameter block overruns file")
-        block = np.frombuffer(data[offset : offset + nbytes], dtype="<f4")
-        arrays[spec["name"]] = block.reshape(spec["shape"]).astype(np.float64)
-        offset += nbytes
-    model = _restore(header["kind"], header["meta"], arrays)
+    with open_npz(path) as data:
+        header = json.loads(str(data["header"]))
+        if header["version"] != VERSION:
+            raise AecError(f"{path}: file version {header['version']}, "
+                           f"expected {VERSION}; rerun the stage that wrote it")
+        model = _restore(header["kind"], header["meta"],
+                         {name: data[name].astype(np.float64)
+                          for name in data.files if name != "header"})
     if with_meta:
-        return model, header.get("extra", {})
+        return model, header["extra"]
     return model

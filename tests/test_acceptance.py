@@ -32,6 +32,7 @@ from aecfeat.synthetic import generate_dataset
 from aecfeat.transfer import adapt, build_filter, extract, strip_output
 from aecfeat.transforms import DctSpec, dct_apply, dct_basis, pca_apply, pca_fit
 from test_classifiers import svm_dual_objective
+from test_pipeline import check_golden_run, run_hashes
 
 
 def check(name, ok, detail):
@@ -314,6 +315,12 @@ def test_synthetic_end_to_end(e2e):
           acc >= 95.0 and identical and e2e["elapsed"] < 600.0,
           f"clean accuracy {acc:.1f}% (>= 95%), same-seed runs bit-identical: "
           f"{identical}, total runtime {e2e['elapsed']:.0f} s (< 600 s)")
+
+
+def test_golden_run_e2e(e2e, request):
+    # the runs the fixture already made, so no training is added
+    check_golden_run(request, "e2e", {
+        run: run_hashes(e2e["root"] / run) for run in ("c1", "c2", "b")})
 
 
 def traced_peak(fn, *args):

@@ -1,6 +1,5 @@
 import json
 import struct
-import zlib
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from aecfeat.errors import AecError
 from aecfeat.frontend import fit_norm_stats
 from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manifest
 from aecfeat.network import Network, TrainConfig, init_mlp, train
-from aecfeat.serialize import load_model, save_model
+from aecfeat.serialize import load_model, save_model, write_npz
 from aecfeat.transfer import adapt, build_filter, extract, strip_output
 from aecfeat.transforms import DctSpec, pca_fit
 
@@ -96,23 +95,41 @@ def make_composite():
     return comp
 
 
+def read_members(path):
+    """Every member of a model archive, its header decoded."""
+    with np.load(path) as data:
+        members = {k: data[k] for k in data.files}
+    return {**members, "header": json.loads(str(members["header"]))}
+
+
 def read_header(path):
-    data = path.read_bytes()
-    head_len = struct.unpack("<I", data[8:12])[0]
-    return json.loads(data[12 : 12 + head_len])
+    return read_members(path)["header"]
 
 
 def rewrite_header(path, **changes):
-    """Replace top-level header fields of an AECF file, keeping its
-    parameter blocks and recomputing the CRC: a file as an earlier version
-    would have written it."""
-    data = path.read_bytes()
-    head_len = struct.unpack("<I", data[8:12])[0]
-    header = {**read_header(path), **changes}
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = (data[:4] + struct.pack("<II", 1, len(head)) + head
-               + data[12 + head_len : -4])
-    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+    """Replace top-level header fields of a model archive, keeping its
+    parameter members in order: a file as another writer would have
+    written it."""
+    members = read_members(path)
+    header = {**members.pop("header"), **changes}
+    write_npz(path, header=np.array(json.dumps(header, sort_keys=True)),
+              **members)
+
+
+def same_model(a, b):
+    """Whether two loaded models are of one type with equal fields, every
+    array of equal dtype and values."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_model(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_model, a, b))
+    if hasattr(a, "__dict__"):
+        return same_model(vars(a), vars(b))
+    return a == b
 
 
 class TestSerialize:
@@ -239,9 +256,26 @@ class TestSerialize:
                               as_f32(svm.machines[0].dual_coef))
 
     def test_bad_magic(self, tmp_path):
+        # a lone .npy array is not an archive either
         path = tmp_path / "x.aecf"
-        path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(AecError, match="not an AECF model file"):
+        np.save(tmp_path / "x.npy", np.zeros(3))
+        for data in (b"NOPE" + b"\x00" * 20, (tmp_path / "x.npy").read_bytes()):
+            path.write_bytes(data)
+            with pytest.raises(AecError, match=r"x\.aecf is not an intact npz "
+                                               r"archive \(File is not a zip "
+                                               r"file"):
+                load_model(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # the binary layout of earlier versions: magic, version 1, header
+        # length, JSON header, float32 blocks, CRC-32
+        path = tmp_path / "v1.aecf"
+        head = b'{"kind": "dct"}'
+        path.write_bytes(b"AECF" + struct.pack("<II", 1, len(head)) + head
+                         + b"\x00" * 12)
+        with pytest.raises(AecError, match=r"v1\.aecf is not an intact npz "
+                                           r"archive \(File is not a zip file\); "
+                                           r"rerun the stage that wrote it"):
             load_model(path)
 
     def test_truncated_file(self, tmp_path):
@@ -249,26 +283,77 @@ class TestSerialize:
         save_model(path, DctSpec(n_points=8, n_keep=4))
         data = path.read_bytes()
         path.write_bytes(data[:-10])
-        with pytest.raises(AecError, match="truncated"):
+        with pytest.raises(AecError, match=r"t\.aecf is not an intact npz "
+                                           r"archive \(File is not a zip file"):
             load_model(path)
 
     def test_corrupted_payload(self, tmp_path):
         path = tmp_path / "c.aecf"
-        save_model(path, DctSpec(n_points=8, n_keep=4))
+        spec = DctSpec(n_points=8, n_keep=4)
+        save_model(path, spec)
         data = bytearray(path.read_bytes())
-        data[20] ^= 0xFF
+        data[data.index(spec.basis.astype("<f4").tobytes()) + 5] ^= 0xFF
         path.write_bytes(bytes(data))
-        with pytest.raises(AecError, match="CRC mismatch"):
+        with pytest.raises(AecError, match=r"c\.aecf is not an intact npz "
+                                           r"archive \(Bad CRC-32 for file "
+                                           r"'basis\.npy'\)"):
             load_model(path)
 
     def test_future_version(self, tmp_path):
         path = tmp_path / "v.aecf"
         save_model(path, DctSpec(n_points=8, n_keep=4))
-        data = bytearray(path.read_bytes())
-        data[4:8] = struct.pack("<I", 99)
-        path.write_bytes(bytes(data))
-        with pytest.raises(AecError, match="file version 99"):
+        rewrite_header(path, version=99)
+        with pytest.raises(AecError, match=r"v\.aecf: file version 99, "
+                                           r"expected 2"):
             load_model(path)
+
+    def test_missing_file_is_not_called_damaged(self, tmp_path):
+        path = tmp_path / "gone.aecf"
+        with pytest.raises(FileNotFoundError, match=r"gone\.aecf"):
+            load_model(path)
+
+    def test_layout_is_an_npz_of_float32_members(self, tmp_path):
+        # a header, then one little-endian float32 member per block, in
+        # the order the model lists them
+        path = tmp_path / "n.aecf"
+        net = init_mlp(3, (2,), 2, seed=0)
+        save_model(path, net, {"seed": 4})
+        members = read_members(path)
+        assert list(members) == ["header", "w0", "b0", "w1", "b1"]
+        assert members["header"] == {
+            "kind": "network", "version": 2, "extra": {"seed": 4},
+            "meta": {"net": {"layers": [
+                {"in": 3, "out": 2, "activation": "sigmoid"},
+                {"in": 2, "out": 2, "activation": "softmax"}]}}}
+        for i, layer in enumerate(net.layers):
+            assert members[f"w{i}"].dtype == np.dtype("<f4")
+            assert np.array_equal(members[f"w{i}"], layer.w.astype("<f4"))
+
+    def test_every_byte_flip_and_cut_is_caught(self, tmp_path):
+        # zip's CRC-32 covers every member; a flip elsewhere in the archive
+        # may leave the model as it was, and must never load another one.
+        # Every cut loses the archive's directory at its end
+        path = tmp_path / "f.aecf"
+        save_model(path, init_mlp(3, (2,), 2, seed=0), {"seed": 1})
+        original = path.read_bytes()
+        expected = load_model(path, with_meta=True)
+        named = 0
+        for i in range(len(original)):
+            data = bytearray(original)
+            data[i] ^= 0xFF
+            path.write_bytes(bytes(data))
+            try:
+                loaded = load_model(path, with_meta=True)
+            except AecError as e:
+                assert str(path) in str(e), (i, e)
+                named += 1
+            else:
+                assert same_model(loaded, expected), i
+            path.write_bytes(original[:i])
+            with pytest.raises(AecError, match=rf"{path.name} is not an "
+                                               rf"intact npz archive"):
+                load_model(path)
+        assert named > len(original) // 2
 
     def test_extra_meta(self, tmp_path):
         path = tmp_path / "e.aecf"

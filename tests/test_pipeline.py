@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -24,7 +25,7 @@ from aecfeat.manifest import Manifest, ManifestEntry, load_manifest, save_manife
 from aecfeat.network import Network, TrainConfig, init_mlp
 from aecfeat.pipeline import RunConfig, default_svm_grid, run_pipeline
 from aecfeat.prepare import prepare_conditions, prepare_source
-from aecfeat.serialize import load_model
+from aecfeat.serialize import load_model, write_npz
 from aecfeat.report import EvalReport, render_report, render_table
 from aecfeat.synthetic import generate_dataset, generate_noise_wav
 from aecfeat.transfer import build_filter, extract
@@ -233,6 +234,43 @@ class TestPrepareConditions:
 
 
 GOLDEN_CORPUS = Path(__file__).resolve().parent / "golden_corpus_sha256.json"
+# Recorded, after a change that alters artifact bytes on purpose, with
+#   python -m pytest tests/test_pipeline.py tests/test_acceptance.py \
+#       -k golden_run --record-golden-run
+GOLDEN_RUN = Path(__file__).resolve().parent / "golden_run_sha256.json"
+
+
+def openblas_core():
+    """The kernel family numpy's bundled OpenBLAS chose for this CPU."""
+    if network._OPENBLAS is None:
+        return "none (numpy ships another BLAS)"
+    corename = network._OPENBLAS.scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def run_hashes(out_dir):
+    """SHA-256 of each artifact of one run that GOLDEN_RUN pins."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for pattern in ("*.aecf", "features_*.npz", "report.*")
+            for p in sorted(Path(out_dir).glob(pattern))}
+
+
+def check_golden_run(request, part, hashes):
+    """Check {run: run_hashes} against the `part` of GOLDEN_RUN recorded
+    for this OpenBLAS core and numpy version, since same-seed artifacts
+    are bit-identical only on one kernel; with --record-golden-run,
+    record them instead."""
+    key = f"OpenBLAS core {openblas_core()}, numpy {np.__version__}"
+    golden = json.loads(GOLDEN_RUN.read_text(encoding="utf-8"))
+    if request.config.getoption("record_golden_run"):
+        golden.setdefault(key, {})[part] = hashes
+        GOLDEN_RUN.write_text(json.dumps(golden, indent=1, sort_keys=True)
+                              + "\n", encoding="utf-8")
+    elif part not in golden.get(key, {}):
+        pytest.skip(f"no {part} golden run hashes recorded for {key}")
+    else:
+        assert hashes == golden[key][part]
 
 
 def golden_corpora(root):
@@ -632,6 +670,23 @@ def staged_out(tiny_corpus, tmp_path_factory):
     return work / "out"
 
 
+class TestGoldenRun:
+    """Same-seed `run`s at `tiny_config` write the same bytes as when
+    GOLDEN_RUN was recorded; the acceptance module checks its `e2e`
+    runs, whose wide layers take the trainer's two-thread split."""
+
+    def test_golden_run_tiny(self, tiny_corpus, tmp_path, request):
+        hashes = {}
+        for variant in ("A", "B", "C"):
+            for name, changes in (("svm", {}), ("gmm", {"classifier": "gmm"}),
+                                  ("none", {"transform": "none"})):
+                out = tmp_path / f"{variant}-{name}"
+                run_pipeline(replace(tiny_config(out, variant), **changes),
+                             tiny_corpus[1])
+                hashes[f"{variant}-{name}"] = run_hashes(out)
+        check_golden_run(request, "tiny", hashes)
+
+
 class TestRunConfigValidation:
     @pytest.mark.parametrize("bad", [
         {"svm_frame_step": 0}, {"transform_dim": 0},
@@ -665,6 +720,22 @@ class TestRunConfigValidation:
         with pytest.raises(AecError, match=rf"{config.__name__}\.{name} must "
                                            rf"be a {need}, got {value!r}"):
             config(**{name: value})
+
+    @pytest.mark.parametrize("config, bad, named", [
+        (RunConfig, {"transform": "wavelet"}, "unknown transform 'wavelet'"),
+        (RunConfig, {"classifier": "knn"}, "unknown classifier 'knn'"),
+        (RunConfig, {"variant": "D"}, "unknown variant 'D'"),
+        (FrontendConfig, {"hop": 0}, r"need 1 <= hop <= 1024"),
+        (FrontendConfig, {"hop": 1025}, r"need 1 <= hop <= 1024"),
+        (FrontendConfig, {"window": "hann"}, "unknown window 'hann'"),
+        (FrontendConfig, {"input_mode": "mfcc"}, "unknown input_mode 'mfcc'"),
+        (FrontendConfig, {"splice_context": 2},
+         r"splice_context must be odd in 1\.\.7, got 2"),
+        (TrainConfig, {"momentum": 1.0}, r"momentum must be in \[0, 1\)"),
+        (TrainConfig, {"momentum": -0.1}, r"momentum must be in \[0, 1\)")])
+    def test_unknown_or_out_of_range_value_is_named(self, config, bad, named):
+        with pytest.raises(AecError, match=named):
+            config(**bad)
 
     def test_transform_dim_unchecked_without_transform(self):
         RunConfig(transform="none", transform_dim=20, tl2_dim=10)
@@ -1088,6 +1159,32 @@ class TestCli:
                 in err)
         assert os.listdir(tmp_path / "out") == []
 
+    def test_commands_that_write_nothing_create_nothing(self, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").write_text(EvalReport(
+            conditions=["clean"], classes=["a"], confusion={"clean": [[1]]},
+            config_fingerprint="", variant="C").to_json())
+        assert cli.main(["report", "--report", "r.json"]) == 0
+        assert cli.main(["--out", "nowhere", "cross-validate"]) == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and "features_train.npz" in err
+        assert os.listdir(tmp_path) == ["r.json"]
+
+    def test_commands_that_write_create_a_nested_out(self, tiny_corpus,
+                                                     tmp_path, capsys):
+        root, _ = tiny_corpus
+        man = root / "manifest.csv"
+        for name, chain in (("run", [["run", "MANIFEST"]]),
+                            ("staged", STAGED_CHAIN)):
+            out = tmp_path / name / "a" / "b"
+            assert run_staged(tiny_config(out), man, tmp_path / "cfg.json",
+                              chain=chain) == [0] * len(chain)
+            assert (out / "report.json").exists()
+        out = tmp_path / "synth" / "a" / "b"
+        assert cli.main(["--out", str(out), "synth-data"]) == 0
+        assert (out / "data" / "manifest.csv").exists()
+
     def test_relative_out_writes_loadable_manifests(self, tmp_path,
                                                     monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -1341,6 +1438,26 @@ class TestCli:
         for name in ("classifier.aecf", "report.json"):
             assert (out / name).read_bytes() == (staged_out / name).read_bytes()
 
+    def test_flipped_byte_in_features_file_is_named(self, staged_out,
+                                                    tmp_path, capsys):
+        # zip's CRC-32 of the taps member catches the flip when it is read
+        out = tmp_path / "out"
+        shutil.copytree(staged_out, out)
+        path = out / "features_train.npz"
+        with np.load(path) as data:
+            taps = data["taps"]
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(taps.tobytes()) + 7] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        assert run_staged(tiny_config(out), None, tmp_path / "cfg.json",
+                          chain=[["fit-classifier"]]) == [2]
+        err = capsys.readouterr().err
+        assert (f"stage 'fit-classifier' failed: {path} is not an intact npz "
+                f"archive (Bad CRC-32 for file 'taps.npy')") in err
+        assert "Traceback" not in err
+        assert ((out / "classifier.aecf").read_bytes()
+                == (staged_out / "classifier.aecf").read_bytes())
+
     def test_evaluate_reads_only_the_training_labels(self, staged_out,
                                                      tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -1472,14 +1589,19 @@ class TestCli:
         save_manifest(Manifest([e for e in manifest.entries
                                 if e.domain == "target"]),
                       tmp_path / "target_only.csv")
-        codes = run_staged(tiny_config(tmp_path / "out", variant),
-                           tmp_path / "target_only.csv", tmp_path / "cfg.json",
-                           chain=[["run", "MANIFEST"]])
-        assert codes == [2]
-        err = capsys.readouterr().err
-        assert ("stage 'train-source' failed: variants A/C require "
-                "source-domain entries") in err
-        assert "Traceback" not in err
+        # refused before the statistics are stored, from `run` or alone
+        for command in ("run", "train-source"):
+            out = tmp_path / command
+            codes = run_staged(tiny_config(out, variant),
+                               tmp_path / "target_only.csv",
+                               tmp_path / "cfg.json",
+                               chain=[[command, "MANIFEST"]])
+            assert codes == [2]
+            err = capsys.readouterr().err
+            assert ("stage 'train-source' failed: variants A/C require "
+                    "source-domain entries") in err
+            assert "Traceback" not in err
+            assert os.listdir(out) == []
 
     def test_staged_stages_rerun_on_run_output(self, tiny_corpus, tmp_path):
         # `run` leaves every artifact the staged chain reads, features too
@@ -1797,8 +1919,9 @@ class TestFloat32Frames:
 
 
 class TestWriteNpz:
-    """`stage_extract` writes features_<split>.npz with `_write_npz`, which
-    must write what `np.savez` writes, without its copy of each array."""
+    """`stage_extract` writes features_<split>.npz, and `save_model` every
+    model, with `serialize.write_npz`, which must write what `np.savez`
+    writes, without its copy of each array."""
 
     @pytest.mark.parametrize("rows", [0, 1, 130])
     def test_bytes_equal_savez(self, tmp_path, rows):
@@ -1810,7 +1933,7 @@ class TestWriteNpz:
             conditions=np.array(["living_5dB"]),
             split=np.array("eval"))
         np.savez(tmp_path / "savez.npz", **arrays)
-        pl._write_npz(tmp_path / "write.npz", **arrays)
+        write_npz(tmp_path / "write.npz", **arrays)
         assert ((tmp_path / "savez.npz").read_bytes()
                 == (tmp_path / "write.npz").read_bytes())
 
@@ -1818,7 +1941,7 @@ class TestWriteNpz:
         taps = np.zeros((40000, 150), dtype=np.float32)
         tracemalloc.start()
         try:
-            pl._write_npz(tmp_path / "f.npz", taps=taps)
+            write_npz(tmp_path / "f.npz", taps=taps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
